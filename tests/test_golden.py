@@ -1,0 +1,135 @@
+"""Golden CLI outputs, compared byte for byte.
+
+Each file under tests/golden/ records one `twospin` invocation from CASES: the
+argument list, the exit code, and everything written to stdout and stderr by
+`twospin.cli.main` run in-process. Together the cases cover every subcommand
+in CSV and JSON, rows on the degenerate fallback branch, unequal couplings and
+the JSON error exits.
+
+Phase outputs use omega1 > 0 only. Regenerate the files, when an output change
+is intended, with
+
+    PYTHONPATH=src python tests/test_golden.py
+
+and review the diff of tests/golden/ before committing it.
+"""
+
+import contextlib
+import io
+import os
+
+import pytest
+
+GOLDEN_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
+
+P = ["--omega0", "1", "--gamma", "0.8", "--J", "0.6"]
+NO_FIELD = ["--omega0", "1", "--gamma", "0", "--J", "0.6"]
+RESONANT = ["--omega0", "0.4", "--gamma", "1.2", "--J", "0.9", "--omega1", "0.4"]
+UNEQUAL = ["--omega-a0", "1.3", "--omega-b0", "0.4", "--gamma-a", "0.8", "--gamma-b", "1.1",
+           "--J", "-0.6", "--omega1", "0.7"]
+JSON = ["--format", "json"]
+
+
+def _both_formats(name, argv):
+    return {f"{name}_csv": argv, f"{name}_json": argv + JSON}
+
+
+CASES = {
+    **_both_formats("spectrum", ["spectrum", *P]),
+    "spectrum_no_field_csv": ["spectrum", *NO_FIELD],
+    **_both_formats("phases_berry", ["phases", "--mode", "berry", *P, "--omega1", "0.1"]),
+    **_both_formats("phases_aa", ["phases", "--mode", "aa", *P, "--omega1", "0.3"]),
+    "phases_berry_no_field_csv": ["phases", "--mode", "berry", *NO_FIELD, "--omega1", "0.1"],
+    "phases_aa_no_field_csv": ["phases", "--mode", "aa", *NO_FIELD, "--omega1", "0.3"],
+    "phases_aa_resonant_csv": ["phases", "--mode", "aa", *RESONANT],
+    **_both_formats("evolve_exact", ["evolve", "--initial", "uu", *P, "--omega1", "0.3", "--steps", "0"]),
+    **_both_formats(
+        "evolve_stepped",
+        ["evolve", "--initial", "1,0,1,0,0,0,0,0", *P, "--omega1", "0.5", "--time", "2", "--steps", "200"],
+    ),
+    **_both_formats("evolve_unequal", ["evolve", "--initial", "du", *UNEQUAL, "--steps", "0"]),
+    "evolve_unequal_stepped_json": [
+        "evolve", "--initial", "ud", *UNEQUAL, "--time", "1.5", "--steps", "300", *JSON,
+    ],
+    "evolve_tilde1_no_field_csv": ["evolve", "--initial", "tilde1", *NO_FIELD, "--omega1", "0.3"],
+    "evolve_eigen1_no_field_csv": ["evolve", "--initial", "eigen1", *NO_FIELD, "--omega1", "0.3"],
+    "evolve_tilde2_resonant_json": ["evolve", "--initial", "tilde2", *RESONANT, *JSON],
+    "evolve_tilde3_resonant_csv": ["evolve", "--initial", "tilde3", *P, "--omega1", "1"],
+    "evolve_eigen3_zero_detuning_csv": [
+        "evolve", "--initial", "eigen3", "--omega0", "0", "--gamma", "1", "--J", "0.6", "--omega1", "0.2",
+    ],
+    **_both_formats("twocycle_aa", ["twocycle", "--scheme", "aa", *P, "--omega1", "0.3"]),
+    "twocycle_aa_resonant_csv": ["twocycle", "--scheme", "aa", *RESONANT],
+    **_both_formats("twocycle_adiabatic", ["twocycle", "--scheme", "adiabatic", *P, "--omega1", "0.05"]),
+    **_both_formats(
+        "twocycle_adiabatic_sweep",
+        ["twocycle", "--scheme", "adiabatic", "--omega1-sweep", "0.1,0.05,0.025", *P, "--omega1", "0.1"],
+    ),
+    "twocycle_adiabatic_stepped_csv": [
+        "twocycle", "--scheme", "adiabatic", *P, "--omega1", "0.5", "--steps", "400",
+    ],
+    **_both_formats(
+        "sweep_spectrum",
+        ["sweep", "--axis", "gamma=0:1:3", "--axis", "J=-1:1:3", "--quantity", "spectrum", "--omega0", "1"],
+    ),
+    **_both_formats(
+        "sweep_berry",
+        ["sweep", "--axis", "gamma=0:1:3", "--quantity", "berry",
+         "--omega0", "1", "--J", "0.6", "--omega1", "0.1"],
+    ),
+    **_both_formats(
+        "sweep_aa",
+        ["sweep", "--axis", "omega0=0:0.8:3", "--axis", "gamma=0:1.2:2", "--quantity", "aa",
+         "--J", "0.9", "--omega1", "0.4"],
+    ),
+    **_both_formats(
+        "sweep_defect",
+        ["sweep", "--axis", "omega0=0.5:2:2", "--axis", "J=-1:1:3", "--quantity", "twocycle-defect",
+         "--gamma", "1", "--omega1", "0.1"],
+    ),
+    "sweep_defect_unequal_csv": [
+        "sweep", "--axis", "omega_a0=0.2:1.2:3", "--quantity", "twocycle-defect", *UNEQUAL,
+    ],
+    "error_phases_no_rotation": ["phases", *P],
+    "error_twocycle_aa_no_rotation": ["twocycle", "--scheme", "aa", *P],
+    "error_twocycle_adiabatic_no_rotation": ["twocycle", "--scheme", "adiabatic", *P],
+    "error_evolve_no_rotation": ["evolve", *P],
+    "error_sweep_axis_syntax": ["sweep", "--axis", "J=0:2", "--quantity", "berry", *P, "--omega1", "0.1"],
+    "error_sweep_axis_field": ["sweep", "--axis", "tau=0:1:2", "--quantity", "berry", *P, "--omega1", "0.1"],
+    "error_spectrum_unequal": ["spectrum", *UNEQUAL],
+}
+
+
+def run_case(argv) -> bytes:
+    from twospin import cli
+
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(list(argv))
+    header = f"$ twospin {' '.join(argv)}\nexit {code}\n"
+    return f"{header}--- stdout\n{out.getvalue()}--- stderr\n{err.getvalue()}".encode("utf-8")
+
+
+def _path(name: str) -> str:
+    return os.path.join(GOLDEN_DIR, f"{name}.txt")
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_output_matches_golden(name):
+    with open(_path(name), "rb") as fh:
+        expected = fh.read()
+    assert run_case(CASES[name]) == expected
+
+
+def test_every_golden_file_has_a_case():
+    assert sorted(os.listdir(GOLDEN_DIR)) == sorted(f"{name}.txt" for name in CASES)
+
+
+if __name__ == "__main__":
+    os.makedirs(GOLDEN_DIR, exist_ok=True)
+    for stale in set(os.listdir(GOLDEN_DIR)) - {f"{name}.txt" for name in CASES}:
+        os.remove(os.path.join(GOLDEN_DIR, stale))
+    for name, argv in CASES.items():
+        with open(_path(name), "wb") as fh:
+            fh.write(run_case(argv))
+    print(f"wrote {len(CASES)} golden files to {GOLDEN_DIR}")
