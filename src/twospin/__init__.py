@@ -7,6 +7,7 @@ from .core import (
     SpinParams,
     TwoSpinState,
     field_to_params,
+    flip_params,
     pauli_operator,
 )
 from .evolution import (
@@ -19,11 +20,11 @@ from .evolution import (
     numeric_dynamical_phase,
 )
 from .hamiltonian import (
-    HamiltonianModel,
     frame_rotation,
     h_rotating_frame,
     h_static,
     h_total,
+    transverse_parts,
 )
 from .phases import (
     PhaseBreakdown,
@@ -54,12 +55,7 @@ from .twocycle import (
     AATwoCycleResult,
     AdiabaticTwoCycleResult,
     BerryGate,
-    CycleProtocol,
-    CycleSegment,
-    aa_protocol,
-    adiabatic_protocol,
     berry_gate,
-    flip_params,
     one_cycle_dynamical_residual,
     run_aa_two_cycle,
     run_adiabatic_two_cycle,

@@ -5,7 +5,7 @@ flags, then a flat key=value config file, then zero defaults. Output is CSV or
 JSON with fixed %.12e float formatting so repeated runs are byte-identical.
 
 Exit codes: 0 success, 2 usage or parameter error, 3 output I/O error,
-4 numeric failure (non-finite result detected before writing).
+4 numeric failure (non-finite result, overflow, failed diagonalization).
 """
 
 from __future__ import annotations
@@ -13,18 +13,22 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from itertools import product
 
 import numpy as np
 
 from .core import SpinParams, TwoSpinState
 from .evolution import evolve_exact, evolve_stepped
-from .phases import aa_breakdown, adiabatic_phases, principal_value
-from .spectral import eigensystem, singlet_energy, tilde_eigensystem, triplet_energies
+from .phases import _rotation_sense, aa_breakdown, adiabatic_phases, principal_value
+from .spectral import (
+    InternalConsistencyError,
+    eigensystem,
+    singlet_energy,
+    tilde_eigensystem,
+    triplet_energies,
+)
 from .twocycle import berry_gate, run_aa_two_cycle, run_adiabatic_two_cycle
 
 __all__ = [
@@ -49,7 +53,6 @@ SCHEMA_VERSION = 1
 _PARAM_KEYS = ("omega0", "omega_a0", "omega_b0", "gamma", "gamma_a", "gamma_b", "J", "omega1")
 # Sweep axes: the six parameter fields plus the equal-coupling pair aliases.
 _AXIS_FIELDS = ("omega_a0", "omega_b0", "gamma_a", "gamma_b", "J", "omega1", "omega0", "gamma")
-_QUANTITIES = ("spectrum", "berry", "aa", "twocycle-defect")
 
 _NAMED_STATES = ("uu", "ud", "du", "dd", "singlet")
 
@@ -118,15 +121,13 @@ def _parse_initial(spec: str, params: SpinParams) -> TwoSpinState:
     name = spec.strip().lower()
     if name in _NAMED_STATES:
         return TwoSpinState.singlet() if name == "singlet" else TwoSpinState.basis_state(name)
-    for prefix, builder in (("eigen", eigensystem), ("tilde", tilde_eigensystem)):
+    for prefix in ("eigen", "tilde"):
         if name.startswith(prefix) and name[len(prefix):] in ("1", "2", "3", "4"):
-            n = int(name[len(prefix):])
             try:
-                if prefix == "eigen":
-                    return builder(params, 0.0).state(n)
-                return builder(params).state(n)
+                system = eigensystem(params, 0.0) if prefix == "eigen" else tilde_eigensystem(params)
             except ValueError as exc:
                 raise UsageError(str(exc)) from exc
+            return system.state(int(name[len(prefix):]))
     parts = spec.split(",")
     if len(parts) == 8:
         try:
@@ -145,15 +146,14 @@ def _parse_initial(spec: str, params: SpinParams) -> TwoSpinState:
 
 
 # ---------------------------------------------------------------------------
-# commands (each returns columns, rows, extras)
+# quantities: the per-parameter-point tables shared by the commands and sweeps
 
 
-def cmd_spectrum(params: SpinParams):
+def _spectrum_rows(params: SpinParams):
     energies = triplet_energies(params.omega0, params.gamma, params.J) + (
         singlet_energy(params.J),
     )
-    rows = [[n, energies[n - 1]] for n in (1, 2, 3, 4)]
-    return ["n", "energy"], rows, {}
+    return [[n, energies[n - 1]] for n in (1, 2, 3, 4)]
 
 
 _PHASE_COLUMNS = [
@@ -167,8 +167,7 @@ _PHASE_COLUMNS = [
 ]
 
 
-def _phase_rows(params: SpinParams, mode: str):
-    breakdown = adiabatic_phases if mode == "berry" else aa_breakdown
+def _phase_rows(params: SpinParams, breakdown):
     rows = []
     for n in (1, 2, 3, 4):
         raw = breakdown(params, n)
@@ -177,10 +176,34 @@ def _phase_rows(params: SpinParams, mode: str):
     return rows
 
 
+def _defect_rows(params: SpinParams):
+    return [[run_aa_two_cycle(params, TwoSpinState.basis_state("uu")).identity_defect]]
+
+
+# quantity -> (columns, rows function of the parameters). The row functions
+# look the library functions up at call time, so they can be traced or patched.
+_QUANTITIES = {
+    "spectrum": (["n", "energy"], _spectrum_rows),
+    "berry": (_PHASE_COLUMNS, lambda params: _phase_rows(params, adiabatic_phases)),
+    "aa": (_PHASE_COLUMNS, lambda params: _phase_rows(params, aa_breakdown)),
+    "twocycle-defect": (["identity_defect"], _defect_rows),
+}
+
+
+# ---------------------------------------------------------------------------
+# commands (each returns columns, rows, extras)
+
+
+def cmd_spectrum(params: SpinParams):
+    columns, rows = _QUANTITIES["spectrum"]
+    return columns, rows(params), {}
+
+
 def cmd_phases(params: SpinParams, mode: str):
     if mode not in ("berry", "aa"):
         raise UsageError(f"mode must be berry or aa, got {mode!r}")
-    return _PHASE_COLUMNS, _phase_rows(params, mode), {}
+    columns, rows = _QUANTITIES[mode]
+    return columns, rows(params), {}
 
 
 def cmd_evolve(params: SpinParams, initial: TwoSpinState, t: float, steps: int):
@@ -206,6 +229,7 @@ def cmd_evolve(params: SpinParams, initial: TwoSpinState, t: float, steps: int):
 
 def _adiabatic_cycle_rows(params: SpinParams, steps: int | None):
     gate = berry_gate(params.omega0, params.gamma, params.J)
+    sense = _rotation_sense(params)
     system = eigensystem(params, 0.0)
     rows = []
     for n in (1, 2, 3, 4):
@@ -213,7 +237,7 @@ def _adiabatic_cycle_rows(params: SpinParams, steps: int | None):
         run = run_adiabatic_two_cycle(params, start, steps)
         overlap = start.overlap(run.final_state)
         phase = float(np.angle(overlap))
-        target = 2.0 * gate.phases[n - 1]
+        target = 2.0 * sense * gate.phases[n - 1]
         rows.append(
             [n, phase, target, abs(principal_value(phase - target)), abs(overlap), run.deviation]
         )
@@ -280,8 +304,6 @@ class SweepAxis:
 class SweepSpec:
     axes: tuple[SweepAxis, ...]
     quantity: str
-    out: str | None
-    fmt: str = "csv"
 
     def __post_init__(self):
         if not self.axes:
@@ -298,41 +320,16 @@ def _apply_axis(params: SpinParams, field: str, value: float) -> SpinParams:
     return params.replace(**{field: value})
 
 
-def _quantity_rows(quantity: str, params: SpinParams):
-    if quantity == "spectrum":
-        return cmd_spectrum(params)[1]
-    if quantity in ("berry", "aa"):
-        return _phase_rows(params, quantity)
-    run = run_aa_two_cycle(params, TwoSpinState.basis_state("uu"))
-    return [[run.identity_defect]]
-
-
-_QUANTITY_COLUMNS = {
-    "spectrum": ["n", "energy"],
-    "berry": _PHASE_COLUMNS,
-    "aa": _PHASE_COLUMNS,
-    "twocycle-defect": ["identity_defect"],
-}
-
-
 def cmd_sweep(spec: SweepSpec, base: SpinParams):
     """Evaluate the quantity over the grid; rows in lexicographic grid order."""
-    grids = [axis.values() for axis in spec.axes]
-    points = list(product(*grids))
-
-    def evaluate(point):
+    columns, quantity_rows = _QUANTITIES[spec.quantity]
+    rows = []
+    for point in product(*(axis.values() for axis in spec.axes)):
         params = base
         for axis, value in zip(spec.axes, point):
             params = _apply_axis(params, axis.field, value)
-        return [list(point) + row for row in _quantity_rows(spec.quantity, params)]
-
-    workers = min(8, os.cpu_count() or 1)
-    rows = []
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        for chunk in pool.map(evaluate, points):
-            rows.extend(chunk)
-    columns = [axis.field for axis in spec.axes] + _QUANTITY_COLUMNS[spec.quantity]
-    return columns, rows, {}
+        rows.extend(list(point) + row for row in quantity_rows(params))
+    return [axis.field for axis in spec.axes] + columns, rows, {}
 
 
 # ---------------------------------------------------------------------------
@@ -365,14 +362,7 @@ def _render(fmt: str, command: str, params: SpinParams, columns, rows, extras) -
     document = {
         "schema_version": SCHEMA_VERSION,
         "command": command,
-        "params": {
-            "omega_a0": _json_value(params.omega_a0),
-            "omega_b0": _json_value(params.omega_b0),
-            "gamma_a": _json_value(params.gamma_a),
-            "gamma_b": _json_value(params.gamma_b),
-            "J": _json_value(params.J),
-            "omega1": _json_value(params.omega1),
-        },
+        "params": {f.name: _json_value(getattr(params, f.name)) for f in fields(params)},
         "columns": list(columns),
         "rows": [[_json_value(v) for v in row] for row in rows],
     }
@@ -458,7 +448,7 @@ def _build_parser() -> argparse.ArgumentParser:
         metavar="FIELD=START:STOP:COUNT",
         help="sweep axis; repeatable",
     )
-    sweep_p.add_argument("--quantity", choices=_QUANTITIES, required=True)
+    sweep_p.add_argument("--quantity", choices=tuple(_QUANTITIES), required=True)
     return parser
 
 
@@ -501,20 +491,18 @@ def main(argv=None) -> int:
             columns, rows, extras = cmd_twocycle(params, args.scheme, args.steps, omega1_values)
         else:
             axes = tuple(_parse_axis(a) for a in args.axis)
-            spec = SweepSpec(axes=axes, quantity=args.quantity, out=args.out, fmt=args.format)
+            spec = SweepSpec(axes=axes, quantity=args.quantity)
             columns, rows, extras = cmd_sweep(spec, params)
 
         _require_finite(rows, extras)
         text = _render(args.format, args.command, params, columns, rows, extras)
-    except UsageError as exc:
-        _error_object(EXIT_USAGE, str(exc))
-        return EXIT_USAGE
-    except ValueError as exc:
-        _error_object(EXIT_USAGE, str(exc))
-        return EXIT_USAGE
-    except NumericFailure as exc:
+    # LinAlgError is a ValueError, so the numeric clause must come first.
+    except (NumericFailure, ArithmeticError, np.linalg.LinAlgError, InternalConsistencyError) as exc:
         _error_object(EXIT_NUMERIC, str(exc))
         return EXIT_NUMERIC
+    except (UsageError, ValueError) as exc:
+        _error_object(EXIT_USAGE, str(exc))
+        return EXIT_USAGE
 
     try:
         _emit(text, args.out)

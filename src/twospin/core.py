@@ -30,6 +30,7 @@ __all__ = [
     "SpinParams",
     "TwoSpinState",
     "field_to_params",
+    "flip_params",
     "pauli_operator",
 ]
 
@@ -46,11 +47,6 @@ STATE_NORM_TOL = 1e-6
 # Complex scalars are ordinary complex doubles; containers validate finiteness.
 ComplexScalar = complex
 
-_PAULI = {
-    "x": np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex),
-    "y": np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex),
-    "z": np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex),
-}
 _EYE2 = np.eye(2, dtype=complex)
 
 
@@ -62,6 +58,19 @@ def _frozen_array(values, shape) -> np.ndarray:
         raise ValueError("non-finite entries are not admitted")
     arr.setflags(write=False)
     return arr
+
+
+# The package's one Pauli table: the matrices of spin a (first tensor slot)
+# and spin b embedded in the two-spin space, keyed by (site, axis), read-only.
+_PAULI = {
+    (site, axis): _frozen_array(np.kron(sigma, _EYE2) if site == "a" else np.kron(_EYE2, sigma), (4, 4))
+    for axis, sigma in (
+        ("x", np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)),
+        ("y", np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)),
+        ("z", np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)),
+    )
+    for site in ("a", "b")
+}
 
 
 def _state_from_trusted(values) -> "TwoSpinState":
@@ -232,20 +241,35 @@ class SpinParams:
         return replace(self, **kwargs)
 
 
+_FLIP_FIELDS = {
+    "omega0": ("omega_a0", "omega_b0"),
+    "gamma": ("gamma_a", "gamma_b"),
+    "J": ("J",),
+    "omega1": ("omega1",),
+}
+
+
+def flip_params(params: SpinParams, names) -> SpinParams:
+    """Negate the named parameter groups (omega0 and gamma act on both spins)."""
+    updates = {}
+    for name in names:
+        if name not in _FLIP_FIELDS:
+            raise ValueError(f"unknown flip group {name!r}")
+        for field in _FLIP_FIELDS[name]:
+            updates[field] = -getattr(params, field)
+    return params.replace(**updates)
+
+
 def pauli_operator(site: str, axis: str) -> Operator4:
     """Pauli operator of one spin, embedded in the two-spin space.
 
     site is "a" (first tensor slot) or "b" (second); axis is "x", "y" or "z".
     """
-    if axis not in _PAULI:
+    if axis not in ("x", "y", "z"):
         raise ValueError(f"axis must be one of x, y, z; got {axis!r}")
-    if site == "a":
-        mat = np.kron(_PAULI[axis], _EYE2)
-    elif site == "b":
-        mat = np.kron(_EYE2, _PAULI[axis])
-    else:
+    if site not in ("a", "b"):
         raise ValueError(f"site must be 'a' or 'b'; got {site!r}")
-    return Operator4.hermitian(mat)
+    return Operator4.hermitian(_PAULI[site, axis])
 
 
 def field_to_params(

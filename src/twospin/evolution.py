@@ -20,8 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Operator4, SpinParams, TwoSpinState, _state_from_trusted, pauli_operator
-from .hamiltonian import frame_rotation, h_rotating_frame, h_static, h_total
+from .core import Operator4, SpinParams, TwoSpinState, _state_from_trusted
+from .hamiltonian import frame_rotation, h_rotating_frame, h_static, h_total, transverse_parts
 from .spectral import eigensystem
 
 __all__ = [
@@ -39,11 +39,6 @@ __all__ = [
 # shortest dynamical period cannot meet the accuracy contract.
 MIN_STEPS_PER_PERIOD = 8
 
-_SAX = pauli_operator("a", "x").matrix
-_SAY = pauli_operator("a", "y").matrix
-_SBX = pauli_operator("b", "x").matrix
-_SBY = pauli_operator("b", "y").matrix
-
 
 @dataclass(frozen=True)
 class EvolutionResult:
@@ -54,14 +49,9 @@ class EvolutionResult:
     step_count: int | None = None
 
 
-def _rotating_frame_eig(params: SpinParams):
-    vals, vecs = np.linalg.eigh(h_rotating_frame(params).matrix)
-    return vals, vecs
-
-
 def exact_propagator(params: SpinParams, t: float) -> Operator4:
     """Closed-form propagator U(t); unitary for any couplings."""
-    vals, vecs = _rotating_frame_eig(params)
+    vals, vecs = np.linalg.eigh(h_rotating_frame(params).matrix)
     expo = (vecs * np.exp(-1j * vals * t)) @ vecs.conj().T
     return Operator4.unitary(frame_rotation(params, t).matrix @ expo)
 
@@ -72,15 +62,11 @@ def evolve_exact(params: SpinParams, initial: TwoSpinState, t: float) -> Evoluti
     return EvolutionResult(final_state=final, propagator=propagator, elapsed=t, method="exact")
 
 
-def _spectral_norm(params: SpinParams) -> float:
-    return float(np.abs(np.linalg.eigvalsh(h_total(params, 0.0).matrix)).max())
-
-
 def _shortest_period(params: SpinParams) -> float:
     periods = [math.inf]
     if params.omega1 != 0.0:
         periods.append(params.period)
-    h_norm = _spectral_norm(params)
+    h_norm = float(np.abs(np.linalg.eigvalsh(h_total(params, 0.0).matrix)).max())
     if h_norm > 0.0:
         periods.append(2.0 * math.pi / h_norm)
     return min(periods)
@@ -167,7 +153,7 @@ def numeric_dynamical_phase(params: SpinParams, initial: TwoSpinState, t: float,
         raise ValueError("need at least 100 quadrature steps")
     times = np.linspace(0.0, t, steps + 1)
 
-    vals, vecs = _rotating_frame_eig(params)
+    vals, vecs = np.linalg.eigh(h_rotating_frame(params).matrix)
     tilde0 = vecs.conj().T @ initial.amplitudes
     tilde_traj = vecs @ (np.exp(-1j * np.outer(vals, times)) * tilde0[:, None])
     traj = tilde_traj.copy()
@@ -175,8 +161,7 @@ def numeric_dynamical_phase(params: SpinParams, initial: TwoSpinState, t: float,
     traj[3, :] *= np.exp(1j * params.omega1 * times)
 
     static = h_static(params).matrix
-    cos_part = 0.5 * (params.gamma_a * _SAX + params.gamma_b * _SBX)
-    sin_part = 0.5 * (params.gamma_a * _SAY + params.gamma_b * _SBY)
+    cos_part, sin_part = transverse_parts(params)
 
     def quad_form(op):
         return np.einsum("ik,ij,jk->k", traj.conj(), op, traj).real

@@ -17,38 +17,40 @@ unequal couplings too) and is pinned by the frame-identity tests.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .core import Operator4, SpinParams, pauli_operator
+from .core import _PAULI, Operator4, SpinParams
 
 __all__ = [
-    "HamiltonianModel",
     "frame_rotation",
     "h_rotating_frame",
     "h_static",
     "h_total",
+    "transverse_parts",
 ]
 
-_SAX = pauli_operator("a", "x").matrix
-_SAY = pauli_operator("a", "y").matrix
-_SAZ = pauli_operator("a", "z").matrix
-_SBX = pauli_operator("b", "x").matrix
-_SBY = pauli_operator("b", "y").matrix
-_SBZ = pauli_operator("b", "z").matrix
-_SZZ = _SAZ @ _SBZ
+_SZZ = _PAULI["a", "z"] @ _PAULI["b", "z"]
 
 
 def _static_matrix(params: SpinParams) -> np.ndarray:
-    return 0.5 * (params.omega_a0 * _SAZ + params.omega_b0 * _SBZ + params.J * _SZZ)
+    return 0.5 * (params.omega_a0 * _PAULI["a", "z"] + params.omega_b0 * _PAULI["b", "z"] + params.J * _SZZ)
+
+
+def transverse_parts(params: SpinParams) -> tuple[np.ndarray, np.ndarray]:
+    """The cos and sin coefficients of the rotating transverse field.
+
+    The transverse term of H(t) is cos(omega1 t) * cos_part + sin(omega1 t) * sin_part,
+    with cos_part = (1/2) sum gamma s_x and sin_part = (1/2) sum gamma s_y.
+    """
+    half_a, half_b = 0.5 * params.gamma_a, 0.5 * params.gamma_b
+    cos_part = half_a * _PAULI["a", "x"] + half_b * _PAULI["b", "x"]
+    sin_part = half_a * _PAULI["a", "y"] + half_b * _PAULI["b", "y"]
+    return cos_part, sin_part
 
 
 def _transverse_matrix(params: SpinParams, angle: float) -> np.ndarray:
-    c, s = np.cos(angle), np.sin(angle)
-    return 0.5 * (
-        params.gamma_a * (_SAX * c + _SAY * s) + params.gamma_b * (_SBX * c + _SBY * s)
-    )
+    cos_part, sin_part = transverse_parts(params)
+    return np.cos(angle) * cos_part + np.sin(angle) * sin_part
 
 
 def h_static(params: SpinParams) -> Operator4:
@@ -68,7 +70,7 @@ def h_rotating_frame(params: SpinParams) -> Operator4:
     static detunings omega_a0, omega_b0 are shifted by -omega1 while the
     transverse couplings enter at angle zero.
     """
-    shift = 0.5 * params.omega1 * (_SAZ + _SBZ)
+    shift = 0.5 * params.omega1 * (_PAULI["a", "z"] + _PAULI["b", "z"])
     return Operator4.hermitian(_static_matrix(params) + _transverse_matrix(params, 0.0) - shift)
 
 
@@ -81,26 +83,3 @@ def frame_rotation(params: SpinParams, t: float) -> Operator4:
     return Operator4.unitary(
         np.diag([np.exp(-1j * phase), 1.0, 1.0, np.exp(1j * phase)]).astype(complex)
     )
-
-
-@dataclass(frozen=True)
-class HamiltonianModel:
-    """Convenience bundle of the Hamiltonian family for one parameter set."""
-
-    params: SpinParams
-
-    def at(self, t: float) -> Operator4:
-        return h_total(self.params, t)
-
-    def static_part(self) -> Operator4:
-        return h_static(self.params)
-
-    def rotating_frame(self) -> Operator4:
-        return h_rotating_frame(self.params)
-
-    def frame_rotation(self, t: float) -> Operator4:
-        return frame_rotation(self.params, t)
-
-    @property
-    def period(self) -> float:
-        return self.params.period

@@ -1,7 +1,7 @@
 """Adiabatic (Berry) and nonadiabatic (Aharonov-Anandan) cycle phases.
 
 For a slow field rotation each instantaneous eigenstate returns to itself
-after one period tau = 2*pi/omega1 with total phase
+after one period tau = 2*pi/|omega1| with total phase
 
     total_n = dynamical_n + geometric_n,   dynamical_n = -E_n * tau
 
@@ -12,13 +12,14 @@ uu and dd amplitudes of the eigenstate. In closed form, for triplet labels,
                   / ( N_n * [ (2E_n - J)^2 - 4 omega0^2 ]^2 )
 
 with N_n the eigenvector normalization; the singlet phase is exactly zero.
-The expressions do not involve omega1 at all.
+The closed form is the phase for the positive rotation sense (omega1 > 0).
+For omega1 < 0 the field traverses the same loop backwards, so the geometric
+part takes the sign of omega1 while the dynamical part -E_n * tau does not.
 
 Without any slowness assumption, a state prepared in an eigenstate of the
 rotating-frame generator is cyclic with total phase -E_tilde_n * tau; its
 geometric (Aharonov-Anandan) part is the same closed form evaluated at the
-shifted detuning omega0 - omega1. Formulas assume the standard positive
-rotation sense (omega1 > 0) wherever a cycle is involved.
+shifted detuning omega0 - omega1, again times the sign of omega1.
 """
 
 from __future__ import annotations
@@ -28,10 +29,10 @@ from dataclasses import dataclass
 
 from .core import SpinParams
 from .spectral import (
-    DEGENERACY_RTOL,
+    DegenerateParametersError,
+    _triplet_denominators,
     eigensystem,
     singlet_energy,
-    spectral_scale,
     triplet_energies,
 )
 
@@ -86,17 +87,16 @@ def berry_phase(omega0: float, gamma: float, J: float, n: int) -> float:
 
     Evaluates the closed form above; near eigenvector-formula degeneracies it
     falls back to 2*pi*(|x_n|^2 - |w_n|^2) with numerically diagonalized
-    eigenvectors. The result never depends on omega1.
+    eigenvectors. This is the phase for the positive rotation sense; callers
+    with a negative omega1 negate it.
     """
     if n not in (1, 2, 3, 4):
         raise ValueError("label must be in 1..4")
     if n == 4:
         return 0.0
-    energy = triplet_energies(omega0, gamma, J)[n - 1]
-    d_plus = 2.0 * omega0 + J - 2.0 * energy
-    d_minus = -2.0 * omega0 + J - 2.0 * energy
-    threshold = DEGENERACY_RTOL * spectral_scale(omega0, gamma, J)
-    if min(abs(d_plus), abs(d_minus)) < threshold:
+    try:
+        energy, d_plus, d_minus = _triplet_denominators(omega0, gamma, J, n)
+    except DegenerateParametersError:
         system = eigensystem(SpinParams.symmetric(omega0, gamma, J), 0.0)
         amps = system.state(n).amplitudes
         return _TWO_PI * float(abs(amps[0]) ** 2 - abs(amps[3]) ** 2)
@@ -119,11 +119,16 @@ def _label_energy(omega0: float, gamma: float, J: float, n: int) -> float:
     return triplet_energies(omega0, gamma, J)[n - 1]
 
 
+def _rotation_sense(params: SpinParams) -> float:
+    """-1 when the field rotates backwards (omega1 < 0), else +1."""
+    return -1.0 if params.omega1 < 0.0 else 1.0
+
+
 def adiabatic_phases(params: SpinParams, n: int) -> PhaseBreakdown:
     """Slow-cycle phase breakdown of eigenpath n (raw convention)."""
     if params.omega1 == 0.0:
         raise ValueError("adiabatic phases need omega1 != 0 (no cycle defined)")
-    geometric = berry_phase(params.omega0, params.gamma, params.J, n)
+    geometric = _rotation_sense(params) * berry_phase(params.omega0, params.gamma, params.J, n)
     dynamical = -_label_energy(params.omega0, params.gamma, params.J, n) * params.period
     return PhaseBreakdown(label=n, total=dynamical + geometric, dynamical=dynamical, geometric=geometric)
 
@@ -132,9 +137,9 @@ def aa_phase(params: SpinParams, n: int) -> float:
     """Geometric phase of the cycling state built on rotating-frame eigenstate n.
 
     Equal to the slow-cycle geometric phase with the detuning shifted by
-    -omega1; zero for the singlet.
+    -omega1, with the sign of omega1; zero for the singlet.
     """
-    return berry_phase(params.omega0 - params.omega1, params.gamma, params.J, n)
+    return _rotation_sense(params) * berry_phase(params.omega0 - params.omega1, params.gamma, params.J, n)
 
 
 def aa_breakdown(params: SpinParams, n: int) -> PhaseBreakdown:

@@ -36,7 +36,7 @@ from itertools import permutations
 
 import numpy as np
 
-from .core import SpinParams, TwoSpinState
+from .core import SpinParams, TwoSpinState, flip_params
 from .hamiltonian import h_rotating_frame, h_total
 
 __all__ = [
@@ -128,6 +128,23 @@ def triplet_energies(omega0: float, gamma: float, J: float) -> tuple[float, floa
     return tuple(amp * math.cos(coeffs.Phi + s) + J / 6.0 for s in _ROOT_SHIFTS)
 
 
+def _triplet_denominators(omega0: float, gamma: float, J: float, n: int) -> tuple[float, float, float]:
+    """E_n and the eigenvector denominators d+- = +-2 omega0 + J - 2 E_n of triplet label n.
+
+    Raises DegenerateParametersError when either denominator falls below
+    DEGENERACY_RTOL times the spectral scale.
+    """
+    energy = triplet_energies(omega0, gamma, J)[n - 1]
+    d_plus = 2.0 * omega0 + J - 2.0 * energy
+    d_minus = -2.0 * omega0 + J - 2.0 * energy
+    threshold = DEGENERACY_RTOL * spectral_scale(omega0, gamma, J)
+    if min(abs(d_plus), abs(d_minus)) < threshold:
+        raise DegenerateParametersError(
+            f"eigenvector denominator below {threshold:.1e} for label {n}"
+        )
+    return energy, d_plus, d_minus
+
+
 def triplet_amplitudes(omega0: float, gamma: float, J: float, n: int, theta=0.0):
     """Normalized closed-form amplitudes (x, y, z, w) of triplet state n.
 
@@ -137,14 +154,7 @@ def triplet_amplitudes(omega0: float, gamma: float, J: float, n: int, theta=0.0)
     """
     if n not in (1, 2, 3):
         raise ValueError("triplet label must be 1, 2 or 3")
-    energy = triplet_energies(omega0, gamma, J)[n - 1]
-    d_plus = 2.0 * omega0 + J - 2.0 * energy
-    d_minus = -2.0 * omega0 + J - 2.0 * energy
-    threshold = DEGENERACY_RTOL * spectral_scale(omega0, gamma, J)
-    if min(abs(d_plus), abs(d_minus)) < threshold:
-        raise DegenerateParametersError(
-            f"eigenvector denominator below {threshold:.1e} for label {n}"
-        )
+    _, d_plus, d_minus = _triplet_denominators(omega0, gamma, J, n)
     x0 = -2.0 * gamma / d_plus
     w0 = -2.0 * gamma / d_minus
     norm = math.sqrt(2.0 + x0 * x0 + w0 * w0)
@@ -222,6 +232,27 @@ def _require_equal_couplings(params: SpinParams):
         raise ValueError("closed-form spectral results require equal couplings")
 
 
+def _build_eigensystem(
+    omega0: float, gamma: float, J: float, theta: float, time: float, hamiltonian
+) -> EigenSystem:
+    """Closed-form eigenpairs at field angle theta, or the sector fallback.
+
+    hamiltonian() returns the matrix to diagonalize when the closed-form
+    eigenvectors degenerate; it is only built on that branch.
+    """
+    energies = triplet_energies(omega0, gamma, J)
+    used_fallback = False
+    try:
+        states = [np.array(triplet_amplitudes(omega0, gamma, J, n, theta), dtype=complex) for n in (1, 2, 3)]
+    except DegenerateParametersError:
+        used_fallback = True
+        states = _fallback_triplet_states(hamiltonian(), energies)
+
+    pairs = [EigenPair(n, energies[n - 1], TwoSpinState(states[n - 1])) for n in (1, 2, 3)]
+    pairs.append(EigenPair(4, singlet_energy(J), TwoSpinState.singlet()))
+    return EigenSystem(pairs=tuple(pairs), time=time, used_fallback=used_fallback)
+
+
 def eigensystem(params: SpinParams, t: float = 0.0) -> EigenSystem:
     """Instantaneous eigensystem of H(t) for equal couplings.
 
@@ -230,53 +261,25 @@ def eigensystem(params: SpinParams, t: float = 0.0) -> EigenSystem:
     taken instead of the closed-form eigenvectors.
     """
     _require_equal_couplings(params)
-    omega0, gamma, J = params.omega0, params.gamma, params.J
-    energies = triplet_energies(omega0, gamma, J)
-    theta = params.omega1 * t
-
-    used_fallback = False
-    try:
-        states = []
-        for n in (1, 2, 3):
-            x, y, z, w = triplet_amplitudes(omega0, gamma, J, n, theta)
-            states.append(np.array([x, y, z, w], dtype=complex))
-    except DegenerateParametersError:
-        used_fallback = True
-        states = _fallback_triplet_states(h_total(params, t).matrix, energies)
-
-    pairs = [EigenPair(n, energies[n - 1], TwoSpinState(states[n - 1])) for n in (1, 2, 3)]
-    pairs.append(EigenPair(4, singlet_energy(J), TwoSpinState.singlet()))
-    return EigenSystem(pairs=tuple(pairs), time=t, used_fallback=used_fallback)
+    return _build_eigensystem(
+        params.omega0, params.gamma, params.J, params.omega1 * t, t, lambda: h_total(params, t).matrix
+    )
 
 
 def tilde_eigensystem(params: SpinParams) -> EigenSystem:
     """Eigensystem of the rotating-frame generator.
 
-    Same machinery as eigensystem with the static frequency shifted by -omega1
-    and the field angle frozen at zero; eigenvalues satisfy the rotating-frame
-    eigenproblem instead of the instantaneous one.
+    The generator is H(0) with the static frequencies shifted by -omega1, so
+    the closed form is that of eigensystem at the shifted detuning and field
+    angle zero. The fallback diagonalizes h_rotating_frame itself: at exact
+    resonance (omega0 == omega1) a degenerate eigenvector's sign depends on
+    the last bits of the matrix it comes from.
     """
     _require_equal_couplings(params)
-    shifted = params.replace(
-        omega_a0=params.omega_a0 - params.omega1,
-        omega_b0=params.omega_b0 - params.omega1,
+    return _build_eigensystem(
+        params.omega0 - params.omega1, params.gamma, params.J, 0.0, 0.0,
+        lambda: h_rotating_frame(params).matrix,
     )
-    omega0, gamma, J = shifted.omega0, shifted.gamma, shifted.J
-    energies = triplet_energies(omega0, gamma, J)
-
-    used_fallback = False
-    try:
-        states = []
-        for n in (1, 2, 3):
-            x, y, z, w = triplet_amplitudes(omega0, gamma, J, n, 0.0)
-            states.append(np.array([x, y, z, w], dtype=complex))
-    except DegenerateParametersError:
-        used_fallback = True
-        states = _fallback_triplet_states(h_rotating_frame(params).matrix, energies)
-
-    pairs = [EigenPair(n, energies[n - 1], TwoSpinState(states[n - 1])) for n in (1, 2, 3)]
-    pairs.append(EigenPair(4, singlet_energy(J), TwoSpinState.singlet()))
-    return EigenSystem(pairs=tuple(pairs), time=0.0, used_fallback=used_fallback)
 
 
 _EXCHANGE = {1: 2, 2: 1, 3: 3, 4: 4}
@@ -320,16 +323,7 @@ def symmetry_check(params: SpinParams) -> SymmetryReport:
     energy_devs = tuple(abs(minus[n - 1] + plus[_EXCHANGE[n] - 1]) for n in (1, 2, 3, 4))
 
     sys_plus = eigensystem(params, 0.0)
-    sys_minus = eigensystem(
-        params.replace(
-            omega_a0=-params.omega_a0,
-            omega_b0=-params.omega_b0,
-            gamma_a=-params.gamma_a,
-            gamma_b=-params.gamma_b,
-            J=-params.J,
-        ),
-        0.0,
-    )
+    sys_minus = eigensystem(flip_params(params, ("omega0", "gamma", "J")), 0.0)
     state_devs = tuple(
         1.0 - abs(sys_minus.state(_EXCHANGE[n]).overlap(sys_plus.state(n)))
         for n in (1, 2, 3, 4)

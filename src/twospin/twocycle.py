@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Operator4, SpinParams, TwoSpinState
+from .core import Operator4, SpinParams, TwoSpinState, flip_params
 from .evolution import evolve_exact, evolve_stepped, exact_propagator
 from .phases import aa_breakdown, berry_phase
 from .spectral import eigensystem
@@ -27,12 +27,7 @@ __all__ = [
     "AATwoCycleResult",
     "AdiabaticTwoCycleResult",
     "BerryGate",
-    "CycleProtocol",
-    "CycleSegment",
-    "aa_protocol",
-    "adiabatic_protocol",
     "berry_gate",
-    "flip_params",
     "one_cycle_dynamical_residual",
     "run_aa_two_cycle",
     "run_adiabatic_two_cycle",
@@ -41,77 +36,6 @@ __all__ = [
 # Parameter sign groups reversed in the second cycle.
 ADIABATIC_FLIP_SET = frozenset({"omega0", "gamma", "J"})
 AA_FLIP_SET = frozenset({"omega0", "omega1", "gamma", "J"})
-
-_FLIP_FIELDS = {
-    "omega0": ("omega_a0", "omega_b0"),
-    "gamma": ("gamma_a", "gamma_b"),
-    "J": ("J",),
-    "omega1": ("omega1",),
-}
-
-
-def flip_params(params: SpinParams, names) -> SpinParams:
-    """Negate the named parameter groups (omega0 and gamma act on both spins)."""
-    updates = {}
-    for name in names:
-        if name not in _FLIP_FIELDS:
-            raise ValueError(f"unknown flip group {name!r}")
-        for field in _FLIP_FIELDS[name]:
-            updates[field] = -getattr(params, field)
-    return params.replace(**updates)
-
-
-@dataclass(frozen=True)
-class CycleSegment:
-    params: SpinParams
-    duration: float
-    flipped: frozenset
-
-
-@dataclass(frozen=True)
-class CycleProtocol:
-    """Two consecutive field periods; the second with a sign-reversal set."""
-
-    segments: tuple[CycleSegment, ...]
-
-    def __post_init__(self):
-        if len(self.segments) != 2:
-            raise ValueError("a protocol has exactly two segments")
-        first, second = self.segments
-        if first.flipped != frozenset():
-            raise ValueError("the first segment carries no sign flips")
-        if second.flipped not in (ADIABATIC_FLIP_SET, AA_FLIP_SET):
-            raise ValueError(f"unsupported flip set {set(second.flipped)!r}")
-        for seg in self.segments:
-            if seg.duration != seg.params.period:
-                raise ValueError("segment duration must be one period of its own parameters")
-
-    @property
-    def scheme(self) -> str:
-        return "adiabatic" if self.segments[1].flipped == ADIABATIC_FLIP_SET else "aa"
-
-
-def _protocol(params: SpinParams, flips: frozenset) -> CycleProtocol:
-    if params.omega1 == 0.0:
-        raise ValueError("cycle protocols need omega1 != 0")
-    second = flip_params(params, flips)
-    return CycleProtocol(
-        segments=(
-            CycleSegment(params, params.period, frozenset()),
-            CycleSegment(second, second.period, flips),
-        )
-    )
-
-
-def adiabatic_protocol(params: SpinParams) -> CycleProtocol:
-    """Second cycle with omega0, gamma and J reversed (dynamical phases cancel)."""
-    return _protocol(params, ADIABATIC_FLIP_SET)
-
-
-def aa_protocol(params: SpinParams) -> CycleProtocol:
-    """Second cycle with omega0, omega1, gamma and J reversed (total phase cancels)."""
-    return _protocol(params, AA_FLIP_SET)
-
 
 @dataclass(frozen=True)
 class BerryGate:
@@ -154,18 +78,22 @@ def run_adiabatic_two_cycle(
 
     The parameter reversal happens instantaneously between the cycles; each
     cycle restarts the field at angle zero. deviation is the 2-norm distance
-    between the simulated final state and berry_gate applied to the input; it
+    between the simulated final state and berry_gate applied to the input
+    (its inverse for omega1 < 0, where every geometric phase changes sign); it
     vanishes in the slow-rotation limit.
     """
-    protocol = adiabatic_protocol(params)
+    if params.omega1 == 0.0:
+        raise ValueError("cycle protocols need omega1 != 0")
     state = initial
-    for segment in protocol.segments:
+    for cycle in (params, flip_params(params, ADIABATIC_FLIP_SET)):
         if steps_per_cycle is None:
-            state = evolve_exact(segment.params, state, segment.duration).final_state
+            state = evolve_exact(cycle, state, params.period).final_state
         else:
-            state = evolve_stepped(segment.params, state, segment.duration, steps_per_cycle).final_state
-    gate = berry_gate(params.omega0, params.gamma, params.J)
-    ideal = TwoSpinState(gate.in_computational.matrix @ initial.amplitudes)
+            state = evolve_stepped(cycle, state, params.period, steps_per_cycle).final_state
+    gate = berry_gate(params.omega0, params.gamma, params.J).in_computational
+    if params.omega1 < 0.0:
+        gate = gate.dagger()
+    ideal = TwoSpinState(gate.matrix @ initial.amplitudes)
     deviation = float(np.linalg.norm(state.amplitudes - ideal.amplitudes))
     return AdiabaticTwoCycleResult(final_state=state, ideal_state=ideal, deviation=deviation)
 
@@ -183,9 +111,10 @@ def run_aa_two_cycle(params: SpinParams, initial: TwoSpinState) -> AATwoCycleRes
     level because the second rotating-frame generator is the exact negative of
     the first. The input state is arbitrary (not restricted to eigenstates).
     """
-    protocol = aa_protocol(params)
-    u_first = exact_propagator(protocol.segments[0].params, protocol.segments[0].duration)
-    u_second = exact_propagator(protocol.segments[1].params, protocol.segments[1].duration)
+    if params.omega1 == 0.0:
+        raise ValueError("cycle protocols need omega1 != 0")
+    u_first = exact_propagator(params, params.period)
+    u_second = exact_propagator(flip_params(params, AA_FLIP_SET), params.period)
     composed = u_second.matrix @ u_first.matrix
     defect = float(np.abs(composed - np.eye(4)).max())
     final = TwoSpinState(composed @ initial.amplitudes)

@@ -3,9 +3,11 @@ import math
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from twospin import cli
+from twospin.spectral import InternalConsistencyError
 
 
 def run_main(args, capsys):
@@ -231,6 +233,18 @@ class TestTwocycleCommand:
         dev_n1 = {float(r[0]): float(r[4]) for r in rows if r[1] == "1"}
         assert dev_n1[0.05] < dev_n1[0.1]
 
+    @pytest.mark.parametrize("omega1", ["0.025", "-0.025"])
+    def test_adiabatic_target_in_both_rotation_senses(self, capsys, omega1):
+        code, out, _ = run_main(
+            ["twocycle", "--scheme", "adiabatic", "--omega0", "1", "--gamma", "1", "--J", "1",
+             "--omega1", omega1],
+            capsys,
+        )
+        assert code == 0
+        _, rows = parse_csv(out)
+        for r in rows:
+            assert float(r[3]) <= 5e-3  # circular deviation of phase from target
+
     def test_invalid_scheme_exits_2(self):
         with pytest.raises(SystemExit) as exc:
             cli.main(["twocycle", "--scheme", "bogus", "--omega1", "0.1"])
@@ -430,6 +444,26 @@ class TestNumericGuard:
         assert code == 4
         assert out == ""
         assert json.loads(err)["exit_code"] == 4
+
+    def test_overflow_exits_4(self, capsys):
+        code, out, err = run_main(["spectrum", "--J", "1e200"], capsys)
+        assert code == 4
+        assert out == ""
+        assert json.loads(err)["exit_code"] == 4
+
+    @pytest.mark.parametrize(
+        "failure",
+        [np.linalg.LinAlgError("Eigenvalues did not converge"), InternalConsistencyError("arccos argument")],
+    )
+    def test_numeric_exceptions_exit_4(self, capsys, monkeypatch, failure):
+        def fail(*args):
+            raise failure
+
+        monkeypatch.setattr(cli, "triplet_energies", fail)
+        code, out, err = run_main(["spectrum", "--omega0", "1", "--gamma", "1"], capsys)
+        assert code == 4
+        assert out == ""
+        assert json.loads(err) == {"error": str(failure), "exit_code": 4}
 
 
 class TestDeterminism:

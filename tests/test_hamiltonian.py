@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from twospin import (
-    HamiltonianModel,
     SpinParams,
     TwoSpinState,
     frame_rotation,
@@ -113,12 +112,3 @@ def test_periodicity():
         diff = h_total(p, t + p.period).matrix - h_total(p, t).matrix
         assert np.abs(diff).max() <= 1e-12
 
-
-def test_model_wrapper():
-    p = SpinParams.symmetric(1.0, 1.0, 1.0, 0.1)
-    model = HamiltonianModel(p)
-    assert model.at(0.3).kind == "hermitian"
-    assert model.period == pytest.approx(p.period)
-    assert np.allclose(model.static_part().matrix, h_static(p).matrix)
-    assert np.allclose(model.rotating_frame().matrix, h_rotating_frame(p).matrix)
-    assert np.allclose(model.frame_rotation(1.0).matrix, frame_rotation(p, 1.0).matrix)

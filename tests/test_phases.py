@@ -7,15 +7,18 @@ from twospin import (
     SpinParams,
     aa_breakdown,
     aa_phase,
+    adiabatic_cycle,
     adiabatic_phases,
     berry_phase,
     eigensystem,
     legacy_single_spin_phase,
+    numeric_dynamical_phase,
     principal_value,
+    tilde_eigensystem,
     triplet_energies,
 )
 
-from support import berry_line_integral, random_symmetric
+from support import berry_line_integral, circ_dist, random_symmetric
 
 TWO_PI = 2.0 * math.pi
 
@@ -179,6 +182,37 @@ class TestAABreakdown:
     def test_requires_cycle(self):
         with pytest.raises(ValueError):
             aa_breakdown(SpinParams.symmetric(1.0, 1.0, 1.0), 1)
+
+
+class TestRotationSense:
+    """Both rotation senses against exact evolution and the quadrature oracle.
+
+    Reversing omega1 traverses the same loop backwards: the geometric part
+    changes sign, the dynamical part -E * tau (tau = 2 pi/|omega1|) does not.
+    """
+
+    @pytest.mark.parametrize("omega1", [0.3, -0.3])
+    def test_aa_dynamical_matches_quadrature(self, omega1):
+        p = SpinParams.symmetric(1.0, 0.8, 0.6, omega1)
+        system = tilde_eigensystem(p)
+        for n in (1, 2, 3, 4):
+            numeric = numeric_dynamical_phase(p, system.state(n), p.period, 2000)
+            assert aa_breakdown(p, n).dynamical == pytest.approx(numeric, abs=1e-9)
+
+    @pytest.mark.parametrize("omega1", [0.002, -0.002])
+    def test_slow_cycle_total_matches_exact_evolution(self, omega1):
+        p = SpinParams.symmetric(1.0, 0.8, 0.6, omega1)
+        for n in (1, 2, 3, 4):
+            measured = adiabatic_cycle(p, n).total_phase
+            assert circ_dist(measured, adiabatic_phases(p, n).total) <= 5e-3
+
+    @pytest.mark.parametrize("omega1", [0.1, -0.1, 1.7, -1.7])
+    def test_geometric_takes_the_sign_of_omega1(self, omega1):
+        p = SpinParams.symmetric(1.0, 0.8, 0.6, omega1)
+        sense = math.copysign(1.0, omega1)
+        for n in (1, 2, 3, 4):
+            assert adiabatic_phases(p, n).geometric == sense * berry_phase(1.0, 0.8, 0.6, n)
+            assert aa_phase(p, n) == sense * berry_phase(1.0 - omega1, 0.8, 0.6, n)
 
 
 class TestPrincipal:

@@ -6,12 +6,8 @@ import pytest
 from twospin import (
     AA_FLIP_SET,
     ADIABATIC_FLIP_SET,
-    CycleProtocol,
-    CycleSegment,
     SpinParams,
     TwoSpinState,
-    aa_protocol,
-    adiabatic_protocol,
     berry_gate,
     berry_phase,
     eigensystem,
@@ -41,38 +37,12 @@ class TestProtocols:
         with pytest.raises(ValueError):
             flip_params(P111, {"tau"})
 
-    def test_adiabatic_protocol_structure(self):
-        proto = adiabatic_protocol(P111)
-        assert proto.scheme == "adiabatic"
-        first, second = proto.segments
-        assert first.flipped == frozenset() and second.flipped == ADIABATIC_FLIP_SET
-        assert second.params.omega1 == P111.omega1
-        assert second.params.J == -P111.J and second.params.omega_a0 == -1.0
-        assert first.duration == second.duration == P111.period
-
-    def test_aa_protocol_structure(self):
-        proto = aa_protocol(P111)
-        assert proto.scheme == "aa"
-        assert proto.segments[1].flipped == AA_FLIP_SET
-        assert proto.segments[1].params.omega1 == -P111.omega1
-        assert proto.segments[1].duration == P111.period
-
-    def test_protocol_validation(self):
-        seg = CycleSegment(P111, P111.period, frozenset())
-        with pytest.raises(ValueError, match="two segments"):
-            CycleProtocol(segments=(seg,))
-        bad_flip = CycleSegment(flip_params(P111, {"J"}), P111.period, frozenset({"J"}))
-        with pytest.raises(ValueError, match="flip set"):
-            CycleProtocol(segments=(seg, bad_flip))
-        bad_duration = CycleSegment(
-            flip_params(P111, ADIABATIC_FLIP_SET), 2.0 * P111.period, ADIABATIC_FLIP_SET
-        )
-        with pytest.raises(ValueError, match="duration"):
-            CycleProtocol(segments=(seg, bad_duration))
-
     def test_protocol_requires_rotation(self):
-        with pytest.raises(ValueError):
-            adiabatic_protocol(SpinParams.symmetric(1.0, 1.0, 1.0))
+        static = SpinParams.symmetric(1.0, 1.0, 1.0)
+        start = TwoSpinState.basis_state("uu")
+        for run in (run_aa_two_cycle, run_adiabatic_two_cycle):
+            with pytest.raises(ValueError, match="cycle protocols need omega1 != 0"):
+                run(static, start)
 
 
 class TestBerryGate:
@@ -133,6 +103,13 @@ class TestAdiabaticTwoCycle:
             res = run_adiabatic_two_cycle(p, start)
             phase = float(np.angle(start.overlap(res.final_state)))
             assert circ_dist(phase, 2.0 * berry_phase(1.0, 1.0, 1.0, n)) <= 5e-3
+
+    @pytest.mark.parametrize("omega1", [0.002, -0.002])
+    def test_slow_limit_in_both_rotation_senses(self, omega1):
+        p = SpinParams.symmetric(1.0, 0.8, 0.6, omega1)
+        for n in (1, 2, 3):
+            start = eigensystem(p, 0.0).state(n)
+            assert run_adiabatic_two_cycle(p, start).deviation <= 5e-3
 
     def test_stepped_variant_close_to_exact(self):
         start = eigensystem(P111, 0.0).state(2)
