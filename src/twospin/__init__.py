@@ -3,6 +3,7 @@ in a rotating magnetic field."""
 
 from .core import (
     BASIS_LABELS,
+    PARAM_GROUPS,
     Operator4,
     SpinParams,
     TwoSpinState,

@@ -1,11 +1,15 @@
 """Command-line front end.
 
-Subcommands: spectrum, phases, evolve, twocycle, sweep. Parameters come from
-flags, then a flat key=value config file, then zero defaults. Output is CSV or
-JSON with fixed %.12e float formatting so repeated runs are byte-identical.
+Subcommands: spectrum, phases, evolve, twocycle, sweep. Parameter names are
+the keys of core.PARAM_GROUPS: the six SpinParams fields plus the omega0/gamma
+aliases that set both spins. The same names serve as flags, config-file keys
+and sweep axes. Each field takes the first value found in this order: per-spin
+flag, pair flag, per-spin config key, pair config key, then 0. Output is CSV
+or JSON with fixed %.12e float formatting so repeated runs are byte-identical.
 
-Exit codes: 0 success, 2 usage or parameter error, 3 output I/O error,
-4 numeric failure (non-finite result, overflow, failed diagonalization).
+Exit codes: 0 success, 2 usage or parameter error (including a sweep grid of
+more than MAX_GRID_POINTS points), 3 output I/O error, 4 numeric failure
+(non-finite result, overflow, lost propagator phases, failed diagonalization).
 """
 
 from __future__ import annotations
@@ -14,12 +18,12 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import fields
 from itertools import product
 
 import numpy as np
 
-from .core import SpinParams, TwoSpinState
+from .core import PARAM_GROUPS, SpinParams, TwoSpinState
 from .evolution import evolve_exact, evolve_stepped
 from .phases import _rotation_sense, aa_breakdown, adiabatic_phases, principal_value
 from .spectral import (
@@ -32,11 +36,7 @@ from .spectral import (
 from .twocycle import berry_gate, run_aa_two_cycle, run_adiabatic_two_cycle
 
 __all__ = [
-    "SweepAxis",
-    "SweepSpec",
     "cmd_evolve",
-    "cmd_phases",
-    "cmd_spectrum",
     "cmd_sweep",
     "cmd_twocycle",
     "entrypoint",
@@ -50,19 +50,11 @@ EXIT_NUMERIC = 4
 
 SCHEMA_VERSION = 1
 
-_PARAM_KEYS = ("omega0", "omega_a0", "omega_b0", "gamma", "gamma_a", "gamma_b", "J", "omega1")
-# Sweep axes: the six parameter fields plus the equal-coupling pair aliases.
-_AXIS_FIELDS = ("omega_a0", "omega_b0", "gamma_a", "gamma_b", "J", "omega1", "omega0", "gamma")
+# Largest sweep grid (product of the axis counts), checked before any axis
+# values are built: every row is held in memory until the grid is done.
+MAX_GRID_POINTS = 250_000
 
 _NAMED_STATES = ("uu", "ud", "du", "dd", "singlet")
-
-
-class UsageError(Exception):
-    pass
-
-
-class NumericFailure(Exception):
-    pass
 
 
 # ---------------------------------------------------------------------------
@@ -74,7 +66,7 @@ def _load_config(path: str) -> dict:
         with open(path, "r", encoding="utf-8") as fh:
             lines = fh.readlines()
     except OSError as exc:
-        raise UsageError(f"cannot read config file {path!r}: {exc}") from exc
+        raise ValueError(f"cannot read config file {path!r}: {exc}") from exc
     values: dict[str, float] = {}
     for lineno, raw in enumerate(lines, start=1):
         line = raw.split("#", 1)[0].strip()
@@ -85,36 +77,25 @@ def _load_config(path: str) -> dict:
                 key, _, val = line.partition(sep)
                 break
         else:
-            raise UsageError(f"{path}:{lineno}: expected 'key = value'")
+            raise ValueError(f"{path}:{lineno}: expected 'key = value'")
         key = key.strip().replace("-", "_")
-        if key not in _PARAM_KEYS:
-            raise UsageError(f"{path}:{lineno}: unknown parameter {key!r}")
+        if key not in PARAM_GROUPS:
+            raise ValueError(f"{path}:{lineno}: unknown parameter {key!r}")
         try:
             values[key] = float(val.strip())
         except ValueError as exc:
-            raise UsageError(f"{path}:{lineno}: bad number {val.strip()!r}") from exc
+            raise ValueError(f"{path}:{lineno}: bad number {val.strip()!r}") from exc
     return values
 
 
 def _resolve_params(args, config: dict) -> SpinParams:
-    def pick(specific: str, shared: str | None = None) -> float:
-        for source in (vars(args), config):
-            for key in ([specific, shared] if shared else [specific]):
-                if key is not None and source.get(key) is not None:
-                    return float(source[key])
-        return 0.0
-
-    try:
-        return SpinParams(
-            omega_a0=pick("omega_a0", "omega0"),
-            omega_b0=pick("omega_b0", "omega0"),
-            gamma_a=pick("gamma_a", "gamma"),
-            gamma_b=pick("gamma_b", "gamma"),
-            J=pick("J"),
-            omega1=pick("omega1"),
-        )
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    # Later writes win: flags after config, per-spin names after their pair.
+    values = dict.fromkeys((f.name for f in fields(SpinParams)), 0.0)
+    for source in (config, vars(args)):
+        for name, targets in PARAM_GROUPS.items():
+            if source.get(name) is not None:
+                values.update(dict.fromkeys(targets, float(source[name])))
+    return SpinParams(**values)
 
 
 def _parse_initial(spec: str, params: SpinParams) -> TwoSpinState:
@@ -123,23 +104,17 @@ def _parse_initial(spec: str, params: SpinParams) -> TwoSpinState:
         return TwoSpinState.singlet() if name == "singlet" else TwoSpinState.basis_state(name)
     for prefix in ("eigen", "tilde"):
         if name.startswith(prefix) and name[len(prefix):] in ("1", "2", "3", "4"):
-            try:
-                system = eigensystem(params, 0.0) if prefix == "eigen" else tilde_eigensystem(params)
-            except ValueError as exc:
-                raise UsageError(str(exc)) from exc
+            system = eigensystem(params, 0.0) if prefix == "eigen" else tilde_eigensystem(params)
             return system.state(int(name[len(prefix):]))
     parts = spec.split(",")
     if len(parts) == 8:
         try:
             nums = [float(p) for p in parts]
         except ValueError as exc:
-            raise UsageError(f"bad amplitude list {spec!r}") from exc
+            raise ValueError(f"bad amplitude list {spec!r}") from exc
         vec = [complex(nums[2 * i], nums[2 * i + 1]) for i in range(4)]
-        try:
-            return TwoSpinState.normalized(vec)
-        except ValueError as exc:
-            raise UsageError(str(exc)) from exc
-    raise UsageError(
+        return TwoSpinState.normalized(vec)
+    raise ValueError(
         f"unknown initial state {spec!r}; use uu/ud/du/dd/singlet, eigenN, tildeN "
         "or 8 comma-separated re,im values"
     )
@@ -194,21 +169,9 @@ _QUANTITIES = {
 # commands (each returns columns, rows, extras)
 
 
-def cmd_spectrum(params: SpinParams):
-    columns, rows = _QUANTITIES["spectrum"]
-    return columns, rows(params), {}
-
-
-def cmd_phases(params: SpinParams, mode: str):
-    if mode not in ("berry", "aa"):
-        raise UsageError(f"mode must be berry or aa, got {mode!r}")
-    columns, rows = _QUANTITIES[mode]
-    return columns, rows(params), {}
-
-
 def cmd_evolve(params: SpinParams, initial: TwoSpinState, t: float, steps: int):
     if steps < 0:
-        raise UsageError("steps must be >= 0")
+        raise ValueError("steps must be >= 0")
     result = evolve_exact(params, initial, t) if steps == 0 else evolve_stepped(params, initial, t, steps)
     final = result.final_state
     overlap = initial.overlap(final)
@@ -231,10 +194,9 @@ def _adiabatic_cycle_rows(params: SpinParams, steps: int | None):
     gate = berry_gate(params.omega0, params.gamma, params.J)
     sense = _rotation_sense(params)
     system = eigensystem(params, 0.0)
+    starts = [system.state(n) for n in (1, 2, 3, 4)]
     rows = []
-    for n in (1, 2, 3, 4):
-        start = system.state(n)
-        run = run_adiabatic_two_cycle(params, start, steps)
+    for n, start, run in zip((1, 2, 3, 4), starts, run_adiabatic_two_cycle(params, starts, steps)):
         overlap = start.overlap(run.final_state)
         phase = float(np.angle(overlap))
         target = 2.0 * sense * gate.phases[n - 1]
@@ -246,9 +208,9 @@ def _adiabatic_cycle_rows(params: SpinParams, steps: int | None):
 
 def cmd_twocycle(params: SpinParams, scheme: str, steps: int = 0, omega1_values=None):
     if scheme not in ("adiabatic", "aa"):
-        raise UsageError(f"scheme must be adiabatic or aa, got {scheme!r}")
+        raise ValueError(f"scheme must be adiabatic or aa, got {scheme!r}")
     if omega1_values and scheme != "adiabatic":
-        raise UsageError("--omega1-sweep applies to the adiabatic scheme only")
+        raise ValueError("--omega1-sweep applies to the adiabatic scheme only")
     stepped = steps if steps > 0 else None
     if scheme == "adiabatic":
         if omega1_values:
@@ -261,13 +223,15 @@ def cmd_twocycle(params: SpinParams, scheme: str, steps: int = 0, omega1_values=
         columns = ["n", "phase", "target", "circular_deviation", "fidelity", "gate_deviation"]
         return columns, _adiabatic_cycle_rows(params, stepped), {}
 
-    run = run_aa_two_cycle(params, TwoSpinState.basis_state("uu"))
+    if params.omega1 == 0.0:  # the protocol's refusal comes before the spectrum's
+        raise ValueError("cycle protocols need omega1 != 0")
     system = tilde_eigensystem(params)
+    starts = [system.state(n) for n in (1, 2, 3, 4)]
+    run, *paths = run_aa_two_cycle(params, [TwoSpinState.basis_state("uu"), *starts])
     rows = []
-    for n in (1, 2, 3, 4):
+    for n, start, path in zip((1, 2, 3, 4), starts, paths):
         breakdown = aa_breakdown(params, n)
-        path = run_aa_two_cycle(params, system.state(n))
-        phase = float(np.angle(system.state(n).overlap(path.final_state)))
+        phase = float(np.angle(start.overlap(path.final_state)))
         rows.append(
             [n, breakdown.total, principal_value(breakdown.total), phase, run.identity_defect]
         )
@@ -279,57 +243,17 @@ def cmd_twocycle(params: SpinParams, scheme: str, steps: int = 0, omega1_values=
 # sweep
 
 
-@dataclass(frozen=True)
-class SweepAxis:
-    field: str
-    start: float
-    stop: float
-    count: int
-
-    def __post_init__(self):
-        if self.field not in _AXIS_FIELDS:
-            raise UsageError(f"unknown sweep field {self.field!r}")
-        if self.count < 1:
-            raise UsageError("axis count must be >= 1")
-        if not (self.start <= self.stop):
-            raise UsageError("axis start must be <= stop")
-
-    def values(self):
-        if self.count == 1:
-            return [self.start]
-        return list(np.linspace(self.start, self.stop, self.count))
-
-
-@dataclass(frozen=True)
-class SweepSpec:
-    axes: tuple[SweepAxis, ...]
-    quantity: str
-
-    def __post_init__(self):
-        if not self.axes:
-            raise UsageError("at least one sweep axis is required")
-        if self.quantity not in _QUANTITIES:
-            raise UsageError(f"unknown quantity {self.quantity!r}")
-
-
-def _apply_axis(params: SpinParams, field: str, value: float) -> SpinParams:
-    if field == "omega0":
-        return params.replace(omega_a0=value, omega_b0=value)
-    if field == "gamma":
-        return params.replace(gamma_a=value, gamma_b=value)
-    return params.replace(**{field: value})
-
-
-def cmd_sweep(spec: SweepSpec, base: SpinParams):
-    """Evaluate the quantity over the grid; rows in lexicographic grid order."""
-    columns, quantity_rows = _QUANTITIES[spec.quantity]
+def cmd_sweep(axes, quantity: str, base: SpinParams):
+    """Evaluate the quantity over the grid of (name, values) axes; rows in lexicographic grid order."""
+    columns, quantity_rows = _QUANTITIES[quantity]
+    names = [name for name, _ in axes]
     rows = []
-    for point in product(*(axis.values() for axis in spec.axes)):
-        params = base
-        for axis, value in zip(spec.axes, point):
-            params = _apply_axis(params, axis.field, value)
-        rows.extend(list(point) + row for row in quantity_rows(params))
-    return [axis.field for axis in spec.axes] + columns, rows, {}
+    for point in product(*(values for _, values in axes)):
+        updates = {}
+        for name, value in zip(names, point):
+            updates.update(dict.fromkeys(PARAM_GROUPS[name], value))
+        rows.extend(list(point) + row for row in quantity_rows(base.replace(**updates)))
+    return names + columns, rows, {}
 
 
 # ---------------------------------------------------------------------------
@@ -375,10 +299,10 @@ def _require_finite(rows, extras):
     for row in rows:
         for value in row:
             if isinstance(value, (float, np.floating)) and not math.isfinite(float(value)):
-                raise NumericFailure(f"non-finite value {value!r} in output row")
+                raise ArithmeticError(f"non-finite value {value!r} in output row")
     for key, value in extras.items():
         if isinstance(value, (float, np.floating)) and not math.isfinite(float(value)):
-            raise NumericFailure(f"non-finite value {value!r} in {key}")
+            raise ArithmeticError(f"non-finite value {value!r} in {key}")
 
 
 def _emit(text: str, out_path: str | None):
@@ -452,17 +376,34 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _parse_axis(text: str) -> SweepAxis:
-    field, sep, rest = text.partition("=")
-    parts = rest.split(":")
-    if not sep or len(parts) != 3:
-        raise UsageError(f"bad axis {text!r}; expected FIELD=START:STOP:COUNT")
-    try:
-        start, stop = float(parts[0]), float(parts[1])
-        count = int(parts[2])
-    except ValueError as exc:
-        raise UsageError(f"bad axis numbers in {text!r}") from exc
-    return SweepAxis(field=field.strip().replace("-", "_"), start=start, stop=stop, count=count)
+def _parse_axes(texts) -> list[tuple[str, list]]:
+    """FIELD=START:STOP:COUNT texts -> (name, values); the grid size is capped before values are built."""
+    specs = []
+    for text in texts:
+        name, sep, rest = text.partition("=")
+        parts = rest.split(":")
+        if not sep or len(parts) != 3:
+            raise ValueError(f"bad axis {text!r}; expected FIELD=START:STOP:COUNT")
+        try:
+            start, stop = float(parts[0]), float(parts[1])
+            count = int(parts[2])
+        except ValueError as exc:
+            raise ValueError(f"bad axis numbers in {text!r}") from exc
+        name = name.strip().replace("-", "_")
+        if name not in PARAM_GROUPS:
+            raise ValueError(f"unknown sweep field {name!r}")
+        if count < 1:
+            raise ValueError("axis count must be >= 1")
+        if not (start <= stop):
+            raise ValueError("axis start must be <= stop")
+        specs.append((name, start, stop, count))
+    points = math.prod(count for *_, count in specs)
+    if points > MAX_GRID_POINTS:
+        raise ValueError(f"sweep grid has {points} points; the limit is {MAX_GRID_POINTS}")
+    return [
+        (name, [start] if count == 1 else list(np.linspace(start, stop, count)))
+        for name, start, stop, count in specs
+    ]
 
 
 def main(argv=None) -> int:
@@ -473,10 +414,9 @@ def main(argv=None) -> int:
         config = _load_config(args.config) if args.config else {}
         params = _resolve_params(args, config)
 
-        if args.command == "spectrum":
-            columns, rows, extras = cmd_spectrum(params)
-        elif args.command == "phases":
-            columns, rows, extras = cmd_phases(params, args.mode)
+        if args.command in ("spectrum", "phases"):
+            columns, quantity_rows = _QUANTITIES[args.mode if args.command == "phases" else "spectrum"]
+            rows, extras = quantity_rows(params), {}
         elif args.command == "evolve":
             initial = _parse_initial(args.initial, params)
             t = args.time if args.time is not None else params.period
@@ -487,20 +427,18 @@ def main(argv=None) -> int:
                 try:
                     omega1_values = [float(v) for v in args.omega1_sweep.split(",") if v.strip()]
                 except ValueError as exc:
-                    raise UsageError(f"bad --omega1-sweep list {args.omega1_sweep!r}") from exc
+                    raise ValueError(f"bad --omega1-sweep list {args.omega1_sweep!r}") from exc
             columns, rows, extras = cmd_twocycle(params, args.scheme, args.steps, omega1_values)
         else:
-            axes = tuple(_parse_axis(a) for a in args.axis)
-            spec = SweepSpec(axes=axes, quantity=args.quantity)
-            columns, rows, extras = cmd_sweep(spec, params)
+            columns, rows, extras = cmd_sweep(_parse_axes(args.axis), args.quantity, params)
 
         _require_finite(rows, extras)
         text = _render(args.format, args.command, params, columns, rows, extras)
     # LinAlgError is a ValueError, so the numeric clause must come first.
-    except (NumericFailure, ArithmeticError, np.linalg.LinAlgError, InternalConsistencyError) as exc:
+    except (ArithmeticError, np.linalg.LinAlgError, InternalConsistencyError) as exc:
         _error_object(EXIT_NUMERIC, str(exc))
         return EXIT_NUMERIC
-    except (UsageError, ValueError) as exc:
+    except ValueError as exc:
         _error_object(EXIT_USAGE, str(exc))
         return EXIT_USAGE
 

@@ -11,6 +11,9 @@ spin-1/2 particles, with the basis ordered as
 where the first slot is spin "a" and the second is spin "b". Every amplitude
 vector and every 4x4 matrix in the package uses this order. Complex scalars
 are plain Python/numpy complex doubles.
+
+PARAM_GROUPS is the one table of parameter names: the CLI flags, config keys
+and sweep axes and the flip groups of the two-cycle protocols all use it.
 """
 
 from __future__ import annotations
@@ -25,8 +28,8 @@ __all__ = [
     "HERMITIAN_TOL",
     "UNITARY_TOL",
     "STATE_NORM_TOL",
-    "ComplexScalar",
     "Operator4",
+    "PARAM_GROUPS",
     "SpinParams",
     "TwoSpinState",
     "field_to_params",
@@ -43,9 +46,6 @@ UNITARY_TOL = 1e-12
 # operations keep states unit to ~1e-15; the stepped integrator is allowed to
 # drift up to its own unitarity contract, which is far below this bound.
 STATE_NORM_TOL = 1e-6
-
-# Complex scalars are ordinary complex doubles; containers validate finiteness.
-ComplexScalar = complex
 
 _EYE2 = np.eye(2, dtype=complex)
 
@@ -177,10 +177,6 @@ class Operator4:
     def dagger(self) -> "Operator4":
         return Operator4(self.matrix.conj().T, self.kind)
 
-    def apply(self, state: TwoSpinState) -> np.ndarray:
-        """Raw matrix-vector product; the result is not necessarily a state."""
-        return self.matrix @ state.amplitudes
-
     def __repr__(self) -> str:
         return f"Operator4(kind={self.kind!r})"
 
@@ -241,11 +237,12 @@ class SpinParams:
         return replace(self, **kwargs)
 
 
-_FLIP_FIELDS = {
+# Parameter name -> the SpinParams fields it sets. The equal-coupling pair
+# aliases come first, so a per-spin name applied after its pair overrides it.
+PARAM_GROUPS = {
     "omega0": ("omega_a0", "omega_b0"),
     "gamma": ("gamma_a", "gamma_b"),
-    "J": ("J",),
-    "omega1": ("omega1",),
+    **{f.name: (f.name,) for f in fields(SpinParams)},
 }
 
 
@@ -253,9 +250,9 @@ def flip_params(params: SpinParams, names) -> SpinParams:
     """Negate the named parameter groups (omega0 and gamma act on both spins)."""
     updates = {}
     for name in names:
-        if name not in _FLIP_FIELDS:
+        if name not in PARAM_GROUPS:
             raise ValueError(f"unknown flip group {name!r}")
-        for field in _FLIP_FIELDS[name]:
+        for field in PARAM_GROUPS[name]:
             updates[field] = -getattr(params, field)
     return params.replace(**updates)
 

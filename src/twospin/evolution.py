@@ -50,8 +50,16 @@ class EvolutionResult:
 
 
 def exact_propagator(params: SpinParams, t: float) -> Operator4:
-    """Closed-form propagator U(t); unitary for any couplings."""
+    """Closed-form propagator U(t); unitary for any couplings.
+
+    Raises ArithmeticError once the largest phase |lambda t|, over the
+    eigenvalues lambda of H_rot and the frame rate omega1, reaches 2**52:
+    neighbouring doubles are 1 rad apart there, so the phases are noise.
+    """
     vals, vecs = np.linalg.eigh(h_rotating_frame(params).matrix)
+    phase = float(max(-vals[0], vals[-1], abs(params.omega1))) * abs(t)  # eigh sorts vals
+    if phase >= 2.0**52:
+        raise ArithmeticError(f"propagator phase {phase:.3e} rad is too large to resolve (limit 2**52)")
     expo = (vecs * np.exp(-1j * vals * t)) @ vecs.conj().T
     return Operator4.unitary(frame_rotation(params, t).matrix @ expo)
 

@@ -6,7 +6,7 @@ import sys
 import numpy as np
 import pytest
 
-from twospin import cli
+from twospin import cli, twocycle
 from twospin.spectral import InternalConsistencyError
 
 
@@ -250,6 +250,33 @@ class TestTwocycleCommand:
             cli.main(["twocycle", "--scheme", "bogus", "--omega1", "0.1"])
         assert exc.value.code == 2
 
+    @staticmethod
+    def _count_calls(monkeypatch, module, name):
+        calls = []
+        real = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *args: calls.append(args) or real(*args))
+        return calls
+
+    def test_aa_builds_one_propagator_pair(self, capsys, monkeypatch):
+        calls = self._count_calls(monkeypatch, twocycle, "exact_propagator")
+        code, _, _ = run_main(
+            ["twocycle", "--scheme", "aa", "--omega0", "1", "--gamma", "0.8", "--J", "0.6", "--omega1", "0.3"],
+            capsys,
+        )
+        assert code == 0
+        assert len(calls) == 2
+
+    def test_adiabatic_sweep_builds_one_pair_per_omega1(self, capsys, monkeypatch):
+        calls = self._count_calls(monkeypatch, twocycle, "evolve_stepped")
+        code, out, _ = run_main(
+            ["twocycle", "--scheme", "adiabatic", "--omega1-sweep", "0.4,0.3", "--steps", "200",
+             "--omega0", "1", "--gamma", "0.8", "--J", "0.6", "--omega1", "0.3"],
+            capsys,
+        )
+        assert code == 0
+        assert len(parse_csv(out)[1]) == 8
+        assert len(calls) == 4  # two cycles for each omega1 value
+
 
 class TestSweepCommand:
     BASE = ["--omega0", "1", "--gamma", "1", "--omega1", "0.1"]
@@ -348,6 +375,42 @@ class TestSweepCommand:
             cli.main(["sweep", "--axis", "J=0:1:2"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize(
+        "axes",
+        [["--axis", "J=0:1:1000000000"], ["--axis", "J=0:1:1000", "--axis", "gamma=0:1:1000"]],
+    )
+    def test_grid_cap_checked_before_values_are_built(self, capsys, monkeypatch, axes):
+        def no_linspace(*args, **kwargs):
+            raise AssertionError("axis values built before the grid cap was checked")
+
+        monkeypatch.setattr(np, "linspace", no_linspace)
+        code, out, err = run_main(["sweep", "--quantity", "spectrum", *axes] + self.BASE, capsys)
+        assert code == 2
+        assert out == ""
+        error = json.loads(err)
+        assert error["exit_code"] == 2
+        assert str(cli.MAX_GRID_POINTS) in error["error"]
+
+    def test_grid_cap_counts_the_product(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "MAX_GRID_POINTS", 6)
+        args = ["sweep", "--quantity", "spectrum", "--axis", "J=0:1:2"] + self.BASE
+        assert run_main(args + ["--axis", "gamma=0:1:3"], capsys)[0] == 0
+        assert run_main(args + ["--axis", "gamma=0:1:4"], capsys)[0] == 2
+
+    def test_pair_alias_axis_sets_both_spins(self, capsys):
+        code, out, _ = run_main(
+            ["sweep", "--quantity", "spectrum", "--axis", "gamma=0.5:0.7:2",
+             "--gamma-a", "1", "--gamma-b", "2", "--omega0", "1", "--J", "0.3"],
+            capsys,
+        )
+        assert code == 0
+        _, rows = parse_csv(out)
+        for gamma, block in (("0.5", rows[:4]), ("0.7", rows[4:])):
+            _, expected = parse_csv(
+                run_main(["spectrum", "--gamma", gamma, "--omega0", "1", "--J", "0.3"], capsys)[1]
+            )
+            assert [r[1:] for r in block] == expected
+
 
 class TestConfigPrecedence:
     def test_config_supplies_parameters(self, capsys, tmp_path):
@@ -374,6 +437,27 @@ class TestConfigPrecedence:
         _, rows = parse_csv(out)
         # specific flags win: omega0 = 1 everywhere, gamma = J = 0, so E1 = 1
         assert float(rows[0][1]) == pytest.approx(1.0, abs=1e-9)
+
+    @pytest.mark.parametrize(
+        "pair, spin_a, spin_b", [("omega0", "omega_a0", "omega_b0"), ("gamma", "gamma_a", "gamma_b")]
+    )
+    def test_full_precedence_chain(self, capsys, tmp_path, pair, spin_a, spin_b):
+        """flag per-spin > flag pair > config per-spin > config pair > 0."""
+        cfg = tmp_path / "params.cfg"
+        cfg.write_text(f"{pair} = 1\n{spin_a} = 2\n")
+
+        def resolved(*flags):
+            argv = ["evolve", "--time", "0", "--format", "json", "--config", str(cfg), *flags]
+            code, out, _ = run_main(argv, capsys)
+            assert code == 0
+            params = json.loads(out)["params"]
+            assert params["J"] == 0.0 and params["omega1"] == 0.0  # set nowhere
+            return params[spin_a], params[spin_b]
+
+        flag = "--" + spin_a.replace("_", "-")
+        assert resolved() == (2.0, 1.0)  # config per-spin > config pair
+        assert resolved(f"--{pair}", "3") == (3.0, 3.0)  # flag pair > config per-spin
+        assert resolved(f"--{pair}", "3", flag, "4") == (4.0, 3.0)  # flag per-spin > flag pair
 
     def test_unknown_config_key(self, capsys, tmp_path):
         cfg = tmp_path / "params.cfg"
@@ -450,6 +534,13 @@ class TestNumericGuard:
         assert code == 4
         assert out == ""
         assert json.loads(err)["exit_code"] == 4
+
+    def test_lost_phases_exit_4(self, capsys):
+        code, out, err = run_main(["evolve", "--J", "1e200", "--omega1", "0.1"], capsys)
+        assert code == 4
+        assert out == ""
+        error = json.loads(err)
+        assert error["exit_code"] == 4 and "2**52" in error["error"]
 
     @pytest.mark.parametrize(
         "failure",

@@ -44,6 +44,14 @@ class TestExactPropagator:
             op = exact_propagator(p, float(rng.uniform(0.0, 30.0)))
             assert op.kind == "unitary"
 
+    def test_refuses_phases_without_digits(self):
+        p = SpinParams.symmetric(0.0, 0.0, 0.0, 1.0)  # H_rot eigenvalues -1, 0, 0, 1
+        assert exact_propagator(p, 2.0**51).kind == "unitary"
+        with pytest.raises(ArithmeticError, match="2\\*\\*52"):
+            exact_propagator(p, 2.0**52)
+        with pytest.raises(ArithmeticError):
+            exact_propagator(SpinParams.symmetric(0.0, 0.0, 1e200, 0.1), 1.0)
+
     def test_diagonal_case_phase(self):
         p = SpinParams.symmetric(0.9, 0.0, 1.0, 0.2)
         ud = TwoSpinState.basis_state("ud")

@@ -19,7 +19,7 @@ from twospin import (
     run_adiabatic_two_cycle,
     triplet_energies,
 )
-from twospin import numeric_dynamical_phase, tilde_eigensystem
+from twospin import evolve_exact, evolve_stepped, numeric_dynamical_phase, tilde_eigensystem
 
 from support import circ_dist, random_state, random_symmetric
 
@@ -32,6 +32,10 @@ class TestProtocols:
         f = flip_params(p, {"omega0", "gamma"})
         assert (f.omega_a0, f.omega_b0, f.gamma_a, f.gamma_b) == (-1.0, -1.0, -0.5, -0.5)
         assert f.J == -0.3 and f.omega1 == 0.1
+
+    def test_flip_per_spin_group(self):
+        p = SpinParams(1.0, 2.0, 0.5, 0.7, -0.3, 0.1)
+        assert flip_params(p, {"omega_a0", "gamma_b"}) == SpinParams(-1.0, 2.0, 0.5, -0.7, -0.3, 0.1)
 
     def test_flip_rejects_unknown(self):
         with pytest.raises(ValueError):
@@ -159,6 +163,43 @@ class TestAATwoCycle:
         p = SpinParams.symmetric(1.0, 1.0, 1.0, -0.1)
         res = run_aa_two_cycle(p, TwoSpinState.basis_state("ud"))
         assert res.identity_defect <= 1e-12
+
+
+class TestStateSequences:
+    """A sequence of start states gives exactly the per-state results."""
+
+    @staticmethod
+    def _starts():
+        rng = np.random.default_rng(62)
+        return [random_state(rng) for _ in range(3)] + [eigensystem(P111, 0.0).state(1)]
+
+    @pytest.mark.parametrize("steps", [None, 400])
+    def test_adiabatic(self, steps):
+        starts = self._starts()
+        batch = run_adiabatic_two_cycle(P111, starts, steps)
+        assert len(batch) == len(starts)
+        for start, res in zip(starts, batch):
+            single = run_adiabatic_two_cycle(P111, start, steps)
+            # Reference: carry the state through one cycle evolution after the other.
+            state = start
+            for cycle in (P111, flip_params(P111, ADIABATIC_FLIP_SET)):
+                if steps is None:
+                    state = evolve_exact(cycle, state, P111.period).final_state
+                else:
+                    state = evolve_stepped(cycle, state, P111.period, steps).final_state
+            assert np.array_equal(single.final_state.amplitudes, state.amplitudes)
+            assert np.array_equal(res.final_state.amplitudes, single.final_state.amplitudes)
+            assert np.array_equal(res.ideal_state.amplitudes, single.ideal_state.amplitudes)
+            assert res.deviation == single.deviation
+
+    def test_aa(self):
+        starts = self._starts()
+        batch = run_aa_two_cycle(P111, starts)
+        assert len(batch) == len(starts)
+        for start, res in zip(starts, batch):
+            single = run_aa_two_cycle(P111, start)
+            assert np.array_equal(res.final_state.amplitudes, single.final_state.amplitudes)
+            assert res.identity_defect == single.identity_defect
 
 
 class TestOneCycleResidual:
