@@ -1,15 +1,19 @@
 """Command-line front end.
 
-Subcommands: spectrum, phases, evolve, twocycle, sweep. Parameter names are
-the keys of core.PARAM_GROUPS: the six SpinParams fields plus the omega0/gamma
-aliases that set both spins. The same names serve as flags, config-file keys
-and sweep axes. Each field takes the first value found in this order: per-spin
-flag, pair flag, per-spin config key, pair config key, then 0. Output is CSV
-or JSON with fixed %.12e float formatting so repeated runs are byte-identical.
+Subcommands: spectrum, phases, evolve, twocycle, sweep. The model flags,
+config-file keys and sweep axes are the keys of core.PARAM_GROUPS (flags spell
+`_` as `-`): the six SpinParams fields plus the omega0/gamma aliases that set
+both spins. Each field takes the first value found in this order: per-spin
+flag, pair flag, per-spin config key, pair config key, then 0.
+
+Output is CSV or JSON. Every value passes once through _cell: a float becomes
+%.12e text (a JSON float is that text read back), so repeated runs are
+byte-identical, and a non-finite float, printed or not, is a numeric failure.
 
 Exit codes: 0 success, 2 usage or parameter error (including a sweep grid of
-more than MAX_GRID_POINTS points), 3 output I/O error, 4 numeric failure
-(non-finite result, overflow, lost propagator phases, failed diagonalization).
+more than MAX_GRID_POINTS points, an axis with a non-finite bound or span, a
+non-finite evolution time), 3 output I/O error, 4 numeric failure (non-finite
+result, overflow, lost propagator phases, failed diagonalization).
 """
 
 from __future__ import annotations
@@ -125,29 +129,22 @@ def _parse_initial(spec: str, params: SpinParams) -> TwoSpinState:
 
 
 def _spectrum_rows(params: SpinParams):
-    energies = triplet_energies(params.omega0, params.gamma, params.J) + (
-        singlet_energy(params.J),
-    )
-    return [[n, energies[n - 1]] for n in (1, 2, 3, 4)]
+    energies = (*triplet_energies(params.omega0, params.gamma, params.J), singlet_energy(params.J))
+    return [[n, energy] for n, energy in enumerate(energies, start=1)]
 
 
-_PHASE_COLUMNS = [
-    "n",
-    "total_raw",
-    "dynamical_raw",
-    "geometric_raw",
-    "total_principal",
-    "dynamical_principal",
-    "geometric_principal",
+_PHASE_COLUMNS = ["n"] + [
+    f"{part}_{view}" for view in ("raw", "principal") for part in ("total", "dynamical", "geometric")
 ]
 
 
 def _phase_rows(params: SpinParams, breakdown):
+    """Raw total/dynamical/geometric per label, then each wrapped into (-pi, pi] for display."""
     rows = []
     for n in (1, 2, 3, 4):
         raw = breakdown(params, n)
-        pv = raw.principal()
-        rows.append([n, raw.total, raw.dynamical, raw.geometric, pv.total, pv.dynamical, pv.geometric])
+        parts = [raw.total, raw.dynamical, raw.geometric]
+        rows.append([n, *parts, *map(principal_value, parts)])
     return rows
 
 
@@ -260,57 +257,35 @@ def cmd_sweep(axes, quantity: str, base: SpinParams):
 # rendering
 
 
-def _format_cell(value) -> str:
-    if isinstance(value, bool):
-        return str(value)
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        return f"{float(value) + 0.0:.12e}"  # +0.0 drops negative zero
+def _cell(value) -> str:
+    """The one text form of an output value; a non-finite float is a numeric failure."""
+    if isinstance(value, float):  # numpy float64 included
+        if not math.isfinite(value):
+            raise ArithmeticError(f"non-finite value {value!r} in output")
+        return f"{value + 0.0:.12e}"  # +0.0 drops negative zero
     return str(value)
-
-
-def _json_value(value):
-    if isinstance(value, (float, np.floating)):
-        return float(f"{float(value) + 0.0:.12e}")
-    if isinstance(value, (int, np.integer)):
-        return int(value)
-    return value
 
 
 def _render(fmt: str, command: str, params: SpinParams, columns, rows, extras) -> str:
     if fmt == "csv":
+        for value in extras.values():  # not printed, but checked like the rows
+            _cell(value)
         lines = [",".join(columns)]
-        lines.extend(",".join(_format_cell(v) for v in row) for row in rows)
+        lines.extend(",".join(map(_cell, row)) for row in rows)
         return "\n".join(lines) + "\n"
+
+    def as_json(v):  # a JSON float is its CSV text read back
+        return float(_cell(v)) if isinstance(v, float) else v
+
     document = {
         "schema_version": SCHEMA_VERSION,
         "command": command,
-        "params": {f.name: _json_value(getattr(params, f.name)) for f in fields(params)},
+        "params": {f.name: as_json(getattr(params, f.name)) for f in fields(params)},
         "columns": list(columns),
-        "rows": [[_json_value(v) for v in row] for row in rows],
+        "rows": [list(map(as_json, row)) for row in rows],
     }
-    for key, value in extras.items():
-        document[key] = _json_value(value)
+    document.update((key, as_json(v)) for key, v in extras.items())
     return json.dumps(document, sort_keys=True, separators=(",", ":")) + "\n"
-
-
-def _require_finite(rows, extras):
-    for row in rows:
-        for value in row:
-            if isinstance(value, (float, np.floating)) and not math.isfinite(float(value)):
-                raise ArithmeticError(f"non-finite value {value!r} in output row")
-    for key, value in extras.items():
-        if isinstance(value, (float, np.floating)) and not math.isfinite(float(value)):
-            raise ArithmeticError(f"non-finite value {value!r} in {key}")
-
-
-def _emit(text: str, out_path: str | None):
-    if out_path is None:
-        sys.stdout.write(text)
-        return
-    with open(out_path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(text)
 
 
 def _error_object(code: int, message: str):
@@ -324,14 +299,9 @@ def _error_object(code: int, message: str):
 def _build_parser() -> argparse.ArgumentParser:
     params = argparse.ArgumentParser(add_help=False)
     group = params.add_argument_group("model parameters")
-    group.add_argument("--omega0", type=float, default=None, help="static detuning for both spins")
-    group.add_argument("--omega-a0", dest="omega_a0", type=float, default=None)
-    group.add_argument("--omega-b0", dest="omega_b0", type=float, default=None)
-    group.add_argument("--gamma", type=float, default=None, help="rotating-field coupling for both spins")
-    group.add_argument("--gamma-a", dest="gamma_a", type=float, default=None)
-    group.add_argument("--gamma-b", dest="gamma_b", type=float, default=None)
-    group.add_argument("--J", dest="J", type=float, default=None, help="Ising constant")
-    group.add_argument("--omega1", type=float, default=None, help="field rotation rate")
+    for name, targets in PARAM_GROUPS.items():  # --omega-a0 sets args.omega_a0
+        flag = "--" + name.replace("_", "-")
+        group.add_argument(flag, dest=name, type=float, default=None, help="sets " + " and ".join(targets))
     group.add_argument("--config", default=None, help="flat key=value parameter file")
 
     output = argparse.ArgumentParser(add_help=False)
@@ -394,6 +364,8 @@ def _parse_axes(texts) -> list[tuple[str, list]]:
             raise ValueError(f"unknown sweep field {name!r}")
         if count < 1:
             raise ValueError("axis count must be >= 1")
+        if not math.isfinite(stop - start):  # also catches a span that overflows
+            raise ValueError(f"axis bounds and their span must be finite, got {text!r}")
         if not (start <= stop):
             raise ValueError("axis start must be <= stop")
         specs.append((name, start, stop, count))
@@ -418,6 +390,8 @@ def main(argv=None) -> int:
             columns, quantity_rows = _QUANTITIES[args.mode if args.command == "phases" else "spectrum"]
             rows, extras = quantity_rows(params), {}
         elif args.command == "evolve":
+            if args.time is not None and not math.isfinite(args.time):
+                raise ValueError(f"time must be finite, got {args.time!r}")
             initial = _parse_initial(args.initial, params)
             t = args.time if args.time is not None else params.period
             columns, rows, extras = cmd_evolve(params, initial, t, args.steps)
@@ -432,7 +406,6 @@ def main(argv=None) -> int:
         else:
             columns, rows, extras = cmd_sweep(_parse_axes(args.axis), args.quantity, params)
 
-        _require_finite(rows, extras)
         text = _render(args.format, args.command, params, columns, rows, extras)
     # LinAlgError is a ValueError, so the numeric clause must come first.
     except (ArithmeticError, np.linalg.LinAlgError, InternalConsistencyError) as exc:
@@ -443,7 +416,11 @@ def main(argv=None) -> int:
         return EXIT_USAGE
 
     try:
-        _emit(text, args.out)
+        if args.out is None:
+            sys.stdout.write(text)
+        else:
+            with open(args.out, "w", encoding="utf-8", newline="") as fh:
+                fh.write(text)
     except OSError as exc:
         _error_object(EXIT_IO, f"cannot write output: {exc}")
         return EXIT_IO

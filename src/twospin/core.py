@@ -237,12 +237,18 @@ class SpinParams:
         return replace(self, **kwargs)
 
 
-# Parameter name -> the SpinParams fields it sets. The equal-coupling pair
-# aliases come first, so a per-spin name applied after its pair overrides it.
+# Parameter name -> the SpinParams fields it sets, in flag order. Each
+# equal-coupling pair alias comes just before its per-spin names, so a per-spin
+# name applied after its pair overrides it.
 PARAM_GROUPS = {
     "omega0": ("omega_a0", "omega_b0"),
+    "omega_a0": ("omega_a0",),
+    "omega_b0": ("omega_b0",),
     "gamma": ("gamma_a", "gamma_b"),
-    **{f.name: (f.name,) for f in fields(SpinParams)},
+    "gamma_a": ("gamma_a",),
+    "gamma_b": ("gamma_b",),
+    "J": ("J",),
+    "omega1": ("omega1",),
 }
 
 

@@ -61,25 +61,14 @@ def principal_value(phase: float) -> float:
 class PhaseBreakdown:
     """Total / dynamical / geometric phase of one cycle, in radians.
 
-    In the raw convention total == dynamical + geometric holds exactly as
-    computed; the principal view wraps each component independently into
-    (-pi, pi] and is for display only.
+    The components are raw: total == dynamical + geometric holds exactly as
+    computed. Wrap them with principal_value for display.
     """
 
     label: int
     total: float
     dynamical: float
     geometric: float
-    convention: str = "raw"
-
-    def principal(self) -> "PhaseBreakdown":
-        return PhaseBreakdown(
-            label=self.label,
-            total=principal_value(self.total),
-            dynamical=principal_value(self.dynamical),
-            geometric=principal_value(self.geometric),
-            convention="principal",
-        )
 
 
 def berry_phase(omega0: float, gamma: float, J: float, n: int) -> float:
@@ -125,7 +114,7 @@ def _rotation_sense(params: SpinParams) -> float:
 
 
 def adiabatic_phases(params: SpinParams, n: int) -> PhaseBreakdown:
-    """Slow-cycle phase breakdown of eigenpath n (raw convention)."""
+    """Slow-cycle phase breakdown of eigenpath n."""
     if params.omega1 == 0.0:
         raise ValueError("adiabatic phases need omega1 != 0 (no cycle defined)")
     geometric = _rotation_sense(params) * berry_phase(params.omega0, params.gamma, params.J, n)

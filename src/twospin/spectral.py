@@ -25,7 +25,8 @@ normalized by N_n = 2 + 4 gamma^2/d+^2 + 4 gamma^2/d-^2. This fixes the gauge:
 the ud and du amplitudes are real and positive. When either denominator falls
 below 1e-8 times the spectral scale the formula is abandoned for a direct
 numerical diagonalization of the symmetric (triplet) sector, with labels
-re-attached by energy matching.
+re-attached by energy matching and the last of the largest-magnitude
+amplitudes (ties within 1e-12 relative) made real and positive.
 """
 
 from __future__ import annotations
@@ -211,7 +212,9 @@ _SYM_PROJECTOR = np.array(
 
 
 def _fix_phase(vec: np.ndarray) -> np.ndarray:
-    k = int(np.argmax(np.abs(vec)))
+    # The tolerance keeps last-bit rounding from breaking a tie between equal magnitudes.
+    mags = np.abs(vec)
+    k = int(np.flatnonzero(mags >= mags.max() * (1.0 - 1e-12))[-1])
     c = vec[k]
     return vec * (np.conj(c) / abs(c))
 

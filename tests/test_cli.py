@@ -6,7 +6,7 @@ import sys
 import numpy as np
 import pytest
 
-from twospin import cli, twocycle
+from twospin import PARAM_GROUPS, SpinParams, adiabatic_phases, cli, principal_value, twocycle
 from twospin.spectral import InternalConsistencyError
 
 
@@ -82,6 +82,18 @@ class TestPhasesCommand:
         _, rows = parse_csv(out)
         for r in rows:
             assert float(r[3]) == pytest.approx(0.0, abs=1e-9)
+
+    def test_principal_columns_wrap_the_raw_columns(self, capsys):
+        args = ["phases", "--omega0", "1", "--gamma", "1", "--J", "1", "--omega1", "0.1"]
+        code, out, _ = run_main(args, capsys)
+        assert code == 0
+        header, rows = parse_csv(out)
+        assert header[1:4] == ["total_raw", "dynamical_raw", "geometric_raw"]
+        for n, row in enumerate(rows, start=1):
+            raw = adiabatic_phases(SpinParams.symmetric(1.0, 1.0, 1.0, 0.1), n)
+            wrapped = [principal_value(v) for v in (raw.total, raw.dynamical, raw.geometric)]
+            assert row[4:] == [f"{v + 0.0:.12e}" for v in wrapped]
+            assert all(-math.pi < float(v) <= math.pi for v in row[4:])
 
 
 class TestEvolveCommand:
@@ -168,6 +180,18 @@ class TestEvolveCommand:
     def test_missing_time_without_cycle(self, capsys):
         code, _, err = run_main(["evolve", "--omega0", "1"], capsys)
         assert code == 2
+
+    @pytest.mark.parametrize("time", ["nan", "inf", "-inf"])
+    def test_non_finite_time_refused_before_numerics(self, capsys, monkeypatch, time):
+        def no_numerics(*args):
+            raise AssertionError("numerics ran on a non-finite time")
+
+        for name in ("eigensystem", "evolve_exact", "evolve_stepped"):
+            monkeypatch.setattr(cli, name, no_numerics)
+        code, out, err = run_main(["evolve", "--initial", "eigen1", f"--time={time}", "--omega1", "0.1"], capsys)
+        assert code == 2 and out == ""
+        assert err.count("\n") == 1
+        assert json.loads(err) == {"error": f"time must be finite, got {float(time)!r}", "exit_code": 2}
 
 
 class TestTwocycleCommand:
@@ -355,6 +379,15 @@ class TestSweepCommand:
         )
         assert code == 2
 
+    @pytest.mark.filterwarnings("error")  # a NumPy warning would land on stderr ahead of the error object
+    @pytest.mark.parametrize("axis", ["J=0:inf:3", "J=nan:1:3", "J=-inf:0:1", "J=-1e308:1e308:3"])
+    def test_non_finite_axis_bound_rejected(self, capsys, axis):
+        code, out, err = run_main(["sweep", "--axis", axis, "--quantity", "spectrum"] + self.BASE, capsys)
+        assert code == 2 and out == ""
+        assert err.count("\n") == 1
+        message = f"axis bounds and their span must be finite, got {axis!r}"
+        assert json.loads(err) == {"error": message, "exit_code": 2}
+
     def test_descending_axis_rejected(self, capsys):
         code, _, _ = run_main(
             ["sweep", "--axis", "J=2:0:3", "--quantity", "berry"] + self.BASE, capsys
@@ -459,6 +492,14 @@ class TestConfigPrecedence:
         assert resolved(f"--{pair}", "3") == (3.0, 3.0)  # flag pair > config per-spin
         assert resolved(f"--{pair}", "3", flag, "4") == (4.0, 3.0)  # flag per-spin > flag pair
 
+    @pytest.mark.parametrize("name", list(PARAM_GROUPS))
+    def test_every_parameter_name_is_a_flag(self, capsys, name):
+        flag = "--" + name.replace("_", "-")
+        code, out, _ = run_main(["evolve", "--time", "0", "--format", "json", flag, "0.5"], capsys)
+        assert code == 0
+        params = json.loads(out)["params"]
+        assert params == {field: 0.5 if field in PARAM_GROUPS[name] else 0.0 for field in params}
+
     def test_unknown_config_key(self, capsys, tmp_path):
         cfg = tmp_path / "params.cfg"
         cfg.write_text("velocity = 3\n")
@@ -529,6 +570,20 @@ class TestNumericGuard:
         assert out == ""
         assert json.loads(err)["exit_code"] == 4
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_non_finite_extra_exits_4(self, capsys, monkeypatch, fmt):
+        real = cli.cmd_evolve
+
+        def nan_extra(*args):
+            columns, rows, extras = real(*args)
+            return columns, rows, {**extras, "phase_vs_initial": float("nan")}
+
+        monkeypatch.setattr(cli, "cmd_evolve", nan_extra)
+        code, out, err = run_main(["evolve", "--omega1", "0.1", "--format", fmt], capsys)
+        assert code == 4
+        assert out == ""
+        assert json.loads(err)["exit_code"] == 4
+
     def test_overflow_exits_4(self, capsys):
         code, out, err = run_main(["spectrum", "--J", "1e200"], capsys)
         assert code == 4
@@ -555,6 +610,17 @@ class TestNumericGuard:
         assert code == 4
         assert out == ""
         assert json.loads(err) == {"error": str(failure), "exit_code": 4}
+
+
+class TestWriter:
+    def test_json_numbers_are_the_csv_text_read_back(self, capsys):
+        args = ["phases", "--mode", "aa", "--omega0", "1", "--gamma", "0.8", "--J", "0.6", "--omega1", "-0.3"]
+        _, csv_rows = parse_csv(run_main(args, capsys)[1])
+        doc = json.loads(run_main(args + ["--format", "json"], capsys)[1])
+        assert csv_rows == [
+            [str(row[0])] + [f"{v:.12e}" for v in row[1:]] for row in doc["rows"]
+        ]
+        assert all(isinstance(row[0], int) for row in doc["rows"])
 
 
 class TestDeterminism:

@@ -128,7 +128,6 @@ class TestAdiabaticPhases:
             for n in (1, 2, 3, 4):
                 b = adiabatic_phases(p, n)
                 assert b.total == b.dynamical + b.geometric
-                assert b.convention == "raw"
 
     def test_requires_cycle(self):
         with pytest.raises(ValueError):
@@ -222,15 +221,6 @@ class TestPrincipal:
         assert principal_value(3.0 * math.pi) == pytest.approx(math.pi)
         assert principal_value(TWO_PI) == pytest.approx(0.0, abs=1e-15)
         assert principal_value(0.1 - TWO_PI) == pytest.approx(0.1, abs=1e-12)
-
-    def test_breakdown_view(self):
-        p = SpinParams.symmetric(1.0, 1.0, 1.0, 0.1)
-        raw = adiabatic_phases(p, 1)
-        pv = raw.principal()
-        assert pv.convention == "principal"
-        for value in (pv.total, pv.dynamical, pv.geometric):
-            assert -math.pi < value <= math.pi
-        assert pv.geometric == pytest.approx(principal_value(raw.geometric))
 
 
 class TestLegacySingleSpin:

@@ -241,6 +241,20 @@ class TestTilde:
                 vec = system.state(n).amplitudes
                 assert np.linalg.norm(h @ vec - system.energy(n) * vec) <= 1e-10
 
+    def test_tied_fallback_gauge_is_independent_of_assembly(self):
+        # Label 3 at resonance is (uu - dd)/sqrt2 up to noise: two components of
+        # equal magnitude. The rotating-frame generator and H(0) at the shifted
+        # detuning differ in the last bit, which must not flip the sign.
+        p = SpinParams.symmetric(1.0, 0.8, 0.6, 1.0)
+        a = tilde_eigensystem(p)
+        b = eigensystem(SpinParams.symmetric(0.0, 0.8, 0.6), 0.0)
+        assert a.used_fallback and b.used_fallback
+        for n in (1, 2, 3):
+            overlap = np.vdot(a.state(n).amplitudes, b.state(n).amplitudes)
+            assert abs(overlap - 1.0) <= 1e-12
+        # the last of the tied components is the real positive one
+        assert a.state(3).amplitudes[3].real > 0.0 and a.state(3).amplitudes[3].imag == 0.0
+
 
 class TestSymmetry:
     def test_energy_exchange_111(self):
