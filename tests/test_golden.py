@@ -90,6 +90,11 @@ CASES = {
     "sweep_defect_unequal_csv": [
         "sweep", "--axis", "omega_a0=0.2:1.2:3", "--quantity", "twocycle-defect", *UNEQUAL,
     ],
+    **_both_formats(
+        "sweep_defect_signs",
+        ["sweep", "--quantity", "twocycle-defect", "--axis", "omega1=-0.9:0.9:4", "--axis", "J=-1:1:3",
+         *UNEQUAL],
+    ),
     "error_phases_no_rotation": ["phases", *P],
     "error_twocycle_aa_no_rotation": ["twocycle", "--scheme", "aa", *P],
     "error_twocycle_adiabatic_no_rotation": ["twocycle", "--scheme", "adiabatic", *P],
