@@ -10,10 +10,16 @@ Output is CSV or JSON. Every value passes once through _cell: a float becomes
 %.12e text (a JSON float is that text read back), so repeated runs are
 byte-identical, and a non-finite float, printed or not, is a numeric failure.
 
+Sweeps walk the grid in lexicographic order in blocks of SWEEP_BLOCK points;
+twocycle-defect evaluates a block with one call of the stacked propagator
+kernel, the closed-form quantities point by point. A failing block is run
+again point by point, so errors are those of the first failing grid point.
+
 Exit codes: 0 success, 2 usage or parameter error (including a sweep grid of
 more than MAX_GRID_POINTS points, an axis with a non-finite bound or span, a
-non-finite evolution time), 3 output I/O error, 4 numeric failure (non-finite
-result, overflow, lost propagator phases, failed diagonalization).
+non-finite evolution time, an omega1 whose period overflows), 3 output I/O
+error, 4 numeric failure (non-finite result or phase, overflow, lost
+propagator phases, failed diagonalization).
 """
 
 from __future__ import annotations
@@ -23,11 +29,11 @@ import json
 import math
 import sys
 from dataclasses import fields
-from itertools import product
+from itertools import islice, product
 
 import numpy as np
 
-from .core import PARAM_GROUPS, SpinParams, TwoSpinState
+from .core import PARAM_GROUPS, SpinParams, TwoSpinState, _columns
 from .evolution import evolve_exact, evolve_stepped
 from .phases import _rotation_sense, aa_breakdown, adiabatic_phases, principal_value
 from .spectral import (
@@ -37,7 +43,7 @@ from .spectral import (
     tilde_eigensystem,
     triplet_energies,
 )
-from .twocycle import berry_gate, run_aa_two_cycle, run_adiabatic_two_cycle
+from .twocycle import _aa_two_cycles, berry_gate, run_aa_two_cycle, run_adiabatic_two_cycle
 
 __all__ = [
     "cmd_evolve",
@@ -57,6 +63,12 @@ SCHEMA_VERSION = 1
 # Largest sweep grid (product of the axis counts), checked before any axis
 # values are built: every row is held in memory until the grid is done.
 MAX_GRID_POINTS = 250_000
+
+# Grid points per call of a quantity's block function. Blocks amortise the
+# per-call cost of the stacked propagator kernel while bounding its (N, 4, 4)
+# temporaries: one block of the whole 10k-point grid raised peak memory by
+# about 20 MB.
+SWEEP_BLOCK = 512
 
 _NAMED_STATES = ("uu", "ud", "du", "dd", "singlet")
 
@@ -125,7 +137,22 @@ def _parse_initial(spec: str, params: SpinParams) -> TwoSpinState:
 
 
 # ---------------------------------------------------------------------------
-# quantities: the per-parameter-point tables shared by the commands and sweeps
+# quantities: the per-parameter-point tables shared by the commands and sweeps.
+# A block function takes field columns (SpinParams field name -> (N,) array,
+# see core._columns) and returns one list of rows per point, in column order.
+
+
+def _per_point(point_rows):
+    """The block function that evaluates point_rows on one SpinParams per point, in order."""
+
+    def block_rows(columns):
+        names = list(columns)
+        return [
+            point_rows(SpinParams(**dict(zip(names, values))))
+            for values in zip(*(column.tolist() for column in columns.values()))
+        ]
+
+    return block_rows
 
 
 def _spectrum_rows(params: SpinParams):
@@ -148,16 +175,17 @@ def _phase_rows(params: SpinParams, breakdown):
     return rows
 
 
-def _defect_rows(params: SpinParams):
-    return [[run_aa_two_cycle(params, TwoSpinState.basis_state("uu")).identity_defect]]
+def _defect_rows(columns):
+    """One stacked evaluation of the AA two-cycle identity defect for all points."""
+    return [[[defect]] for defect in _aa_two_cycles(columns)[1].tolist()]
 
 
-# quantity -> (columns, rows function of the parameters). The row functions
-# look the library functions up at call time, so they can be traced or patched.
+# quantity -> (columns, block function). The row functions look the library
+# functions up at call time, so they can be traced or patched.
 _QUANTITIES = {
-    "spectrum": (["n", "energy"], _spectrum_rows),
-    "berry": (_PHASE_COLUMNS, lambda params: _phase_rows(params, adiabatic_phases)),
-    "aa": (_PHASE_COLUMNS, lambda params: _phase_rows(params, aa_breakdown)),
+    "spectrum": (["n", "energy"], _per_point(_spectrum_rows)),
+    "berry": (_PHASE_COLUMNS, _per_point(lambda params: _phase_rows(params, adiabatic_phases))),
+    "aa": (_PHASE_COLUMNS, _per_point(lambda params: _phase_rows(params, aa_breakdown))),
     "twocycle-defect": (["identity_defect"], _defect_rows),
 }
 
@@ -241,15 +269,31 @@ def cmd_twocycle(params: SpinParams, scheme: str, steps: int = 0, omega1_values=
 
 
 def cmd_sweep(axes, quantity: str, base: SpinParams):
-    """Evaluate the quantity over the grid of (name, values) axes; rows in lexicographic grid order."""
-    columns, quantity_rows = _QUANTITIES[quantity]
+    """Evaluate the quantity over the grid of (name, values) axes; rows in lexicographic grid order.
+
+    The grid is walked in blocks of SWEEP_BLOCK points, one call of the
+    quantity's block function each. When a block fails, it is run again one
+    point at a time, so the first failing point in grid order raises its own
+    error.
+    """
+    columns, block_rows = _QUANTITIES[quantity]
     names = [name for name, _ in axes]
+    points = product(*(values for _, values in axes))
     rows = []
-    for point in product(*(values for _, values in axes)):
-        updates = {}
-        for name, value in zip(names, point):
-            updates.update(dict.fromkeys(PARAM_GROUPS[name], value))
-        rows.extend(list(point) + row for row in quantity_rows(base.replace(**updates)))
+    while block := list(islice(points, SWEEP_BLOCK)):
+        axis_columns = np.array(block, dtype=float).T.copy()
+        block_columns = _columns(base, len(block))
+        for name, values in zip(names, axis_columns):  # a later axis overrides an earlier one
+            block_columns.update(dict.fromkeys(PARAM_GROUPS[name], values))
+        try:
+            point_rows = block_rows(block_columns)
+        except (ArithmeticError, ValueError):
+            point_rows = [
+                block_rows({field: column[i : i + 1] for field, column in block_columns.items()})[0]
+                for i in range(len(block))
+            ]
+        for point, prows in zip(block, point_rows):
+            rows.extend(list(point) + row for row in prows)
     return names + columns, rows, {}
 
 
@@ -387,8 +431,8 @@ def main(argv=None) -> int:
         params = _resolve_params(args, config)
 
         if args.command in ("spectrum", "phases"):
-            columns, quantity_rows = _QUANTITIES[args.mode if args.command == "phases" else "spectrum"]
-            rows, extras = quantity_rows(params), {}
+            columns, block_rows = _QUANTITIES[args.mode if args.command == "phases" else "spectrum"]
+            rows, extras = block_rows(_columns(params, 1))[0], {}
         elif args.command == "evolve":
             if args.time is not None and not math.isfinite(args.time):
                 raise ValueError(f"time must be finite, got {args.time!r}")

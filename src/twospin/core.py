@@ -50,14 +50,46 @@ STATE_NORM_TOL = 1e-6
 _EYE2 = np.eye(2, dtype=complex)
 
 
+def _require_finite(arr: np.ndarray) -> None:
+    if not np.all(np.isfinite(arr.real)) or not np.all(np.isfinite(arr.imag)):
+        raise ValueError("non-finite entries are not admitted")
+
+
 def _frozen_array(values, shape) -> np.ndarray:
     arr = np.array(values, dtype=complex)
     if arr.shape != shape:
         raise ValueError(f"expected shape {shape}, got {arr.shape}")
-    if not np.all(np.isfinite(arr.real)) or not np.all(np.isfinite(arr.imag)):
-        raise ValueError("non-finite entries are not admitted")
+    _require_finite(arr)
     arr.setflags(write=False)
     return arr
+
+
+def _check_tag(mats: np.ndarray, kind: str) -> None:
+    """The tag check of Operator4 on one 4x4 matrix or on a (..., 4, 4) stack.
+
+    Raises ValueError with the defect of the first matrix that violates the
+    tag; "general" is not checked.
+    """
+    if kind == "hermitian":
+        deviation, tol = np.abs(mats - mats.conj().swapaxes(-1, -2)), HERMITIAN_TOL
+    elif kind == "unitary":
+        deviation, tol = np.abs(mats.conj().swapaxes(-1, -2) @ mats - np.eye(4)), UNITARY_TOL
+    elif kind == "general":
+        return
+    else:
+        raise ValueError(f"unknown operator kind {kind!r}")
+    worst = deviation.max()
+    if worst > tol or worst != worst:  # a NaN defect passes, so look matrix by matrix
+        defects = deviation.reshape(-1, 16).max(axis=1)
+        failed = defects[defects > tol]
+        if len(failed):
+            raise ValueError(f"{kind} tag violated: defect {failed[0]:.3e}")
+
+
+def _check_stack(mats: np.ndarray, kind: str) -> None:
+    """Every check of building Operator4(m, kind), for each m of a (N, 4, 4) stack."""
+    _require_finite(mats)
+    _check_tag(mats, kind)
 
 
 # The package's one Pauli table: the matrices of spin a (first tensor slot)
@@ -150,16 +182,7 @@ class Operator4:
 
     def __post_init__(self):
         mat = _frozen_array(self.matrix, (4, 4))
-        if self.kind == "hermitian":
-            defect = np.abs(mat - mat.conj().T).max()
-            if defect > HERMITIAN_TOL:
-                raise ValueError(f"hermitian tag violated: defect {defect:.3e}")
-        elif self.kind == "unitary":
-            defect = np.abs(mat.conj().T @ mat - np.eye(4)).max()
-            if defect > UNITARY_TOL:
-                raise ValueError(f"unitary tag violated: defect {defect:.3e}")
-        elif self.kind != "general":
-            raise ValueError(f"unknown operator kind {self.kind!r}")
+        _check_tag(mat, self.kind)
         object.__setattr__(self, "matrix", mat)
 
     @classmethod
@@ -228,13 +251,35 @@ class SpinParams:
 
     @property
     def period(self) -> float:
-        """Field rotation period 2*pi/|omega1|."""
+        """Field rotation period 2*pi/|omega1|; refuses omega1 = 0 and a period that overflows."""
         if self.omega1 == 0.0:
             raise ValueError("period is undefined for omega1 = 0")
-        return 2.0 * math.pi / abs(self.omega1)
+        period = 2.0 * math.pi / abs(self.omega1)
+        if not math.isfinite(period):
+            raise _period_overflow(self.omega1)
+        return period
 
     def replace(self, **kwargs) -> "SpinParams":
         return replace(self, **kwargs)
+
+
+def _period_overflow(omega1: float) -> ValueError:
+    return ValueError(f"omega1 = {omega1!r} is too small: the period 2*pi/|omega1| is not finite")
+
+
+def _periods(omega1: np.ndarray) -> np.ndarray:
+    """SpinParams.period for each nonzero entry of an omega1 column, with the same overflow refusal."""
+    with np.errstate(over="ignore"):  # overflow is refused below, as in the scalar property
+        periods = 2.0 * math.pi / np.abs(omega1)
+    lost = ~np.isfinite(periods)
+    if lost.any():
+        raise _period_overflow(float(omega1[lost][0]))
+    return periods
+
+
+def _columns(params: SpinParams, n: int) -> dict[str, np.ndarray]:
+    """Field columns: each SpinParams field name -> an (n,) array holding its value."""
+    return {f.name: np.full(n, getattr(params, f.name)) for f in fields(SpinParams)}
 
 
 # Parameter name -> the SpinParams fields it sets, in flag order. Each

@@ -7,10 +7,14 @@ The exact propagator uses the frame factorization
 with V the frame rotation and H_rot the time-independent rotating-frame
 generator; the matrix exponential is evaluated through the spectral
 decomposition of the 4x4 hermitian H_rot, so it is exact to rounding and
-valid for unequal couplings. A fixed-step classical Runge-Kutta integrator of
-the time-ordered Schrodinger equation serves as the independent cross-check;
-it samples the Hamiltonian analytically at the substep times and converges at
-fourth order.
+valid for unequal couplings. One kernel, _propagators, computes it for an
+(N, 4, 4) stack of generators with stacked eigh and matmul and runs the
+Operator4 checks on the whole stack; exact_propagator is its N = 1 wrapper,
+so a stacked propagator equals the per-point one bit for bit.
+
+A fixed-step classical Runge-Kutta integrator of the time-ordered Schrodinger
+equation serves as the independent cross-check; it samples the Hamiltonian
+analytically at the substep times and converges at fourth order.
 """
 
 from __future__ import annotations
@@ -20,8 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Operator4, SpinParams, TwoSpinState, _state_from_trusted
-from .hamiltonian import frame_rotation, h_rotating_frame, h_static, h_total, transverse_parts
+from .core import Operator4, SpinParams, TwoSpinState, _check_stack, _columns, _state_from_trusted
+from .hamiltonian import _frame_matrix, h_rotating_frame, h_static, h_total, rotating_frame_stack, transverse_parts
 from .spectral import eigensystem
 
 __all__ = [
@@ -49,19 +53,38 @@ class EvolutionResult:
     step_count: int | None = None
 
 
+def _propagators(h_rot: np.ndarray, omega1: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """U(t) = V(t) exp(-i H_rot t) for an (N, 4, 4) stack of H_rot and (N,) omega1 and t.
+
+    Checks H_rot as Operator4.hermitian and U as Operator4.unitary would, and
+    raises ArithmeticError once the largest phase |lambda t|, over the
+    eigenvalues lambda of H_rot and the frame rate omega1, reaches 2**52:
+    neighbouring doubles are 1 rad apart there, so the phases are noise. The
+    checks run in that order over the whole stack, so at N = 1 a point fails
+    exactly as it would alone; at N > 1 the error may come from any point.
+    """
+    _check_stack(h_rot, "hermitian")
+    vals, vecs = np.linalg.eigh(h_rot)
+    with np.errstate(over="ignore"):  # an infinite phase is refused below
+        phase = np.maximum(np.maximum(-vals[:, 0], vals[:, -1]), np.abs(omega1)) * np.abs(t)  # eigh sorts vals
+    lost = phase >= 2.0**52
+    if lost.any():
+        raise ArithmeticError(f"propagator phase {phase[lost][0]:.3e} rad is too large to resolve (limit 2**52)")
+    expo = (vecs * np.exp(-1j * vals * t[:, None])[:, None, :]) @ vecs.conj().swapaxes(-1, -2)
+    propagators = _frame_matrix(omega1 * t) @ expo
+    _check_stack(propagators, "unitary")
+    return propagators
+
+
 def exact_propagator(params: SpinParams, t: float) -> Operator4:
     """Closed-form propagator U(t); unitary for any couplings.
 
-    Raises ArithmeticError once the largest phase |lambda t|, over the
-    eigenvalues lambda of H_rot and the frame rate omega1, reaches 2**52:
-    neighbouring doubles are 1 rad apart there, so the phases are noise.
+    The N = 1 case of _propagators, with its checks; raises ArithmeticError
+    when the phases are too large to resolve.
     """
-    vals, vecs = np.linalg.eigh(h_rotating_frame(params).matrix)
-    phase = float(max(-vals[0], vals[-1], abs(params.omega1))) * abs(t)  # eigh sorts vals
-    if phase >= 2.0**52:
-        raise ArithmeticError(f"propagator phase {phase:.3e} rad is too large to resolve (limit 2**52)")
-    expo = (vecs * np.exp(-1j * vals * t)) @ vecs.conj().T
-    return Operator4.unitary(frame_rotation(params, t).matrix @ expo)
+    columns = _columns(params, 1)
+    matrix = _propagators(rotating_frame_stack(columns), columns["omega1"], np.array([t], dtype=float))
+    return Operator4.unitary(matrix[0])
 
 
 def evolve_exact(params: SpinParams, initial: TwoSpinState, t: float) -> EvolutionResult:
@@ -72,8 +95,8 @@ def evolve_exact(params: SpinParams, initial: TwoSpinState, t: float) -> Evoluti
 
 def _shortest_period(params: SpinParams) -> float:
     periods = [math.inf]
-    if params.omega1 != 0.0:
-        periods.append(params.period)
+    if params.omega1 != 0.0:  # a rotation too slow for a finite period sets no bound
+        periods.append(2.0 * math.pi / abs(params.omega1))
     h_norm = float(np.abs(np.linalg.eigvalsh(h_total(params, 0.0).matrix)).max())
     if h_norm > 0.0:
         periods.append(2.0 * math.pi / h_norm)

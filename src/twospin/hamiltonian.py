@@ -13,9 +13,15 @@ frame-transformed generator
 
 is time independent. That construction is used verbatim here (it holds for
 unequal couplings too) and is pinned by the frame-identity tests.
+
+The matrix builders read the six fields by attribute, so rotating_frame_stack
+runs the same arithmetic on per-field columns and returns an (N, 4, 4) stack
+whose entries equal, bit for bit, those of h_rotating_frame at each point.
 """
 
 from __future__ import annotations
+
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -26,6 +32,7 @@ __all__ = [
     "h_rotating_frame",
     "h_static",
     "h_total",
+    "rotating_frame_stack",
     "transverse_parts",
 ]
 
@@ -70,8 +77,31 @@ def h_rotating_frame(params: SpinParams) -> Operator4:
     static detunings omega_a0, omega_b0 are shifted by -omega1 while the
     transverse couplings enter at angle zero.
     """
+    return Operator4.hermitian(_rotating_frame_matrix(params))
+
+
+def _rotating_frame_matrix(params) -> np.ndarray:
     shift = 0.5 * params.omega1 * (_PAULI["a", "z"] + _PAULI["b", "z"])
-    return Operator4.hermitian(_static_matrix(params) + _transverse_matrix(params, 0.0) - shift)
+    return _static_matrix(params) + _transverse_matrix(params, 0.0) - shift
+
+
+def rotating_frame_stack(columns: dict[str, np.ndarray]) -> np.ndarray:
+    """Unchecked H_rot matrices for per-field columns, as an (N, 4, 4) stack.
+
+    columns maps each SpinParams field name to an (N,) array; point i of the
+    stack is h_rotating_frame of the fields at index i, without the
+    Operator4 validation.
+    """
+    return _rotating_frame_matrix(SimpleNamespace(**{name: col[:, None, None] for name, col in columns.items()}))
+
+
+def _frame_matrix(angle) -> np.ndarray:
+    """diag(exp(-i angle), 1, 1, exp(+i angle)) for a float, or a stack of them for an (N,) array."""
+    frame = np.zeros(np.shape(angle) + (4, 4), dtype=complex)
+    frame[..., 0, 0] = np.exp(-1j * angle)
+    frame[..., 1, 1] = frame[..., 2, 2] = 1.0
+    frame[..., 3, 3] = np.exp(1j * angle)
+    return frame
 
 
 def frame_rotation(params: SpinParams, t: float) -> Operator4:
@@ -79,7 +109,4 @@ def frame_rotation(params: SpinParams, t: float) -> Operator4:
 
     Diagonal: diag(exp(-i omega1 t), 1, 1, exp(+i omega1 t)).
     """
-    phase = params.omega1 * t
-    return Operator4.unitary(
-        np.diag([np.exp(-1j * phase), 1.0, 1.0, np.exp(1j * phase)]).astype(complex)
-    )
+    return Operator4.unitary(_frame_matrix(params.omega1 * t))

@@ -50,7 +50,9 @@ _TWO_PI = 2.0 * math.pi
 
 
 def principal_value(phase: float) -> float:
-    """Map a phase to the branch (-pi, pi]."""
+    """Map a phase to the branch (-pi, pi]; a non-finite phase raises ArithmeticError."""
+    if not math.isfinite(phase):
+        raise ArithmeticError(f"phase {float(phase)!r} rad is not finite")
     r = math.remainder(phase, _TWO_PI)
     if r <= -math.pi:
         r += _TWO_PI

@@ -12,6 +12,12 @@ the total phase: the composed propagator is the identity for any input state.
 Both protocols are fixed unitaries, independent of the input state, so the two
 cycle propagators are built once per parameter point; run_*_two_cycle accept
 a sequence of start states and apply that one pair to each.
+
+The exact cycle propagators come from one stacked kernel that takes per-field
+columns of N parameter points (see rotating_frame_stack). _aa_two_cycles
+composes U2 U1 for each point and measures the identity defect max|U2 U1 - I|;
+run_aa_two_cycle is its N = 1 case and a twocycle-defect sweep calls it once
+per block of grid points, so both give the same defects bit for bit.
 """
 
 from __future__ import annotations
@@ -21,8 +27,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Operator4, SpinParams, TwoSpinState, _state_from_trusted, flip_params
-from .evolution import evolve_stepped, exact_propagator
+from .core import (
+    PARAM_GROUPS,
+    STATE_NORM_TOL,
+    Operator4,
+    SpinParams,
+    TwoSpinState,
+    _columns,
+    _periods,
+    _state_from_trusted,
+    flip_params,
+)
+from .evolution import _propagators, evolve_stepped
+from .hamiltonian import rotating_frame_stack
 from .phases import aa_breakdown, berry_phase
 from .spectral import eigensystem
 
@@ -69,15 +86,43 @@ def berry_gate(omega0: float, gamma: float, J: float) -> BerryGate:
     )
 
 
+def _require_rotation(omega1) -> None:
+    if np.any(omega1 == 0.0):
+        raise ValueError("cycle protocols need omega1 != 0")
+
+
+def _exact_cycles(columns: dict[str, np.ndarray], flips) -> list[np.ndarray]:
+    """(N, 4, 4) exact propagators of the first cycle and of the second, flipped, cycle, one period each."""
+    omega1 = columns["omega1"]
+    _require_rotation(omega1)
+    periods = _periods(omega1)
+    flipped = {**columns, **{field: -columns[field] for name in flips for field in PARAM_GROUPS[name]}}
+    return [_propagators(rotating_frame_stack(cycle), cycle["omega1"], periods) for cycle in (columns, flipped)]
+
+
 def _cycle_propagators(params: SpinParams, flips, steps_per_cycle: int | None = None):
     """Matrices of the first cycle and of the second, flipped, cycle, each one period long."""
-    if params.omega1 == 0.0:
-        raise ValueError("cycle protocols need omega1 != 0")
-    cycles = (params, flip_params(params, flips))
     if steps_per_cycle is None:
-        return [exact_propagator(cycle, params.period).matrix for cycle in cycles]
+        return [u[0] for u in _exact_cycles(_columns(params, 1), flips)]
+    _require_rotation(params.omega1)
     probe = TwoSpinState.basis_state(0)  # the RK4 propagator does not depend on the state
+    cycles = (params, flip_params(params, flips))
     return [evolve_stepped(cycle, probe, params.period, steps_per_cycle).propagator.matrix for cycle in cycles]
+
+
+def _aa_two_cycles(columns: dict[str, np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """U2 U1 of the total-phase protocol and its identity defect max|U2 U1 - I|, per point.
+
+    columns holds N parameter points (see rotating_frame_stack); returns the
+    (N, 4, 4) composed propagators and the (N,) defects. U2 U1 |uu> must pass
+    the TwoSpinState norm check at every point.
+    """
+    u_first, u_second = _exact_cycles(columns, AA_FLIP_SET)
+    composed = u_second @ u_first
+    uu = composed[:, :, 0]
+    for i in np.flatnonzero(~(np.abs(np.linalg.norm(uu, axis=1) - 1.0) <= STATE_NORM_TOL)):
+        TwoSpinState(uu[i])  # raises the check's own error
+    return composed, np.abs(composed - np.eye(4)).max(axis=(1, 2))
 
 
 @dataclass(frozen=True)
@@ -133,9 +178,8 @@ def run_aa_two_cycle(
     the first. The input state is arbitrary (not restricted to eigenstates); a
     sequence of start states returns a list with one result per state.
     """
-    u_first, u_second = _cycle_propagators(params, AA_FLIP_SET)
-    composed = u_second @ u_first
-    defect = float(np.abs(composed - np.eye(4)).max())
+    composed, defects = _aa_two_cycles(_columns(params, 1))
+    composed, defect = composed[0], float(defects[0])
     single = isinstance(initial, TwoSpinState)
     results = [
         AATwoCycleResult(final_state=TwoSpinState(composed @ start.amplitudes), identity_defect=defect)

@@ -6,7 +6,16 @@ import sys
 import numpy as np
 import pytest
 
-from twospin import PARAM_GROUPS, SpinParams, adiabatic_phases, cli, principal_value, twocycle
+from twospin import (
+    PARAM_GROUPS,
+    SpinParams,
+    TwoSpinState,
+    adiabatic_phases,
+    cli,
+    principal_value,
+    run_aa_two_cycle,
+    twocycle,
+)
 from twospin.spectral import InternalConsistencyError
 
 
@@ -282,13 +291,13 @@ class TestTwocycleCommand:
         return calls
 
     def test_aa_builds_one_propagator_pair(self, capsys, monkeypatch):
-        calls = self._count_calls(monkeypatch, twocycle, "exact_propagator")
+        calls = self._count_calls(monkeypatch, twocycle, "_propagators")
         code, _, _ = run_main(
             ["twocycle", "--scheme", "aa", "--omega0", "1", "--gamma", "0.8", "--J", "0.6", "--omega1", "0.3"],
             capsys,
         )
         assert code == 0
-        assert len(calls) == 2
+        assert [len(h_rot) for h_rot, _, _ in calls] == [1, 1]
 
     def test_adiabatic_sweep_builds_one_pair_per_omega1(self, capsys, monkeypatch):
         calls = self._count_calls(monkeypatch, twocycle, "evolve_stepped")
@@ -445,6 +454,76 @@ class TestSweepCommand:
             assert [r[1:] for r in block] == expected
 
 
+class TestBlockedSweep:
+    """twocycle-defect sweeps run the stacked kernel on blocks of cli.SWEEP_BLOCK points."""
+
+    UNEQUAL = SpinParams(1.3, 0.4, 0.8, 1.1, -0.6, -0.7)
+
+    def test_defects_across_a_block_boundary_match_per_point_runs(self, monkeypatch):
+        calls = TestTwocycleCommand._count_calls(monkeypatch, twocycle, "_propagators")
+        n = cli.SWEEP_BLOCK + 1
+        axes = [("J", list(np.linspace(-1.0, 1.0, n)))]
+        columns, rows, _ = cli.cmd_sweep(axes, "twocycle-defect", self.UNEQUAL)
+        assert [len(h_rot) for h_rot, _, _ in calls] == [cli.SWEEP_BLOCK, cli.SWEEP_BLOCK, 1, 1]
+        assert columns == ["J", "identity_defect"] and len(rows) == n
+        uu = TwoSpinState.basis_state("uu")
+        for (J, defect), expected_J in zip(rows, axes[0][1]):
+            assert J == expected_J
+            assert defect == run_aa_two_cycle(self.UNEQUAL.replace(J=J), uu).identity_defect
+
+    DEFECT = ["sweep", "--quantity", "twocycle-defect", "--omega0", "1", "--gamma", "1"]
+
+    # Exit codes and stderr bytes of the point-by-point sweep; the kernel checks
+    # omega1 = 0 before the phase limit, so a block holding both must be rerun.
+    @pytest.mark.parametrize(
+        "argv, code, message",
+        [
+            (["--axis", "omega1=-1:0:2", "--J", "1e200"], 4,
+             "propagator phase 3.142e+200 rad is too large to resolve (limit 2**52)"),
+            (["--axis", "omega1=0:1:2", "--J", "1e200"], 2, "cycle protocols need omega1 != 0"),
+            # point 682 of 700 is the first whose phase is lost; point 699 has omega1 = 0
+            (["--axis", "omega1=-1e-13:0:700", "--J", "1"], 4,
+             "propagator phase 4.513e+15 rad is too large to resolve (limit 2**52)"),
+            (["--axis", "J=0:1e200:2", "--axis", "gamma=0:1:600", "--omega1", "0.5"], 4,
+             "propagator phase 6.283e+200 rad is too large to resolve (limit 2**52)"),
+        ],
+    )
+    def test_first_failing_point_in_grid_order_raises(self, capsys, argv, code, message):
+        assert cli.SWEEP_BLOCK <= 600  # the last two cases fail first in a later block
+        for fmt in ([], ["--format", "json"]):
+            assert run_main(self.DEFECT + argv + fmt, capsys) == (
+                code, "", json.dumps({"error": message, "exit_code": code}) + "\n"
+            )
+
+
+class TestPeriodOverflow:
+    """An omega1 whose period 2*pi/|omega1| overflows is a parameter error (exit 2)."""
+
+    ERROR = {"error": "omega1 = 5e-324 is too small: the period 2*pi/|omega1| is not finite", "exit_code": 2}
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["evolve"],
+            ["evolve", "--steps", "100"],
+            ["phases", "--mode", "berry"],
+            ["phases", "--mode", "aa"],
+            ["twocycle", "--scheme", "aa"],
+            ["twocycle", "--scheme", "adiabatic"],
+            ["sweep", "--quantity", "twocycle-defect", "--axis", "gamma=0:1:3"],
+            ["sweep", "--quantity", "berry", "--axis", "gamma=0:1:3"],
+        ],
+    )
+    def test_exits_2_naming_omega1(self, capsys, argv):
+        code, out, err = run_main(argv + ["--omega0", "1", "--J", "1", "--omega1", "5e-324"], capsys)
+        assert (code, out) == (2, "")
+        assert json.loads(err) == self.ERROR
+
+    def test_explicit_time_still_evolves(self, capsys):
+        code, _, _ = run_main(["evolve", "--J", "1", "--omega1", "5e-324", "--time", "2", "--steps", "100"], capsys)
+        assert code == 0
+
+
 class TestConfigPrecedence:
     def test_config_supplies_parameters(self, capsys, tmp_path):
         cfg = tmp_path / "params.cfg"
@@ -596,6 +675,19 @@ class TestNumericGuard:
         assert out == ""
         error = json.loads(err)
         assert error["exit_code"] == 4 and "2**52" in error["error"]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["phases", "--mode", "berry"],
+            ["phases", "--mode", "aa"],
+            ["sweep", "--quantity", "berry", "--axis", "gamma=0:1:2"],
+        ],
+    )
+    def test_non_finite_phases_exit_4(self, capsys, argv):
+        code, out, err = run_main(argv + ["--omega1", "1e-300", "--J", "1e10"], capsys)
+        assert (code, out) == (4, "")
+        assert json.loads(err) == {"error": "phase -inf rad is not finite", "exit_code": 4}
 
     @pytest.mark.parametrize(
         "failure",

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from twospin import Operator4, SpinParams, TwoSpinState, field_to_params, pauli_operator
+from twospin.core import _check_stack, _periods
 
 
 def test_pauli_z_diagonals():
@@ -97,6 +98,15 @@ class TestOperator4:
         with pytest.raises(ValueError):
             Operator4.general(m)
 
+    def test_stack_check_reports_the_first_failing_matrix(self):
+        stack = np.stack([np.eye(4), 3.0 * np.eye(4), 2.0 * np.eye(4)]).astype(complex)
+        with pytest.raises(ValueError, match="unitary tag violated: defect 8.000e\\+00"):
+            _check_stack(stack, "unitary")
+        stack[2, 1, 1] = np.inf
+        with pytest.raises(ValueError, match="non-finite entries"):
+            _check_stack(stack, "unitary")
+        _check_stack(stack[:1], "unitary")
+
     def test_matrix_immutable(self):
         op = Operator4.general(np.eye(4))
         with pytest.raises(ValueError):
@@ -156,6 +166,14 @@ class TestSpinParams:
     def test_period_undefined_without_rotation(self):
         with pytest.raises(ValueError):
             _ = SpinParams.symmetric(1, 1, 1).period
+
+    @pytest.mark.parametrize("omega1", [5e-324, -1e-308])
+    def test_period_overflow_names_omega1(self, omega1):
+        message = f"omega1 = {omega1!r} is too small: the period 2\\*pi/\\|omega1\\| is not finite"
+        with pytest.raises(ValueError, match=message):
+            _ = SpinParams.symmetric(1, 1, 1, omega1).period
+        with pytest.raises(ValueError, match=message):
+            _periods(np.array([0.5, omega1, 1e-320]))
 
     def test_equal_coupling_accessors(self):
         p = SpinParams.symmetric(1.5, 0.5, 2.0)

@@ -222,6 +222,11 @@ class TestPrincipal:
         assert principal_value(TWO_PI) == pytest.approx(0.0, abs=1e-15)
         assert principal_value(0.1 - TWO_PI) == pytest.approx(0.1, abs=1e-12)
 
+    @pytest.mark.parametrize("phase", [math.inf, -math.inf, math.nan])
+    def test_non_finite_phase_is_a_numeric_failure(self, phase):
+        with pytest.raises(ArithmeticError, match="is not finite"):
+            principal_value(phase)
+
 
 class TestLegacySingleSpin:
     def test_aligned_axis_no_phase(self):

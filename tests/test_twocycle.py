@@ -19,7 +19,10 @@ from twospin import (
     run_adiabatic_two_cycle,
     triplet_energies,
 )
-from twospin import evolve_exact, evolve_stepped, numeric_dynamical_phase, tilde_eigensystem
+from twospin import evolve_exact, evolve_stepped, exact_propagator, numeric_dynamical_phase, tilde_eigensystem
+from twospin.evolution import _propagators
+from twospin.hamiltonian import rotating_frame_stack
+from twospin.twocycle import _aa_two_cycles
 
 from support import circ_dist, random_state, random_symmetric
 
@@ -267,3 +270,40 @@ class TestProtocolInvariants:
             for n in (1, 2, 3):
                 for m in (1, 2, 3):
                     assert abs(b.state(n).overlap(a.state(m))) < 1.0 - 1e-6
+
+
+class TestStackedKernel:
+    """The stacked propagator kernel equals the per-point propagators bit for bit."""
+
+    @staticmethod
+    def _columns():
+        rng = np.random.default_rng(2000)
+        n = 2000
+        fields = rng.uniform(-2.0, 2.0, size=(n, 6))  # unequal couplings, both rotation senses
+        fields[::4, 1], fields[::4, 3] = fields[::4, 0], fields[::4, 2]  # equal couplings
+        fields[1::5, 0] = fields[1::5, 1] = fields[1::5, 5]  # omega0 == omega1
+        fields[2::7, 2:4] = 0.0  # gamma = 0
+        fields[fields[:, 5] == 0.0, 5] = 0.5
+        names = ("omega_a0", "omega_b0", "gamma_a", "gamma_b", "J", "omega1")
+        return {name: fields[:, k].copy() for k, name in enumerate(names)}, rng.uniform(0.0, 40.0, n)
+
+    @staticmethod
+    def _points(columns):
+        return [SpinParams(*values) for values in zip(*(column.tolist() for column in columns.values()))]
+
+    def test_propagators_match_exact_propagator(self):
+        columns, times = self._columns()
+        stack = _propagators(rotating_frame_stack(columns), columns["omega1"], times)
+        for point, t, u in zip(self._points(columns), times.tolist(), stack):
+            assert np.array_equal(u, exact_propagator(point, t).matrix)
+
+    def test_two_cycles_match_the_per_point_chain(self):
+        columns, _ = self._columns()
+        composed, defects = _aa_two_cycles(columns)
+        for point, u, defect in zip(self._points(columns), composed, defects.tolist()):
+            chain = (
+                exact_propagator(flip_params(point, AA_FLIP_SET), point.period).matrix
+                @ exact_propagator(point, point.period).matrix
+            )
+            assert np.array_equal(u, chain)
+            assert defect == float(np.abs(chain - np.eye(4)).max())
