@@ -25,7 +25,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import Operator4, SpinParams, TwoSpinState, _check_stack, _columns, _state_from_trusted
-from .hamiltonian import _frame_matrix, h_rotating_frame, h_static, h_total, rotating_frame_stack, transverse_parts
+from .hamiltonian import (
+    _frame_matrix,
+    h_rotating_frame,
+    h_static,
+    h_total,
+    rotating_frame_stack,
+    transverse_parts,
+)
 from .spectral import eigensystem
 
 __all__ = [
@@ -65,11 +72,14 @@ def _propagators(h_rot: np.ndarray, omega1: np.ndarray, t: np.ndarray) -> np.nda
     """
     _check_stack(h_rot, "hermitian")
     vals, vecs = np.linalg.eigh(h_rot)
+    largest = np.maximum(np.maximum(-vals[:, 0], vals[:, -1]), np.abs(omega1))  # eigh sorts vals
     with np.errstate(over="ignore"):  # an infinite phase is refused below
-        phase = np.maximum(np.maximum(-vals[:, 0], vals[:, -1]), np.abs(omega1)) * np.abs(t)  # eigh sorts vals
+        phase = largest * np.abs(t)
     lost = phase >= 2.0**52
     if lost.any():
-        raise ArithmeticError(f"propagator phase {phase[lost][0]:.3e} rad is too large to resolve (limit 2**52)")
+        raise ArithmeticError(
+            f"propagator phase {phase[lost][0]:.3e} rad is too large to resolve (limit 2**52)"
+        )
     expo = (vecs * np.exp(-1j * vals * t[:, None])[:, None, :]) @ vecs.conj().swapaxes(-1, -2)
     propagators = _frame_matrix(omega1 * t) @ expo
     _check_stack(propagators, "unitary")

@@ -92,7 +92,8 @@ def rotating_frame_stack(columns: dict[str, np.ndarray]) -> np.ndarray:
     stack is h_rotating_frame of the fields at index i, without the
     Operator4 validation.
     """
-    return _rotating_frame_matrix(SimpleNamespace(**{name: col[:, None, None] for name, col in columns.items()}))
+    fields = SimpleNamespace(**{name: column[:, None, None] for name, column in columns.items()})
+    return _rotating_frame_matrix(fields)
 
 
 def _frame_matrix(angle) -> np.ndarray:

@@ -92,7 +92,7 @@ def _require_rotation(omega1) -> None:
 
 
 def _exact_cycles(columns: dict[str, np.ndarray], flips) -> list[np.ndarray]:
-    """(N, 4, 4) exact propagators of the first cycle and of the second, flipped, cycle, one period each."""
+    """(N, 4, 4) exact propagators of the first and the second, flipped, cycle, one period each."""
     omega1 = columns["omega1"]
     _require_rotation(omega1)
     periods = _periods(omega1)
@@ -105,8 +105,8 @@ def _cycle_propagators(params: SpinParams, flips, steps_per_cycle: int | None = 
     if steps_per_cycle is None:
         return [u[0] for u in _exact_cycles(_columns(params, 1), flips)]
     _require_rotation(params.omega1)
-    probe = TwoSpinState.basis_state(0)  # the RK4 propagator does not depend on the state
     cycles = (params, flip_params(params, flips))
+    probe = TwoSpinState.basis_state(0)  # the RK4 propagator does not depend on the state
     return [evolve_stepped(cycle, probe, params.period, steps_per_cycle).propagator.matrix for cycle in cycles]
 
 

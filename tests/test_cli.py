@@ -520,7 +520,8 @@ class TestPeriodOverflow:
         assert json.loads(err) == self.ERROR
 
     def test_explicit_time_still_evolves(self, capsys):
-        code, _, _ = run_main(["evolve", "--J", "1", "--omega1", "5e-324", "--time", "2", "--steps", "100"], capsys)
+        argv = ["evolve", "--J", "1", "--omega1", "5e-324", "--time", "2", "--steps", "100"]
+        code, _, _ = run_main(argv, capsys)
         assert code == 0
 
 
