@@ -6,8 +6,10 @@ argument list, the exit code, and everything written to stdout and stderr by
 in CSV and JSON, rows on the degenerate fallback branch, unequal couplings and
 the JSON error exits.
 
-Phase outputs use omega1 > 0 only. Regenerate the files, when an output change
-is intended, with
+The sweep_*_signs cases cover both rotation senses and the gamma = 0
+fallback column; sweep_aa_resonant_csv crosses omega0 = omega1 in both
+senses, where the shifted detuning vanishes and the AA phase takes the
+fallback. Regenerate the files, when an output change is intended, with
 
     PYTHONPATH=src python tests/test_golden.py
 
@@ -82,6 +84,20 @@ CASES = {
         ["sweep", "--axis", "omega0=0:0.8:3", "--axis", "gamma=0:1.2:2", "--quantity", "aa",
          "--J", "0.9", "--omega1", "0.4"],
     ),
+    **_both_formats(
+        "sweep_berry_signs",
+        ["sweep", "--axis", "omega1=-0.9:0.9:4", "--axis", "gamma=0:1:3", "--quantity", "berry",
+         "--omega0", "1", "--J", "0.6"],
+    ),
+    **_both_formats(
+        "sweep_aa_signs",
+        ["sweep", "--axis", "omega1=-0.9:0.9:4", "--axis", "gamma=0:1:3", "--quantity", "aa",
+         "--omega0", "1", "--J", "0.6"],
+    ),
+    "sweep_aa_resonant_csv": [
+        "sweep", "--axis", "omega0=-0.4:0.4:3", "--axis", "omega1=-0.4:0.4:2", "--quantity", "aa",
+        "--gamma", "1.2", "--J", "0.9",
+    ],
     **_both_formats(
         "sweep_defect",
         ["sweep", "--axis", "omega0=0.5:2:2", "--axis", "J=-1:1:3", "--quantity", "twocycle-defect",
