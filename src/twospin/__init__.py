@@ -37,15 +37,11 @@ from .phases import (
     principal_value,
 )
 from .spectral import (
-    CubicCoefficients,
     DegenerateParametersError,
     EigenPair,
     EigenSystem,
-    SymmetryReport,
-    cubic_coefficients,
     eigensystem,
     singlet_energy,
-    symmetry_check,
     tilde_eigensystem,
     triplet_amplitudes,
     triplet_energies,
@@ -57,7 +53,6 @@ from .twocycle import (
     AdiabaticTwoCycleResult,
     BerryGate,
     berry_gate,
-    one_cycle_dynamical_residual,
     run_aa_two_cycle,
     run_adiabatic_two_cycle,
 )

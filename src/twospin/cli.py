@@ -10,10 +10,11 @@ Output is CSV or JSON. Every value passes once through _cell: a float becomes
 %.12e text (a JSON float is that text read back), so repeated runs are
 byte-identical, and a non-finite float, printed or not, is a numeric failure.
 
-Sweeps walk the grid in lexicographic order in blocks of SWEEP_BLOCK points;
-twocycle-defect evaluates a block with one call of the stacked propagator
-kernel, the closed-form quantities point by point. A failing block is run
-again point by point, so errors are those of the first failing grid point.
+Sweeps walk the grid in lexicographic order in blocks of SWEEP_BLOCK points,
+one kernel call per block: the closed-form kernel for spectrum, berry and aa
+(the spectrum and phases commands are its N = 1 case), the stacked propagator
+kernel for twocycle-defect. A failing block is run again point by point, so
+errors are those of the first failing grid point.
 
 Exit codes: 0 success, 2 usage or parameter error (including a sweep grid of
 more than MAX_GRID_POINTS points, an axis with a non-finite bound or span, a
@@ -33,16 +34,10 @@ from itertools import islice, product
 
 import numpy as np
 
-from .core import PARAM_GROUPS, SpinParams, TwoSpinState, _columns
+from .core import PARAM_GROUPS, SpinParams, TwoSpinState, _columns, _equal_coupling_fields
 from .evolution import evolve_exact, evolve_stepped
-from .phases import _rotation_sense, aa_breakdown, adiabatic_phases, principal_value
-from .spectral import (
-    InternalConsistencyError,
-    eigensystem,
-    singlet_energy,
-    tilde_eigensystem,
-    triplet_energies,
-)
+from .phases import _cycle_phases, _principal_values, _rotation_sense, aa_breakdown, principal_value
+from .spectral import InternalConsistencyError, _closed_form, eigensystem, singlet_energy, tilde_eigensystem
 from .twocycle import _aa_two_cycles, berry_gate, run_aa_two_cycle, run_adiabatic_two_cycle
 
 __all__ = [
@@ -142,22 +137,10 @@ def _parse_initial(spec: str, params: SpinParams) -> TwoSpinState:
 # see core._columns) and returns one list of rows per point, in column order.
 
 
-def _per_point(point_rows):
-    """The block function that evaluates point_rows on one SpinParams per point, in order."""
-
-    def block_rows(columns):
-        names = list(columns)
-        return [
-            point_rows(SpinParams(**dict(zip(names, values))))
-            for values in zip(*(column.tolist() for column in columns.values()))
-        ]
-
-    return block_rows
-
-
-def _spectrum_rows(params: SpinParams):
-    energies = (*triplet_energies(params.omega0, params.gamma, params.J), singlet_energy(params.J))
-    return [[n, energy] for n, energy in enumerate(energies, start=1)]
+def _spectrum_rows(columns):
+    omega0, gamma, J = _equal_coupling_fields(columns)
+    energies = np.column_stack([_closed_form(omega0, gamma, J).energies, singlet_energy(J)])
+    return [[[n, energy] for n, energy in enumerate(point, start=1)] for point in energies.tolist()]
 
 
 _PHASE_COLUMNS = ["n"] + [
@@ -165,14 +148,11 @@ _PHASE_COLUMNS = ["n"] + [
 ]
 
 
-def _phase_rows(params: SpinParams, breakdown):
+def _phase_rows(columns, shifted: bool):
     """Raw total/dynamical/geometric per label, then each wrapped into (-pi, pi] for display."""
-    rows = []
-    for n in (1, 2, 3, 4):
-        raw = breakdown(params, n)
-        parts = [raw.total, raw.dynamical, raw.geometric]
-        rows.append([n, *parts, *map(principal_value, parts)])
-    return rows
+    raw = np.stack(_cycle_phases(columns, shifted), axis=-1)
+    table = np.concatenate([raw, _principal_values(raw)], axis=-1).tolist()
+    return [[[n, *values] for n, values in enumerate(point, start=1)] for point in table]
 
 
 def _defect_rows(columns):
@@ -180,12 +160,12 @@ def _defect_rows(columns):
     return [[[defect]] for defect in _aa_two_cycles(columns)[1].tolist()]
 
 
-# quantity -> (columns, block function). The row functions look the library
+# quantity -> (columns, block function). The block functions look the library
 # functions up at call time, so they can be traced or patched.
 _QUANTITIES = {
-    "spectrum": (["n", "energy"], _per_point(_spectrum_rows)),
-    "berry": (_PHASE_COLUMNS, _per_point(lambda params: _phase_rows(params, adiabatic_phases))),
-    "aa": (_PHASE_COLUMNS, _per_point(lambda params: _phase_rows(params, aa_breakdown))),
+    "spectrum": (["n", "energy"], _spectrum_rows),
+    "berry": (_PHASE_COLUMNS, lambda columns: _phase_rows(columns, shifted=False)),
+    "aa": (_PHASE_COLUMNS, lambda columns: _phase_rows(columns, shifted=True)),
     "twocycle-defect": (["identity_defect"], _defect_rows),
 }
 
@@ -287,7 +267,7 @@ def cmd_sweep(axes, quantity: str, base: SpinParams):
             block_columns.update(dict.fromkeys(PARAM_GROUPS[name], values))
         try:
             point_rows = block_rows(block_columns)
-        except (ArithmeticError, ValueError):
+        except (ArithmeticError, ValueError, InternalConsistencyError):
             point_rows = [
                 block_rows({field: column[i : i + 1] for field, column in block_columns.items()})[0]
                 for i in range(len(block))

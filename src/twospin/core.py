@@ -204,6 +204,9 @@ class Operator4:
         return f"Operator4(kind={self.kind!r})"
 
 
+_UNEQUAL = "{} is only defined for equal couplings"
+
+
 @dataclass(frozen=True)
 class SpinParams:
     """Physical parameters of the two-spin model.
@@ -240,13 +243,13 @@ class SpinParams:
     @property
     def omega0(self) -> float:
         if self.omega_a0 != self.omega_b0:
-            raise ValueError("omega0 is only defined for equal couplings")
+            raise ValueError(_UNEQUAL.format("omega0"))
         return self.omega_a0
 
     @property
     def gamma(self) -> float:
         if self.gamma_a != self.gamma_b:
-            raise ValueError("gamma is only defined for equal couplings")
+            raise ValueError(_UNEQUAL.format("gamma"))
         return self.gamma_a
 
     @property
@@ -280,6 +283,15 @@ def _periods(omega1: np.ndarray) -> np.ndarray:
 def _columns(params: SpinParams, n: int) -> dict[str, np.ndarray]:
     """Field columns: each SpinParams field name -> an (n,) array holding its value."""
     return {f.name: np.full(n, getattr(params, f.name)) for f in fields(SpinParams)}
+
+
+def _equal_coupling_fields(columns: dict[str, np.ndarray]):
+    """The omega0, gamma and J columns; refuses unequal couplings as SpinParams.omega0 and .gamma do."""
+    for name in ("omega0", "gamma"):
+        a, b = PARAM_GROUPS[name]
+        if np.any(columns[a] != columns[b]):
+            raise ValueError(_UNEQUAL.format(name))
+    return columns["omega_a0"], columns["gamma_a"], columns["J"]
 
 
 # Parameter name -> the SpinParams fields it sets, in flag order. Each

@@ -17,10 +17,14 @@ unequal couplings too) and is pinned by the frame-identity tests.
 The matrix builders read the six fields by attribute, so rotating_frame_stack
 runs the same arithmetic on per-field columns and returns an (N, 4, 4) stack
 whose entries equal, bit for bit, those of h_rotating_frame at each point.
+
+Finite parameters leave the float range only by overflowing; the builders
+raise OverflowError then, without a NumPy warning.
 """
 
 from __future__ import annotations
 
+import math
 from types import SimpleNamespace
 
 import numpy as np
@@ -37,10 +41,19 @@ __all__ = [
 ]
 
 _SZZ = _PAULI["a", "z"] @ _PAULI["b", "z"]
+_OVERFLOW = "a Hamiltonian entry overflows the float range"
 
 
-def _static_matrix(params: SpinParams) -> np.ndarray:
+def _static_matrix(params) -> np.ndarray:
     return 0.5 * (params.omega_a0 * _PAULI["a", "z"] + params.omega_b0 * _PAULI["b", "z"] + params.J * _SZZ)
+
+
+def _finite_static_matrix(params: SpinParams) -> np.ndarray:
+    # One diagonal entry +-omega_a0 +- omega_b0 +- J has all three terms aligned,
+    # so the largest entry overflows exactly when this sum of magnitudes does.
+    if abs(params.omega_a0) + abs(params.omega_b0) + abs(params.J) == math.inf:
+        raise OverflowError(_OVERFLOW)
+    return _static_matrix(params)
 
 
 def transverse_parts(params: SpinParams) -> tuple[np.ndarray, np.ndarray]:
@@ -62,12 +75,12 @@ def _transverse_matrix(params: SpinParams, angle: float) -> np.ndarray:
 
 def h_static(params: SpinParams) -> Operator4:
     """Static part: z-couplings plus the Ising term. Diagonal."""
-    return Operator4.hermitian(_static_matrix(params))
+    return Operator4.hermitian(_finite_static_matrix(params))
 
 
 def h_total(params: SpinParams, t: float) -> Operator4:
     """Full Hamiltonian at time t, including the rotating transverse field."""
-    return Operator4.hermitian(_static_matrix(params) + _transverse_matrix(params, params.omega1 * t))
+    return Operator4.hermitian(_finite_static_matrix(params) + _transverse_matrix(params, params.omega1 * t))
 
 
 def h_rotating_frame(params: SpinParams) -> Operator4:
@@ -82,7 +95,11 @@ def h_rotating_frame(params: SpinParams) -> Operator4:
 
 def _rotating_frame_matrix(params) -> np.ndarray:
     shift = 0.5 * params.omega1 * (_PAULI["a", "z"] + _PAULI["b", "z"])
-    return _static_matrix(params) + _transverse_matrix(params, 0.0) - shift
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow is refused below
+        matrix = _static_matrix(params) + _transverse_matrix(params, 0.0) - shift
+    if not np.isfinite(matrix).all():
+        raise OverflowError(_OVERFLOW)
+    return matrix
 
 
 def rotating_frame_stack(columns: dict[str, np.ndarray]) -> np.ndarray:

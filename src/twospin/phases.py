@@ -20,6 +20,10 @@ Without any slowness assumption, a state prepared in an eigenstate of the
 rotating-frame generator is cyclic with total phase -E_tilde_n * tau; its
 geometric (Aharonov-Anandan) part is the same closed form evaluated at the
 shifted detuning omega0 - omega1, again times the sign of omega1.
+
+_cycle_phases evaluates both breakdowns at N points with one call of the
+closed-form kernel, spectral._closed_form; berry_phase, adiabatic_phases and
+aa_breakdown are its N = 1 case.
 """
 
 from __future__ import annotations
@@ -27,14 +31,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .core import SpinParams
-from .spectral import (
-    DegenerateParametersError,
-    _triplet_denominators,
-    eigensystem,
-    singlet_energy,
-    triplet_energies,
-)
+import numpy as np
+
+from .core import SpinParams, _columns, _equal_coupling_fields, _periods
+from .spectral import _closed_form, _point, _python, eigensystem, singlet_energy
 
 __all__ = [
     "PhaseBreakdown",
@@ -49,14 +49,18 @@ __all__ = [
 _TWO_PI = 2.0 * math.pi
 
 
+def _principal_values(phases: np.ndarray) -> np.ndarray:
+    """principal_value of every entry; the first non-finite one in row-major order raises."""
+    lost = ~np.isfinite(phases)
+    if lost.any():
+        raise ArithmeticError(f"phase {float(phases[lost][0])!r} rad is not finite")
+    r = _python(math.remainder, phases, _TWO_PI)
+    return np.where(r <= -math.pi, r + _TWO_PI, r)
+
+
 def principal_value(phase: float) -> float:
     """Map a phase to the branch (-pi, pi]; a non-finite phase raises ArithmeticError."""
-    if not math.isfinite(phase):
-        raise ArithmeticError(f"phase {float(phase)!r} rad is not finite")
-    r = math.remainder(phase, _TWO_PI)
-    if r <= -math.pi:
-        r += _TWO_PI
-    return r
+    return float(_principal_values(np.array([phase], dtype=float))[0])
 
 
 @dataclass(frozen=True)
@@ -73,6 +77,20 @@ class PhaseBreakdown:
     geometric: float
 
 
+def _berry_phases(omega0: np.ndarray, gamma: np.ndarray, J: np.ndarray):
+    """Triplet energies (N, 3) and positive-sense Berry phases (N, 4); labels on the
+    fallback mask take 2*pi*(|x_n|^2 - |w_n|^2) from one eigensystem per point.
+    """
+    closed = _closed_form(omega0, gamma, J)
+    berry = closed.berry
+    for i in np.flatnonzero(closed.fallback.any(axis=1)).tolist():
+        system = eigensystem(SpinParams.symmetric(omega0[i], gamma[i], J[i]), 0.0)
+        for k in np.flatnonzero(closed.fallback[i]).tolist():
+            amps = system.state(k + 1).amplitudes
+            berry[i, k] = _TWO_PI * float(abs(amps[0]) ** 2 - abs(amps[3]) ** 2)
+    return closed.energies, berry
+
+
 def berry_phase(omega0: float, gamma: float, J: float, n: int) -> float:
     """Geometric phase of eigenpath n over one slow field cycle.
 
@@ -85,29 +103,7 @@ def berry_phase(omega0: float, gamma: float, J: float, n: int) -> float:
         raise ValueError("label must be in 1..4")
     if n == 4:
         return 0.0
-    try:
-        energy, d_plus, d_minus = _triplet_denominators(omega0, gamma, J, n)
-    except DegenerateParametersError:
-        system = eigensystem(SpinParams.symmetric(omega0, gamma, J), 0.0)
-        amps = system.state(n).amplitudes
-        return _TWO_PI * float(abs(amps[0]) ** 2 - abs(amps[3]) ** 2)
-    norm_sq = 2.0 + 4.0 * gamma * gamma / d_plus**2 + 4.0 * gamma * gamma / d_minus**2
-    big_d = 2.0 * energy - J
-    return (
-        _TWO_PI
-        * 32.0
-        * gamma
-        * gamma
-        * omega0
-        * big_d
-        / (norm_sq * (big_d * big_d - 4.0 * omega0 * omega0) ** 2)
-    )
-
-
-def _label_energy(omega0: float, gamma: float, J: float, n: int) -> float:
-    if n == 4:
-        return singlet_energy(J)
-    return triplet_energies(omega0, gamma, J)[n - 1]
+    return float(_berry_phases(*_point(omega0, gamma, J))[1][0, n - 1])
 
 
 def _rotation_sense(params: SpinParams) -> float:
@@ -115,13 +111,40 @@ def _rotation_sense(params: SpinParams) -> float:
     return -1.0 if params.omega1 < 0.0 else 1.0
 
 
+def _cycle_phases(columns: dict[str, np.ndarray], shifted: bool):
+    """Raw total, dynamical and geometric phases, each (N, 4), at the points of columns.
+
+    shifted=False gives adiabatic_phases, shifted=True aa_breakdown. A point
+    refuses omega1 = 0, then unequal couplings, then the closed forms' own
+    failures, then a period that overflows.
+    """
+    omega1 = columns["omega1"]
+    if np.any(omega1 == 0.0):
+        kind = "cycling" if shifted else "adiabatic"
+        raise ValueError(f"{kind} phases need omega1 != 0 (no cycle defined)")
+    omega0, gamma, J = _equal_coupling_fields(columns)
+    with np.errstate(all="ignore"):  # as in float arithmetic; a non-finite phase is refused when shown
+        triplets, berry = _berry_phases(omega0 - omega1 if shifted else omega0, gamma, J)
+        periods = _periods(omega1)[:, None]
+        energies = np.column_stack([triplets, singlet_energy(J)])
+        geometric = np.where(omega1 < 0.0, -1.0, 1.0)[:, None] * berry
+        if shifted:
+            total = -energies * periods
+            return total, total - geometric, geometric
+        dynamical = -energies * periods
+        return dynamical + geometric, dynamical, geometric
+
+
+def _breakdown(params: SpinParams, n: int, shifted: bool) -> PhaseBreakdown:
+    if n not in (1, 2, 3, 4):
+        raise ValueError("label must be in 1..4")
+    total, dynamical, geometric = (float(part[0, n - 1]) for part in _cycle_phases(_columns(params, 1), shifted))
+    return PhaseBreakdown(label=n, total=total, dynamical=dynamical, geometric=geometric)
+
+
 def adiabatic_phases(params: SpinParams, n: int) -> PhaseBreakdown:
     """Slow-cycle phase breakdown of eigenpath n."""
-    if params.omega1 == 0.0:
-        raise ValueError("adiabatic phases need omega1 != 0 (no cycle defined)")
-    geometric = _rotation_sense(params) * berry_phase(params.omega0, params.gamma, params.J, n)
-    dynamical = -_label_energy(params.omega0, params.gamma, params.J, n) * params.period
-    return PhaseBreakdown(label=n, total=dynamical + geometric, dynamical=dynamical, geometric=geometric)
+    return _breakdown(params, n, shifted=False)
 
 
 def aa_phase(params: SpinParams, n: int) -> float:
@@ -135,11 +158,7 @@ def aa_phase(params: SpinParams, n: int) -> float:
 
 def aa_breakdown(params: SpinParams, n: int) -> PhaseBreakdown:
     """Exact-cycle phase breakdown for rotating-frame eigenpath n."""
-    if params.omega1 == 0.0:
-        raise ValueError("cycling phases need omega1 != 0 (no cycle defined)")
-    total = -_label_energy(params.omega0 - params.omega1, params.gamma, params.J, n) * params.period
-    geometric = aa_phase(params, n)
-    return PhaseBreakdown(label=n, total=total, dynamical=total - geometric, geometric=geometric)
+    return _breakdown(params, n, shifted=True)
 
 
 def legacy_single_spin_phase(omega_b0: float, gamma_b: float, J: float, sigma_az: int) -> float:

@@ -27,33 +27,36 @@ below 1e-8 times the spectral scale the formula is abandoned for a direct
 numerical diagonalization of the symmetric (triplet) sector, with labels
 re-attached by energy matching and the last of the largest-magnitude
 amplitudes (ties within 1e-12 relative) made real and positive.
+
+One kernel, _closed_form, evaluates all of this on (N,) columns of omega0,
+gamma and J; triplet_energies, triplet_amplitudes and the eigensystems are its
+N = 1 case. NumPy does the + - * / and sqrt, which IEEE 754 rounds exactly as
+float arithmetic does. acos, cos and the powers **2 and **3 go through Python
+floats: NumPy's versions differ from libm in the last bit on some arguments
+(x**2 on about 1 double in 1,200), and an overflowing power must raise.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import permutations
+from itertools import permutations, repeat
 
 import numpy as np
 
-from .core import SpinParams, TwoSpinState, flip_params
+from .core import SpinParams, TwoSpinState
 from .hamiltonian import h_rotating_frame, h_total
 
 __all__ = [
     "ARCCOS_EXCESS_TOL",
     "DEGENERACY_RTOL",
-    "CubicCoefficients",
     "DegenerateParametersError",
     "EigenPair",
     "EigenSystem",
     "InternalConsistencyError",
-    "SymmetryReport",
-    "cubic_coefficients",
     "eigensystem",
     "singlet_energy",
     "spectral_scale",
-    "symmetry_check",
     "tilde_eigensystem",
     "triplet_amplitudes",
     "triplet_energies",
@@ -65,7 +68,8 @@ DEGENERACY_RTOL = 1e-8
 # Allowed floating-point excess of the arccos argument beyond [-1, 1].
 ARCCOS_EXCESS_TOL = 1e-9
 
-_ROOT_SHIFTS = (0.0, 2.0 * math.pi / 3.0, -2.0 * math.pi / 3.0)
+_ROOT_SHIFTS = np.array([0.0, 2.0 * math.pi / 3.0, -2.0 * math.pi / 3.0])
+_TWO_PI = 2.0 * math.pi
 
 
 class DegenerateParametersError(ValueError):
@@ -76,74 +80,97 @@ class InternalConsistencyError(RuntimeError):
     """A quantity drifted further from its mathematical range than rounding allows."""
 
 
-def spectral_scale(omega0: float, gamma: float, J: float) -> float:
-    return max(abs(omega0), abs(gamma), abs(J), 1.0)
+def spectral_scale(omega0, gamma, J):
+    """max(|omega0|, |gamma|, |J|, 1), elementwise for arrays."""
+    return np.maximum(np.maximum(np.maximum(np.abs(omega0), np.abs(gamma)), np.abs(J)), 1.0)
 
 
-def singlet_energy(J: float) -> float:
+def singlet_energy(J):
     return -J / 2.0
 
 
+def _python(function, values: np.ndarray, *args) -> np.ndarray:
+    """function(value, *args) for every entry of values, called on Python floats."""
+    calls = map(function, values.ravel().tolist(), *map(repeat, args))
+    return np.fromiter(calls, float, values.size).reshape(values.shape)
+
+
+def _power(values: np.ndarray, exponent: int) -> np.ndarray:
+    return _python(pow, values, exponent)
+
+
 @dataclass(frozen=True)
-class CubicCoefficients:
-    """Depressed-cubic data (p, q) and the trisected arccos angle Phi."""
-
-    p: float
-    q: float
-    Phi: float
-
-
-def _trisected_angle(p: float, q: float) -> float:
-    """Phi = arccos(-q / (2 sqrt(-(p/3)^3))) / 3 with a clamped argument.
-
-    Requires p < 0. Floating-point drift may push the argument marginally past
-    [-1, 1]; excess beyond ARCCOS_EXCESS_TOL is a consistency failure rather
-    than rounding and raises.
+class _ClosedForm:
+    """Row i is point i, column k label k + 1. energies, d_plus, d_minus and the
+    fallback mask (min|d+-| < DEGENERACY_RTOL * scale) are (N, 3); berry holds
+    the (N, 4) positive-sense Berry phases, NaN on the mask, 0 for the singlet.
     """
-    arg = -q / (2.0 * math.sqrt(-((p / 3.0) ** 3)))
-    if abs(arg) > 1.0 + ARCCOS_EXCESS_TOL:
-        raise InternalConsistencyError(f"arccos argument {arg!r} outside [-1, 1] beyond tolerance")
-    return math.acos(min(1.0, max(-1.0, arg))) / 3.0
+
+    energies: np.ndarray
+    d_plus: np.ndarray
+    d_minus: np.ndarray
+    fallback: np.ndarray
+    berry: np.ndarray
 
 
-def cubic_coefficients(omega0: float, gamma: float, J: float) -> CubicCoefficients:
-    """Coefficients of the depressed cubic solved by twice the triplet energies.
+def _closed_form(omega0: np.ndarray, gamma: np.ndarray, J: np.ndarray) -> _ClosedForm:
+    """Energies, d+-, fallback mask and Berry phases (see phases) at (N,) columns of omega0, gamma, J.
 
-    Raises DegenerateParametersError when p == 0, which happens only for
-    omega0 = gamma = J = 0 (the angle Phi is undefined there).
+    p = 0 only at omega0 = gamma = J = 0, where the energies are 0. The arccos
+    argument is clamped to [-1, 1]; an excess beyond ARCCOS_EXCESS_TOL raises
+    InternalConsistencyError. Overflow and division by zero raise as in floats.
     """
-    p = -(4.0 * J * J / 3.0 + 4.0 * omega0 * omega0 + 4.0 * gamma * gamma)
-    q = 16.0 / 27.0 * J**3 + (8.0 * gamma * gamma - 16.0 * omega0 * omega0) * J / 3.0
-    if p == 0.0:
-        raise DegenerateParametersError("all parameters vanish; spectrum is identically zero")
-    return CubicCoefficients(p=p, q=q, Phi=_trisected_angle(p, q))
+    with np.errstate(all="ignore"):  # non-finite values pass through, as in float arithmetic
+        p = -(4.0 * J * J / 3.0 + 4.0 * omega0 * omega0 + 4.0 * gamma * gamma)
+        q = 16.0 / 27.0 * _power(J, 3) + (8.0 * gamma * gamma - 16.0 * omega0 * omega0) * J / 3.0
+        zero = p == 0.0
+        p = np.where(zero, -3.0, p)  # any p < 0; the energies of these points are set to 0 below
+        root = 2.0 * np.sqrt(-_power(p / 3.0, 3))
+        if np.any(root == 0.0):
+            raise ZeroDivisionError("float division by zero")
+        arg = -q / root
+        beyond = np.abs(arg) > 1.0 + ARCCOS_EXCESS_TOL
+        if beyond.any():
+            raise InternalConsistencyError(
+                f"arccos argument {float(arg[beyond][0])!r} outside [-1, 1] beyond tolerance"
+            )
+        phi = _python(lambda a: math.acos(min(1.0, max(-1.0, a))), arg) / 3.0
+        amp = np.sqrt(-p / 3.0)[:, None]
+        energies = amp * _python(math.cos, phi[:, None] + _ROOT_SHIFTS) + (J / 6.0)[:, None]
+        energies[zero] = 0.0
+
+        d_plus = (2.0 * omega0 + J)[:, None] - 2.0 * energies
+        d_minus = (-2.0 * omega0 + J)[:, None] - 2.0 * energies
+        threshold = DEGENERACY_RTOL * spectral_scale(omega0, gamma, J)
+        fallback = np.minimum(np.abs(d_plus), np.abs(d_minus)) < threshold[:, None]
+
+        # Off the mask |d+-| >= 1e-8 and finite inputs are below about 1e52 (a
+        # cube above overflows otherwise): no power overflows, no divisor is 0.
+        coupling = (4.0 * gamma * gamma)[:, None]
+        norm_sq = 2.0 + coupling / _power(d_plus, 2) + coupling / _power(d_minus, 2)
+        big_d = 2.0 * energies - J[:, None]
+        d_product = big_d * big_d - (4.0 * omega0 * omega0)[:, None]
+        berry = (_TWO_PI * 32.0 * gamma * gamma * omega0)[:, None] * big_d / (norm_sq * _power(d_product, 2))
+    berry[fallback] = np.nan
+    return _ClosedForm(energies, d_plus, d_minus, fallback, np.column_stack([berry, np.zeros(len(J))]))
+
+
+def _point(*values) -> list[np.ndarray]:
+    return [np.array([value], dtype=float) for value in values]
 
 
 def triplet_energies(omega0: float, gamma: float, J: float) -> tuple[float, float, float]:
     """The three non-singlet energies, in the fixed label order (E1, E2, E3)."""
-    try:
-        coeffs = cubic_coefficients(omega0, gamma, J)
-    except DegenerateParametersError:
-        return (0.0, 0.0, 0.0)
-    amp = math.sqrt(-coeffs.p / 3.0)
-    return tuple(amp * math.cos(coeffs.Phi + s) + J / 6.0 for s in _ROOT_SHIFTS)
+    return tuple(_closed_form(*_point(omega0, gamma, J)).energies[0].tolist())
 
 
-def _triplet_denominators(omega0: float, gamma: float, J: float, n: int) -> tuple[float, float, float]:
-    """E_n and the eigenvector denominators d+- = +-2 omega0 + J - 2 E_n of triplet label n.
-
-    Raises DegenerateParametersError when either denominator falls below
-    DEGENERACY_RTOL times the spectral scale.
-    """
-    energy = triplet_energies(omega0, gamma, J)[n - 1]
-    d_plus = 2.0 * omega0 + J - 2.0 * energy
-    d_minus = -2.0 * omega0 + J - 2.0 * energy
-    threshold = DEGENERACY_RTOL * spectral_scale(omega0, gamma, J)
-    if min(abs(d_plus), abs(d_minus)) < threshold:
-        raise DegenerateParametersError(
-            f"eigenvector denominator below {threshold:.1e} for label {n}"
-        )
-    return energy, d_plus, d_minus
+def _amplitudes(gamma: float, d_plus: float, d_minus: float, theta):
+    x0 = -2.0 * gamma / d_plus
+    w0 = -2.0 * gamma / d_minus
+    norm = math.sqrt(2.0 + x0 * x0 + w0 * w0)
+    phase = np.exp(-1j * np.asarray(theta, dtype=float))
+    one = np.ones_like(phase) / norm
+    return (x0 * phase / norm, one, one, w0 * np.conj(phase) / norm)
 
 
 def triplet_amplitudes(omega0: float, gamma: float, J: float, n: int, theta=0.0):
@@ -155,13 +182,11 @@ def triplet_amplitudes(omega0: float, gamma: float, J: float, n: int, theta=0.0)
     """
     if n not in (1, 2, 3):
         raise ValueError("triplet label must be 1, 2 or 3")
-    _, d_plus, d_minus = _triplet_denominators(omega0, gamma, J, n)
-    x0 = -2.0 * gamma / d_plus
-    w0 = -2.0 * gamma / d_minus
-    norm = math.sqrt(2.0 + x0 * x0 + w0 * w0)
-    phase = np.exp(-1j * np.asarray(theta, dtype=float))
-    one = np.ones_like(phase) / norm
-    return (x0 * phase / norm, one, one, w0 * np.conj(phase) / norm)
+    closed = _closed_form(*_point(omega0, gamma, J))
+    if closed.fallback[0, n - 1]:
+        threshold = DEGENERACY_RTOL * spectral_scale(omega0, gamma, J)
+        raise DegenerateParametersError(f"eigenvector denominator below {threshold:.1e} for label {n}")
+    return _amplitudes(gamma, float(closed.d_plus[0, n - 1]), float(closed.d_minus[0, n - 1]), theta)
 
 
 @dataclass(frozen=True)
@@ -243,13 +268,14 @@ def _build_eigensystem(
     hamiltonian() returns the matrix to diagonalize when the closed-form
     eigenvectors degenerate; it is only built on that branch.
     """
-    energies = triplet_energies(omega0, gamma, J)
-    used_fallback = False
-    try:
-        states = [np.array(triplet_amplitudes(omega0, gamma, J, n, theta), dtype=complex) for n in (1, 2, 3)]
-    except DegenerateParametersError:
-        used_fallback = True
+    closed = _closed_form(*_point(omega0, gamma, J))
+    energies = tuple(closed.energies[0].tolist())
+    used_fallback = bool(closed.fallback.any())
+    if used_fallback:
         states = _fallback_triplet_states(hamiltonian(), energies)
+    else:
+        denominators = zip(closed.d_plus[0].tolist(), closed.d_minus[0].tolist())
+        states = [np.array(_amplitudes(gamma, *d, theta), dtype=complex) for d in denominators]
 
     pairs = [EigenPair(n, energies[n - 1], TwoSpinState(states[n - 1])) for n in (1, 2, 3)]
     pairs.append(EigenPair(4, singlet_energy(J), TwoSpinState.singlet()))
@@ -283,52 +309,3 @@ def tilde_eigensystem(params: SpinParams) -> EigenSystem:
         params.omega0 - params.omega1, params.gamma, params.J, 0.0, 0.0,
         lambda: h_rotating_frame(params).matrix,
     )
-
-
-_EXCHANGE = {1: 2, 2: 1, 3: 3, 4: 4}
-
-
-@dataclass(frozen=True)
-class SymmetryReport:
-    """Measured deviations from the sign-reversal symmetry relations.
-
-    energy_deviations[n-1] is |E_n[-J] + E_m[J]| for the exchanged label m;
-    state_deviations[n-1] is 1 - |<xi_m[-gamma,-omega0,-J] | xi_n[gamma,omega0,J]>|.
-    """
-
-    energy_deviations: tuple[float, float, float, float]
-    state_deviations: tuple[float, float, float, float]
-
-    @property
-    def max_energy_deviation(self) -> float:
-        return max(self.energy_deviations)
-
-    @property
-    def max_state_deviation(self) -> float:
-        return max(self.state_deviations)
-
-    @property
-    def max_deviation(self) -> float:
-        return max(self.max_energy_deviation, self.max_state_deviation)
-
-
-def symmetry_check(params: SpinParams) -> SymmetryReport:
-    """Verify the spectrum/eigenstate exchange under parameter sign reversal.
-
-    Energies with J negated pair up as E1 <-> -E2, E3 and E4 odd; eigenstates
-    with (gamma, omega0, J) all negated exchange 1 <-> 2 and fix 3 and 4.
-    """
-    _require_equal_couplings(params)
-    omega0, gamma, J = params.omega0, params.gamma, params.J
-
-    plus = triplet_energies(omega0, gamma, J) + (singlet_energy(J),)
-    minus = triplet_energies(omega0, gamma, -J) + (singlet_energy(-J),)
-    energy_devs = tuple(abs(minus[n - 1] + plus[_EXCHANGE[n] - 1]) for n in (1, 2, 3, 4))
-
-    sys_plus = eigensystem(params, 0.0)
-    sys_minus = eigensystem(flip_params(params, ("omega0", "gamma", "J")), 0.0)
-    state_devs = tuple(
-        1.0 - abs(sys_minus.state(_EXCHANGE[n]).overlap(sys_plus.state(n)))
-        for n in (1, 2, 3, 4)
-    )
-    return SymmetryReport(energy_deviations=energy_devs, state_deviations=state_devs)

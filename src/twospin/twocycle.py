@@ -40,7 +40,7 @@ from .core import (
 )
 from .evolution import _propagators, evolve_stepped
 from .hamiltonian import rotating_frame_stack
-from .phases import aa_breakdown, berry_phase
+from .phases import berry_phase
 from .spectral import eigensystem
 
 __all__ = [
@@ -50,7 +50,6 @@ __all__ = [
     "AdiabaticTwoCycleResult",
     "BerryGate",
     "berry_gate",
-    "one_cycle_dynamical_residual",
     "run_aa_two_cycle",
     "run_adiabatic_two_cycle",
 ]
@@ -187,11 +186,3 @@ def run_aa_two_cycle(
     ]
     return results[0] if single else results
 
-
-def one_cycle_dynamical_residual(params: SpinParams, n: int) -> float:
-    """Dynamical phase left over after a single exact cycle on eigenpath n.
-
-    Nonzero for the singlet whenever J != 0, which is why no single-cycle
-    parameter choice can cancel the dynamical phases alone.
-    """
-    return aa_breakdown(params, n).dynamical

@@ -38,6 +38,17 @@ def random_state(rng):
     return TwoSpinState.normalized(rng.normal(size=4) + 1j * rng.normal(size=4))
 
 
+def cubic_trisection(omega0, gamma, J):
+    """The arccos argument -q / (2 sqrt(-(p/3)^3)) and amplitude sqrt(-p/3) of the
+    trigonometric root in the spectral module docstring, in float arithmetic;
+    (0, 0) where p = 0."""
+    p = -(4.0 * J * J / 3.0 + 4.0 * omega0 * omega0 + 4.0 * gamma * gamma)
+    if p == 0.0:
+        return 0.0, 0.0
+    q = 16.0 / 27.0 * J**3 + (8.0 * gamma * gamma - 16.0 * omega0 * omega0) * J / 3.0
+    return -q / (2.0 * math.sqrt(-((p / 3.0) ** 3))), math.sqrt(-p / 3.0)
+
+
 def sorted_spectrum_oracle(matrix):
     """Direct diagonalization oracle: ascending eigenvalues of a 4x4 hermitian."""
     return np.linalg.eigvalsh(matrix)

@@ -2,6 +2,7 @@ import json
 import math
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -10,10 +11,14 @@ from twospin import (
     PARAM_GROUPS,
     SpinParams,
     TwoSpinState,
+    aa_breakdown,
     adiabatic_phases,
     cli,
+    phases,
     principal_value,
     run_aa_two_cycle,
+    singlet_energy,
+    triplet_energies,
     twocycle,
 )
 from twospin.spectral import InternalConsistencyError
@@ -496,6 +501,101 @@ class TestBlockedSweep:
             )
 
 
+def _bits(rows):
+    """Rows with every float as its hex text, so == compares bit patterns (and the sign of zero)."""
+    return [[v.hex() if isinstance(v, float) else v for v in row] for row in rows]
+
+
+class TestClosedFormBlocks:
+    """spectrum, berry and aa sweeps call the closed-form kernel once per cli.SWEEP_BLOCK points."""
+
+    # The gamma axis -1..1 in SWEEP_BLOCK + 1 steps holds gamma = 0, the
+    # fallback; berry runs backwards, and aa sits at omega0 = omega1, where the
+    # shifted detuning vanishes.
+    BASE = {
+        "spectrum": SpinParams.symmetric(0.7, 0.0, -0.6, 0.3),
+        "berry": SpinParams.symmetric(1.0, 0.0, 0.6, -0.3),
+        "aa": SpinParams.symmetric(0.4, 0.0, 0.9, 0.4),
+    }
+
+    @staticmethod
+    def _point_rows(quantity, params):
+        """The rows of one point, from the public N = 1 functions."""
+        if quantity == "spectrum":
+            energies = (*triplet_energies(params.omega0, params.gamma, params.J), singlet_energy(params.J))
+            return [[n, energy] for n, energy in enumerate(energies, start=1)]
+        breakdown = adiabatic_phases if quantity == "berry" else aa_breakdown
+        rows = []
+        for n in (1, 2, 3, 4):
+            raw = breakdown(params, n)
+            parts = [raw.total, raw.dynamical, raw.geometric]
+            rows.append([n, *parts, *map(principal_value, parts)])
+        return rows
+
+    @pytest.mark.parametrize("quantity", ["spectrum", "berry", "aa"])
+    def test_rows_across_a_block_boundary_match_the_n1_functions(self, quantity, monkeypatch):
+        module = cli if quantity == "spectrum" else phases
+        calls = TestTwocycleCommand._count_calls(monkeypatch, module, "_closed_form")
+        base = self.BASE[quantity]
+        gammas = list(np.linspace(-1.0, 1.0, cli.SWEEP_BLOCK + 1))
+        columns, rows, _ = cli.cmd_sweep([("gamma", gammas)], quantity, base)
+        assert [len(omega0) for omega0, _, _ in calls] == [cli.SWEEP_BLOCK, 1]
+        assert columns[0] == "gamma" and len(rows) == 4 * len(gammas)
+        for i, gamma in enumerate(gammas):
+            block = rows[4 * i : 4 * i + 4]
+            assert all(row[0] == gamma for row in block)
+            expected = self._point_rows(quantity, base.replace(gamma_a=gamma, gamma_b=gamma))
+            assert _bits([row[1:] for row in block]) == _bits(expected)
+
+    # Exit codes and stderr bytes of the parent code, which evaluated one point
+    # at a time. Each grid fails first in its second block, at point 600 or
+    # later; the arccos, zero-division and period cases raise, inside one
+    # block, an error that is not the first one in grid order. The last three
+    # single points pin the refusal order: omega1 = 0 before unequal couplings.
+    @pytest.mark.parametrize(
+        "quantity, argv, code, message",
+        [
+            ("spectrum", "--axis omega_b0=0:1:2 --axis gamma=0:1:600 --omega0 0 --J 0.5 --omega1 0.3", 2,
+             "omega0 is only defined for equal couplings"),
+            ("berry", "--axis omega_b0=0:1:2 --axis gamma=0:1:600 --omega0 0 --J 0.5 --omega1 0.3", 2,
+             "omega0 is only defined for equal couplings"),
+            ("aa", "--axis gamma_b=0:1:2 --axis J=0:1:600 --omega0 1 --omega1 0.3", 2,
+             "gamma is only defined for equal couplings"),
+            ("berry", "--axis omega1=-1:0:600 --omega0 1 --gamma 1 --J 0.5", 2,
+             "adiabatic phases need omega1 != 0 (no cycle defined)"),
+            ("aa", "--axis omega1=-1:0:600 --omega0 1 --gamma 1 --J 0.5", 2,
+             "cycling phases need omega1 != 0 (no cycle defined)"),
+            ("spectrum", "--axis J=0:1e200:2 --axis gamma=0:1:600 --omega0 1 --omega1 0.5", 4,
+             "(34, 'Numerical result out of range')"),
+            ("berry", "--axis J=0:1e200:2 --axis gamma=0:1:600 --omega0 1 --omega1 0.5", 4,
+             "(34, 'Numerical result out of range')"),
+            ("aa", "--axis J=0:1e200:2 --axis gamma=0:1:600 --omega0 1 --omega1 0.5", 4,
+             "(34, 'Numerical result out of range')"),
+            ("spectrum", "--axis omega0=-1:1e-110:2 --axis gamma=0:1e-110:600 --J 0", 4,
+             "float division by zero"),
+            ("berry", "--axis omega0=-1:1e-110:2 --axis gamma=0:1e-110:600 --J 0 --omega1 0.5", 4,
+             "float division by zero"),
+            ("spectrum", "--axis omega0=-1:0:2 --axis J=-1:6e-54:300", 4,
+             "arccos argument -1.0000239017328967 outside [-1, 1] beyond tolerance"),
+            # point 600 has a period that overflows; point 900 fails the arccos check
+            ("aa", "--axis omega1=-2:5e-324:2 --axis omega0=-1:5e-324:2 --axis J=6e-54:1:300", 2,
+             "omega1 = 5e-324 is too small: the period 2*pi/|omega1| is not finite"),
+            ("spectrum", "--axis omega1=0:0:1 --omega-a0 1 --omega-b0 2", 2,
+             "omega0 is only defined for equal couplings"),
+            ("berry", "--axis omega1=0:0:1 --omega-a0 1 --omega-b0 2", 2,
+             "adiabatic phases need omega1 != 0 (no cycle defined)"),
+            ("aa", "--axis omega1=0:0:1 --omega-a0 1 --omega-b0 2", 2,
+             "cycling phases need omega1 != 0 (no cycle defined)"),
+        ],
+    )
+    def test_first_failing_point_in_grid_order_raises(self, capsys, quantity, argv, code, message):
+        assert cli.SWEEP_BLOCK <= 600
+        for fmt in ([], ["--format", "json"]):
+            assert run_main(["sweep", "--quantity", quantity, *argv.split(), *fmt], capsys) == (
+                code, "", json.dumps({"error": message, "exit_code": code}) + "\n"
+            )
+
+
 class TestPeriodOverflow:
     """An omega1 whose period 2*pi/|omega1| overflows is a parameter error (exit 2)."""
 
@@ -644,7 +744,14 @@ class TestFormatsAndRouting:
 
 class TestNumericGuard:
     def test_nan_aborts_with_exit_4(self, capsys, monkeypatch):
-        monkeypatch.setattr(cli, "triplet_energies", lambda *a: (float("nan"), 0.0, 0.0))
+        real = cli._closed_form
+
+        def nan_energy(*columns):
+            closed = real(*columns)
+            closed.energies[:, 0] = np.nan
+            return closed
+
+        monkeypatch.setattr(cli, "_closed_form", nan_energy)
         code, out, err = run_main(["spectrum", "--omega0", "1", "--gamma", "1"], capsys)
         assert code == 4
         assert out == ""
@@ -669,6 +776,26 @@ class TestNumericGuard:
         assert code == 4
         assert out == ""
         assert json.loads(err)["exit_code"] == 4
+
+    # Entries beyond the float range are a numeric failure: exit 4, one JSON
+    # line and no NumPy warning, as for the overflowing cube of spectrum --J 1e200.
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["evolve", "--omega0", "1.7e308", "--J", "1.7e308", "--omega1", "1"],
+            ["evolve", "--omega0", "1.7e308", "--J", "1.7e308", "--omega1", "1", "--time", "1", "--steps", "100"],
+            ["evolve", "--omega-a0", "1e308", "--omega1=-1.7e308"],  # H(0) - omega1 s_z overflows
+            # the first overflowing point, 600, is in the second block
+            ["sweep", "--quantity", "twocycle-defect", "--axis", "omega0=0:1e308:2", "--axis", "gamma=0:1:600",
+             "--J", "1e308", "--omega1", "1e300"],
+        ],
+    )
+    def test_hamiltonian_overflow_exits_4_without_warnings(self, capsys, argv):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run_main(argv, capsys) == (
+                4, "", json.dumps({"error": "a Hamiltonian entry overflows the float range", "exit_code": 4}) + "\n"
+            )
 
     def test_lost_phases_exit_4(self, capsys):
         code, out, err = run_main(["evolve", "--J", "1e200", "--omega1", "0.1"], capsys)
@@ -698,7 +825,7 @@ class TestNumericGuard:
         def fail(*args):
             raise failure
 
-        monkeypatch.setattr(cli, "triplet_energies", fail)
+        monkeypatch.setattr(cli, "_closed_form", fail)
         code, out, err = run_main(["spectrum", "--omega0", "1", "--gamma", "1"], capsys)
         assert code == 4
         assert out == ""

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,8 @@ from twospin import (
     h_static,
     h_total,
 )
+from twospin.core import _columns
+from twospin.hamiltonian import rotating_frame_stack
 
 from support import random_general, random_symmetric
 
@@ -112,3 +116,31 @@ def test_periodicity():
         diff = h_total(p, t + p.period).matrix - h_total(p, t).matrix
         assert np.abs(diff).max() <= 1e-12
 
+
+
+def _near_max(rng):
+    return float(rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(307.0, 308.25))
+
+
+def test_overflow_is_refused_exactly_where_float_arithmetic_overflows():
+    # Oracle: the four diagonal entries 0.5 * ((+-a +- b) +- J) in Python float
+    # arithmetic, which overflows to inf silently, and the frame shift -+omega1.
+    rng = np.random.default_rng(14)
+    refused = 0
+    for _ in range(400):
+        a, b, J, w1 = (_near_max(rng) if rng.random() < 0.6 else float(rng.uniform(-2.0, 2.0)) for _ in range(4))
+        p = SpinParams(a, b, 0.3, 0.3, J, w1)
+        static = [0.5 * ((a + b) + J), 0.5 * ((a - b) - J), 0.5 * ((-a + b) - J), 0.5 * ((-a - b) + J)]
+        rotating = [static[0] - w1, static[1], static[2], static[3] + w1]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for build, diagonal in ((lambda: h_total(p, 0.7).matrix, static),
+                                    (lambda: h_rotating_frame(p).matrix, rotating),
+                                    (lambda: rotating_frame_stack(_columns(p, 3))[2], rotating)):
+                if all(np.isfinite(diagonal)):
+                    assert np.diag(build()).real.tolist() == diagonal
+                else:
+                    refused += 1
+                    with pytest.raises(OverflowError, match="a Hamiltonian entry overflows the float range"):
+                        build()
+    assert refused > 100

@@ -7,20 +7,18 @@ from twospin import (
     DegenerateParametersError,
     SpinParams,
     TwoSpinState,
-    cubic_coefficients,
     eigensystem,
     frame_rotation,
     h_rotating_frame,
     h_total,
     singlet_energy,
-    symmetry_check,
     tilde_eigensystem,
     triplet_amplitudes,
     triplet_energies,
 )
-from twospin.spectral import InternalConsistencyError, _trisected_angle, spectral_scale
+from twospin.spectral import ARCCOS_EXCESS_TOL, InternalConsistencyError, _closed_form, spectral_scale
 
-from support import random_symmetric, sorted_spectrum_oracle
+from support import cubic_trisection, random_symmetric, sorted_spectrum_oracle
 
 SQRT2 = math.sqrt(2.0)
 
@@ -29,23 +27,18 @@ SQRT2 = math.sqrt(2.0)
 E111 = (1.746979603717467, -1.3019377358048376, 0.05495813208737174)
 
 
+def _column_point(omega0, gamma, J):
+    return [np.array([v]) for v in (omega0, gamma, J)]
+
+
 class TestCubic:
-    def test_coefficients_at_111(self):
-        c = cubic_coefficients(1.0, 1.0, 1.0)
-        assert c.p == pytest.approx(-28.0 / 3.0, abs=1e-14)
-        assert c.q == pytest.approx(-56.0 / 27.0, abs=1e-14)
-        assert c.Phi == pytest.approx(0.46022357448281, abs=1e-12)
-
-    def test_p_nonpositive(self):
-        rng = np.random.default_rng(21)
-        for _ in range(200):
-            w0, g, J = rng.uniform(-3, 3, 3)
-            assert cubic_coefficients(w0, g, J).p < 0.0
-
     def test_all_zero_is_degenerate(self):
-        with pytest.raises(DegenerateParametersError):
-            cubic_coefficients(0.0, 0.0, 0.0)
+        closed = _closed_form(*_column_point(0.0, 0.0, 0.0))
+        assert closed.energies.tolist() == [[0.0, 0.0, 0.0]]
+        assert closed.fallback.all()
         assert triplet_energies(0.0, 0.0, 0.0) == (0.0, 0.0, 0.0)
+        with pytest.raises(DegenerateParametersError):
+            triplet_amplitudes(0.0, 0.0, 0.0, 1)
 
     def test_clamp_at_exact_boundary(self):
         # gamma = 0 puts the arccos argument at +-1 up to rounding
@@ -53,13 +46,19 @@ class TestCubic:
         assert triplet_energies(0.0, 0.0, 1.0) == pytest.approx((0.5, -0.5, 0.5), abs=1e-12)
 
     def test_excess_beyond_tolerance_raises(self):
-        with pytest.raises(InternalConsistencyError):
-            _trisected_angle(-3.0, 2.0 + 1e-6)  # |arg| = 1 + 5e-7 >> 1e-9
+        # (p/3)^3 is subnormal here, so its square root keeps only a few bits
+        assert abs(cubic_trisection(0.0, 0.0, 6e-54)[0]) > 1.0 + ARCCOS_EXCESS_TOL
+        with pytest.raises(InternalConsistencyError, match="arccos argument -1.0000239017328967 outside"):
+            _closed_form(*_column_point(0.0, 0.0, 6e-54))
 
     def test_excess_within_tolerance_clamps(self):
-        # arg = -q/2 for p = -3; marginal excess clamps to the boundary
-        assert _trisected_angle(-3.0, -2.0 * (1.0 + 1e-10)) == pytest.approx(0.0, abs=1e-12)
-        assert _trisected_angle(-3.0, 2.0 * (1.0 + 1e-10)) == pytest.approx(math.pi / 3.0, abs=1e-12)
+        # the argument is -sign(J) * (1 + 1.2e-10); clamped, Phi is pi/3 (J > 0) or 0 (J < 0)
+        for J in (1.730062939871831e-53, -1.730062939871831e-53):
+            arg = cubic_trisection(0.0, 0.0, J)[0]
+            assert 1.0 < abs(arg) <= 1.0 + ARCCOS_EXCESS_TOL and arg * J < 0.0
+            expected = [0.5 * J, -0.5 * J, 0.5 * J] if J > 0 else [-0.5 * J, 0.5 * J, 0.5 * J]
+            energies = _closed_form(*_column_point(0.0, 0.0, J)).energies[0]
+            assert energies.tolist() == pytest.approx(expected, rel=1e-12)
 
 
 class TestTripletEnergies:
@@ -278,12 +277,16 @@ class TestSymmetry:
         assert np.abs(a.state(1).amplitudes - b.state(2).amplitudes).max() <= 1e-12
 
     def test_report_over_draws(self):
+        # J negated pairs E1 <-> -E2 with E3, E4 odd; (omega0, gamma, J) negated
+        # exchanges the eigenstates 1 <-> 2 and fixes 3 and 4.
+        exchange = {1: 2, 2: 1, 3: 3, 4: 4}
         rng = np.random.default_rng(31)
         for _ in range(50):
             p = random_symmetric(rng)
-            report = symmetry_check(p)
-            assert report.max_energy_deviation <= 1e-10 * spectral_scale(p.omega0, p.gamma, p.J)
-            assert report.max_state_deviation <= 1e-10
-            assert report.max_deviation == max(
-                report.max_energy_deviation, report.max_state_deviation
-            )
+            plus = triplet_energies(p.omega0, p.gamma, p.J) + (singlet_energy(p.J),)
+            minus = triplet_energies(p.omega0, p.gamma, -p.J) + (singlet_energy(-p.J),)
+            flipped = eigensystem(SpinParams.symmetric(-p.omega0, -p.gamma, -p.J), 0.0)
+            system = eigensystem(p, 0.0)
+            for n, m in exchange.items():
+                assert abs(minus[n - 1] + plus[m - 1]) <= 1e-10 * spectral_scale(p.omega0, p.gamma, p.J)
+                assert 1.0 - abs(flipped.state(m).overlap(system.state(n))) <= 1e-10

@@ -8,13 +8,13 @@ from twospin import (
     ADIABATIC_FLIP_SET,
     SpinParams,
     TwoSpinState,
+    aa_breakdown,
     berry_gate,
     berry_phase,
     eigensystem,
     flip_params,
     h_rotating_frame,
     h_total,
-    one_cycle_dynamical_residual,
     run_aa_two_cycle,
     run_adiabatic_two_cycle,
     triplet_energies,
@@ -206,22 +206,28 @@ class TestStateSequences:
 
 
 class TestOneCycleResidual:
+    """The dynamical phase left after one exact cycle on an eigenpath.
+
+    It is nonzero for the singlet whenever J != 0, which is why no single-cycle
+    parameter choice can cancel the dynamical phases alone.
+    """
+
     def test_singlet_residual(self):
-        assert one_cycle_dynamical_residual(P111, 4) == pytest.approx(
+        assert aa_breakdown(P111, 4).dynamical == pytest.approx(
             0.5 * P111.period, abs=1e-12
         )
-        assert one_cycle_dynamical_residual(P111, 4) == pytest.approx(10.0 * math.pi, abs=1e-9)
+        assert aa_breakdown(P111, 4).dynamical == pytest.approx(10.0 * math.pi, abs=1e-9)
 
     def test_singlet_residual_vanishes_without_ising(self):
         p = SpinParams.symmetric(1.0, 1.0, 0.0, 0.1)
-        assert one_cycle_dynamical_residual(p, 4) == pytest.approx(0.0, abs=1e-12)
+        assert aa_breakdown(p, 4).dynamical == pytest.approx(0.0, abs=1e-12)
 
     def test_matches_numeric_integral(self):
         p = SpinParams.symmetric(1.1, 1.0, 1.0, 0.1)
-        assert one_cycle_dynamical_residual(p, 1) == pytest.approx(-115.23936938891194, abs=1e-9)
+        assert aa_breakdown(p, 1).dynamical == pytest.approx(-115.23936938891194, abs=1e-9)
         start = tilde_eigensystem(p).state(1)
         numeric = numeric_dynamical_phase(p, start, p.period, 2000)
-        assert one_cycle_dynamical_residual(p, 1) == pytest.approx(numeric, abs=1e-6)
+        assert aa_breakdown(p, 1).dynamical == pytest.approx(numeric, abs=1e-6)
 
 
 class TestProtocolInvariants:
