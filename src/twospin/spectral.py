@@ -144,8 +144,9 @@ def _closed_form(omega0: np.ndarray, gamma: np.ndarray, J: np.ndarray) -> _Close
         threshold = DEGENERACY_RTOL * spectral_scale(omega0, gamma, J)
         fallback = np.minimum(np.abs(d_plus), np.abs(d_minus)) < threshold[:, None]
 
-        # Off the mask |d+-| >= 1e-8 and finite inputs are below about 1e52 (a
-        # cube above overflows otherwise): no power overflows, no divisor is 0.
+        # Off the mask |d+-| >= 1e-8, and d+- is below about 1e53 (a cube above
+        # overflows for larger inputs) or not finite: no power raises and no
+        # divisor is 0.
         coupling = (4.0 * gamma * gamma)[:, None]
         norm_sq = 2.0 + coupling / _power(d_plus, 2) + coupling / _power(d_minus, 2)
         big_d = 2.0 * energies - J[:, None]

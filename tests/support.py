@@ -49,6 +49,33 @@ def cubic_trisection(omega0, gamma, J):
     return -q / (2.0 * math.sqrt(-((p / 3.0) ** 3))), math.sqrt(-p / 3.0)
 
 
+def closed_form_reference(omega0, gamma, J):
+    """The triplet energies and Berry phases of one point by the scalar formulas
+    of the spectral and phases docstrings, in float arithmetic.
+
+    A Berry phase is None where min|d+-| < 1e-8 * scale (the fallback branch).
+    """
+    arg, amp = cubic_trisection(omega0, gamma, J)
+    if amp == 0.0:
+        return (0.0, 0.0, 0.0), (None, None, None)
+    phi = math.acos(min(1.0, max(-1.0, arg))) / 3.0
+    energies = tuple(amp * math.cos(phi + s) + J / 6.0 for s in (0.0, 2.0 * math.pi / 3.0, -2.0 * math.pi / 3.0))
+    scale = max(abs(omega0), abs(gamma), abs(J), 1.0)
+    phases = []
+    for energy in energies:
+        d_plus = 2.0 * omega0 + J - 2.0 * energy
+        d_minus = -2.0 * omega0 + J - 2.0 * energy
+        if min(abs(d_plus), abs(d_minus)) < 1e-8 * scale:
+            phases.append(None)
+            continue
+        norm_sq = 2.0 + 4.0 * gamma * gamma / d_plus**2 + 4.0 * gamma * gamma / d_minus**2
+        big_d = 2.0 * energy - J
+        phases.append(
+            TWO_PI * 32.0 * gamma * gamma * omega0 * big_d / (norm_sq * (big_d * big_d - 4.0 * omega0 * omega0) ** 2)
+        )
+    return energies, tuple(phases)
+
+
 def sorted_spectrum_oracle(matrix):
     """Direct diagonalization oracle: ascending eigenvalues of a 4x4 hermitian."""
     return np.linalg.eigvalsh(matrix)
