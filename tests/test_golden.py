@@ -9,7 +9,10 @@ the JSON error exits.
 The sweep_*_signs cases cover both rotation senses and the gamma = 0
 fallback column; sweep_aa_resonant_csv crosses omega0 = omega1 in both
 senses, where the shifted detuning vanishes and the AA phase takes the
-fallback. Regenerate the files, when an output change is intended, with
+fallback. The twocycle cases add omega1 lists in both rotation senses,
+exact and stepped, the gamma = 0 fallback with a backwards rotation, the AA
+scheme at omega1 < 0, and a list that reaches omega1 = 0. Regenerate the
+files, when an output change is intended, with
 
     PYTHONPATH=src python tests/test_golden.py
 
@@ -70,6 +73,12 @@ CASES = {
     "twocycle_adiabatic_stepped_csv": [
         "twocycle", "--scheme", "adiabatic", *P, "--omega1", "0.5", "--steps", "400",
     ],
+    "twocycle_adiabatic_sweep_signs_csv": ["twocycle", "--scheme", "adiabatic", "--omega1-sweep=-0.1,0.05", *P],
+    "twocycle_adiabatic_sweep_signs_stepped_csv": [
+        "twocycle", "--scheme", "adiabatic", "--omega1-sweep=-0.1,0.05", *P, "--steps", "300",
+    ],
+    "twocycle_adiabatic_no_field_csv": ["twocycle", "--scheme", "adiabatic", *NO_FIELD, "--omega1=-0.05"],
+    "twocycle_aa_negative_csv": ["twocycle", "--scheme", "aa", *P, "--omega1=-0.3"],
     **_both_formats(
         "sweep_spectrum",
         ["sweep", "--axis", "gamma=0:1:3", "--axis", "J=-1:1:3", "--quantity", "spectrum", "--omega0", "1"],
@@ -114,6 +123,7 @@ CASES = {
     "error_phases_no_rotation": ["phases", *P],
     "error_twocycle_aa_no_rotation": ["twocycle", "--scheme", "aa", *P],
     "error_twocycle_adiabatic_no_rotation": ["twocycle", "--scheme", "adiabatic", *P],
+    "error_twocycle_sweep_no_rotation": ["twocycle", "--scheme", "adiabatic", "--omega1-sweep=0.1,0,0.2", *P],
     "error_evolve_no_rotation": ["evolve", *P],
     "error_sweep_axis_syntax": ["sweep", "--axis", "J=0:2", "--quantity", "berry", *P, "--omega1", "0.1"],
     "error_sweep_axis_field": ["sweep", "--axis", "tau=0:1:2", "--quantity", "berry", *P, "--omega1", "0.1"],
