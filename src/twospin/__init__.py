@@ -7,9 +7,6 @@ from .core import (
     Operator4,
     SpinParams,
     TwoSpinState,
-    field_to_params,
-    flip_params,
-    pauli_operator,
 )
 from .evolution import (
     AdiabaticCycleResult,

@@ -13,7 +13,8 @@ byte-identical, and a non-finite float, printed or not, is a numeric failure.
 Sweeps walk the grid in lexicographic order in blocks of SWEEP_BLOCK points,
 one kernel call per block: the closed-form kernel for spectrum, berry and aa
 (the spectrum and phases commands are its N = 1 case), the stacked propagator
-kernel for twocycle-defect. A failing block is run again point by point, so
+kernel for twocycle-defect and the twocycle tables, whose --omega1-sweep list
+is walked as a one-axis grid. A failing block is run again point by point, so
 errors are those of the first failing grid point.
 
 Exit codes: 0 success, 2 usage or parameter error (including a sweep grid of
@@ -28,17 +29,18 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import re
 import sys
 from dataclasses import fields
 from itertools import islice, product
 
 import numpy as np
 
-from .core import PARAM_GROUPS, SpinParams, TwoSpinState, _columns, _equal_coupling_fields
+from .core import PARAM_GROUPS, SpinParams, TwoSpinState, _columns, _equal_coupling_fields, _points
 from .evolution import evolve_exact, evolve_stepped
-from .phases import _cycle_phases, _principal_values, _rotation_sense, aa_breakdown, principal_value
+from .phases import _cycle_phases, _principal_values, principal_value
 from .spectral import InternalConsistencyError, _closed_form, eigensystem, singlet_energy, tilde_eigensystem
-from .twocycle import _aa_two_cycles, berry_gate, run_aa_two_cycle, run_adiabatic_two_cycle
+from .twocycle import _aa_two_cycles, _adiabatic_two_cycles, _require_rotation
 
 __all__ = [
     "cmd_evolve",
@@ -155,6 +157,42 @@ def _phase_rows(columns, shifted: bool):
     return [[[n, *values] for n, values in enumerate(point, start=1)] for point in table]
 
 
+def _adiabatic_rows(columns, steps: int):
+    """Per t=0 eigenstate n: the phase of <n|U2 U1|n>, its target, their circular deviation, the
+    fidelity |<n|U2 U1|n>| and the distance of U2 U1 |n> from the ideal gate's output.
+    """
+    systems, u_first, u_second, gates, targets = _adiabatic_two_cycles(columns, steps or None)
+    table = []
+    for system, u1, u2, gate, point_targets in zip(systems, u_first, u_second, gates, targets.tolist()):
+        table.append(rows := [])
+        for n, target in enumerate(point_targets, start=1):
+            start = system.state(n).amplitudes
+            final = u2 @ (u1 @ start)
+            overlap = complex(np.vdot(start, final))
+            phase = float(np.angle(overlap))
+            deviation = float(np.linalg.norm(final - gate @ start))
+            rows.append([n, phase, target, abs(principal_value(phase - target)), abs(overlap), deviation])
+    return table
+
+
+def _aa_rows(columns):
+    """Per rotating-frame eigenstate n: the one-cycle total phase, raw and principal, the phase of
+    <n|U2 U1|n> and the identity defect max|U2 U1 - I|.
+    """
+    _require_rotation(columns["omega1"])  # the protocol's refusal comes before the spectrum's
+    systems = [tilde_eigensystem(point) for point in _points(columns)]
+    composed, defects = _aa_two_cycles(columns)
+    total = _cycle_phases(columns, shifted=True)[0]
+    table = []
+    for system, u, raws, principals, defect in zip(
+        systems, composed, total.tolist(), _principal_values(total).tolist(), defects.tolist()
+    ):
+        starts = [system.state(n).amplitudes for n in (1, 2, 3, 4)]
+        phases = [float(np.angle(np.vdot(start, u @ start))) for start in starts]
+        table.append([[n, *values, defect] for n, values in enumerate(zip(raws, principals, phases), start=1)])
+    return table
+
+
 def _defect_rows(columns):
     """One stacked evaluation of the AA two-cycle identity defect for all points."""
     return [[[defect]] for defect in _aa_two_cycles(columns)[1].tolist()]
@@ -195,68 +233,37 @@ def cmd_evolve(params: SpinParams, initial: TwoSpinState, t: float, steps: int):
     return ["component", "re", "im", "probability"], rows, extras
 
 
-def _adiabatic_cycle_rows(params: SpinParams, steps: int | None):
-    gate = berry_gate(params.omega0, params.gamma, params.J)
-    sense = _rotation_sense(params)
-    system = eigensystem(params, 0.0)
-    starts = [system.state(n) for n in (1, 2, 3, 4)]
-    rows = []
-    for n, start, run in zip((1, 2, 3, 4), starts, run_adiabatic_two_cycle(params, starts, steps)):
-        overlap = start.overlap(run.final_state)
-        phase = float(np.angle(overlap))
-        target = 2.0 * sense * gate.phases[n - 1]
-        rows.append(
-            [n, phase, target, abs(principal_value(phase - target)), abs(overlap), run.deviation]
-        )
-    return rows
-
-
 def cmd_twocycle(params: SpinParams, scheme: str, steps: int = 0, omega1_values=None):
+    if steps < 0:
+        raise ValueError("steps must be >= 0")
     if scheme not in ("adiabatic", "aa"):
         raise ValueError(f"scheme must be adiabatic or aa, got {scheme!r}")
-    if omega1_values and scheme != "adiabatic":
+    if omega1_values is not None and scheme != "adiabatic":
         raise ValueError("--omega1-sweep applies to the adiabatic scheme only")
-    stepped = steps if steps > 0 else None
-    if scheme == "adiabatic":
-        if omega1_values:
-            columns = ["omega1", "n", "phase", "target", "circular_deviation"]
-            rows = []
-            for w1 in omega1_values:
-                sub_rows = _adiabatic_cycle_rows(params.replace(omega1=w1), stepped)
-                rows.extend([[w1] + r[:4] for r in sub_rows])
-            return columns, rows, {}
-        columns = ["n", "phase", "target", "circular_deviation", "fidelity", "gate_deviation"]
-        return columns, _adiabatic_cycle_rows(params, stepped), {}
-
-    if params.omega1 == 0.0:  # the protocol's refusal comes before the spectrum's
-        raise ValueError("cycle protocols need omega1 != 0")
-    system = tilde_eigensystem(params)
-    starts = [system.state(n) for n in (1, 2, 3, 4)]
-    run, *paths = run_aa_two_cycle(params, [TwoSpinState.basis_state("uu"), *starts])
-    rows = []
-    for n, start, path in zip((1, 2, 3, 4), starts, paths):
-        breakdown = aa_breakdown(params, n)
-        phase = float(np.angle(start.overlap(path.final_state)))
-        rows.append(
-            [n, breakdown.total, principal_value(breakdown.total), phase, run.identity_defect]
-        )
-    columns = ["n", "one_cycle_total_raw", "one_cycle_total_principal", "two_cycle_phase", "identity_defect"]
-    return columns, rows, {"identity_defect": run.identity_defect}
+    if scheme == "aa":
+        rows = _aa_rows(_columns(params, 1))[0]
+        columns = ["n", "one_cycle_total_raw", "one_cycle_total_principal", "two_cycle_phase", "identity_defect"]
+        return columns, rows, {"identity_defect": rows[0][-1]}
+    columns = ["n", "phase", "target", "circular_deviation", "fidelity", "gate_deviation"]
+    if omega1_values is None:
+        return columns, _adiabatic_rows(_columns(params, 1), steps)[0], {}
+    if not omega1_values:
+        raise ValueError("--omega1-sweep needs at least one omega1 value")
+    table = lambda block: [[row[:4] for row in rows] for rows in _adiabatic_rows(block, steps)]
+    return ["omega1"] + columns[:4], _walk([("omega1", omega1_values)], table, params), {}
 
 
 # ---------------------------------------------------------------------------
 # sweep
 
 
-def cmd_sweep(axes, quantity: str, base: SpinParams):
-    """Evaluate the quantity over the grid of (name, values) axes; rows in lexicographic grid order.
+def _walk(axes, block_rows, base: SpinParams):
+    """Rows of block_rows over the grid of (name, values) axes, each led by its axis values.
 
-    The grid is walked in blocks of SWEEP_BLOCK points, one call of the
-    quantity's block function each. When a block fails, it is run again one
-    point at a time, so the first failing point in grid order raises its own
-    error.
+    The grid is walked in lexicographic order in blocks of SWEEP_BLOCK points,
+    the other fields from base. A failing block is run again point by point, so
+    the first failing point in grid order raises its own error.
     """
-    columns, block_rows = _QUANTITIES[quantity]
     names = [name for name, _ in axes]
     points = product(*(values for _, values in axes))
     rows = []
@@ -274,7 +281,13 @@ def cmd_sweep(axes, quantity: str, base: SpinParams):
             ]
         for point, prows in zip(block, point_rows):
             rows.extend(list(point) + row for row in prows)
-    return names + columns, rows, {}
+    return rows
+
+
+def cmd_sweep(axes, quantity: str, base: SpinParams):
+    """Evaluate the quantity over the grid of (name, values) axes; rows in lexicographic grid order."""
+    columns, block_rows = _QUANTITIES[quantity]
+    return [name for name, _ in axes] + columns, _walk(axes, block_rows, base), {}
 
 
 # ---------------------------------------------------------------------------
@@ -367,6 +380,10 @@ def _build_parser() -> argparse.ArgumentParser:
         help="sweep axis; repeatable",
     )
     sweep_p.add_argument("--quantity", choices=tuple(_QUANTITIES), required=True)
+    # argparse takes only -N and -N.N for negative numbers, so --J -1e-3 would read
+    # as an unknown flag; here any token starting with - and a digit or . is a value.
+    for each in (parser, *sub.choices.values()):
+        each._negative_number_matcher = re.compile(r"-[\d.]")
     return parser
 
 
@@ -421,7 +438,7 @@ def main(argv=None) -> int:
             columns, rows, extras = cmd_evolve(params, initial, t, args.steps)
         elif args.command == "twocycle":
             omega1_values = None
-            if args.omega1_sweep:
+            if args.omega1_sweep is not None:
                 try:
                     omega1_values = [float(v) for v in args.omega1_sweep.split(",") if v.strip()]
                 except ValueError as exc:

@@ -32,9 +32,6 @@ __all__ = [
     "PARAM_GROUPS",
     "SpinParams",
     "TwoSpinState",
-    "field_to_params",
-    "flip_params",
-    "pauli_operator",
 ]
 
 BASIS_LABELS = ("uu", "ud", "du", "dd")
@@ -158,9 +155,6 @@ class TwoSpinState:
         """Inner product <self|other>."""
         return complex(np.vdot(self.amplitudes, other.amplitudes))
 
-    def probabilities(self) -> np.ndarray:
-        return np.abs(self.amplitudes) ** 2
-
     def __getitem__(self, idx: int) -> complex:
         return complex(self.amplitudes[idx])
 
@@ -196,9 +190,6 @@ class Operator4:
     @classmethod
     def general(cls, matrix) -> "Operator4":
         return cls(matrix, "general")
-
-    def dagger(self) -> "Operator4":
-        return Operator4(self.matrix.conj().T, self.kind)
 
     def __repr__(self) -> str:
         return f"Operator4(kind={self.kind!r})"
@@ -285,6 +276,11 @@ def _columns(params: SpinParams, n: int) -> dict[str, np.ndarray]:
     return {f.name: np.full(n, getattr(params, f.name)) for f in fields(SpinParams)}
 
 
+def _points(columns: dict[str, np.ndarray]) -> list[SpinParams]:
+    """The SpinParams of each point of field columns, built by field name; refuses as SpinParams does."""
+    return [SpinParams(**dict(zip(columns, values))) for values in zip(*(c.tolist() for c in columns.values()))]
+
+
 def _equal_coupling_fields(columns: dict[str, np.ndarray]):
     """The omega0, gamma and J columns; refuses unequal couplings as SpinParams.omega0 and .gamma do."""
     for name in ("omega0", "gamma"):
@@ -308,49 +304,3 @@ PARAM_GROUPS = {
     "omega1": ("omega1",),
 }
 
-
-def flip_params(params: SpinParams, names) -> SpinParams:
-    """Negate the named parameter groups (omega0 and gamma act on both spins)."""
-    updates = {}
-    for name in names:
-        if name not in PARAM_GROUPS:
-            raise ValueError(f"unknown flip group {name!r}")
-        for field in PARAM_GROUPS[name]:
-            updates[field] = -getattr(params, field)
-    return params.replace(**updates)
-
-
-def pauli_operator(site: str, axis: str) -> Operator4:
-    """Pauli operator of one spin, embedded in the two-spin space.
-
-    site is "a" (first tensor slot) or "b" (second); axis is "x", "y" or "z".
-    """
-    if axis not in ("x", "y", "z"):
-        raise ValueError(f"axis must be one of x, y, z; got {axis!r}")
-    if site not in ("a", "b"):
-        raise ValueError(f"site must be 'a' or 'b'; got {site!r}")
-    return Operator4.hermitian(_PAULI[site, axis])
-
-
-def field_to_params(
-    B0: float,
-    B1: float,
-    kappa_a: float,
-    kappa_b: float,
-    J: float = 0.0,
-    omega1: float = 0.0,
-) -> SpinParams:
-    """Convert laboratory field magnitudes to model frequencies.
-
-    B0 is the static z-field, B1 the rotating transverse field, kappa_a and
-    kappa_b the gyromagnetic ratios. Precession frequencies are -kappa*B0 and
-    the transverse couplings -kappa*B1; J and omega1 pass through.
-    """
-    return SpinParams(
-        omega_a0=-kappa_a * B0,
-        omega_b0=-kappa_b * B0,
-        gamma_a=-kappa_a * B1,
-        gamma_b=-kappa_b * B1,
-        J=J,
-        omega1=omega1,
-    )

@@ -106,9 +106,9 @@ def berry_phase(omega0: float, gamma: float, J: float, n: int) -> float:
     return float(_berry_phases(*_point(omega0, gamma, J))[1][0, n - 1])
 
 
-def _rotation_sense(params: SpinParams) -> float:
-    """-1 when the field rotates backwards (omega1 < 0), else +1."""
-    return -1.0 if params.omega1 < 0.0 else 1.0
+def _rotation_sense(omega1):
+    """-1.0 where the field rotates backwards (omega1 < 0), else +1.0; elementwise on arrays."""
+    return np.where(omega1 < 0.0, -1.0, 1.0)
 
 
 def _cycle_phases(columns: dict[str, np.ndarray], shifted: bool):
@@ -127,7 +127,7 @@ def _cycle_phases(columns: dict[str, np.ndarray], shifted: bool):
         triplets, berry = _berry_phases(omega0 - omega1 if shifted else omega0, gamma, J)
         periods = _periods(omega1)[:, None]
         energies = np.column_stack([triplets, singlet_energy(J)])
-        geometric = np.where(omega1 < 0.0, -1.0, 1.0)[:, None] * berry
+        geometric = _rotation_sense(omega1)[:, None] * berry
         if shifted:
             total = -energies * periods
             return total, total - geometric, geometric
@@ -153,7 +153,7 @@ def aa_phase(params: SpinParams, n: int) -> float:
     Equal to the slow-cycle geometric phase with the detuning shifted by
     -omega1, with the sign of omega1; zero for the singlet.
     """
-    return _rotation_sense(params) * berry_phase(params.omega0 - params.omega1, params.gamma, params.J, n)
+    return float(_rotation_sense(params.omega1) * berry_phase(params.omega0 - params.omega1, params.gamma, params.J, n))
 
 
 def aa_breakdown(params: SpinParams, n: int) -> PhaseBreakdown:

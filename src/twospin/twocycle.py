@@ -9,38 +9,34 @@ eigenbasis. Negating the rotation rate as well makes the rotating-frame
 generator of the second cycle the exact negative of the first, which cancels
 the total phase: the composed propagator is the identity for any input state.
 
-Both protocols are fixed unitaries, independent of the input state, so the two
-cycle propagators are built once per parameter point; run_*_two_cycle accept
-a sequence of start states and apply that one pair to each.
-
-The exact cycle propagators come from one stacked kernel that takes per-field
-columns of N parameter points (see rotating_frame_stack). _aa_two_cycles
-composes U2 U1 for each point and measures the identity defect max|U2 U1 - I|;
-run_aa_two_cycle is its N = 1 case and a twocycle-defect sweep calls it once
-per block of grid points, so both give the same defects bit for bit.
+Both protocols are fixed unitaries, independent of the input state. The block
+functions _adiabatic_two_cycles and _aa_two_cycles take field columns of N
+points (see core._columns) and build the exact propagators of all N points
+with one stacked kernel call per cycle; run_*_two_cycle apply their N = 1
+case to one state.
 """
 
 from __future__ import annotations
 
-from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
 from .core import (
     PARAM_GROUPS,
-    STATE_NORM_TOL,
     Operator4,
     SpinParams,
     TwoSpinState,
+    _check_stack,
     _columns,
+    _equal_coupling_fields,
     _periods,
+    _points,
     _state_from_trusted,
-    flip_params,
 )
 from .evolution import _propagators, evolve_stepped
 from .hamiltonian import rotating_frame_stack
-from .phases import berry_phase
+from .phases import _berry_phases, _rotation_sense
 from .spectral import eigensystem
 
 __all__ = [
@@ -67,6 +63,22 @@ class BerryGate:
     in_computational: Operator4
 
 
+def _berry_gates(columns: dict[str, np.ndarray]):
+    """Positive-sense geometric phases (N, 4), t=0 eigensystems and the gates in the eigenbasis and
+    the computational basis, (N, 4, 4) each; refuses as SpinParams, berry_phase, eigensystem and
+    Operator4.unitary (on the gate) do, in that order.
+    """
+    points = _points(columns)
+    phases = _berry_phases(*_equal_coupling_fields(columns))[1]
+    systems = [eigensystem(point, 0.0) for point in points]
+    diagonal = np.zeros((len(points), 4, 4), dtype=complex)
+    diagonal[:, range(4), range(4)] = np.exp(2j * phases)
+    bases = np.stack([system.basis_matrix() for system in systems])
+    computational = bases @ diagonal @ bases.conj().swapaxes(-1, -2)
+    _check_stack(computational, "unitary")
+    return phases, systems, diagonal, computational
+
+
 def berry_gate(omega0: float, gamma: float, J: float) -> BerryGate:
     """Ideal slow-limit gate of the adiabatic two-cycle protocol.
 
@@ -74,15 +86,8 @@ def berry_gate(omega0: float, gamma: float, J: float) -> BerryGate:
     exactly 1. The computational-basis matrix conjugates the diagonal with the
     eigenvector matrix at t=0.
     """
-    phases = tuple(berry_phase(omega0, gamma, J, n) for n in (1, 2, 3, 4))
-    diag = np.diag(np.exp(2j * np.asarray(phases)))
-    basis = eigensystem(SpinParams.symmetric(omega0, gamma, J), 0.0).basis_matrix()
-    computational = basis @ diag @ basis.conj().T
-    return BerryGate(
-        phases=phases,
-        in_eigenbasis=Operator4.unitary(diag),
-        in_computational=Operator4.unitary(computational),
-    )
+    phases, _, diagonal, computational = _berry_gates(_columns(SpinParams.symmetric(omega0, gamma, J), 1))
+    return BerryGate(tuple(phases[0].tolist()), Operator4.unitary(diagonal[0]), Operator4.unitary(computational[0]))
 
 
 def _require_rotation(omega1) -> None:
@@ -90,37 +95,44 @@ def _require_rotation(omega1) -> None:
         raise ValueError("cycle protocols need omega1 != 0")
 
 
-def _exact_cycles(columns: dict[str, np.ndarray], flips) -> list[np.ndarray]:
-    """(N, 4, 4) exact propagators of the first and the second, flipped, cycle, one period each."""
+def _cycle_propagators(columns: dict[str, np.ndarray], flips, steps_per_cycle: int | None = None):
+    """(N, 4, 4) propagators of the first and the second, flipped, cycle, one period each: exact, one
+    stacked kernel call per cycle, or RK4 with steps_per_cycle steps, one evolve_stepped run per point.
+    """
     omega1 = columns["omega1"]
     _require_rotation(omega1)
     periods = _periods(omega1)
     flipped = {**columns, **{field: -columns[field] for name in flips for field in PARAM_GROUPS[name]}}
-    return [_propagators(rotating_frame_stack(cycle), cycle["omega1"], periods) for cycle in (columns, flipped)]
-
-
-def _cycle_propagators(params: SpinParams, flips, steps_per_cycle: int | None = None):
-    """Matrices of the first cycle and of the second, flipped, cycle, each one period long."""
     if steps_per_cycle is None:
-        return [u[0] for u in _exact_cycles(_columns(params, 1), flips)]
-    _require_rotation(params.omega1)
-    cycles = (params, flip_params(params, flips))
+        return [_propagators(rotating_frame_stack(cycle), cycle["omega1"], periods) for cycle in (columns, flipped)]
     probe = TwoSpinState.basis_state(0)  # the RK4 propagator does not depend on the state
-    return [evolve_stepped(cycle, probe, params.period, steps_per_cycle).propagator.matrix for cycle in cycles]
+    return [
+        np.array([evolve_stepped(point, probe, period, steps_per_cycle).propagator.matrix
+                  for point, period in zip(_points(cycle), periods.tolist())])
+        for cycle in (columns, flipped)
+    ]
+
+
+def _adiabatic_two_cycles(columns: dict[str, np.ndarray], steps_per_cycle: int | None = None):
+    """The t=0 eigensystems, the (N, 4, 4) cycle propagators U1 and U2, the ideal gates and the (N, 4)
+    targets, twice the geometric phases, of the adiabatic protocol. Where omega1 < 0 the loop runs
+    backwards and every geometric phase changes sign, so the target is negated and the gate inverted.
+    """
+    phases, systems, _, gates = _berry_gates(columns)
+    u_first, u_second = _cycle_propagators(columns, ADIABATIC_FLIP_SET, steps_per_cycle)
+    sense = _rotation_sense(columns["omega1"])
+    gates = [gate.conj().T if s < 0.0 else gate for gate, s in zip(gates, sense.tolist())]
+    return systems, u_first, u_second, gates, 2.0 * sense[:, None] * phases
 
 
 def _aa_two_cycles(columns: dict[str, np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
     """U2 U1 of the total-phase protocol and its identity defect max|U2 U1 - I|, per point.
 
     columns holds N parameter points (see rotating_frame_stack); returns the
-    (N, 4, 4) composed propagators and the (N,) defects. U2 U1 |uu> must pass
-    the TwoSpinState norm check at every point.
+    (N, 4, 4) composed propagators and the (N,) defects.
     """
-    u_first, u_second = _exact_cycles(columns, AA_FLIP_SET)
+    u_first, u_second = _cycle_propagators(columns, AA_FLIP_SET)
     composed = u_second @ u_first
-    uu = composed[:, :, 0]
-    for i in np.flatnonzero(~(np.abs(np.linalg.norm(uu, axis=1) - 1.0) <= STATE_NORM_TOL)):
-        TwoSpinState(uu[i])  # raises the check's own error
     return composed, np.abs(composed - np.eye(4)).max(axis=(1, 2))
 
 
@@ -132,33 +144,23 @@ class AdiabaticTwoCycleResult:
 
 
 def run_adiabatic_two_cycle(
-    params: SpinParams,
-    initial: TwoSpinState | Sequence[TwoSpinState],
-    steps_per_cycle: int | None = None,
-) -> AdiabaticTwoCycleResult | list[AdiabaticTwoCycleResult]:
+    params: SpinParams, initial: TwoSpinState, steps_per_cycle: int | None = None
+) -> AdiabaticTwoCycleResult:
     """Simulate both cycles of the adiabatic protocol and compare to the gate.
 
     The parameter reversal happens instantaneously between the cycles; each
     cycle restarts the field at angle zero. deviation is the 2-norm distance
     between the simulated final state and berry_gate applied to the input
     (its inverse for omega1 < 0, where every geometric phase changes sign); it
-    vanishes in the slow-rotation limit. A sequence of start states returns a
-    list with one result per state, all from one propagator pair and one gate.
+    vanishes in the slow-rotation limit.
     """
-    u_first, u_second = _cycle_propagators(params, ADIABATIC_FLIP_SET, steps_per_cycle)
-    gate = berry_gate(params.omega0, params.gamma, params.J).in_computational
-    if params.omega1 < 0.0:
-        gate = gate.dagger()
+    _, (u_first,), (u_second,), (gate,), _ = _adiabatic_two_cycles(_columns(params, 1), steps_per_cycle)
     # RK4 propagators are not exactly unitary, so their output skips the norm check.
     final_state = TwoSpinState if steps_per_cycle is None else _state_from_trusted
-    single = isinstance(initial, TwoSpinState)
-    results = []
-    for start in [initial] if single else initial:
-        final = final_state(u_second @ (u_first @ start.amplitudes))
-        ideal = TwoSpinState(gate.matrix @ start.amplitudes)
-        deviation = float(np.linalg.norm(final.amplitudes - ideal.amplitudes))
-        results.append(AdiabaticTwoCycleResult(final_state=final, ideal_state=ideal, deviation=deviation))
-    return results[0] if single else results
+    final = final_state(u_second @ (u_first @ initial.amplitudes))
+    ideal = TwoSpinState(gate @ initial.amplitudes)
+    deviation = float(np.linalg.norm(final.amplitudes - ideal.amplitudes))
+    return AdiabaticTwoCycleResult(final_state=final, ideal_state=ideal, deviation=deviation)
 
 
 @dataclass(frozen=True)
@@ -167,22 +169,12 @@ class AATwoCycleResult:
     identity_defect: float
 
 
-def run_aa_two_cycle(
-    params: SpinParams, initial: TwoSpinState | Sequence[TwoSpinState]
-) -> AATwoCycleResult | list[AATwoCycleResult]:
+def run_aa_two_cycle(params: SpinParams, initial: TwoSpinState) -> AATwoCycleResult:
     """Compose the two exact cycle propagators of the total-phase protocol.
 
     identity_defect is the max-abs entry of U2 U1 - I; it sits at rounding
     level because the second rotating-frame generator is the exact negative of
-    the first. The input state is arbitrary (not restricted to eigenstates); a
-    sequence of start states returns a list with one result per state.
+    the first. The input state is arbitrary (not restricted to eigenstates).
     """
-    composed, defects = _aa_two_cycles(_columns(params, 1))
-    composed, defect = composed[0], float(defects[0])
-    single = isinstance(initial, TwoSpinState)
-    results = [
-        AATwoCycleResult(final_state=TwoSpinState(composed @ start.amplitudes), identity_defect=defect)
-        for start in ([initial] if single else initial)
-    ]
-    return results[0] if single else results
-
+    (composed,), (defect,) = _aa_two_cycles(_columns(params, 1))
+    return AATwoCycleResult(final_state=TwoSpinState(composed @ initial.amplitudes), identity_defect=float(defect))

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 
-from twospin import SpinParams, triplet_amplitudes
+from twospin import PARAM_GROUPS, SpinParams, triplet_amplitudes
 
 TWO_PI = 2.0 * math.pi
 
@@ -30,6 +30,18 @@ def random_symmetric(rng, omega1_low=0.0, omega1_high=0.0):
 def random_general(rng, omega1_low=0.8, omega1_high=2.0):
     wa, wb, ga, gb, J = (float(v) for v in rng.uniform(-3.0, 3.0, 5))
     return SpinParams(wa, wb, ga, gb, J, float(rng.uniform(omega1_low, omega1_high)))
+
+
+def flip_params(params, names):
+    """Negate the named parameter groups (omega0 and gamma act on both spins): the second
+    cycle of a two-cycle protocol, built point by point as an oracle for the stacked flip."""
+    updates = {}
+    for name in names:
+        if name not in PARAM_GROUPS:
+            raise ValueError(f"unknown flip group {name!r}")
+        for field in PARAM_GROUPS[name]:
+            updates[field] = -getattr(params, field)
+    return params.replace(**updates)
 
 
 def random_state(rng):

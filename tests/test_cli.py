@@ -304,6 +304,42 @@ class TestTwocycleCommand:
         assert code == 0
         assert [len(h_rot) for h_rot, _, _ in calls] == [1, 1]
 
+    def test_exact_omega1_list_builds_one_stack_per_cycle(self, capsys, monkeypatch):
+        calls = self._count_calls(monkeypatch, twocycle, "_propagators")
+        code, out, _ = run_main(
+            ["twocycle", "--scheme", "adiabatic", "--omega1-sweep=0.1,-0.05,0.025", *self.P], capsys
+        )
+        assert code == 0
+        assert len(parse_csv(out)[1]) == 12
+        assert [len(h_rot) for h_rot, _, _ in calls] == [3, 3]
+
+    P = ["--omega0", "1", "--gamma", "0.8", "--J", "0.6"]
+
+    @pytest.mark.parametrize(
+        "values, code, message",
+        [
+            ("0.1,nan,0", 2, "omega1 must be finite, got nan"),
+            ("0.1,0,nan", 2, "cycle protocols need omega1 != 0"),
+            ("0.2,5e-324,0", 2, "omega1 = 5e-324 is too small: the period 2*pi/|omega1| is not finite"),
+            ("0.3,1e-14", 4, "propagator phase 3.204e+16 rad is too large to resolve (limit 2**52)"),
+        ],
+    )
+    def test_first_failing_omega1_in_list_order_raises(self, capsys, values, code, message):
+        argv = ["twocycle", "--scheme", "adiabatic", f"--omega1-sweep={values}", "--J", "1e2", "--omega0", "1"]
+        assert run_main(argv, capsys) == (code, "", json.dumps({"error": message, "exit_code": code}) + "\n")
+
+    @pytest.mark.parametrize("scheme", ["adiabatic", "aa"])
+    @pytest.mark.parametrize("values", [",", ""])
+    def test_empty_omega1_list_exits_2(self, capsys, scheme, values):
+        code, out, err = run_main(["twocycle", "--scheme", scheme, "--omega1-sweep", values, *self.P], capsys)
+        assert (code, out) == (2, "")
+        assert "--omega1-sweep" in json.loads(err)["error"]
+
+    @pytest.mark.parametrize("scheme", ["adiabatic", "aa"])
+    def test_negative_steps_exit_2(self, capsys, scheme):
+        argv = ["twocycle", "--scheme", scheme, "--omega1", "0.3", "--steps", "-3", *self.P]
+        assert run_main(argv, capsys) == (2, "", json.dumps({"error": "steps must be >= 0", "exit_code": 2}) + "\n")
+
     def test_adiabatic_sweep_builds_one_pair_per_omega1(self, capsys, monkeypatch):
         calls = self._count_calls(monkeypatch, twocycle, "evolve_stepped")
         code, out, _ = run_main(
@@ -476,6 +512,18 @@ class TestBlockedSweep:
             assert J == expected_J
             assert defect == run_aa_two_cycle(self.UNEQUAL.replace(J=J), uu).identity_defect
 
+    def test_omega1_list_across_a_block_boundary_matches_single_point_tables(self, monkeypatch):
+        calls = TestTwocycleCommand._count_calls(monkeypatch, twocycle, "_propagators")
+        base = SpinParams.symmetric(1.0, 0.8, 0.6, 0.3)
+        values = [w1 * (-1) ** i for i, w1 in enumerate(np.linspace(0.05, 0.5, cli.SWEEP_BLOCK + 1).tolist())]
+        columns, rows, _ = cli.cmd_twocycle(base, "adiabatic", 0, values)
+        assert [len(h_rot) for h_rot, _, _ in calls] == [cli.SWEEP_BLOCK, cli.SWEEP_BLOCK, 1, 1]
+        assert columns == ["omega1", "n", "phase", "target", "circular_deviation"]
+        expected = [
+            [w1] + row[:4] for w1 in values for row in cli.cmd_twocycle(base.replace(omega1=w1), "adiabatic")[1]
+        ]
+        assert _bits(rows) == _bits(expected)
+
     DEFECT = ["sweep", "--quantity", "twocycle-defect", "--omega0", "1", "--gamma", "1"]
 
     # Exit codes and stderr bytes of the point-by-point sweep; the kernel checks
@@ -623,6 +671,25 @@ class TestPeriodOverflow:
         argv = ["evolve", "--J", "1", "--omega1", "5e-324", "--time", "2", "--steps", "100"]
         code, _, _ = run_main(argv, capsys)
         assert code == 0
+
+
+class TestNegativeValues:
+    """A flag value that starts with - and a digit or . is a value, also in exponent or list form."""
+
+    @pytest.mark.parametrize(
+        "argv, flag, value",
+        [
+            (["spectrum", "--omega0", "1", "--gamma", "0.8"], "--J", "-1e-3"),
+            (["spectrum", "--omega0", "1", "--gamma", "0.8"], "--J", "-.5e-1"),
+            (["evolve", "--omega1", "0.3"], "--time", "-1e-3"),
+            (["twocycle", "--scheme", "adiabatic", "--omega0", "1", "--gamma", "0.8"], "--omega1-sweep", "-0.1,0.2"),
+            (["evolve", "--omega1", "0.3"], "--initial", "-0.5,0,0.5,0,-0.5,0,0.5,0"),
+        ],
+    )
+    def test_spaced_value_reads_as_the_joined_form(self, capsys, argv, flag, value):
+        spaced = run_main(argv + [flag, value], capsys)
+        assert spaced[0] == 0
+        assert spaced == run_main(argv + [f"{flag}={value}"], capsys)
 
 
 class TestConfigPrecedence:
