@@ -164,7 +164,7 @@ def _adiabatic_rows(columns, steps: int):
     systems, u_first, u_second, gates, targets = _adiabatic_two_cycles(columns, steps or None)
     table = []
     for system, u1, u2, gate, point_targets in zip(systems, u_first, u_second, gates, targets.tolist()):
-        table.append(rows := [])
+        rows = []
         for n, target in enumerate(point_targets, start=1):
             start = system.state(n).amplitudes
             final = u2 @ (u1 @ start)
@@ -172,6 +172,7 @@ def _adiabatic_rows(columns, steps: int):
             phase = float(np.angle(overlap))
             deviation = float(np.linalg.norm(final - gate @ start))
             rows.append([n, phase, target, abs(principal_value(phase - target)), abs(overlap), deviation])
+        table.append(rows)
     return table
 
 

@@ -303,4 +303,3 @@ PARAM_GROUPS = {
     "J": ("J",),
     "omega1": ("omega1",),
 }
-

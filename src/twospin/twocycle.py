@@ -13,7 +13,7 @@ Both protocols are fixed unitaries, independent of the input state. The block
 functions _adiabatic_two_cycles and _aa_two_cycles take field columns of N
 points (see core._columns) and build the exact propagators of all N points
 with one stacked kernel call per cycle; run_*_two_cycle apply their N = 1
-case to one state.
+case to one state, so both give the same numbers bit for bit.
 """
 
 from __future__ import annotations

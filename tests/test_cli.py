@@ -328,6 +328,16 @@ class TestTwocycleCommand:
         argv = ["twocycle", "--scheme", "adiabatic", f"--omega1-sweep={values}", "--J", "1e2", "--omega0", "1"]
         assert run_main(argv, capsys) == (code, "", json.dumps({"error": message, "exit_code": code}) + "\n")
 
+    # With unequal couplings and omega1 = 0, the AA scheme refuses the rotation
+    # first and the adiabatic scheme the couplings, which its gate needs first.
+    @pytest.mark.parametrize(
+        "scheme, message",
+        [("aa", "cycle protocols need omega1 != 0"), ("adiabatic", "omega0 is only defined for equal couplings")],
+    )
+    def test_refusal_order_without_rotation(self, capsys, scheme, message):
+        argv = ["twocycle", "--scheme", scheme, *self.P, "--omega-a0", "1.3"]
+        assert run_main(argv, capsys) == (2, "", json.dumps({"error": message, "exit_code": 2}) + "\n")
+
     @pytest.mark.parametrize("scheme", ["adiabatic", "aa"])
     @pytest.mark.parametrize("values", [",", ""])
     def test_empty_omega1_list_exits_2(self, capsys, scheme, values):
