@@ -209,6 +209,8 @@ class TestEvolveCommand:
 
 
 class TestTwocycleCommand:
+    P = ["--omega0", "1", "--gamma", "0.8", "--J", "0.6"]
+
     def test_aa_defect_column(self, capsys):
         code, out, _ = run_main(
             ["twocycle", "--scheme", "aa", "--omega0", "1", "--gamma", "1", "--J", "1", "--omega1", "0.1"],
@@ -312,8 +314,6 @@ class TestTwocycleCommand:
         assert code == 0
         assert len(parse_csv(out)[1]) == 12
         assert [len(h_rot) for h_rot, _, _ in calls] == [3, 3]
-
-    P = ["--omega0", "1", "--gamma", "0.8", "--J", "0.6"]
 
     @pytest.mark.parametrize(
         "values, code, message",
