@@ -241,6 +241,8 @@ def cmd_twocycle(params: SpinParams, scheme: str, steps: int = 0, omega1_values=
         raise ValueError(f"scheme must be adiabatic or aa, got {scheme!r}")
     if omega1_values is not None and scheme != "adiabatic":
         raise ValueError("--omega1-sweep applies to the adiabatic scheme only")
+    if steps and scheme != "adiabatic":
+        raise ValueError("--steps applies to the adiabatic scheme only; the aa scheme is exact")
     if scheme == "aa":
         rows = _aa_rows(_columns(params, 1))[0]
         columns = ["n", "one_cycle_total_raw", "one_cycle_total_principal", "two_cycle_phase", "identity_defect"]

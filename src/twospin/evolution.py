@@ -14,25 +14,22 @@ so a stacked propagator equals the per-point one bit for bit.
 
 A fixed-step classical Runge-Kutta integrator of the time-ordered Schrodinger
 equation serves as the independent cross-check; it samples the Hamiltonian
-analytically at the substep times and converges at fourth order.
+analytically at the substep times and converges at fourth order. Its kernel,
+_stepped_propagators, advances an (M, 4, 4) stack of problems together without
+_propagators; evolve_stepped is its M = 1 wrapper.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
 from .core import Operator4, SpinParams, TwoSpinState, _check_stack, _columns, _state_from_trusted
-from .hamiltonian import (
-    _frame_matrix,
-    h_rotating_frame,
-    h_static,
-    h_total,
-    rotating_frame_stack,
-    transverse_parts,
-)
+from .hamiltonian import _finite_static_matrix, _frame_matrix, h_rotating_frame, h_static, h_total
+from .hamiltonian import rotating_frame_stack, transverse_parts
 from .spectral import eigensystem
 
 __all__ = [
@@ -103,47 +100,67 @@ def evolve_exact(params: SpinParams, initial: TwoSpinState, t: float) -> Evoluti
     return EvolutionResult(final_state=final, propagator=propagator, elapsed=t, method="exact")
 
 
-def _shortest_period(params: SpinParams) -> float:
-    periods = [math.inf]
-    if params.omega1 != 0.0:  # a rotation too slow for a finite period sets no bound
-        periods.append(2.0 * math.pi / abs(params.omega1))
+def _check_steps(params: SpinParams, t: float, steps: int) -> None:
+    """Refuse fewer than one step, or fewer than MIN_STEPS_PER_PERIOD steps per shortest dynamical
+    period: the period of the rotation or 2*pi over the largest |eigenvalue| of H(0).
+    """
+    if steps < 1:
+        raise ValueError("steps must be at least 1")
+    if t == 0.0:
+        return
     h_norm = float(np.abs(np.linalg.eigvalsh(h_total(params, 0.0).matrix)).max())
-    if h_norm > 0.0:
-        periods.append(2.0 * math.pi / h_norm)
-    return min(periods)
+    # A zero rate sets no bound, nor does a rotation too slow for a finite period.
+    shortest = min((2.0 * math.pi / rate for rate in (abs(params.omega1), h_norm) if rate > 0.0), default=math.inf)
+    if math.isfinite(shortest) and abs(t) / steps > shortest / MIN_STEPS_PER_PERIOD:
+        needed = math.ceil(abs(t) * MIN_STEPS_PER_PERIOD / shortest)
+        raise ValueError(f"step budget too small: need at least {needed} steps for t={t!r}")
+
+
+# Steps times problems per block of Hamiltonian samples, so that a block holds
+# about 3 * _SAMPLE_BLOCK matrices whatever the number of problems.
+_SAMPLE_BLOCK = 512
+
+
+def _stepped_propagators(columns: dict[str, np.ndarray], t: np.ndarray, steps: int) -> np.ndarray:
+    """RK4 propagators of i dU/dt = H(t) U from 0 to t for (M,) field columns and times t.
+
+    Problem m takes steps steps of size h = t[m] / steps. H is sampled at k h, k h + h/2 and
+    k h + h of step k with h_total's arithmetic, so problem m equals a loop of h_total steps bit
+    for bit. Sample blocks get the checks of Operator4.hermitian, the result those of "general".
+    """
+    fields = SimpleNamespace(**{name: column[:, None, None] for name, column in columns.items()})
+    static = _finite_static_matrix(fields)
+    cos_part, sin_part = transverse_parts(fields)
+    h = t / steps
+    half, full, sixth = (0.5 * h)[:, None, None], h[:, None, None], (h / 6.0)[:, None, None]
+    propagators = np.tile(np.eye(4, dtype=complex), (len(t), 1, 1))
+    block = max(1, _SAMPLE_BLOCK // len(t))
+    for first in range(0, steps, block):
+        t0 = np.arange(first, min(first + block, steps))[:, None] * h
+        angle = columns["omega1"] * np.stack([t0, t0 + 0.5 * h, t0 + h], axis=1)
+        cos, sin = np.cos(angle)[..., None, None], np.sin(angle)[..., None, None]
+        samples = static + (cos * cos_part + sin * sin_part)
+        _check_stack(samples, "hermitian")
+        for h_0, h_mid, h_1 in samples:
+            k1 = -1j * (h_0 @ propagators)
+            k2 = -1j * (h_mid @ (propagators + half * k1))
+            k3 = -1j * (h_mid @ (propagators + half * k2))
+            k4 = -1j * (h_1 @ (propagators + full * k3))
+            propagators = propagators + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    _check_stack(propagators, "general")
+    return propagators
 
 
 def evolve_stepped(params: SpinParams, initial: TwoSpinState, t: float, steps: int) -> EvolutionResult:
-    """Fixed-step RK4 integration of the propagator of i dU/dt = H(t) U.
+    """Fixed-step RK4 integration of i dU/dt = H(t) U: the M = 1 case of _stepped_propagators.
 
     Refuses to run with fewer than MIN_STEPS_PER_PERIOD substeps per shortest
     dynamical period (the accuracy contract could not be met). The returned
     propagator carries the "general" tag; its unitarity defect shrinks at
     fourth order in the step size.
     """
-    if steps < 1:
-        raise ValueError("steps must be at least 1")
-    if t != 0.0:
-        shortest = _shortest_period(params)
-        if math.isfinite(shortest) and abs(t) / steps > shortest / MIN_STEPS_PER_PERIOD:
-            needed = math.ceil(abs(t) * MIN_STEPS_PER_PERIOD / shortest)
-            raise ValueError(
-                f"step budget too small: need at least {needed} steps for t={t!r}"
-            )
-
-    h = t / steps
-    propagator = np.eye(4, dtype=complex)
-    for k in range(steps):
-        t0 = k * h
-        h_0 = h_total(params, t0).matrix
-        h_mid = h_total(params, t0 + 0.5 * h).matrix
-        h_1 = h_total(params, t0 + h).matrix
-        k1 = -1j * (h_0 @ propagator)
-        k2 = -1j * (h_mid @ (propagator + 0.5 * h * k1))
-        k3 = -1j * (h_mid @ (propagator + 0.5 * h * k2))
-        k4 = -1j * (h_1 @ (propagator + h * k3))
-        propagator = propagator + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-
+    _check_steps(params, t, steps)
+    propagator = _stepped_propagators(_columns(params, 1), np.array([t], dtype=float), steps)[0]
     op = Operator4.general(propagator)
     # The final-state norm mirrors the integrator's unitarity defect, so skip
     # the unit-norm sanity check: final_state must equal propagator @ initial.

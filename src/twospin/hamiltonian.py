@@ -48,11 +48,12 @@ def _static_matrix(params) -> np.ndarray:
     return 0.5 * (params.omega_a0 * _PAULI["a", "z"] + params.omega_b0 * _PAULI["b", "z"] + params.J * _SZZ)
 
 
-def _finite_static_matrix(params: SpinParams) -> np.ndarray:
+def _finite_static_matrix(params) -> np.ndarray:
     # One diagonal entry +-omega_a0 +- omega_b0 +- J has all three terms aligned,
     # so the largest entry overflows exactly when this sum of magnitudes does.
-    if abs(params.omega_a0) + abs(params.omega_b0) + abs(params.J) == math.inf:
-        raise OverflowError(_OVERFLOW)
+    with np.errstate(over="ignore"):  # per-field columns overflow like floats
+        if np.any(abs(params.omega_a0) + abs(params.omega_b0) + abs(params.J) == math.inf):
+            raise OverflowError(_OVERFLOW)
     return _static_matrix(params)
 
 

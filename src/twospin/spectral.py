@@ -169,6 +169,8 @@ def _amplitudes(gamma: float, d_plus: float, d_minus: float, theta):
     x0 = -2.0 * gamma / d_plus
     w0 = -2.0 * gamma / d_minus
     norm = math.sqrt(2.0 + x0 * x0 + w0 * w0)
+    if not math.isfinite(norm):  # d+- overflowed: the spectral scale is out of float range
+        raise ArithmeticError(f"closed-form eigenvector is not finite (d+ = {d_plus!r}, d- = {d_minus!r})")
     phase = np.exp(-1j * np.asarray(theta, dtype=float))
     one = np.ones_like(phase) / norm
     return (x0 * phase / norm, one, one, w0 * np.conj(phase) / norm)

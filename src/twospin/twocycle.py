@@ -12,8 +12,9 @@ the total phase: the composed propagator is the identity for any input state.
 Both protocols are fixed unitaries, independent of the input state. The block
 functions _adiabatic_two_cycles and _aa_two_cycles take field columns of N
 points (see core._columns) and build the exact propagators of all N points
-with one stacked kernel call per cycle; run_*_two_cycle apply their N = 1
-case to one state, so both give the same numbers bit for bit.
+with one stacked kernel call per cycle, or their RK4 propagators with one
+call over both cycles; run_*_two_cycle apply their N = 1 case to one state,
+so both give the same numbers bit for bit.
 """
 
 from __future__ import annotations
@@ -22,19 +23,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (
-    PARAM_GROUPS,
-    Operator4,
-    SpinParams,
-    TwoSpinState,
-    _check_stack,
-    _columns,
-    _equal_coupling_fields,
-    _periods,
-    _points,
-    _state_from_trusted,
-)
-from .evolution import _propagators, evolve_stepped
+from .core import PARAM_GROUPS, Operator4, SpinParams, TwoSpinState, _check_stack, _columns, _equal_coupling_fields
+from .core import _periods, _points, _state_from_trusted
+from .evolution import _check_steps, _propagators, _stepped_propagators
 from .hamiltonian import rotating_frame_stack
 from .phases import _berry_phases, _rotation_sense
 from .spectral import eigensystem
@@ -97,20 +88,21 @@ def _require_rotation(omega1) -> None:
 
 def _cycle_propagators(columns: dict[str, np.ndarray], flips, steps_per_cycle: int | None = None):
     """(N, 4, 4) propagators of the first and the second, flipped, cycle, one period each: exact, one
-    stacked kernel call per cycle, or RK4 with steps_per_cycle steps, one evolve_stepped run per point.
+    _propagators call per cycle, or RK4 with steps_per_cycle steps, whose budget every point passes
+    (cycle 1 first) before one _stepped_propagators call advances both cycles of all N points.
     """
     omega1 = columns["omega1"]
     _require_rotation(omega1)
     periods = _periods(omega1)
     flipped = {**columns, **{field: -columns[field] for name in flips for field in PARAM_GROUPS[name]}}
+    cycles = (columns, flipped)
     if steps_per_cycle is None:
-        return [_propagators(rotating_frame_stack(cycle), cycle["omega1"], periods) for cycle in (columns, flipped)]
-    probe = TwoSpinState.basis_state(0)  # the RK4 propagator does not depend on the state
-    return [
-        np.array([evolve_stepped(point, probe, period, steps_per_cycle).propagator.matrix
-                  for point, period in zip(_points(cycle), periods.tolist())])
-        for cycle in (columns, flipped)
-    ]
+        return [_propagators(rotating_frame_stack(cycle), cycle["omega1"], periods) for cycle in cycles]
+    for cycle in cycles:
+        for point, period in zip(_points(cycle), periods.tolist()):
+            _check_steps(point, period, steps_per_cycle)
+    stacked = {name: np.concatenate([columns[name], flipped[name]]) for name in columns}
+    return np.split(_stepped_propagators(stacked, np.concatenate([periods, periods]), steps_per_cycle), 2)
 
 
 def _adiabatic_two_cycles(columns: dict[str, np.ndarray], steps_per_cycle: int | None = None):

@@ -107,3 +107,23 @@ def berry_line_integral(omega0, gamma, J, n, intervals=20000):
     dxi = (np.roll(xi, -1, axis=1) - np.roll(xi, 1, axis=1)) / (2.0 * dtheta)
     integrand = (1j * np.sum(xi.conj() * dxi, axis=0)).real
     return float(dtheta * integrand.sum())
+
+
+def stepped_propagator_loop(params, t, steps):
+    """The RK4 propagator of i dU/dt = H(t) U one step at a time, each of the three samples
+    of a step a validated h_total: the oracle of evolution._stepped_propagators."""
+    from twospin import h_total
+
+    h = t / steps
+    propagator = np.eye(4, dtype=complex)
+    for k in range(steps):
+        t0 = k * h
+        h_0 = h_total(params, t0).matrix
+        h_mid = h_total(params, t0 + 0.5 * h).matrix
+        h_1 = h_total(params, t0 + h).matrix
+        k1 = -1j * (h_0 @ propagator)
+        k2 = -1j * (h_mid @ (propagator + 0.5 * h * k1))
+        k3 = -1j * (h_mid @ (propagator + 0.5 * h * k2))
+        k4 = -1j * (h_1 @ (propagator + h * k3))
+        propagator = propagator + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    return propagator

@@ -351,15 +351,38 @@ class TestTwocycleCommand:
         assert run_main(argv, capsys) == (2, "", json.dumps({"error": "steps must be >= 0", "exit_code": 2}) + "\n")
 
     def test_adiabatic_sweep_builds_one_pair_per_omega1(self, capsys, monkeypatch):
-        calls = self._count_calls(monkeypatch, twocycle, "evolve_stepped")
+        calls = self._count_calls(monkeypatch, twocycle, "_stepped_propagators")
+        exact = self._count_calls(monkeypatch, twocycle, "_propagators")
         code, out, _ = run_main(
-            ["twocycle", "--scheme", "adiabatic", "--omega1-sweep", "0.4,0.3", "--steps", "200",
-             "--omega0", "1", "--gamma", "0.8", "--J", "0.6", "--omega1", "0.3"],
+            ["twocycle", "--scheme", "adiabatic", "--omega1-sweep", "0.4,0.3", "--steps", "200", *self.P,
+             "--omega1", "0.3"],
             capsys,
         )
         assert code == 0
         assert len(parse_csv(out)[1]) == 8
-        assert len(calls) == 4  # two cycles for each omega1 value
+        assert [(len(t), steps) for _, t, steps in calls] == [(4, 200)]  # both cycles of both omega1 values
+        assert exact == []
+
+    def test_step_budget_of_the_first_failing_omega1_raises(self, capsys):
+        argv = ["twocycle", "--scheme", "adiabatic", "--omega1-sweep=0.4,0.01,0.3", "--steps", "200", *self.P]
+        message = "step budget too small: need at least 1196 steps for t=628.3185307179587"
+        assert run_main(argv, capsys) == (2, "", json.dumps({"error": message, "exit_code": 2}) + "\n")
+
+    def test_aa_refuses_steps(self, capsys):
+        argv = ["twocycle", "--scheme", "aa", "--omega1", "0.3", "--steps", "200", *self.P]
+        message = "--steps applies to the adiabatic scheme only; the aa scheme is exact"
+        assert run_main(argv, capsys) == (2, "", json.dumps({"error": message, "exit_code": 2}) + "\n")
+
+    @pytest.mark.parametrize(
+        "command",
+        [["twocycle", "--scheme", "adiabatic"], ["twocycle", "--scheme", "aa"], ["evolve", "--initial", "eigen1"]],
+    )
+    def test_overflowing_eigenvector_is_a_numeric_failure(self, capsys, command):
+        argv = [*command, "--omega0=1e308", "--gamma=0.457", "--J=0.296", "--omega1=0.6"]
+        message = "closed-form eigenvector is not finite (d+ = nan, d- = -inf)"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run_main(argv, capsys) == (4, "", json.dumps({"error": message, "exit_code": 4}) + "\n")
 
 
 class TestSweepCommand:

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from twospin import (
     SpinParams,
@@ -15,8 +17,11 @@ from twospin import (
     numeric_dynamical_phase,
     tilde_eigensystem,
 )
+from twospin import core, evolution
+from twospin.core import _columns
+from twospin.evolution import _SAMPLE_BLOCK, _stepped_propagators
 
-from support import circ_dist, random_general, random_state, random_symmetric
+from support import circ_dist, random_general, random_state, random_symmetric, stepped_propagator_loop
 
 P111 = SpinParams.symmetric(1.0, 1.0, 1.0, 0.1)
 
@@ -176,6 +181,100 @@ class TestEvolveStepped:
         p = SpinParams.symmetric(1.0, 1.0, 1.0, 0.1)
         res = evolve_stepped(p, TwoSpinState.basis_state("uu"), p.period, 200)
         assert 0.9 < res.final_state.norm < 1.0
+
+
+def _stack(points):
+    """Field columns of a list of SpinParams."""
+    return {name: np.array([getattr(p, name) for p in points]) for name in _columns(points[0], 1)}
+
+
+def _assert_bits(stack, expected):
+    """Equal bit for bit, signed zeros included."""
+    assert stack.shape == expected.shape
+    assert np.array_equal(stack.view(np.uint64), expected.view(np.uint64))
+
+
+UNEQUAL = SpinParams(1.3, 0.4, 0.8, 1.1, -0.6, 0.7)
+
+
+class TestSteppedKernel:
+    """The stacked RK4 kernel against the per-step h_total loop of tests/support.py."""
+
+    @pytest.mark.parametrize(
+        "params, t, steps",
+        [
+            (P111, P111.period, 700),  # crosses a sample block at M = 1
+            (P111.replace(omega1=-0.1), P111.period, 300),
+            (UNEQUAL, 4.0, 200),
+            (UNEQUAL.replace(omega1=-0.7), -4.0, 200),
+            (UNEQUAL, 0.05, 1),
+            (UNEQUAL, -0.05, 1),
+            (UNEQUAL, 0.0, 3),
+            (SpinParams(0.0, -0.0, 0.0, 0.0, 0.0, 0.0), 1.0, 2),
+        ],
+    )
+    def test_single_problem_equals_the_loop(self, params, t, steps):
+        stack = _stepped_propagators(_stack([params]), np.array([t]), steps)
+        _assert_bits(stack[0], stepped_propagator_loop(params, t, steps))
+        _assert_bits(evolve_stepped(params, TwoSpinState.basis_state(0), t, steps).propagator.matrix, stack[0])
+
+    def test_stack_of_step_sizes_across_a_block_boundary(self):
+        rng = np.random.default_rng(58)
+        points = [UNEQUAL, UNEQUAL.replace(omega1=-0.7), random_general(rng), random_general(rng, -2.0, -0.8)]
+        t = np.array([4.0, -3.0, 2.5, 0.0])
+        steps = _SAMPLE_BLOCK // len(points) + 30
+        stack = _stepped_propagators(_stack(points), t, steps)
+        for matrix, point, time in zip(stack, points, t.tolist()):
+            _assert_bits(matrix, stepped_propagator_loop(point, time, steps))
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        st.sampled_from([1, 2, 5]),
+        st.integers(1, 120),
+        st.randoms(use_true_random=False),
+    )
+    def test_random_stacks_equal_the_loop(self, m, steps, random):
+        points = [SpinParams(*(random.uniform(-3.0, 3.0) for _ in range(6))) for _ in range(m)]
+        t = np.array([random.uniform(-6.0, 6.0) for _ in range(m)])
+        stack = _stepped_propagators(_stack(points), t, steps)
+        for matrix, point, time in zip(stack, points, t.tolist()):
+            _assert_bits(matrix, stepped_propagator_loop(point, time, steps))
+
+    def test_no_work_per_step_outside_the_kernel(self, monkeypatch):
+        counts = {"h_total": 0, "Operator4": 0}
+        real_h_total, real_init = evolution.h_total, core.Operator4.__post_init__
+
+        def h_total(*args):
+            counts["h_total"] += 1
+            return real_h_total(*args)
+
+        def post_init(self):
+            counts["Operator4"] += 1
+            real_init(self)
+
+        monkeypatch.setattr(evolution, "h_total", h_total)
+        monkeypatch.setattr(core.Operator4, "__post_init__", post_init)
+        seen = []
+        for steps in (100, 1000):
+            evolve_stepped(P111, TwoSpinState.basis_state(0), 5.0, steps)
+            seen.append(dict(counts))
+            counts.update(dict.fromkeys(counts, 0))
+        assert seen == [{"h_total": 1, "Operator4": 2}] * 2  # the budget check's H(0) and the result
+
+    def test_every_sample_is_checked_as_hermitian(self, monkeypatch):
+        real = evolution.transverse_parts
+        monkeypatch.setattr(evolution, "transverse_parts", lambda fields: (real(fields)[0], 1j * real(fields)[1]))
+        with pytest.raises(ValueError, match="hermitian tag violated"):
+            _stepped_propagators(_stack([P111]), np.array([1.0]), 4)
+
+    def test_non_finite_result_refused(self):
+        with np.errstate(all="ignore"), pytest.raises(ValueError, match="non-finite"):
+            _stepped_propagators(_stack([P111]), np.array([1e308]), 1)  # far past the step budget
+
+    def test_overflowing_static_part_refused(self):
+        columns = _stack([SpinParams(1e308, 1e308, 0.0, 0.0, 0.0, 0.1)])
+        with pytest.raises(OverflowError):
+            _stepped_propagators(columns, np.array([1.0]), 4)
 
 
 class TestAdiabaticCycle:

@@ -11,8 +11,8 @@ fallback column; sweep_aa_resonant_csv crosses omega0 = omega1 in both
 senses, where the shifted detuning vanishes and the AA phase takes the
 fallback. The twocycle cases add omega1 lists in both rotation senses,
 exact and stepped, the gamma = 0 fallback with a backwards rotation, the AA
-scheme at omega1 < 0, and a list that reaches omega1 = 0. Regenerate the
-files, when an output change is intended, with
+scheme at omega1 < 0 and its refusal of RK4 steps, and a list that reaches
+omega1 = 0. Regenerate the files, when an output change is intended, with
 
     PYTHONPATH=src python tests/test_golden.py
 
@@ -122,6 +122,7 @@ CASES = {
     ),
     "error_phases_no_rotation": ["phases", *P],
     "error_twocycle_aa_no_rotation": ["twocycle", "--scheme", "aa", *P],
+    "error_twocycle_aa_steps": ["twocycle", "--scheme", "aa", *P, "--omega1", "0.3", "--steps", "400"],
     "error_twocycle_adiabatic_no_rotation": ["twocycle", "--scheme", "adiabatic", *P],
     "error_twocycle_sweep_no_rotation": ["twocycle", "--scheme", "adiabatic", "--omega1-sweep=0.1,0,0.2", *P],
     "error_evolve_no_rotation": ["evolve", *P],
