@@ -6,9 +6,10 @@ config-file keys and sweep axes are the keys of core.PARAM_GROUPS (flags spell
 both spins. Each field takes the first value found in this order: per-spin
 flag, pair flag, per-spin config key, pair config key, then 0.
 
-Output is CSV or JSON. Every value passes once through _cell: a float becomes
-%.12e text (a JSON float is that text read back), so repeated runs are
-byte-identical, and a non-finite float, printed or not, is a numeric failure.
+Output is CSV or JSON, rendered by _render from an (R, C) float table: one
+finiteness check (a non-finite value, printed or not, is a numeric failure),
+then one % operation per RENDER_CHUNK rows with %.12e for every float, so
+repeated runs are byte-identical; a JSON float is that text read back.
 
 Sweeps walk the grid in lexicographic order in blocks of SWEEP_BLOCK points,
 one kernel call per block: the closed-form kernel for spectrum, berry and aa
@@ -36,9 +37,9 @@ from itertools import islice, product
 
 import numpy as np
 
-from .core import PARAM_GROUPS, SpinParams, TwoSpinState, _columns, _equal_coupling_fields, _points
+from .core import BASIS_LABELS, PARAM_GROUPS, SpinParams, TwoSpinState, _columns, _equal_coupling_fields, _points
 from .evolution import evolve_exact, evolve_stepped
-from .phases import _cycle_phases, _principal_values, principal_value
+from .phases import _cycle_phases, _principal_values
 from .spectral import InternalConsistencyError, _closed_form, eigensystem, singlet_energy, tilde_eigensystem
 from .twocycle import _aa_two_cycles, _adiabatic_two_cycles, _require_rotation
 
@@ -66,6 +67,10 @@ MAX_GRID_POINTS = 250_000
 # temporaries: one block of the whole 10k-point grid raised peak memory by
 # about 20 MB.
 SWEEP_BLOCK = 512
+
+# Table rows per % operation of _render. Rendering the benchmark's 79,524-row
+# aa JSON sweep in one piece raised its peak memory from 63 to 131 MB.
+RENDER_CHUNK = 1024
 
 _NAMED_STATES = ("uu", "ud", "du", "dd", "singlet")
 
@@ -136,13 +141,18 @@ def _parse_initial(spec: str, params: SpinParams) -> TwoSpinState:
 # ---------------------------------------------------------------------------
 # quantities: the per-parameter-point tables shared by the commands and sweeps.
 # A block function takes field columns (SpinParams field name -> (N,) array,
-# see core._columns) and returns one list of rows per point, in column order.
+# see core._columns) and returns k rows per point as an (N, k, C) float array.
+
+
+def _numbered(values: np.ndarray) -> np.ndarray:
+    """(N, 4, C) values -> (N, 4, 1 + C): each point's rows led by their label n = 1..4."""
+    labels = np.broadcast_to(np.arange(1.0, 5.0)[:, None], (len(values), 4, 1))
+    return np.concatenate([labels, values], axis=-1)
 
 
 def _spectrum_rows(columns):
     omega0, gamma, J = _equal_coupling_fields(columns)
-    energies = np.column_stack([_closed_form(omega0, gamma, J).energies, singlet_energy(J)])
-    return [[[n, energy] for n, energy in enumerate(point, start=1)] for point in energies.tolist()]
+    return _numbered(np.column_stack([_closed_form(omega0, gamma, J).energies, singlet_energy(J)])[..., None])
 
 
 _PHASE_COLUMNS = ["n"] + [
@@ -153,8 +163,7 @@ _PHASE_COLUMNS = ["n"] + [
 def _phase_rows(columns, shifted: bool):
     """Raw total/dynamical/geometric per label, then each wrapped into (-pi, pi] for display."""
     raw = np.stack(_cycle_phases(columns, shifted), axis=-1)
-    table = np.concatenate([raw, _principal_values(raw)], axis=-1).tolist()
-    return [[[n, *values] for n, values in enumerate(point, start=1)] for point in table]
+    return _numbered(np.concatenate([raw, _principal_values(raw)], axis=-1))
 
 
 def _adiabatic_rows(columns, steps: int):
@@ -162,18 +171,16 @@ def _adiabatic_rows(columns, steps: int):
     fidelity |<n|U2 U1|n>| and the distance of U2 U1 |n> from the ideal gate's output.
     """
     systems, u_first, u_second, gates, targets = _adiabatic_two_cycles(columns, steps or None)
-    table = []
-    for system, u1, u2, gate, point_targets in zip(systems, u_first, u_second, gates, targets.tolist()):
-        rows = []
-        for n, target in enumerate(point_targets, start=1):
+    table = np.empty((len(systems), 4, 5))
+    for system, u1, u2, gate, rows in zip(systems, u_first, u_second, gates, table):
+        for n, row in enumerate(rows, start=1):
             start = system.state(n).amplitudes
             final = u2 @ (u1 @ start)
             overlap = complex(np.vdot(start, final))
-            phase = float(np.angle(overlap))
-            deviation = float(np.linalg.norm(final - gate @ start))
-            rows.append([n, phase, target, abs(principal_value(phase - target)), abs(overlap), deviation])
-        table.append(rows)
-    return table
+            row[[0, 3, 4]] = np.angle(overlap), abs(overlap), np.linalg.norm(final - gate @ start)
+    table[..., 1] = targets
+    table[..., 2] = np.abs(_principal_values(table[..., 0] - targets))
+    return _numbered(table)
 
 
 def _aa_rows(columns):
@@ -184,19 +191,15 @@ def _aa_rows(columns):
     systems = [tilde_eigensystem(point) for point in _points(columns)]
     composed, defects = _aa_two_cycles(columns)
     total = _cycle_phases(columns, shifted=True)[0]
-    table = []
-    for system, u, raws, principals, defect in zip(
-        systems, composed, total.tolist(), _principal_values(total).tolist(), defects.tolist()
-    ):
-        starts = [system.state(n).amplitudes for n in (1, 2, 3, 4)]
-        phases = [float(np.angle(np.vdot(start, u @ start))) for start in starts]
-        table.append([[n, *values, defect] for n, values in enumerate(zip(raws, principals, phases), start=1)])
-    return table
+    principal = _principal_values(total)
+    starts = [[system.state(n).amplitudes for n in (1, 2, 3, 4)] for system in systems]
+    phases = [[np.angle(np.vdot(start, u @ start)) for start in point] for point, u in zip(starts, composed)]
+    return _numbered(np.stack([total, principal, np.array(phases), np.repeat(defects[:, None], 4, axis=1)], axis=-1))
 
 
 def _defect_rows(columns):
     """One stacked evaluation of the AA two-cycle identity defect for all points."""
-    return [[[defect]] for defect in _aa_two_cycles(columns)[1].tolist()]
+    return _aa_two_cycles(columns)[1][:, None, None]
 
 
 # quantity -> (columns, block function). The block functions look the library
@@ -219,10 +222,7 @@ def cmd_evolve(params: SpinParams, initial: TwoSpinState, t: float, steps: int):
     result = evolve_exact(params, initial, t) if steps == 0 else evolve_stepped(params, initial, t, steps)
     final = result.final_state
     overlap = initial.overlap(final)
-    rows = [
-        [label, final[i].real, final[i].imag, float(abs(final[i]) ** 2)]
-        for i, label in enumerate(("uu", "ud", "du", "dd"))
-    ]
+    rows = np.array([[i, final[i].real, final[i].imag, abs(final[i]) ** 2] for i in range(4)])
     extras = {
         "method": result.method,
         "elapsed": t,
@@ -246,13 +246,13 @@ def cmd_twocycle(params: SpinParams, scheme: str, steps: int = 0, omega1_values=
     if scheme == "aa":
         rows = _aa_rows(_columns(params, 1))[0]
         columns = ["n", "one_cycle_total_raw", "one_cycle_total_principal", "two_cycle_phase", "identity_defect"]
-        return columns, rows, {"identity_defect": rows[0][-1]}
+        return columns, rows, {"identity_defect": float(rows[0, -1])}
     columns = ["n", "phase", "target", "circular_deviation", "fidelity", "gate_deviation"]
     if omega1_values is None:
         return columns, _adiabatic_rows(_columns(params, 1), steps)[0], {}
     if not omega1_values:
         raise ValueError("--omega1-sweep needs at least one omega1 value")
-    table = lambda block: [[row[:4] for row in rows] for rows in _adiabatic_rows(block, steps)]
+    table = lambda block: _adiabatic_rows(block, steps)[..., :4]
     return ["omega1"] + columns[:4], _walk([("omega1", omega1_values)], table, params), {}
 
 
@@ -260,8 +260,8 @@ def cmd_twocycle(params: SpinParams, scheme: str, steps: int = 0, omega1_values=
 # sweep
 
 
-def _walk(axes, block_rows, base: SpinParams):
-    """Rows of block_rows over the grid of (name, values) axes, each led by its axis values.
+def _walk(axes, block_rows, base: SpinParams) -> np.ndarray:
+    """The (R, C) table of block_rows over the grid of (name, values) axes, each row led by its axis values.
 
     The grid is walked in lexicographic order in blocks of SWEEP_BLOCK points,
     the other fields from base. A failing block is run again point by point, so
@@ -269,22 +269,19 @@ def _walk(axes, block_rows, base: SpinParams):
     """
     names = [name for name, _ in axes]
     points = product(*(values for _, values in axes))
-    rows = []
+    tables = []
     while block := list(islice(points, SWEEP_BLOCK)):
-        axis_columns = np.array(block, dtype=float).T.copy()
+        axis_values = np.array(block, dtype=float)
         block_columns = _columns(base, len(block))
-        for name, values in zip(names, axis_columns):  # a later axis overrides an earlier one
+        for name, values in zip(names, axis_values.T.copy()):  # a later axis overrides an earlier one
             block_columns.update(dict.fromkeys(PARAM_GROUPS[name], values))
         try:
-            point_rows = block_rows(block_columns)
+            table = block_rows(block_columns)
         except (ArithmeticError, ValueError, InternalConsistencyError):
-            point_rows = [
-                block_rows({field: column[i : i + 1] for field, column in block_columns.items()})[0]
-                for i in range(len(block))
-            ]
-        for point, prows in zip(block, point_rows):
-            rows.extend(list(point) + row for row in prows)
-    return rows
+            singles = ({field: column[i : i + 1] for field, column in block_columns.items()} for i in range(len(block)))
+            table = np.concatenate(list(map(block_rows, singles)))
+        tables.append(np.hstack([np.repeat(axis_values, table.shape[1], axis=0), table.reshape(-1, table.shape[2])]))
+    return np.concatenate(tables)
 
 
 def cmd_sweep(axes, quantity: str, base: SpinParams):
@@ -297,35 +294,54 @@ def cmd_sweep(axes, quantity: str, base: SpinParams):
 # rendering
 
 
-def _cell(value) -> str:
-    """The one text form of an output value; a non-finite float is a numeric failure."""
-    if isinstance(value, float):  # numpy float64 included
-        if not math.isfinite(value):
-            raise ArithmeticError(f"non-finite value {value!r} in output")
-        return f"{value + 0.0:.12e}"  # +0.0 drops negative zero
-    return str(value)
+# Row-format field of each column per format: n is an integer, component an
+# index into BASIS_LABELS (_CELLS makes their cells), any other column a float,
+# which JSON reads back from its %.12e text and writes with %r, as json.dumps does.
+_FIELDS = {"csv": {"n": "%d", "component": "%s", None: "%.12e"}, "json": {"n": "%d", "component": '"%s"', None: "%r"}}
+_CELLS = {"n": int, "component": lambda index: BASIS_LABELS[int(index)]}
 
 
-def _render(fmt: str, command: str, params: SpinParams, columns, rows, extras) -> str:
+def _finite(values) -> np.ndarray:
+    """values as a float array without negative zeros; the first non-finite entry in row-major order raises."""
+    values = np.asarray(values, dtype=float)
+    lost = ~np.isfinite(values)
+    if lost.any():
+        raise ArithmeticError(f"non-finite value {float(values[lost][0])!r} in output")
+    return values + 0.0
+
+
+def _read_back(values: np.ndarray) -> list[float]:
+    """The entries of a non-empty array in row-major order, each its %.12e text read back as a float."""
+    return list(map(float, (",".join(["%.12e"] * values.size) % tuple(values.ravel().tolist())).split(",")))
+
+
+def _table_text(fmt: str, columns, rows: np.ndarray) -> str:
+    """The CSV lines or the comma-separated JSON arrays of a finite table, one % per RENDER_CHUNK rows."""
+    row = ",".join(_FIELDS[fmt].get(name, _FIELDS[fmt][None]) for name in columns)
+    row, separator = (row + "\n", "") if fmt == "csv" else ("[" + row + "]", ",")
+    exact = [(j, _CELLS[name]) for j, name in enumerate(columns) if name in _CELLS]
+    texts = []
+    for start in range(0, len(rows), RENDER_CHUNK):
+        chunk = rows[start : start + RENDER_CHUNK]
+        cells = chunk.ravel().tolist() if fmt == "csv" else _read_back(chunk)
+        for j, cell in exact:
+            cells[j :: len(columns)] = map(cell, chunk[:, j].tolist())
+        texts.append(separator.join([row] * len(chunk)) % tuple(cells))
+    return separator.join(texts)
+
+
+def _render(fmt: str, command: str, params: SpinParams, columns, rows: np.ndarray, extras) -> str:
+    floats = [key for key, value in extras.items() if isinstance(value, float)]
     if fmt == "csv":
-        for value in extras.values():  # not printed, but checked like the rows
-            _cell(value)
-        lines = [",".join(columns)]
-        lines.extend(",".join(map(_cell, row)) for row in rows)
-        return "\n".join(lines) + "\n"
-
-    def as_json(v):  # a JSON float is its CSV text read back
-        return float(_cell(v)) if isinstance(v, float) else v
-
-    document = {
-        "schema_version": SCHEMA_VERSION,
-        "command": command,
-        "params": {f.name: as_json(getattr(params, f.name)) for f in fields(params)},
-        "columns": list(columns),
-        "rows": [list(map(as_json, row)) for row in rows],
-    }
-    document.update((key, as_json(v)) for key, v in extras.items())
-    return json.dumps(document, sort_keys=True, separators=(",", ":")) + "\n"
+        _finite([extras[key] for key in floats])  # not printed, but checked like the rows
+        return ",".join(columns) + "\n" + _table_text(fmt, columns, _finite(rows))
+    table = _table_text(fmt, columns, _finite(rows))
+    names = [f.name for f in fields(params)]
+    values = _read_back(_finite([*(getattr(params, name) for name in names), *(extras[key] for key in floats)]))
+    document = {"schema_version": SCHEMA_VERSION, "command": command, "params": dict(zip(names, values)),
+                "columns": list(columns), "rows": None, **extras, **dict(zip(floats, values[len(names) :]))}
+    head, _, tail = json.dumps(document, sort_keys=True, separators=(",", ":")).partition('"rows":null')
+    return f'{head}"rows":[{table}]{tail}\n'
 
 
 def _error_object(code: int, message: str):

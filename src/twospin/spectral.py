@@ -165,12 +165,14 @@ def triplet_energies(omega0: float, gamma: float, J: float) -> tuple[float, floa
     return tuple(_closed_form(*_point(omega0, gamma, J)).energies[0].tolist())
 
 
-def _amplitudes(gamma: float, d_plus: float, d_minus: float, theta):
+def _amplitudes(gamma: float, energy: float, d_plus: float, d_minus: float, theta):
     x0 = -2.0 * gamma / d_plus
     w0 = -2.0 * gamma / d_minus
     norm = math.sqrt(2.0 + x0 * x0 + w0 * w0)
     if not math.isfinite(norm):  # d+- overflowed: the spectral scale is out of float range
         raise ArithmeticError(f"closed-form eigenvector is not finite (d+ = {d_plus!r}, d- = {d_minus!r})")
+    if not math.isfinite(energy):  # 4 omega0^2 or 4 gamma^2 overflowed (above about 1e154): d+- = inf, x0 = w0 = 0
+        raise ArithmeticError(f"closed-form energy {energy!r} is not finite")
     phase = np.exp(-1j * np.asarray(theta, dtype=float))
     one = np.ones_like(phase) / norm
     return (x0 * phase / norm, one, one, w0 * np.conj(phase) / norm)
@@ -189,7 +191,8 @@ def triplet_amplitudes(omega0: float, gamma: float, J: float, n: int, theta=0.0)
     if closed.fallback[0, n - 1]:
         threshold = DEGENERACY_RTOL * spectral_scale(omega0, gamma, J)
         raise DegenerateParametersError(f"eigenvector denominator below {threshold:.1e} for label {n}")
-    return _amplitudes(gamma, float(closed.d_plus[0, n - 1]), float(closed.d_minus[0, n - 1]), theta)
+    energy, d_plus, d_minus = (float(part[0, n - 1]) for part in (closed.energies, closed.d_plus, closed.d_minus))
+    return _amplitudes(gamma, energy, d_plus, d_minus, theta)
 
 
 @dataclass(frozen=True)
@@ -277,8 +280,8 @@ def _build_eigensystem(
     if used_fallback:
         states = _fallback_triplet_states(hamiltonian(), energies)
     else:
-        denominators = zip(closed.d_plus[0].tolist(), closed.d_minus[0].tolist())
-        states = [np.array(_amplitudes(gamma, *d, theta), dtype=complex) for d in denominators]
+        labels = zip(energies, closed.d_plus[0].tolist(), closed.d_minus[0].tolist())
+        states = [np.array(_amplitudes(gamma, *label, theta), dtype=complex) for label in labels]
 
     pairs = [EigenPair(n, energies[n - 1], TwoSpinState(states[n - 1])) for n in (1, 2, 3)]
     pairs.append(EigenPair(4, singlet_energy(J), TwoSpinState.singlet()))

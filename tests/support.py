@@ -1,10 +1,12 @@
 """Shared helpers and independent oracles for the test suite."""
 
+import json
 import math
+from dataclasses import fields
 
 import numpy as np
 
-from twospin import PARAM_GROUPS, SpinParams, triplet_amplitudes
+from twospin import BASIS_LABELS, PARAM_GROUPS, SpinParams, triplet_amplitudes
 
 TWO_PI = 2.0 * math.pi
 
@@ -127,3 +129,43 @@ def stepped_propagator_loop(params, t, steps):
         k4 = -1j * (h_1 @ (propagator + h * k3))
         propagator = propagator + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
     return propagator
+
+
+def cell(value) -> str:
+    """The text of one output value, cell by cell: a float becomes %.12e text without negative zero
+    and a non-finite float is a numeric failure; anything else is its str()."""
+    if isinstance(value, float):
+        if not math.isfinite(value):
+            raise ArithmeticError(f"non-finite value {value!r} in output")
+        return f"{value + 0.0:.12e}"
+    return str(value)
+
+
+def render_oracle(fmt, command, params, columns, table, extras):
+    """The CLI output of a table, every value once through cell: the oracle of cli._render.
+
+    table is the (R, C) float array of cli._render; its rows become lists in
+    which n is an int and component its BASIS_LABELS label. CSV checks the
+    extras before the rows; a JSON float is its CSV text read back.
+    """
+    exact = {"n": int, "component": lambda index: BASIS_LABELS[int(index)]}
+    rows = [[exact.get(name, float)(v) for name, v in zip(columns, row)] for row in np.asarray(table).tolist()]
+    if fmt == "csv":
+        for value in extras.values():
+            cell(value)
+        lines = [",".join(columns)]
+        lines.extend(",".join(map(cell, row)) for row in rows)
+        return "\n".join(lines) + "\n"
+
+    def as_json(v):
+        return float(cell(v)) if isinstance(v, float) else v
+
+    document = {
+        "schema_version": 1,
+        "command": command,
+        "params": {f.name: as_json(getattr(params, f.name)) for f in fields(params)},
+        "columns": list(columns),
+        "rows": [list(map(as_json, row)) for row in rows],
+    }
+    document.update((key, as_json(v)) for key, v in extras.items())
+    return json.dumps(document, sort_keys=True, separators=(",", ":")) + "\n"

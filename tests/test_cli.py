@@ -23,6 +23,8 @@ from twospin import (
 )
 from twospin.spectral import InternalConsistencyError
 
+from support import closed_form_reference
+
 
 def run_main(args, capsys):
     code = cli.main(args)
@@ -553,7 +555,7 @@ class TestBlockedSweep:
         assert [len(h_rot) for h_rot, _, _ in calls] == [cli.SWEEP_BLOCK, cli.SWEEP_BLOCK, 1, 1]
         assert columns == ["omega1", "n", "phase", "target", "circular_deviation"]
         expected = [
-            [w1] + row[:4] for w1 in values for row in cli.cmd_twocycle(base.replace(omega1=w1), "adiabatic")[1]
+            [w1, *row[:4]] for w1 in values for row in cli.cmd_twocycle(base.replace(omega1=w1), "adiabatic")[1]
         ]
         assert _bits(rows) == _bits(expected)
 
@@ -582,9 +584,10 @@ class TestBlockedSweep:
             )
 
 
-def _bits(rows):
-    """Rows with every float as its hex text, so == compares bit patterns (and the sign of zero)."""
-    return [[v.hex() if isinstance(v, float) else v for v in row] for row in rows]
+def _bits(table):
+    """A float table as the bit patterns of its entries, so == compares every bit (the sign of zero
+    included); a list of rows with integer entries reads as the float table it stands for."""
+    return np.asarray(table, dtype=float).view(np.int64).tolist()
 
 
 class TestClosedFormBlocks:
@@ -621,12 +624,13 @@ class TestClosedFormBlocks:
         gammas = list(np.linspace(-1.0, 1.0, cli.SWEEP_BLOCK + 1))
         columns, rows, _ = cli.cmd_sweep([("gamma", gammas)], quantity, base)
         assert [len(omega0) for omega0, _, _ in calls] == [cli.SWEEP_BLOCK, 1]
-        assert columns[0] == "gamma" and len(rows) == 4 * len(gammas)
-        for i, gamma in enumerate(gammas):
-            block = rows[4 * i : 4 * i + 4]
-            assert all(row[0] == gamma for row in block)
-            expected = self._point_rows(quantity, base.replace(gamma_a=gamma, gamma_b=gamma))
-            assert _bits([row[1:] for row in block]) == _bits(expected)
+        assert columns[0] == "gamma" and rows.dtype == float and rows.shape == (4 * len(gammas), len(columns))
+        expected = [
+            [gamma, *row]
+            for gamma in gammas
+            for row in self._point_rows(quantity, base.replace(gamma_a=gamma, gamma_b=gamma))
+        ]
+        assert _bits(rows) == _bits(expected)
 
     # Exit codes and stderr bytes of the parent code, which evaluated one point
     # at a time. Each grid fails first in its second block, at point 600 or
@@ -930,6 +934,42 @@ class TestNumericGuard:
         assert code == 4
         assert out == ""
         assert json.loads(err) == {"error": str(failure), "exit_code": 4}
+
+
+class TestInfiniteEnergies:
+    """Between about 1e154 and 1e308, 4 omega0^2 or 4 gamma^2 overflows to inf without raising; the
+    closed-form energies are then infinite and no eigenstate may be built from them."""
+
+    OMEGA1, J = 0.6, 0.296
+    # (argv, whether the eigensystem is the rotating-frame one at omega0 - omega1)
+    COMMANDS = [
+        (["evolve", "--initial", "eigen1", "--time", "0"], False),
+        (["evolve", "--initial", "tilde2", "--time", "0"], True),
+        (["twocycle", "--scheme", "adiabatic"], False),
+        (["twocycle", "--scheme", "aa"], True),
+    ]
+
+    @pytest.mark.parametrize("field", ["omega0", "gamma"])
+    @pytest.mark.parametrize("value", [1e154, 1e200, 1e300])
+    @pytest.mark.parametrize("command, shifted", COMMANDS)
+    def test_refused_before_any_eigenstate(self, capsys, command, shifted, field, value):
+        point = {"omega0": 0.7, "gamma": 0.457, field: value}
+        detuning = point["omega0"] - self.OMEGA1 if shifted else point["omega0"]
+        energy = closed_form_reference(detuning, point["gamma"], self.J)[0][0]
+        assert not math.isfinite(energy)  # the scalar formulas overflow here too
+        argv = [*command, f"--omega0={point['omega0']}", f"--gamma={point['gamma']}", f"--J={self.J}",
+                f"--omega1={self.OMEGA1}"]
+        message = f"closed-form energy {energy!r} is not finite"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run_main(argv, capsys) == (4, "", json.dumps({"error": message, "exit_code": 4}) + "\n")
+
+    @pytest.mark.parametrize("field", ["omega0", "gamma"])
+    @pytest.mark.parametrize("value", [1e154, 1e200, 1e300])
+    def test_spectrum_still_exits_4(self, capsys, field, value):
+        argv = ["spectrum", f"--{field}={value}", f"--J={self.J}"]
+        message = json.dumps({"error": "non-finite value inf in output", "exit_code": 4}) + "\n"
+        assert run_main(argv, capsys) == (4, "", message)
 
 
 class TestWriter:

@@ -208,6 +208,16 @@ class TestTripletAmplitudes:
         with pytest.raises(ValueError):
             triplet_amplitudes(1.0, 1.0, 1.0, 4)
 
+    # 4 omega0^2 or 4 gamma^2 overflows to inf; d+- are infinite and the formula
+    # would give the finite but meaningless state (0, 1, 1, 0)/sqrt(2).
+    @pytest.mark.parametrize("omega0, gamma", [(1e154, 0.457), (1e200, 0.457), (0.7, -1e300)])
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_infinite_energy_raises(self, omega0, gamma, n):
+        energy = triplet_energies(omega0, gamma, 0.296)[n - 1]
+        assert not math.isfinite(energy)
+        with pytest.raises(ArithmeticError, match=f"^closed-form energy {energy!r} is not finite$"):
+            triplet_amplitudes(omega0, gamma, 0.296, n)
+
 
 class TestTilde:
     def test_shifted_detuning_energies(self):
