@@ -8,8 +8,8 @@ flag, pair flag, per-spin config key, pair config key, then 0.
 
 Output is CSV or JSON, rendered by _render from an (R, C) float table: one
 finiteness check (a non-finite value, printed or not, is a numeric failure),
-then one % operation per RENDER_CHUNK rows with %.12e for every float, so
-repeated runs are byte-identical; a JSON float is that text read back.
+then one % operation per RENDER_CHUNK rows, in which each distinct float is
+formatted once as %.12e; a JSON float is that text read back, written with %r.
 
 Sweeps walk the grid in lexicographic order in blocks of SWEEP_BLOCK points,
 one kernel call per block: the closed-form kernel for spectrum, berry and aa
@@ -20,9 +20,10 @@ errors are those of the first failing grid point.
 
 Exit codes: 0 success, 2 usage or parameter error (including a sweep grid of
 more than MAX_GRID_POINTS points, an axis with a non-finite bound or span, a
-non-finite evolution time, an omega1 whose period overflows), 3 output I/O
-error, 4 numeric failure (non-finite result or phase, overflow, lost
-propagator phases, failed diagonalization).
+non-finite evolution time, an omega1 whose period overflows, an RK4 run of
+more than MAX_RK4_STEPS steps times problems), 3 output I/O error, 4 numeric
+failure (non-finite result or phase, overflow, lost propagator phases, failed
+diagonalization).
 """
 
 from __future__ import annotations
@@ -61,6 +62,9 @@ SCHEMA_VERSION = 1
 # Largest sweep grid (product of the axis counts), checked before any axis
 # values are built: every row is held in memory until the grid is done.
 MAX_GRID_POINTS = 250_000
+
+# Largest RK4 run in steps x problems (evolve: 1, adiabatic twocycle: 2 per omega1 value), checked up front.
+MAX_RK4_STEPS = 10_000_000
 
 # Grid points per call of a quantity's block function. Blocks amortise the
 # per-call cost of the stacked propagator kernel while bounding its (N, 4, 4)
@@ -216,9 +220,15 @@ _QUANTITIES = {
 # commands (each returns columns, rows, extras)
 
 
+def _check_rk4_work(steps: int, problems: int) -> None:
+    if steps * problems > MAX_RK4_STEPS:
+        raise ValueError(f"RK4 run of {steps} steps x {problems} problems; the limit is {MAX_RK4_STEPS} steps")
+
+
 def cmd_evolve(params: SpinParams, initial: TwoSpinState, t: float, steps: int):
     if steps < 0:
         raise ValueError("steps must be >= 0")
+    _check_rk4_work(steps, 1)
     result = evolve_exact(params, initial, t) if steps == 0 else evolve_stepped(params, initial, t, steps)
     final = result.final_state
     overlap = initial.overlap(final)
@@ -247,11 +257,12 @@ def cmd_twocycle(params: SpinParams, scheme: str, steps: int = 0, omega1_values=
         rows = _aa_rows(_columns(params, 1))[0]
         columns = ["n", "one_cycle_total_raw", "one_cycle_total_principal", "two_cycle_phase", "identity_defect"]
         return columns, rows, {"identity_defect": float(rows[0, -1])}
+    if omega1_values is not None and not omega1_values:
+        raise ValueError("--omega1-sweep needs at least one omega1 value")
+    _check_rk4_work(steps, 2 if omega1_values is None else 2 * len(omega1_values))
     columns = ["n", "phase", "target", "circular_deviation", "fidelity", "gate_deviation"]
     if omega1_values is None:
         return columns, _adiabatic_rows(_columns(params, 1), steps)[0], {}
-    if not omega1_values:
-        raise ValueError("--omega1-sweep needs at least one omega1 value")
     table = lambda block: _adiabatic_rows(block, steps)[..., :4]
     return ["omega1"] + columns[:4], _walk([("omega1", omega1_values)], table, params), {}
 
@@ -296,34 +307,37 @@ def cmd_sweep(axes, quantity: str, base: SpinParams):
 
 # Row-format field of each column per format: n is an integer, component an
 # index into BASIS_LABELS (_CELLS makes their cells), any other column a float,
-# which JSON reads back from its %.12e text and writes with %r, as json.dumps does.
-_FIELDS = {"csv": {"n": "%d", "component": "%s", None: "%.12e"}, "json": {"n": "%d", "component": '"%s"', None: "%r"}}
+# whose text _float_texts makes.
+_FIELDS = {"csv": {"n": "%d", "component": "%s"}, "json": {"n": "%d", "component": '"%s"'}}
 _CELLS = {"n": int, "component": lambda index: BASIS_LABELS[int(index)]}
 
 
 def _finite(values) -> np.ndarray:
-    """values as a float array without negative zeros; the first non-finite entry in row-major order raises."""
+    """values as a float array (a float array is not copied); the first non-finite entry in row-major order raises."""
     values = np.asarray(values, dtype=float)
     lost = ~np.isfinite(values)
     if lost.any():
         raise ArithmeticError(f"non-finite value {float(values[lost][0])!r} in output")
-    return values + 0.0
+    return values
 
 
-def _read_back(values: np.ndarray) -> list[float]:
-    """The entries of a non-empty array in row-major order, each its %.12e text read back as a float."""
-    return list(map(float, (",".join(["%.12e"] * values.size) % tuple(values.ravel().tolist())).split(",")))
+def _float_texts(fmt: str, values: np.ndarray) -> list[str]:
+    """Each entry's text, row-major: %.12e of entry + 0.0 (never -0.0); JSON reads it back, writes it with %r."""
+    texts = ("\n".join(["%.12e"] * values.size) % tuple((values + 0.0).ravel().tolist())).split("\n")
+    return texts if fmt == "csv" else list(map(repr, map(float, texts)))
 
 
 def _table_text(fmt: str, columns, rows: np.ndarray) -> str:
     """The CSV lines or the comma-separated JSON arrays of a finite table, one % per RENDER_CHUNK rows."""
-    row = ",".join(_FIELDS[fmt].get(name, _FIELDS[fmt][None]) for name in columns)
+    row = ",".join(_FIELDS[fmt].get(name, "%s") for name in columns)
     row, separator = (row + "\n", "") if fmt == "csv" else ("[" + row + "]", ",")
     exact = [(j, _CELLS[name]) for j, name in enumerate(columns) if name in _CELLS]
     texts = []
     for start in range(0, len(rows), RENDER_CHUNK):
         chunk = rows[start : start + RENDER_CHUNK]
-        cells = chunk.ravel().tolist() if fmt == "csv" else _read_back(chunk)
+        # Each distinct value once: equal doubles have equal bits and text (0.0 and -0.0 print alike; no nan).
+        values, inverse = np.unique(chunk, return_inverse=True)  # inverse: flat in NumPy 1.x, chunk-shaped in 2.x
+        cells = np.array(_float_texts(fmt, values), dtype=object)[inverse.reshape(-1)].tolist()
         for j, cell in exact:
             cells[j :: len(columns)] = map(cell, chunk[:, j].tolist())
         texts.append(separator.join([row] * len(chunk)) % tuple(cells))
@@ -337,7 +351,8 @@ def _render(fmt: str, command: str, params: SpinParams, columns, rows: np.ndarra
         return ",".join(columns) + "\n" + _table_text(fmt, columns, _finite(rows))
     table = _table_text(fmt, columns, _finite(rows))
     names = [f.name for f in fields(params)]
-    values = _read_back(_finite([*(getattr(params, name) for name in names), *(extras[key] for key in floats)]))
+    texts = _float_texts(fmt, _finite([*(getattr(params, name) for name in names), *(extras[key] for key in floats)]))
+    values = list(map(float, texts))  # json.dumps writes each one as its text
     document = {"schema_version": SCHEMA_VERSION, "command": command, "params": dict(zip(names, values)),
                 "columns": list(columns), "rows": None, **extras, **dict(zip(floats, values[len(names) :]))}
     head, _, tail = json.dumps(document, sort_keys=True, separators=(",", ":")).partition('"rows":null')

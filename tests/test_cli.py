@@ -2,6 +2,7 @@ import json
 import math
 import subprocess
 import sys
+import time
 import warnings
 
 import numpy as np
@@ -14,6 +15,7 @@ from twospin import (
     aa_breakdown,
     adiabatic_phases,
     cli,
+    evolution,
     phases,
     principal_value,
     run_aa_two_cycle,
@@ -708,6 +710,62 @@ class TestPeriodOverflow:
         argv = ["evolve", "--J", "1", "--omega1", "5e-324", "--time", "2", "--steps", "100"]
         code, _, _ = run_main(argv, capsys)
         assert code == 0
+
+
+class TestRK4Limit:
+    """More than MAX_RK4_STEPS steps x problems exits 2 with one JSON line, before the integrator starts."""
+
+    P = ["--omega0", "1", "--gamma", "0.5", "--J", "0.3", "--omega1", "0.6"]
+
+    def _refused(self, capsys, argv, message):
+        started = time.perf_counter()
+        result = run_main(argv, capsys)
+        assert time.perf_counter() - started < 0.5
+        assert result == (2, "", json.dumps({"error": message, "exit_code": 2}) + "\n")
+
+    @pytest.mark.parametrize(
+        "command, problems",
+        [(["evolve"], 1), (["twocycle", "--scheme", "adiabatic"], 2),
+         (["twocycle", "--scheme", "adiabatic", "--omega1-sweep", "0.6,0.5,0.4"], 6)],
+    )
+    @pytest.mark.parametrize("steps", [10**12, cli.MAX_RK4_STEPS + 1])
+    def test_steps_times_problems_over_the_limit_exit_2(self, capsys, monkeypatch, command, problems, steps):
+        monkeypatch.setattr(evolution, "_stepped_propagators", self._no_numerics)
+        monkeypatch.setattr(twocycle, "_stepped_propagators", self._no_numerics)
+        message = f"RK4 run of {steps} steps x {problems} problems; the limit is 10000000 steps"
+        self._refused(capsys, [*command, *self.P, "--steps", str(steps)], message)
+
+    @staticmethod
+    def _no_numerics(*args):
+        raise AssertionError("the integrator ran")
+
+    def test_omega1_list_crosses_the_limit_through_its_length(self, capsys):
+        steps = cli.MAX_RK4_STEPS // 10  # 2 x 5 values is the limit itself
+        argv = ["twocycle", "--scheme", "adiabatic", *self.P, "--steps", str(steps)]
+        message = f"RK4 run of {steps} steps x 12 problems; the limit is 10000000 steps"
+        self._refused(capsys, argv + ["--omega1-sweep", "1e-6,0.5,0.4,0.3,0.2,0.1"], message)
+        # at the limit the run goes on to the step budget, which the first omega1 value fails
+        message = "step budget too small: need at least 9949626 steps for t=6283185.307179587"
+        self._refused(capsys, argv + ["--omega1-sweep", "1e-6,0.5,0.4,0.3,0.2"], message)
+
+    @pytest.mark.parametrize("command", [["evolve"], ["twocycle", "--scheme", "adiabatic"]])
+    def test_negative_steps_are_refused_as_before(self, capsys, command):
+        self._refused(capsys, [*command, *self.P, "--steps", "-1"], "steps must be >= 0")
+
+    def test_aa_scheme_refuses_any_steps_first(self, capsys):
+        message = "--steps applies to the adiabatic scheme only; the aa scheme is exact"
+        self._refused(capsys, ["twocycle", "--scheme", "aa", *self.P, "--steps", str(10**12)], message)
+
+    @pytest.mark.parametrize(
+        "command, problems", [(["evolve", "--time", "6283185307.179585"], 1), (["twocycle", "--scheme", "adiabatic"], 2)]
+    )
+    def test_limit_comes_before_the_step_budget(self, capsys, command, problems):
+        """At omega1 = 1e-9 both run one period, t = 2*pi*1e9; 100 steps fail the budget, 1e8 the limit."""
+        argv = [*command, *self.P, "--omega1", "1e-9", "--steps"]
+        budget = "step budget too small: need at least 9949625020 steps for t=6283185307.179585"
+        self._refused(capsys, argv + ["100"], budget)
+        message = f"RK4 run of 100000000 steps x {problems} problems; the limit is 10000000 steps"
+        self._refused(capsys, argv + ["100000000"], message)
 
 
 class TestNegativeValues:

@@ -1,14 +1,15 @@
 """The table renderer cli._render against its cell-by-cell oracle.
 
 cli._render formats a whole (R, C) float table, cli.RENDER_CHUNK rows per %
-operation. support.render_oracle passes every value once through the per-cell
-text form instead. The two must give the same bytes in CSV and JSON for any
-finite table, and refuse a non-finite one with the same error: the first
+operation, each distinct value of a chunk once. support.render_oracle passes
+every value once through the per-cell text form instead. The two must give the
+same bytes in CSV and JSON for any finite table, and refuse a non-finite one with the same error: the first
 non-finite value in row-major order, the extras first in CSV.
 """
 
 import json
 import math
+from itertools import zip_longest
 from unittest import mock
 
 import numpy as np
@@ -40,15 +41,31 @@ EXTRAS = st.fixed_dictionaries(
 )
 
 
+# Keys that one chunk's dictionary may map wrongly: 0.0 and -0.0 are equal with
+# different bits and both print as 0.0; each other pair is two distinct doubles
+# with one %.12e text.
+PAIRS = [(0.0, -0.0)] + [
+    (v, float(np.nextafter(v, 0.0))) for v in (1.0, -2.5, 1e308, 1.7976931348623157e308)
+]
+
+
 @st.composite
-def cases(draw):
+def pools(draw):
+    """2 to 6 values for the float cells of one table: one of PAIRS and up to four more."""
+    return [*draw(st.sampled_from(PAIRS)), *draw(st.lists(floats, max_size=4))]
+
+
+@st.composite
+def cases(draw, pooled=False):
     """A small RENDER_CHUNK and a table of 0 to past three chunks of rows, so that tables end on both sides
-    of a chunk boundary; n, component and float columns in any order; extras."""
+    of a chunk boundary; n, component and float columns in any order; extras. Pooled tables draw their
+    float cells from a small per-table pool, so values repeat within a chunk and across chunks."""
     chunk = draw(st.integers(1, 4))
     rows = draw(st.integers(0, 3 * chunk + 1))
     kinds = draw(st.lists(st.sampled_from(list(CELLS)), min_size=1, max_size=6))
     columns = [kind if kind != "float" else f"v{j}" for j, kind in enumerate(kinds)]
-    table = np.array([[draw(CELLS[kind]) for kind in kinds] for _ in range(rows)], dtype=float)
+    cells = {**CELLS, "float": st.sampled_from(draw(pools()))} if pooled else CELLS
+    table = np.array([[draw(cells[kind]) for kind in kinds] for _ in range(rows)], dtype=float)
     return chunk, columns, table.reshape(rows, len(columns)), draw(EXTRAS)
 
 
@@ -58,6 +75,13 @@ def outcome(render, *args):
         return render(*args)
     except ArithmeticError as exc:
         return type(exc), str(exc)
+
+
+def first_difference(rendered, expected):
+    """The first pair of differing lines (JSON split into rows), or None: for long texts, the report of a
+    failing rendered == expected takes pytest minutes to build."""
+    lines = [text.replace("],[", "],\n[").splitlines() for text in (rendered, expected)]
+    return next((pair for pair in zip_longest(*lines) if pair[0] != pair[1]), None)
 
 
 def both_formats(columns, table, extras):
@@ -71,6 +95,16 @@ def both_formats(columns, table, extras):
 @settings(deadline=None, max_examples=300)
 @given(cases())
 def test_renderer_matches_the_cell_oracle(case):
+    chunk, columns, table, extras = case
+    with mock.patch.object(cli, "RENDER_CHUNK", chunk):
+        for rendered, expected in both_formats(columns, table, extras):
+            assert rendered == expected
+
+
+@settings(deadline=None, max_examples=300)
+@given(cases(pooled=True))
+def test_repeated_values_match_the_cell_oracle(case):
+    """Each chunk formats its distinct values once; every cell must still get its own value's text."""
     chunk, columns, table, extras = case
     with mock.patch.object(cli, "RENDER_CHUNK", chunk):
         for rendered, expected in both_formats(columns, table, extras):
@@ -104,6 +138,18 @@ def test_tables_around_the_chunk_size_match_the_cell_oracle(offset):
     table = np.column_stack([values[:, :1], n, values[:, 1:]])
     for rendered, expected in both_formats(["J", "n", "energy", "phase"], table, {"identity_defect": -0.0}):
         assert rendered == expected
+
+
+@pytest.mark.parametrize("quantity", ["aa", "spectrum"])
+def test_real_sweep_over_a_symmetric_grid_matches_the_cell_oracle(quantity):
+    """A 19 x 15 grid, 1,140 rows: J repeats over 60 rows, gamma every 4, and gamma and -gamma give the same
+    energies and phases, the repetition that rendering each distinct value once relies on."""
+    axes = cli._parse_axes(["J=-1.5:1.5:19", "gamma=-1.2:1.2:15"])
+    columns, table, extras = cli.cmd_sweep(axes, quantity, SpinParams.symmetric(1.0, 0.0, 0.0, 0.15))
+    assert len(table) > cli.RENDER_CHUNK
+    assert 3 * len(np.unique(table)) < table.size
+    for rendered, expected in both_formats(columns, table, extras):
+        assert first_difference(rendered, expected) is None
 
 
 def test_component_indices_render_as_labels():
