@@ -16,7 +16,9 @@ A fixed-step classical Runge-Kutta integrator of the time-ordered Schrodinger
 equation serves as the independent cross-check; it samples the Hamiltonian
 analytically at the substep times and converges at fourth order. Its kernel,
 _stepped_propagators, advances an (M, 4, 4) stack of problems together without
-_propagators; evolve_stepped is its M = 1 wrapper.
+_propagators; evolve_stepped is its M = 1 wrapper. The RK4 update's constants
+(h/2, h, h/6, -1j, 2) are (M, 4, 4) complex arrays built once per call, and the
+update keeps the float operations of the per-step loop.
 """
 
 from __future__ import annotations
@@ -101,11 +103,13 @@ def evolve_exact(params: SpinParams, initial: TwoSpinState, t: float) -> Evoluti
 
 
 def _check_steps(params: SpinParams, t: float, steps: int) -> None:
-    """Refuse fewer than one step, or fewer than MIN_STEPS_PER_PERIOD steps per shortest dynamical
-    period: the period of the rotation or 2*pi over the largest |eigenvalue| of H(0).
+    """Refuse fewer than one step, a non-finite time, or fewer than MIN_STEPS_PER_PERIOD steps per
+    shortest dynamical period: the period of the rotation or 2*pi over the largest |eigenvalue| of H(0).
     """
     if steps < 1:
         raise ValueError("steps must be at least 1")
+    if not math.isfinite(t):
+        raise ValueError(f"time must be finite, got {t!r}")
     if t == 0.0:
         return
     h_norm = float(np.abs(np.linalg.eigvalsh(h_total(params, 0.0).matrix)).max())
@@ -127,12 +131,16 @@ def _stepped_propagators(columns: dict[str, np.ndarray], t: np.ndarray, steps: i
     Problem m takes steps steps of size h = t[m] / steps. H is sampled at k h, k h + h/2 and
     k h + h of step k with h_total's arithmetic, so problem m equals a loop of h_total steps bit
     for bit. Sample blocks get the checks of Operator4.hermitian, the result those of "general".
+    The update's constants are (M, 4, 4) arrays built once, each the complex value its scalar
+    casts to, so every step multiplies same-shape operands in the loop's float operations.
     """
     fields = SimpleNamespace(**{name: column[:, None, None] for name, column in columns.items()})
     static = _finite_static_matrix(fields)
     cos_part, sin_part = transverse_parts(fields)
     h = t / steps
-    half, full, sixth = (0.5 * h)[:, None, None], h[:, None, None], (h / 6.0)[:, None, None]
+    shape = (len(t), 4, 4)
+    half, full, sixth = (np.broadcast_to(f[:, None, None], shape).astype(complex) for f in (0.5 * h, h, h / 6.0))
+    minus_i, two = np.full(shape, -1j), np.full(shape, 2.0 + 0j)
     propagators = np.tile(np.eye(4, dtype=complex), (len(t), 1, 1))
     block = max(1, _SAMPLE_BLOCK // len(t))
     for first in range(0, steps, block):
@@ -141,12 +149,12 @@ def _stepped_propagators(columns: dict[str, np.ndarray], t: np.ndarray, steps: i
         cos, sin = np.cos(angle)[..., None, None], np.sin(angle)[..., None, None]
         samples = static + (cos * cos_part + sin * sin_part)
         _check_stack(samples, "hermitian")
-        for h_0, h_mid, h_1 in samples:
-            k1 = -1j * (h_0 @ propagators)
-            k2 = -1j * (h_mid @ (propagators + half * k1))
-            k3 = -1j * (h_mid @ (propagators + half * k2))
-            k4 = -1j * (h_1 @ (propagators + full * k3))
-            propagators = propagators + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        for h_0, h_mid, h_1 in zip(*map(list, samples.swapaxes(0, 1))):
+            k1 = minus_i * (h_0 @ propagators)
+            k2 = minus_i * (h_mid @ (propagators + half * k1))
+            k3 = minus_i * (h_mid @ (propagators + half * k2))
+            k4 = minus_i * (h_1 @ (propagators + full * k3))
+            propagators = propagators + sixth * (k1 + two * k2 + two * k3 + k4)
     _check_stack(propagators, "general")
     return propagators
 

@@ -95,8 +95,17 @@ def _python(function, values: np.ndarray, *args) -> np.ndarray:
     return np.fromiter(calls, float, values.size).reshape(values.shape)
 
 
-def _power(values: np.ndarray, exponent: int) -> np.ndarray:
-    return _python(pow, values, exponent)
+def _power(values: np.ndarray, exponent: int, name: str) -> np.ndarray:
+    """values**exponent in Python floats; an OverflowError names the power and its first overflowing value."""
+    try:
+        return _python(pow, values, exponent)
+    except OverflowError:
+        for value in values.ravel().tolist():
+            try:
+                pow(value, exponent)
+            except OverflowError:
+                raise OverflowError(f"closed-form {name}**{exponent} overflows at {name} = {value!r}") from None
+        raise
 
 
 @dataclass(frozen=True)
@@ -118,14 +127,15 @@ def _closed_form(omega0: np.ndarray, gamma: np.ndarray, J: np.ndarray) -> _Close
 
     p = 0 only at omega0 = gamma = J = 0, where the energies are 0. The arccos
     argument is clamped to [-1, 1]; an excess beyond ARCCOS_EXCESS_TOL raises
-    InternalConsistencyError. Overflow and division by zero raise as in floats.
+    InternalConsistencyError. Division by zero raises as in floats; an overflowing power
+    raises an OverflowError that names the power and its first overflowing value.
     """
     with np.errstate(all="ignore"):  # non-finite values pass through, as in float arithmetic
         p = -(4.0 * J * J / 3.0 + 4.0 * omega0 * omega0 + 4.0 * gamma * gamma)
-        q = 16.0 / 27.0 * _power(J, 3) + (8.0 * gamma * gamma - 16.0 * omega0 * omega0) * J / 3.0
+        q = 16.0 / 27.0 * _power(J, 3, "J") + (8.0 * gamma * gamma - 16.0 * omega0 * omega0) * J / 3.0
         zero = p == 0.0
         p = np.where(zero, -3.0, p)  # any p < 0; the energies of these points are set to 0 below
-        root = 2.0 * np.sqrt(-_power(p / 3.0, 3))
+        root = 2.0 * np.sqrt(-_power(p / 3.0, 3, "(p/3)"))
         if np.any(root == 0.0):
             raise ZeroDivisionError("float division by zero")
         arg = -q / root
@@ -148,10 +158,11 @@ def _closed_form(omega0: np.ndarray, gamma: np.ndarray, J: np.ndarray) -> _Close
         # overflows for larger inputs) or not finite: no power raises and no
         # divisor is 0.
         coupling = (4.0 * gamma * gamma)[:, None]
-        norm_sq = 2.0 + coupling / _power(d_plus, 2) + coupling / _power(d_minus, 2)
+        norm_sq = 2.0 + coupling / _power(d_plus, 2, "d_plus") + coupling / _power(d_minus, 2, "d_minus")
         big_d = 2.0 * energies - J[:, None]
         d_product = big_d * big_d - (4.0 * omega0 * omega0)[:, None]
-        berry = (_TWO_PI * 32.0 * gamma * gamma * omega0)[:, None] * big_d / (norm_sq * _power(d_product, 2))
+        denominator = norm_sq * _power(d_product, 2, "d_product")
+        berry = (_TWO_PI * 32.0 * gamma * gamma * omega0)[:, None] * big_d / denominator
     berry[fallback] = np.nan
     return _ClosedForm(energies, d_plus, d_minus, fallback, np.column_stack([berry, np.zeros(len(J))]))
 

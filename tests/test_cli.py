@@ -653,11 +653,11 @@ class TestClosedFormBlocks:
             ("aa", "--axis omega1=-1:0:600 --omega0 1 --gamma 1 --J 0.5", 2,
              "cycling phases need omega1 != 0 (no cycle defined)"),
             ("spectrum", "--axis J=0:1e200:2 --axis gamma=0:1:600 --omega0 1 --omega1 0.5", 4,
-             "(34, 'Numerical result out of range')"),
+             "closed-form J**3 overflows at J = 1e+200"),
             ("berry", "--axis J=0:1e200:2 --axis gamma=0:1:600 --omega0 1 --omega1 0.5", 4,
-             "(34, 'Numerical result out of range')"),
+             "closed-form J**3 overflows at J = 1e+200"),
             ("aa", "--axis J=0:1e200:2 --axis gamma=0:1:600 --omega0 1 --omega1 0.5", 4,
-             "(34, 'Numerical result out of range')"),
+             "closed-form J**3 overflows at J = 1e+200"),
             ("spectrum", "--axis omega0=-1:1e-110:2 --axis gamma=0:1e-110:600 --J 0", 4,
              "float division by zero"),
             ("berry", "--axis omega0=-1:1e-110:2 --axis gamma=0:1e-110:600 --J 0 --omega1 0.5", 4,
@@ -938,6 +938,20 @@ class TestNumericGuard:
         assert code == 4
         assert out == ""
         assert json.loads(err)["exit_code"] == 4
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            ("phases --omega0 0.8619 --gamma -1.2554 --J -1e200 --omega1 0.1",
+             "closed-form J**3 overflows at J = -1e+200"),
+            ("sweep --quantity berry --axis J=-1e200:1e200:5 --omega0 1 --gamma 1 --omega1 0.1",
+             "closed-form J**3 overflows at J = -1e+200"),
+            ("spectrum --omega0 1e60 --gamma 1 --J 1",
+             "closed-form (p/3)**3 overflows at (p/3) = -1.333333333333333e+120"),
+        ],
+    )
+    def test_overflowing_power_is_named(self, capsys, argv, message):
+        assert run_main(argv.split(), capsys) == (4, "", json.dumps({"error": message, "exit_code": 4}) + "\n")
 
     # Entries beyond the float range are a numeric failure: exit 4, one JSON
     # line and no NumPy warning, as for the overflowing cube of spectrum --J 1e200.

@@ -1,9 +1,12 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from twospin import (
+    ADIABATIC_FLIP_SET,
     SpinParams,
     TwoSpinState,
     aa_breakdown,
@@ -21,7 +24,7 @@ from twospin import core, evolution
 from twospin.core import _columns
 from twospin.evolution import _SAMPLE_BLOCK, _stepped_propagators
 
-from support import circ_dist, random_general, random_state, random_symmetric, stepped_propagator_loop
+from support import circ_dist, flip_params, random_general, random_state, random_symmetric, stepped_propagator_loop
 
 P111 = SpinParams.symmetric(1.0, 1.0, 1.0, 0.1)
 
@@ -160,6 +163,14 @@ class TestEvolveStepped:
         with pytest.raises(ValueError):
             evolve_stepped(P111, TwoSpinState.basis_state("uu"), 1.0, 0)
 
+    # Refused before the step budget, whose step count would be infinite, and before the kernel, where
+    # 0 * inf at zero field warns; under pytest a warning fails the test.
+    @pytest.mark.parametrize("params", [P111, SpinParams.symmetric(0.0, 0.0, 0.0), SpinParams.symmetric(0.0, 0.0, 1.0)])
+    @pytest.mark.parametrize("t", [math.inf, -math.inf, math.nan])
+    def test_rejects_non_finite_time(self, params, t):
+        with pytest.raises(ValueError, match=f"^time must be finite, got {t!r}$"):
+            evolve_stepped(params, TwoSpinState.basis_state("uu"), t, 100)
+
     def test_agreement_unequal_couplings(self):
         rng = np.random.default_rng(55)
         for _ in range(3):
@@ -260,6 +271,37 @@ class TestSteppedKernel:
             seen.append(dict(counts))
             counts.update(dict.fromkeys(counts, 0))
         assert seen == [{"h_total": 1, "Operator4": 2}] * 2  # the budget check's H(0) and the result
+
+    def test_two_cycle_stack_across_two_block_boundaries(self):
+        firsts = [SpinParams.symmetric(1.0, 0.8, 0.6, w1) for w1 in (0.1, -0.25, 0.4, -0.7)]
+        points = firsts + [flip_params(p, ADIABATIC_FLIP_SET) for p in firsts]
+        periods = core._periods(np.array([p.omega1 for p in firsts]))
+        t = np.concatenate([periods, periods])
+        steps = 2 * (_SAMPLE_BLOCK // len(points)) + 10
+        stack = _stepped_propagators(_stack(points), t, steps)
+        for matrix, point, time in zip(stack, points, t.tolist()):
+            _assert_bits(matrix, stepped_propagator_loop(point, time, steps))
+
+    def test_single_problem_across_three_blocks(self):
+        params = UNEQUAL.replace(omega1=-0.3)
+        stack = _stepped_propagators(_stack([params]), np.array([params.period]), 1100)
+        _assert_bits(stack[0], stepped_propagator_loop(params, params.period, 1100))
+
+    @pytest.mark.parametrize(
+        "params, t, steps",
+        [
+            (SpinParams.symmetric(1.0, 0.0, 0.5, 0.3), 2.0, 5),  # gamma = 0
+            (SpinParams(0.7, -0.4, 0.0, -0.0, 0.2, -0.6), -3.0, 20),
+            (SpinParams(-0.0, 0.0, -0.0, 0.0, -0.0, -0.0), 1.0, 3),
+            (SpinParams(-0.0, -0.0, -0.0, -0.0, -0.0, -0.0), -1.5, 4),
+            (SpinParams(0.0, -0.0, 0.0, -0.0, 0.0, 0.0), -0.0, 2),
+            (SpinParams.symmetric(1.0, 0.0, 0.5, 0.3), -0.0, 3),
+            (UNEQUAL, -0.0, 3),
+        ],
+    )
+    def test_zero_heavy_problems_equal_the_loop(self, params, t, steps):
+        stack = _stepped_propagators(_stack([params]), np.array([t]), steps)
+        _assert_bits(stack[0], stepped_propagator_loop(params, t, steps))
 
     def test_every_sample_is_checked_as_hermitian(self, monkeypatch):
         real = evolution.transverse_parts

@@ -60,6 +60,15 @@ class TestCubic:
             energies = _closed_form(*_column_point(0.0, 0.0, J)).energies[0]
             assert energies.tolist() == pytest.approx(expected, rel=1e-12)
 
+    def test_overflowing_power_names_its_first_value(self):
+        # a cube overflows once |J| or |p/3| passes about 5.6e102; pow(inf, 3) is inf and passes through
+        J = np.array([1.0, math.inf, 1e200, -1e201])
+        ones = np.ones(len(J))
+        with pytest.raises(OverflowError, match=r"^closed-form J\*\*3 overflows at J = 1e\+200$"):
+            _closed_form(ones, ones, J)
+        with pytest.raises(OverflowError, match=r"^closed-form \(p/3\)\*\*3 overflows at \(p/3\) = -1\.3"):
+            triplet_energies(1e60, 1.0, 1.0)
+
 
 class TestTripletEnergies:
     def test_decoupled_spins(self):
