@@ -15,7 +15,6 @@ from .evolution import (
     evolve_exact,
     evolve_stepped,
     exact_propagator,
-    numeric_dynamical_phase,
 )
 from .hamiltonian import (
     frame_rotation,

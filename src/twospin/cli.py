@@ -9,7 +9,9 @@ flag, pair flag, per-spin config key, pair config key, then 0.
 Output is CSV or JSON, rendered by _render from an (R, C) float table: one
 finiteness check (a non-finite value, printed or not, is a numeric failure),
 then one % operation per RENDER_CHUNK rows, in which each distinct float is
-formatted once as %.12e; a JSON float is that text read back, written with %r.
+formatted once: %.12e in CSV; in JSON, that text read back and written with
+%r, which _float_texts makes with %.13g (the same 13 digits) and with repr
+itself only from 1e12 on and below 1e-300, where the two forms can differ.
 
 Sweeps walk the grid in lexicographic order in blocks of SWEEP_BLOCK points,
 one kernel call per block: the closed-form kernel for spectrum, berry and aa
@@ -19,11 +21,11 @@ is walked as a one-axis grid. A failing block is run again point by point, so
 errors are those of the first failing grid point.
 
 Exit codes: 0 success, 2 usage or parameter error (including a sweep grid of
-more than MAX_GRID_POINTS points, an axis with a non-finite bound or span, a
-non-finite evolution time, an omega1 whose period overflows, an RK4 run of
-more than MAX_RK4_STEPS steps times problems), 3 output I/O error, 4 numeric
-failure (non-finite result or phase, overflow, lost propagator phases, failed
-diagonalization).
+more than MAX_GRID_POINTS points, an axis with a non-finite bound or span, two
+axes that set one field, a non-finite evolution time, an omega1 whose period
+overflows, an RK4 run of more than MAX_RK4_STEPS steps times problems), 3
+output I/O error, 4 numeric failure (non-finite result or phase, overflow, lost
+propagator phases, failed diagonalization).
 """
 
 from __future__ import annotations
@@ -34,14 +36,15 @@ import math
 import re
 import sys
 from dataclasses import fields
-from itertools import islice, product
+from itertools import combinations, islice, product
 
 import numpy as np
 
-from .core import BASIS_LABELS, PARAM_GROUPS, SpinParams, TwoSpinState, _columns, _equal_coupling_fields, _points
+from .core import BASIS_LABELS, PARAM_GROUPS, SpinParams, TwoSpinState, _columns, _equal_coupling_fields
 from .evolution import evolve_exact, evolve_stepped
 from .phases import _cycle_phases, _principal_values
-from .spectral import InternalConsistencyError, _closed_form, eigensystem, singlet_energy, tilde_eigensystem
+from .spectral import InternalConsistencyError, _closed_form, _eigenbases, eigensystem, singlet_energy
+from .spectral import tilde_eigensystem
 from .twocycle import _aa_two_cycles, _adiabatic_two_cycles, _require_rotation
 
 __all__ = [
@@ -174,11 +177,12 @@ def _adiabatic_rows(columns, steps: int):
     """Per t=0 eigenstate n: the phase of <n|U2 U1|n>, its target, their circular deviation, the
     fidelity |<n|U2 U1|n>| and the distance of U2 U1 |n> from the ideal gate's output.
     """
-    systems, u_first, u_second, gates, targets = _adiabatic_two_cycles(columns, steps or None)
-    table = np.empty((len(systems), 4, 5))
-    for system, u1, u2, gate, rows in zip(systems, u_first, u_second, gates, table):
-        for n, row in enumerate(rows, start=1):
-            start = system.state(n).amplitudes
+    bases, u_first, u_second, gates, targets = _adiabatic_two_cycles(columns, steps or None)
+    table = np.empty((len(bases), 4, 5))
+    # Per point: the table has few points, and no stacked form is known to match these products bit for bit
+    # (for omega1 < 0 the gate is a transposed view).
+    for starts, u1, u2, gate, rows in zip(bases.swapaxes(1, 2).copy(), u_first, u_second, gates, table):
+        for start, row in zip(starts, rows):
             final = u2 @ (u1 @ start)
             overlap = complex(np.vdot(start, final))
             row[[0, 3, 4]] = np.angle(overlap), abs(overlap), np.linalg.norm(final - gate @ start)
@@ -192,13 +196,13 @@ def _aa_rows(columns):
     <n|U2 U1|n> and the identity defect max|U2 U1 - I|.
     """
     _require_rotation(columns["omega1"])  # the protocol's refusal comes before the spectrum's
-    systems = [tilde_eigensystem(point) for point in _points(columns)]
+    starts = _eigenbases(columns, rotating=True)[1].swapaxes(1, 2).copy()[..., None]  # (N, 4, 4, 1), by label
     composed, defects = _aa_two_cycles(columns)
     total = _cycle_phases(columns, shifted=True)[0]
     principal = _principal_values(total)
-    starts = [[system.state(n).amplitudes for n in (1, 2, 3, 4)] for system in systems]
-    phases = [[np.angle(np.vdot(start, u @ start)) for start in point] for point, u in zip(starts, composed)]
-    return _numbered(np.stack([total, principal, np.array(phases), np.repeat(defects[:, None], 4, axis=1)], axis=-1))
+    # <n|U2 U1|n> as matrix-vector and vector-vector products, each equal to np.vdot(start, u @ start)
+    overlaps = (starts.conj().swapaxes(-1, -2) @ (composed[:, None] @ starts))[..., 0, 0]
+    return _numbered(np.stack([total, principal, np.angle(overlaps), np.repeat(defects[:, None], 4, axis=1)], axis=-1))
 
 
 def _defect_rows(columns):
@@ -284,7 +288,7 @@ def _walk(axes, block_rows, base: SpinParams) -> np.ndarray:
     while block := list(islice(points, SWEEP_BLOCK)):
         axis_values = np.array(block, dtype=float)
         block_columns = _columns(base, len(block))
-        for name, values in zip(names, axis_values.T.copy()):  # a later axis overrides an earlier one
+        for name, values in zip(names, axis_values.T.copy()):
             block_columns.update(dict.fromkeys(PARAM_GROUPS[name], values))
         try:
             table = block_rows(block_columns)
@@ -322,9 +326,21 @@ def _finite(values) -> np.ndarray:
 
 
 def _float_texts(fmt: str, values: np.ndarray) -> list[str]:
-    """Each entry's text, row-major: %.12e of entry + 0.0 (never -0.0); JSON reads it back, writes it with %r."""
-    texts = ("\n".join(["%.12e"] * values.size) % tuple((values + 0.0).ravel().tolist())).split("\n")
-    return texts if fmt == "csv" else list(map(repr, map(float, texts)))
+    """Each entry's text, row-major, of entry + 0.0 (never -0.0): CSV %.12e, JSON repr(float(%.12e text)).
+
+    JSON uses %.13g: the same 13 digits, which from 1e-300 up are repr's shortest digits. %g drops the .0
+    of an integral value (added back) and turns to an exponent at 1e13 (repr at 1e16), so values from
+    1e12 on, which may round up to 1e13, and below 1e-300 take repr itself.
+    """
+    flat = (values + 0.0).ravel()
+    texts = ("\n".join(["%.12e" if fmt == "csv" else "%.13g"] * flat.size) % tuple(flat.tolist())).split("\n")
+    if fmt == "csv":
+        return texts
+    texts = [text if "." in text or "e" in text else text + ".0" for text in texts]
+    magnitude = np.abs(flat)
+    for i in np.flatnonzero((magnitude >= 1e12) | ((magnitude < 1e-300) & (magnitude > 0.0))).tolist():
+        texts[i] = repr(float("%.12e" % flat[i]))
+    return texts
 
 
 def _table_text(fmt: str, columns, rows: np.ndarray) -> str:
@@ -422,7 +438,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _parse_axes(texts) -> list[tuple[str, list]]:
-    """FIELD=START:STOP:COUNT texts -> (name, values); the grid size is capped before values are built."""
+    """FIELD=START:STOP:COUNT texts -> (name, values). Two axes may not set one field (omega0 sets
+    omega_a0 and omega_b0); the grid size is capped after that, before values are built."""
     specs = []
     for text in texts:
         name, sep, rest = text.partition("=")
@@ -444,6 +461,10 @@ def _parse_axes(texts) -> list[tuple[str, list]]:
         if not (start <= stop):
             raise ValueError("axis start must be <= stop")
         specs.append((name, start, stop, count))
+    for (first, *_), (second, *_) in combinations(specs, 2):
+        shared = [field for field in PARAM_GROUPS[first] if field in PARAM_GROUPS[second]]
+        if shared:
+            raise ValueError(f"sweep axes {first!r} and {second!r} both set {shared[0]}")
     points = math.prod(count for *_, count in specs)
     if points > MAX_GRID_POINTS:
         raise ValueError(f"sweep grid has {points} points; the limit is {MAX_GRID_POINTS}")

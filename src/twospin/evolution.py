@@ -25,13 +25,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from types import SimpleNamespace
 
 import numpy as np
 
 from .core import Operator4, SpinParams, TwoSpinState, _check_stack, _columns, _state_from_trusted
-from .hamiltonian import _finite_static_matrix, _frame_matrix, h_rotating_frame, h_static, h_total
-from .hamiltonian import rotating_frame_stack, transverse_parts
+from .hamiltonian import _fields, _finite_static_matrix, _frame_matrix, h_total, rotating_frame_stack, transverse_parts
 from .spectral import eigensystem
 
 __all__ = [
@@ -42,7 +40,6 @@ __all__ = [
     "evolve_exact",
     "evolve_stepped",
     "exact_propagator",
-    "numeric_dynamical_phase",
 ]
 
 # Refusal threshold for the stepped integrator: fewer substeps than this per
@@ -134,7 +131,7 @@ def _stepped_propagators(columns: dict[str, np.ndarray], t: np.ndarray, steps: i
     The update's constants are (M, 4, 4) arrays built once, each the complex value its scalar
     casts to, so every step multiplies same-shape operands in the loop's float operations.
     """
-    fields = SimpleNamespace(**{name: column[:, None, None] for name, column in columns.items()})
+    fields = _fields(columns)
     static = _finite_static_matrix(fields)
     cos_part, sin_part = transverse_parts(fields)
     h = t / steps
@@ -206,37 +203,3 @@ def adiabatic_cycle(params: SpinParams, n: int, steps: int | None = None) -> Adi
         total_phase=float(np.angle(overlap)),
         fidelity=abs(overlap),
     )
-
-
-def numeric_dynamical_phase(params: SpinParams, initial: TwoSpinState, t: float, steps: int) -> float:
-    """Trapezoidal estimate of -integral of <psi(s)|H(s)|psi(s)> ds.
-
-    The trajectory is the exact one; only the quadrature is numerical. The
-    instantaneous energy is evaluated literally in the lab frame at each node,
-    splitting H(s) into its static part plus cos/sin transverse components.
-    """
-    if steps < 100:
-        raise ValueError("need at least 100 quadrature steps")
-    times = np.linspace(0.0, t, steps + 1)
-
-    vals, vecs = np.linalg.eigh(h_rotating_frame(params).matrix)
-    tilde0 = vecs.conj().T @ initial.amplitudes
-    tilde_traj = vecs @ (np.exp(-1j * np.outer(vals, times)) * tilde0[:, None])
-    traj = tilde_traj.copy()
-    traj[0, :] *= np.exp(-1j * params.omega1 * times)
-    traj[3, :] *= np.exp(1j * params.omega1 * times)
-
-    static = h_static(params).matrix
-    cos_part, sin_part = transverse_parts(params)
-
-    def quad_form(op):
-        return np.einsum("ik,ij,jk->k", traj.conj(), op, traj).real
-
-    energies = (
-        quad_form(static)
-        + np.cos(params.omega1 * times) * quad_form(cos_part)
-        + np.sin(params.omega1 * times) * quad_form(sin_part)
-    )
-    dt = t / steps
-    integral = dt * (energies.sum() - 0.5 * (energies[0] + energies[-1]))
-    return -float(integral)

@@ -15,8 +15,9 @@ is time independent. That construction is used verbatim here (it holds for
 unequal couplings too) and is pinned by the frame-identity tests.
 
 The matrix builders read the six fields by attribute, so rotating_frame_stack
-runs the same arithmetic on per-field columns and returns an (N, 4, 4) stack
-whose entries equal, bit for bit, those of h_rotating_frame at each point.
+and _total_stack run the same arithmetic on per-field columns and return
+(N, 4, 4) stacks whose entries equal, bit for bit, those of h_rotating_frame
+and h_total at each point.
 
 Finite parameters leave the float range only by overflowing; the builders
 raise OverflowError then, without a NumPy warning.
@@ -103,6 +104,11 @@ def _rotating_frame_matrix(params) -> np.ndarray:
     return matrix
 
 
+def _fields(columns: dict[str, np.ndarray]) -> SimpleNamespace:
+    """Per-field columns as (N, 1, 1) attributes, which the matrix builders read as they read SpinParams."""
+    return SimpleNamespace(**{name: column[:, None, None] for name, column in columns.items()})
+
+
 def rotating_frame_stack(columns: dict[str, np.ndarray]) -> np.ndarray:
     """Unchecked H_rot matrices for per-field columns, as an (N, 4, 4) stack.
 
@@ -110,8 +116,13 @@ def rotating_frame_stack(columns: dict[str, np.ndarray]) -> np.ndarray:
     stack is h_rotating_frame of the fields at index i, without the
     Operator4 validation.
     """
-    fields = SimpleNamespace(**{name: column[:, None, None] for name, column in columns.items()})
-    return _rotating_frame_matrix(fields)
+    return _rotating_frame_matrix(_fields(columns))
+
+
+def _total_stack(columns: dict[str, np.ndarray], angle: np.ndarray) -> np.ndarray:
+    """Unchecked H matrices at (N,) field angles omega1*t, as an (N, 4, 4) stack: point i is h_total's."""
+    fields = _fields(columns)
+    return _finite_static_matrix(fields) + _transverse_matrix(fields, angle[:, None, None])
 
 
 def _frame_matrix(angle) -> np.ndarray:

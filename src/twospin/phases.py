@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import SpinParams, _columns, _equal_coupling_fields, _periods
-from .spectral import _closed_form, _point, _python, eigensystem, singlet_energy
+from .spectral import _closed_form, _eigenbases, _point, _power, _python, singlet_energy
 
 __all__ = [
     "PhaseBreakdown",
@@ -78,16 +78,18 @@ class PhaseBreakdown:
 
 
 def _berry_phases(omega0: np.ndarray, gamma: np.ndarray, J: np.ndarray):
-    """Triplet energies (N, 3) and positive-sense Berry phases (N, 4); labels on the
-    fallback mask take 2*pi*(|x_n|^2 - |w_n|^2) from one eigensystem per point.
+    """Triplet energies (N, 3) and positive-sense Berry phases (N, 4); labels on the fallback mask take
+    2*pi*(|x_n|^2 - |w_n|^2), from one _eigenbases call at t = 0 with omega1 = 0 over their points.
     """
     closed = _closed_form(omega0, gamma, J)
     berry = closed.berry
-    for i in np.flatnonzero(closed.fallback.any(axis=1)).tolist():
-        system = eigensystem(SpinParams.symmetric(omega0[i], gamma[i], J[i]), 0.0)
-        for k in np.flatnonzero(closed.fallback[i]).tolist():
-            amps = system.state(k + 1).amplitudes
-            berry[i, k] = _TWO_PI * float(abs(amps[0]) ** 2 - abs(amps[3]) ** 2)
+    rows = closed.fallback.any(axis=1)
+    if rows.any():
+        o, g, zero = omega0[rows], gamma[rows], np.zeros(np.count_nonzero(rows))
+        columns = {"omega_a0": o, "omega_b0": o, "gamma_a": g, "gamma_b": g, "J": J[rows], "omega1": zero}
+        x, w = (np.hypot(a.real, a.imag) for a in _eigenbases(columns)[1][:, [0, 3], :3].swapaxes(0, 1))
+        geometric = _TWO_PI * (_power(x, 2, "|x|") - _power(w, 2, "|w|"))  # the scalar abs and **
+        berry[rows, :3] = np.where(closed.fallback[rows], geometric, berry[rows, :3])
     return closed.energies, berry
 
 

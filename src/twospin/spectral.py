@@ -28,12 +28,21 @@ numerical diagonalization of the symmetric (triplet) sector, with labels
 re-attached by energy matching and the last of the largest-magnitude
 amplitudes (ties within 1e-12 relative) made real and positive.
 
-One kernel, _closed_form, evaluates all of this on (N,) columns of omega0,
-gamma and J; triplet_energies, triplet_amplitudes and the eigensystems are its
-N = 1 case. NumPy does the + - * / and sqrt, which IEEE 754 rounds exactly as
-float arithmetic does. acos, cos and the powers **2 and **3 go through Python
-floats: NumPy's versions differ from libm in the last bit on some arguments
-(x**2 on about 1 double in 1,200), and an overflowing power must raise.
+One kernel, _closed_form, evaluates the energies, denominators and Berry
+phases on (N,) columns of omega0, gamma and J; triplet_energies and
+triplet_amplitudes are its N = 1 case. NumPy does the + - * / and sqrt, which
+IEEE 754 rounds exactly as float arithmetic does. acos, cos and the powers **2
+and **3 go through Python floats: NumPy's versions differ from libm in the
+last bit on some arguments (x**2 on about 1 double in 1,200), and an
+overflowing power must raise.
+
+A second kernel, _eigenbases, builds the (N, 4, 4) eigenbases, labels in
+columns: the closed-form amplitudes as arrays; on the fallback mask one
+stacked Hamiltonian build, one eigh of the (K, 3, 3) sectors, an argmin over
+the 6 label permutations and a stacked gauge fix. eigensystem and
+tilde_eigensystem are its N = 1 case. Each basis equals the one-point,
+one-label construction bit for bit: the same float operations, one
+matrix-vector product per state, and np.hypot for a scalar abs.
 """
 
 from __future__ import annotations
@@ -44,8 +53,8 @@ from itertools import permutations, repeat
 
 import numpy as np
 
-from .core import SpinParams, TwoSpinState
-from .hamiltonian import h_rotating_frame, h_total
+from .core import SpinParams, TwoSpinState, _check_stack, _columns
+from .hamiltonian import _total_stack, rotating_frame_stack
 
 __all__ = [
     "ARCCOS_EXCESS_TOL",
@@ -176,15 +185,21 @@ def triplet_energies(omega0: float, gamma: float, J: float) -> tuple[float, floa
     return tuple(_closed_form(*_point(omega0, gamma, J)).energies[0].tolist())
 
 
-def _amplitudes(gamma: float, energy: float, d_plus: float, d_minus: float, theta):
-    x0 = -2.0 * gamma / d_plus
-    w0 = -2.0 * gamma / d_minus
-    norm = math.sqrt(2.0 + x0 * x0 + w0 * w0)
-    if not math.isfinite(norm):  # d+- overflowed: the spectral scale is out of float range
-        raise ArithmeticError(f"closed-form eigenvector is not finite (d+ = {d_plus!r}, d- = {d_minus!r})")
-    if not math.isfinite(energy):  # 4 omega0^2 or 4 gamma^2 overflowed (above about 1e154): d+- = inf, x0 = w0 = 0
-        raise ArithmeticError(f"closed-form energy {energy!r} is not finite")
-    phase = np.exp(-1j * np.asarray(theta, dtype=float))
+def _amplitudes(gamma, energies, d_plus, d_minus, theta):
+    """The closed-form amplitudes (x, y, z, w) on broadcast arrays. The first entry whose normalization (d+-
+    overflowed) or else energy (4 omega0^2 or 4 gamma^2 did, above about 1e154) is not finite raises."""
+    with np.errstate(all="ignore"):  # non-finite values are refused below
+        x0 = -2.0 * gamma / d_plus
+        w0 = -2.0 * gamma / d_minus
+        norm = np.sqrt(2.0 + x0 * x0 + w0 * w0)
+    lost = np.flatnonzero(~np.isfinite(norm) | ~np.isfinite(energies))
+    if len(lost):
+        first = lost[0]
+        if not np.isfinite(np.ravel(norm)[first]):
+            d_plus, d_minus = (float(np.ravel(d)[first]) for d in (d_plus, d_minus))
+            raise ArithmeticError(f"closed-form eigenvector is not finite (d+ = {d_plus!r}, d- = {d_minus!r})")
+        raise ArithmeticError(f"closed-form energy {float(np.ravel(energies)[first])!r} is not finite")
+    phase = np.exp(-1j * theta)
     one = np.ones_like(phase) / norm
     return (x0 * phase / norm, one, one, w0 * np.conj(phase) / norm)
 
@@ -202,8 +217,8 @@ def triplet_amplitudes(omega0: float, gamma: float, J: float, n: int, theta=0.0)
     if closed.fallback[0, n - 1]:
         threshold = DEGENERACY_RTOL * spectral_scale(omega0, gamma, J)
         raise DegenerateParametersError(f"eigenvector denominator below {threshold:.1e} for label {n}")
-    energy, d_plus, d_minus = (float(part[0, n - 1]) for part in (closed.energies, closed.d_plus, closed.d_minus))
-    return _amplitudes(gamma, energy, d_plus, d_minus, theta)
+    parts = (part[0, n - 1] for part in (closed.energies, closed.d_plus, closed.d_minus))
+    return _amplitudes(gamma, *parts, np.asarray(theta, dtype=float))
 
 
 @dataclass(frozen=True)
@@ -243,86 +258,75 @@ class EigenSystem:
 
 # Rows map the 4-dim space onto the symmetric (triplet) sector basis
 # {uu, (ud+du)/sqrt2, dd}; the singlet spans the complement.
-_SYM_PROJECTOR = np.array(
-    [
-        [1.0, 0.0, 0.0, 0.0],
-        [0.0, 1.0 / math.sqrt(2.0), 1.0 / math.sqrt(2.0), 0.0],
-        [0.0, 0.0, 0.0, 1.0],
-    ],
-    dtype=complex,
-)
+_HALF = 1.0 / math.sqrt(2.0)
+_SYM_PROJECTOR = np.array([[1.0, 0.0, 0.0, 0.0], [0.0, _HALF, _HALF, 0.0], [0.0, 0.0, 0.0, 1.0]], dtype=complex)
+_PERMUTATIONS = np.array(list(permutations(range(3))))
+_SINGLET = TwoSpinState.singlet().amplitudes
 
 
-def _fix_phase(vec: np.ndarray) -> np.ndarray:
-    # The tolerance keeps last-bit rounding from breaking a tie between equal magnitudes.
-    mags = np.abs(vec)
-    k = int(np.flatnonzero(mags >= mags.max() * (1.0 - 1e-12))[-1])
-    c = vec[k]
-    return vec * (np.conj(c) / abs(c))
-
-
-def _fallback_triplet_states(hamiltonian: np.ndarray, labels_energies) -> list[np.ndarray]:
-    """Diagonalize the symmetric sector and order states by label energies."""
-    block = _SYM_PROJECTOR @ hamiltonian @ _SYM_PROJECTOR.conj().T
-    vals, vecs = np.linalg.eigh(block)
-    best = min(
-        permutations(range(3)),
-        key=lambda perm: sum(abs(labels_energies[i] - vals[perm[i]]) for i in range(3)),
-    )
-    return [_fix_phase(_SYM_PROJECTOR.conj().T @ vecs[:, best[i]]) for i in range(3)]
-
-
-def _require_equal_couplings(params: SpinParams):
-    if not params.equal_couplings:
-        raise ValueError("closed-form spectral results require equal couplings")
-
-
-def _build_eigensystem(
-    omega0: float, gamma: float, J: float, theta: float, time: float, hamiltonian
-) -> EigenSystem:
-    """Closed-form eigenpairs at field angle theta, or the sector fallback.
-
-    hamiltonian() returns the matrix to diagonalize when the closed-form
-    eigenvectors degenerate; it is only built on that branch.
+def _sector_states(hamiltonians: np.ndarray, energies: np.ndarray) -> np.ndarray:
+    """(K, 3, 4) triplet states, by label, of (K, 4, 4) Hamiltonians with (K, 3) label energies: one stacked
+    eigh of the sectors, the eigenvalue permutation of least summed distance to the energies (the first in
+    itertools order on a tie), each state one matrix-vector product, and the last of its largest-magnitude
+    amplitudes (ties within 1e-12 relative, against last-bit noise) made real and positive.
     """
-    closed = _closed_form(*_point(omega0, gamma, J))
-    energies = tuple(closed.energies[0].tolist())
-    used_fallback = bool(closed.fallback.any())
-    if used_fallback:
-        states = _fallback_triplet_states(hamiltonian(), energies)
-    else:
-        labels = zip(energies, closed.d_plus[0].tolist(), closed.d_minus[0].tolist())
-        states = [np.array(_amplitudes(gamma, *label, theta), dtype=complex) for label in labels]
+    vals, vecs = np.linalg.eigh(_SYM_PROJECTOR @ hamiltonians @ _SYM_PROJECTOR.conj().T)
+    distance = np.abs(energies[:, None, :] - vals[:, _PERMUTATIONS])
+    best = _PERMUTATIONS[np.argmin(distance[..., 0] + distance[..., 1] + distance[..., 2], axis=1)]
+    chosen = np.take_along_axis(vecs, best[:, None, :], axis=2)
+    states = (_SYM_PROJECTOR.conj().T @ chosen.swapaxes(1, 2)[..., None])[..., 0]
+    magnitudes = np.abs(states)
+    tied = magnitudes >= magnitudes.max(axis=-1, keepdims=True) * (1.0 - 1e-12)
+    pivot = np.take_along_axis(states, 3 - np.argmax(tied[..., ::-1], axis=-1)[..., None], axis=-1)
+    return states * (np.conj(pivot) / np.hypot(pivot.real, pivot.imag))
 
-    pairs = [EigenPair(n, energies[n - 1], TwoSpinState(states[n - 1])) for n in (1, 2, 3)]
-    pairs.append(EigenPair(4, singlet_energy(J), TwoSpinState.singlet()))
-    return EigenSystem(pairs=tuple(pairs), time=time, used_fallback=used_fallback)
+
+def _eigenbases(columns: dict[str, np.ndarray], t: float = 0.0, rotating: bool = False):
+    """The closed forms and (N, 4, 4) eigenbases, column k the state of label k + 1, of H(t) at the points
+    of equal-coupling field columns, or (rotating) of the rotating-frame generator: H(0) with the static
+    frequencies shifted by -omega1, whose closed form is that of H(0) at the shifted detuning.
+
+    Points with a label on the fallback mask take _sector_states of the matrix itself, built with h_total's
+    arithmetic or rotating_frame_stack (at exact resonance a degenerate eigenvector's sign depends on its
+    last bits) and checked as Operator4.hermitian. At N > 1 the error may come from any failing point.
+    """
+    if np.any(columns["omega_a0"] != columns["omega_b0"]) or np.any(columns["gamma_a"] != columns["gamma_b"]):
+        raise ValueError("closed-form spectral results require equal couplings")
+    omega0, gamma, omega1 = columns["omega_a0"], columns["gamma_a"], columns["omega1"]
+    with np.errstate(over="ignore"):  # as in float arithmetic
+        theta = np.zeros(len(omega1)) if rotating else omega1 * t
+        closed = _closed_form(omega0 - omega1 if rotating else omega0, gamma, columns["J"])
+    fallback = closed.fallback.any(axis=1)
+    bases = np.empty((len(theta), 4, 4), dtype=complex)
+    bases[:, :, 3] = _SINGLET
+    parts = (part[~fallback] for part in (closed.energies, closed.d_plus, closed.d_minus))
+    amplitudes = _amplitudes(gamma[~fallback, None], *parts, theta[~fallback, None])
+    bases[~fallback, :, :3] = np.stack(np.broadcast_arrays(*amplitudes), axis=1)
+    if fallback.any():
+        subset = {name: column[fallback] for name, column in columns.items()}
+        matrices = rotating_frame_stack(subset) if rotating else _total_stack(subset, theta[fallback])
+        _check_stack(matrices, "hermitian")
+        bases[fallback, :, :3] = _sector_states(matrices, closed.energies[fallback]).swapaxes(1, 2)
+    return closed, bases
+
+
+def _system(params: SpinParams, t: float, rotating: bool) -> EigenSystem:
+    closed, (basis,) = _eigenbases(_columns(params, 1), t, rotating)
+    energies = [*closed.energies[0].tolist(), singlet_energy(params.J)]
+    pairs = tuple(EigenPair(n, energies[n - 1], TwoSpinState(basis[:, n - 1])) for n in (1, 2, 3, 4))
+    return EigenSystem(pairs=pairs, time=t, used_fallback=bool(closed.fallback.any()))
 
 
 def eigensystem(params: SpinParams, t: float = 0.0) -> EigenSystem:
-    """Instantaneous eigensystem of H(t) for equal couplings.
+    """Instantaneous eigensystem of H(t) for equal couplings: the N = 1 case of _eigenbases.
 
     Labels follow the trigonometric-root convention; label 4 is the singlet.
     used_fallback reports whether the numerical sector diagonalization was
     taken instead of the closed-form eigenvectors.
     """
-    _require_equal_couplings(params)
-    return _build_eigensystem(
-        params.omega0, params.gamma, params.J, params.omega1 * t, t, lambda: h_total(params, t).matrix
-    )
+    return _system(params, t, rotating=False)
 
 
 def tilde_eigensystem(params: SpinParams) -> EigenSystem:
-    """Eigensystem of the rotating-frame generator.
-
-    The generator is H(0) with the static frequencies shifted by -omega1, so
-    the closed form is that of eigensystem at the shifted detuning and field
-    angle zero. The fallback diagonalizes h_rotating_frame itself: at exact
-    resonance (omega0 == omega1) a degenerate eigenvector's sign depends on
-    the last bits of the matrix it comes from.
-    """
-    _require_equal_couplings(params)
-    return _build_eigensystem(
-        params.omega0 - params.omega1, params.gamma, params.J, 0.0, 0.0,
-        lambda: h_rotating_frame(params).matrix,
-    )
+    """Eigensystem of the rotating-frame generator: the N = 1 case of _eigenbases(rotating=True)."""
+    return _system(params, 0.0, rotating=True)

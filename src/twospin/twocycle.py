@@ -28,7 +28,7 @@ from .core import _periods, _points, _state_from_trusted
 from .evolution import _check_steps, _propagators, _stepped_propagators
 from .hamiltonian import rotating_frame_stack
 from .phases import _berry_phases, _rotation_sense
-from .spectral import eigensystem
+from .spectral import _eigenbases
 
 __all__ = [
     "AA_FLIP_SET",
@@ -55,19 +55,18 @@ class BerryGate:
 
 
 def _berry_gates(columns: dict[str, np.ndarray]):
-    """Positive-sense geometric phases (N, 4), t=0 eigensystems and the gates in the eigenbasis and
-    the computational basis, (N, 4, 4) each; refuses as SpinParams, berry_phase, eigensystem and
+    """Positive-sense geometric phases (N, 4), then the t=0 eigenbases and the gates in the eigenbasis
+    and the computational basis, (N, 4, 4) each; refuses as SpinParams, berry_phase, eigensystem and
     Operator4.unitary (on the gate) do, in that order.
     """
-    points = _points(columns)
+    _points(columns)
     phases = _berry_phases(*_equal_coupling_fields(columns))[1]
-    systems = [eigensystem(point, 0.0) for point in points]
-    diagonal = np.zeros((len(points), 4, 4), dtype=complex)
+    bases = _eigenbases(columns)[1]
+    diagonal = np.zeros((len(bases), 4, 4), dtype=complex)
     diagonal[:, range(4), range(4)] = np.exp(2j * phases)
-    bases = np.stack([system.basis_matrix() for system in systems])
     computational = bases @ diagonal @ bases.conj().swapaxes(-1, -2)
     _check_stack(computational, "unitary")
-    return phases, systems, diagonal, computational
+    return phases, bases, diagonal, computational
 
 
 def berry_gate(omega0: float, gamma: float, J: float) -> BerryGate:
@@ -106,15 +105,15 @@ def _cycle_propagators(columns: dict[str, np.ndarray], flips, steps_per_cycle: i
 
 
 def _adiabatic_two_cycles(columns: dict[str, np.ndarray], steps_per_cycle: int | None = None):
-    """The t=0 eigensystems, the (N, 4, 4) cycle propagators U1 and U2, the ideal gates and the (N, 4)
+    """The (N, 4, 4) t=0 eigenbases, cycle propagators U1 and U2 and ideal gates, and the (N, 4)
     targets, twice the geometric phases, of the adiabatic protocol. Where omega1 < 0 the loop runs
     backwards and every geometric phase changes sign, so the target is negated and the gate inverted.
     """
-    phases, systems, _, gates = _berry_gates(columns)
+    phases, bases, _, gates = _berry_gates(columns)
     u_first, u_second = _cycle_propagators(columns, ADIABATIC_FLIP_SET, steps_per_cycle)
     sense = _rotation_sense(columns["omega1"])
     gates = [gate.conj().T if s < 0.0 else gate for gate, s in zip(gates, sense.tolist())]
-    return systems, u_first, u_second, gates, 2.0 * sense[:, None] * phases
+    return bases, u_first, u_second, gates, 2.0 * sense[:, None] * phases
 
 
 def _aa_two_cycles(columns: dict[str, np.ndarray]) -> tuple[np.ndarray, np.ndarray]:

@@ -3,10 +3,22 @@
 import json
 import math
 from dataclasses import fields
+from itertools import permutations
 
 import numpy as np
 
-from twospin import BASIS_LABELS, PARAM_GROUPS, SpinParams, triplet_amplitudes
+from twospin import (
+    BASIS_LABELS,
+    PARAM_GROUPS,
+    SpinParams,
+    TwoSpinState,
+    h_rotating_frame,
+    h_static,
+    h_total,
+    transverse_parts,
+    triplet_amplitudes,
+)
+from twospin.spectral import _closed_form
 
 TWO_PI = 2.0 * math.pi
 
@@ -169,3 +181,105 @@ def render_oracle(fmt, command, params, columns, table, extras):
     }
     document.update((key, as_json(v)) for key, v in extras.items())
     return json.dumps(document, sort_keys=True, separators=(",", ":")) + "\n"
+
+
+def numeric_dynamical_phase(params, initial, t, steps):
+    """Trapezoidal estimate of -integral of <psi(s)|H(s)|psi(s)> ds.
+
+    The trajectory is the exact one; only the quadrature is numerical. The
+    instantaneous energy is evaluated literally in the lab frame at each node,
+    splitting H(s) into its static part plus cos/sin transverse components.
+    """
+    if steps < 100:
+        raise ValueError("need at least 100 quadrature steps")
+    times = np.linspace(0.0, t, steps + 1)
+
+    vals, vecs = np.linalg.eigh(h_rotating_frame(params).matrix)
+    tilde0 = vecs.conj().T @ initial.amplitudes
+    tilde_traj = vecs @ (np.exp(-1j * np.outer(vals, times)) * tilde0[:, None])
+    traj = tilde_traj.copy()
+    traj[0, :] *= np.exp(-1j * params.omega1 * times)
+    traj[3, :] *= np.exp(1j * params.omega1 * times)
+
+    static = h_static(params).matrix
+    cos_part, sin_part = transverse_parts(params)
+
+    def quad_form(op):
+        return np.einsum("ik,ij,jk->k", traj.conj(), op, traj).real
+
+    energies = (
+        quad_form(static)
+        + np.cos(params.omega1 * times) * quad_form(cos_part)
+        + np.sin(params.omega1 * times) * quad_form(sin_part)
+    )
+    dt = t / steps
+    integral = dt * (energies.sum() - 0.5 * (energies[0] + energies[-1]))
+    return -float(integral)
+
+
+# The per-point eigensystem: the oracle of spectral._eigenbases, one point and one label at a time.
+
+_SYM_PROJECTOR = np.array(
+    [[1.0, 0.0, 0.0, 0.0], [0.0, 1.0 / math.sqrt(2.0), 1.0 / math.sqrt(2.0), 0.0], [0.0, 0.0, 0.0, 1.0]],
+    dtype=complex,
+)
+
+
+def _fix_phase(vec):
+    mags = np.abs(vec)
+    k = int(np.flatnonzero(mags >= mags.max() * (1.0 - 1e-12))[-1])
+    c = vec[k]
+    return vec * (np.conj(c) / abs(c))
+
+
+def _fallback_triplet_states(hamiltonian, labels_energies):
+    """Diagonalize the symmetric sector and order states by label energies."""
+    block = _SYM_PROJECTOR @ hamiltonian @ _SYM_PROJECTOR.conj().T
+    vals, vecs = np.linalg.eigh(block)
+    best = min(
+        permutations(range(3)),
+        key=lambda perm: sum(abs(labels_energies[i] - vals[perm[i]]) for i in range(3)),
+    )
+    return [_fix_phase(_SYM_PROJECTOR.conj().T @ vecs[:, best[i]]) for i in range(3)]
+
+
+def scalar_amplitudes(gamma, energy, d_plus, d_minus, theta):
+    """The closed-form amplitudes (x, y, z, w) of one label in Python floats."""
+    x0 = -2.0 * gamma / d_plus
+    w0 = -2.0 * gamma / d_minus
+    norm = math.sqrt(2.0 + x0 * x0 + w0 * w0)
+    if not math.isfinite(norm):
+        raise ArithmeticError(f"closed-form eigenvector is not finite (d+ = {d_plus!r}, d- = {d_minus!r})")
+    if not math.isfinite(energy):
+        raise ArithmeticError(f"closed-form energy {energy!r} is not finite")
+    phase = np.exp(-1j * np.asarray(theta, dtype=float))
+    one = np.ones_like(phase) / norm
+    return (x0 * phase / norm, one, one, w0 * np.conj(phase) / norm)
+
+
+def eigenbasis_loop(omega0, gamma, J, theta, hamiltonian):
+    """(basis, used_fallback) of one point: label columns built one at a time, the fallback from
+    hamiltonian(), a validated 4x4 matrix built only on that branch."""
+    point = [np.array([value], dtype=float) for value in (omega0, gamma, J)]
+    closed = _closed_form(*point)
+    energies = tuple(closed.energies[0].tolist())
+    used_fallback = bool(closed.fallback.any())
+    if used_fallback:
+        states = _fallback_triplet_states(hamiltonian(), energies)
+    else:
+        labels = zip(energies, closed.d_plus[0].tolist(), closed.d_minus[0].tolist())
+        states = [np.array(scalar_amplitudes(gamma, *label, theta), dtype=complex) for label in labels]
+    states = [TwoSpinState(state).amplitudes for state in states] + [TwoSpinState.singlet().amplitudes]
+    return np.column_stack(states), used_fallback
+
+
+def eigensystem_loop(params, t=0.0):
+    """eigenbasis_loop of H(t), the fallback diagonalizing h_total."""
+    theta = params.omega1 * t
+    return eigenbasis_loop(params.omega0, params.gamma, params.J, theta, lambda: h_total(params, t).matrix)
+
+
+def tilde_eigensystem_loop(params):
+    """eigenbasis_loop of the rotating-frame generator, the fallback diagonalizing h_rotating_frame."""
+    omega0 = params.omega0 - params.omega1
+    return eigenbasis_loop(omega0, params.gamma, params.J, 0.0, lambda: h_rotating_frame(params).matrix)

@@ -21,7 +21,6 @@ from twospin import (
     evolve_exact,
     evolve_stepped,
     h_total,
-    numeric_dynamical_phase,
     run_aa_two_cycle,
     run_adiabatic_two_cycle,
     singlet_energy,
@@ -32,6 +31,7 @@ from twospin import (
 from support import (
     berry_line_integral,
     circ_dist,
+    numeric_dynamical_phase,
     random_general,
     random_state,
     random_symmetric,

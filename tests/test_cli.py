@@ -389,6 +389,18 @@ class TestTwocycleCommand:
             assert run_main(argv, capsys) == (4, "", json.dumps({"error": message, "exit_code": 4}) + "\n")
 
 
+    @pytest.mark.parametrize(
+        "command", [["twocycle", "--scheme", "aa"], ["evolve", "--initial", "tilde1", "--time", "0"]]
+    )
+    def test_overflowing_rotating_frame_detuning_is_a_numeric_failure(self, capsys, command):
+        # omega0 - omega1 overflows to inf without a warning, as in float arithmetic
+        argv = [*command, "--omega0=1e308", "--gamma=0.3", "--omega1=-1e308"]
+        message = "closed-form eigenvector is not finite (d+ = nan, d- = -inf)"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run_main(argv, capsys) == (4, "", json.dumps({"error": message, "exit_code": 4}) + "\n")
+
+
 class TestSweepCommand:
     BASE = ["--omega0", "1", "--gamma", "1", "--omega1", "0.1"]
 
@@ -516,6 +528,38 @@ class TestSweepCommand:
         args = ["sweep", "--quantity", "spectrum", "--axis", "J=0:1:2"] + self.BASE
         assert run_main(args + ["--axis", "gamma=0:1:3"], capsys)[0] == 0
         assert run_main(args + ["--axis", "gamma=0:1:4"], capsys)[0] == 2
+
+    @pytest.mark.parametrize(
+        "axes, message",
+        [
+            (["J=0:1:3", "J=5:6:2"], "sweep axes 'J' and 'J' both set J"),
+            (["omega0=0:1:3", "omega_a0=5:6:2"], "sweep axes 'omega0' and 'omega_a0' both set omega_a0"),
+            (["gamma_b=0:1:2", "J=0:1:2", "gamma=1:2:2"], "sweep axes 'gamma_b' and 'gamma' both set gamma_b"),
+        ],
+    )
+    def test_axes_that_set_one_field_are_refused(self, capsys, axes, message):
+        argv = ["sweep", "--quantity", "spectrum", "--omega0", "1", *(f"--axis={axis}" for axis in axes)]
+        assert run_main(argv, capsys) == (2, "", json.dumps({"error": message, "exit_code": 2}) + "\n")
+
+    @pytest.mark.parametrize(
+        "axes, message",
+        [
+            (["J=0:1:3", "J=2:0:3"], "axis start must be <= stop"),
+            (["J=0:1:3", "J=0:1:1000000000"], "sweep axes 'J' and 'J' both set J"),
+        ],
+    )
+    def test_overlap_is_checked_after_each_axis_and_before_the_grid_cap(self, capsys, axes, message):
+        argv = ["sweep", "--quantity", "spectrum", "--omega0", "1", *(f"--axis={axis}" for axis in axes)]
+        assert run_main(argv, capsys) == (2, "", json.dumps({"error": message, "exit_code": 2}) + "\n")
+
+    def test_per_spin_axes_of_both_spins_run(self, capsys):
+        argv = ["sweep", "--quantity", "twocycle-defect", "--axis", "omega_a0=0:1:2", "--axis", "omega_b0=1:2:2",
+                "--gamma", "0.3", "--omega1", "0.5"]
+        code, out, err = run_main(argv, capsys)
+        assert (code, err) == (0, "")
+        header, rows = parse_csv(out)
+        assert header == ["omega_a0", "omega_b0", "identity_defect"]
+        assert [[float(v) for v in row[:2]] for row in rows] == [[0.0, 1.0], [0.0, 2.0], [1.0, 1.0], [1.0, 2.0]]
 
     def test_pair_alias_axis_sets_both_spins(self, capsys):
         code, out, _ = run_main(

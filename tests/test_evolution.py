@@ -17,14 +17,21 @@ from twospin import (
     evolve_stepped,
     exact_propagator,
     h_rotating_frame,
-    numeric_dynamical_phase,
     tilde_eigensystem,
 )
 from twospin import core, evolution
 from twospin.core import _columns
 from twospin.evolution import _SAMPLE_BLOCK, _stepped_propagators
 
-from support import circ_dist, flip_params, random_general, random_state, random_symmetric, stepped_propagator_loop
+from support import (
+    circ_dist,
+    flip_params,
+    numeric_dynamical_phase,
+    random_general,
+    random_state,
+    random_symmetric,
+    stepped_propagator_loop,
+)
 
 P111 = SpinParams.symmetric(1.0, 1.0, 1.0, 0.1)
 

@@ -12,13 +12,12 @@ from twospin import (
     berry_phase,
     eigensystem,
     legacy_single_spin_phase,
-    numeric_dynamical_phase,
     principal_value,
     tilde_eigensystem,
     triplet_energies,
 )
 
-from support import berry_line_integral, circ_dist, random_symmetric
+from support import berry_line_integral, circ_dist, numeric_dynamical_phase, random_symmetric
 
 TWO_PI = 2.0 * math.pi
 

@@ -22,10 +22,17 @@ from twospin import SpinParams, cli
 from support import render_oracle
 
 # Signed zeros, subnormals, the ends of the float range and values whose
-# %.12e text rounds up into the next decade.
+# %.12e text rounds up into the next decade; then the points where the JSON
+# text's %.13g and repr forms differ in form (integral values, exponent from
+# 1e13 in %g, from 1e16 in repr, fixed below 1e-4 in neither) and where it
+# switches to repr (1e12 and 1e-300).
 SPECIAL = [
     0.0, -0.0, 5e-324, -5e-324, 2.225073858507201e-308, 1e-310, 1e308, -1e308, 1.7976931348623157e308,
     -1.7976931348623157e308, 9.9999999999995e-1, -9.9999999999995e-1, 9.99999999999995e-1, 9.9999999999999e99,
+    *(f(1e12) for f in (lambda x: math.nextafter(x, 0.0), float, lambda x: math.nextafter(x, math.inf))),
+    9.9999999999995e12, 1e13, 1e15, 9.9999999999999e15, 1e16, 1e-4, 9.99999999999995e-05, 1e-5, 123.0, -5.0,
+    2.0**53, *(f(1e-300) for f in (lambda x: math.nextafter(x, 0.0), float, lambda x: math.nextafter(x, 1.0))),
+    1e-311, 2.2250738585072014e-308,
 ]
 floats = st.one_of(st.sampled_from(SPECIAL), st.floats(allow_nan=False, allow_infinity=False))
 CELLS = {
@@ -150,6 +157,20 @@ def test_real_sweep_over_a_symmetric_grid_matches_the_cell_oracle(quantity):
     assert 3 * len(np.unique(table)) < table.size
     for rendered, expected in both_formats(columns, table, extras):
         assert first_difference(rendered, expected) is None
+
+
+@pytest.mark.parametrize("values", [SPECIAL, [-x for x in SPECIAL]], ids=["special", "negated"])
+def test_json_text_of_special_values_is_repr_of_the_csv_text(values):
+    assert cli._float_texts("json", np.array(values)) == [repr(float("%.12e" % (x + 0.0))) for x in values]
+
+
+def test_json_text_over_random_bit_patterns_is_repr_of_the_csv_text():
+    """100,000 random doubles of every exponent, finite ones in both signs."""
+    bits = np.random.default_rng(12).integers(0, 2**64 - 1, size=100_000, dtype=np.uint64, endpoint=True)
+    values = bits.view(float)
+    values = values[np.isfinite(values)]
+    values = np.concatenate([values, -values])
+    assert cli._float_texts("json", values) == [repr(float("%.12e" % x)) for x in values.tolist()]
 
 
 def test_component_indices_render_as_labels():

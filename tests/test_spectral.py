@@ -1,7 +1,11 @@
 import math
+from dataclasses import fields
+from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from twospin import (
     DegenerateParametersError,
@@ -16,9 +20,23 @@ from twospin import (
     triplet_amplitudes,
     triplet_energies,
 )
-from twospin.spectral import ARCCOS_EXCESS_TOL, InternalConsistencyError, _closed_form, spectral_scale
+from twospin.phases import _berry_phases
+from twospin.spectral import (
+    ARCCOS_EXCESS_TOL,
+    InternalConsistencyError,
+    _closed_form,
+    _eigenbases,
+    spectral_scale,
+)
 
-from support import cubic_trisection, random_symmetric, sorted_spectrum_oracle
+from support import (
+    cubic_trisection,
+    eigensystem_loop,
+    random_symmetric,
+    scalar_amplitudes,
+    sorted_spectrum_oracle,
+    tilde_eigensystem_loop,
+)
 
 SQRT2 = math.sqrt(2.0)
 
@@ -309,3 +327,107 @@ class TestSymmetry:
             for n, m in exchange.items():
                 assert abs(minus[n - 1] + plus[m - 1]) <= 1e-10 * spectral_scale(p.omega0, p.gamma, p.J)
                 assert 1.0 - abs(flipped.state(m).overlap(system.state(n))) <= 1e-10
+
+
+def same_bits(a, b) -> bool:
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and np.array_equal(a.reshape(-1).view(np.uint64), b.reshape(-1).view(np.uint64))
+
+
+def stacked(points) -> dict:
+    """The field columns of a list of SpinParams."""
+    return {f.name: np.array([getattr(p, f.name) for p in points]) for f in fields(SpinParams)}
+
+
+def outcome(build):
+    """The bits of the basis and the fallback flag of an EigenSystem or a (basis, used_fallback) pair that
+    build returns, or the type and message of the error it raises."""
+    try:
+        result = build()
+    except (ArithmeticError, ValueError) as exc:
+        return type(exc), str(exc)
+    basis, used = (result.basis_matrix(), result.used_fallback) if hasattr(result, "pairs") else result
+    return basis.view(np.uint64).tolist(), used
+
+
+# Both rotation senses, resonance (omega0 = omega1 in the rotating frame), gamma = 0 (every point on the
+# fallback), omega0 = 0 and J = +-2 omega0 (a label on the fallback) and points off every degeneracy.
+GRID = [
+    SpinParams.symmetric(omega0, gamma, J, omega1)
+    for omega0, gamma, omega1 in product([-1.0, -0.5, 0.0, 0.5, 1.0], [0.0, 0.7, -1.0], [-0.5, 0.5, 1.0])
+    for J in (0.0, 0.3, 2.0 * omega0, -2.0 * omega0)
+]
+
+components = st.one_of(st.sampled_from([0.0, 0.5, -0.5, 1.0, -1.0]), st.floats(-3.0, 3.0))
+scales = st.sampled_from([1e-30, 1e-5, 1.0, 1e5, 1e40])
+
+
+class TestEigenbasesKernel:
+    """spectral._eigenbases, for H(t) and for the rotating frame, and its N = 1 wrappers, against the
+    per-point oracle support.eigenbasis_loop: equal as uint64 views, fallback flags included."""
+
+    @pytest.mark.parametrize("t", [0.0, 1.7, -3.1])
+    def test_stacked_lab_bases_equal_the_loop(self, t):
+        closed, bases = _eigenbases(stacked(GRID), t)
+        used = closed.fallback.any(axis=1)
+        assert 0 < used.sum() < len(GRID)
+        for point, basis, fallback in zip(GRID, bases, used):
+            expected, expected_fallback = eigensystem_loop(point, t)
+            assert same_bits(basis, expected) and fallback == expected_fallback
+
+    def test_stacked_tilde_bases_equal_the_loop(self):
+        closed, bases = _eigenbases(stacked(GRID), rotating=True)
+        used = closed.fallback.any(axis=1)
+        assert 0 < used.sum() < len(GRID)
+        for point, basis, fallback in zip(GRID, bases, used):
+            expected, expected_fallback = tilde_eigensystem_loop(point)
+            assert same_bits(basis, expected) and fallback == expected_fallback
+
+    @settings(deadline=None, max_examples=300)
+    @given(components, components, components, components, st.floats(-20.0, 20.0), scales)
+    def test_wrappers_equal_the_loop(self, omega0, gamma, J, omega1, t, scale):
+        p = SpinParams.symmetric(omega0 * scale, gamma * scale, J * scale, omega1 * scale)
+        assert outcome(lambda: eigensystem(p, t)) == outcome(lambda: eigensystem_loop(p, t))
+        assert outcome(lambda: eigensystem(p, 0.0)) == outcome(lambda: eigensystem_loop(p, 0.0))
+        assert outcome(lambda: tilde_eigensystem(p)) == outcome(lambda: tilde_eigensystem_loop(p))
+
+    @settings(deadline=None, max_examples=50)
+    @given(st.lists(st.tuples(components, components, components, components), min_size=1, max_size=40), scales)
+    def test_stacks_equal_the_loop(self, draws, scale):
+        points = [SpinParams.symmetric(*(v * scale for v in draw)) for draw in draws]
+        for rotating, loop in ((False, eigensystem_loop), (True, tilde_eigensystem_loop)):
+            expected = [outcome(lambda: loop(point)) for point in points]
+            try:
+                closed, bases = _eigenbases(stacked(points), rotating=rotating)
+            except (ArithmeticError, ValueError) as exc:  # at N > 1 the error may come from any failing point
+                assert (type(exc), str(exc)) in expected
+                continue
+            used = closed.fallback.any(axis=1).tolist()
+            assert [(basis.view(np.uint64).tolist(), flag) for basis, flag in zip(bases, used)] == expected
+
+    # A non-finite eigenvector (d+- = nan) comes before a non-finite energy, in label order.
+    @pytest.mark.parametrize("omega0, gamma", [(1e308, 0.457), (-1e308, 0.457), (1e154, 0.457), (0.7, 1e300)])
+    def test_refusals_equal_the_loop(self, omega0, gamma):
+        p = SpinParams.symmetric(omega0, gamma, 0.296, 0.6)
+        for kernel, loop in ((lambda: eigensystem(p), lambda: eigensystem_loop(p)),
+                             (lambda: tilde_eigensystem(p), lambda: tilde_eigensystem_loop(p))):
+            failure = outcome(kernel)
+            assert failure == outcome(loop) and failure[0] is ArithmeticError
+
+    def test_triplet_amplitudes_equal_the_scalar_formula(self):
+        theta = np.linspace(-7.0, 7.0, 29)
+        for point in GRID:
+            closed = _closed_form(*_column_point(point.omega0, point.gamma, point.J))
+            for n in np.flatnonzero(~closed.fallback[0]).tolist():
+                parts = [float(part[0, n]) for part in (closed.energies, closed.d_plus, closed.d_minus)]
+                for angle in (theta, 0.0, 2.5):
+                    got = triplet_amplitudes(point.omega0, point.gamma, point.J, n + 1, angle)
+                    assert all(map(same_bits, got, scalar_amplitudes(point.gamma, *parts, angle)))
+
+    def test_fallback_berry_phases_equal_the_loop(self):
+        omega0, gamma, J = (np.array([getattr(p, name) for p in GRID]) for name in ("omega0", "gamma", "J"))
+        closed = _closed_form(omega0, gamma, J)
+        berry = _berry_phases(omega0, gamma, J)[1]
+        for i, k in np.argwhere(closed.fallback).tolist():
+            amps = eigensystem_loop(SpinParams.symmetric(omega0[i], gamma[i], J[i]), 0.0)[0][:, k]
+            assert same_bits(berry[i, k], 2.0 * math.pi * float(abs(amps[0]) ** 2 - abs(amps[3]) ** 2))

@@ -18,12 +18,12 @@ from twospin import (
     run_adiabatic_two_cycle,
     triplet_energies,
 )
-from twospin import evolve_exact, evolve_stepped, exact_propagator, numeric_dynamical_phase, tilde_eigensystem
+from twospin import evolve_exact, evolve_stepped, exact_propagator, tilde_eigensystem
 from twospin.evolution import _propagators
 from twospin.hamiltonian import rotating_frame_stack
 from twospin.twocycle import _aa_two_cycles
 
-from support import circ_dist, flip_params, random_state, random_symmetric
+from support import circ_dist, flip_params, numeric_dynamical_phase, random_state, random_symmetric
 
 P111 = SpinParams.symmetric(1.0, 1.0, 1.0, 0.1)
 
