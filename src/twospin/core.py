@@ -245,29 +245,22 @@ class SpinParams:
 
     @property
     def period(self) -> float:
-        """Field rotation period 2*pi/|omega1|; refuses omega1 = 0 and a period that overflows."""
+        """Field rotation period 2*pi/|omega1|: refuses omega1 = 0, then is _periods at one point."""
         if self.omega1 == 0.0:
             raise ValueError("period is undefined for omega1 = 0")
-        period = 2.0 * math.pi / abs(self.omega1)
-        if not math.isfinite(period):
-            raise _period_overflow(self.omega1)
-        return period
+        return float(_periods(np.array([self.omega1]))[0])
 
     def replace(self, **kwargs) -> "SpinParams":
         return replace(self, **kwargs)
 
 
-def _period_overflow(omega1: float) -> ValueError:
-    return ValueError(f"omega1 = {omega1!r} is too small: the period 2*pi/|omega1| is not finite")
-
-
 def _periods(omega1: np.ndarray) -> np.ndarray:
-    """SpinParams.period for each nonzero entry of an omega1 column, with the same overflow refusal."""
-    with np.errstate(over="ignore"):  # overflow is refused below, as in the scalar property
+    """2*pi/|omega1| for each nonzero entry of an omega1 column; the first period that overflows is refused."""
+    with np.errstate(over="ignore"):  # overflow is refused below
         periods = 2.0 * math.pi / np.abs(omega1)
     lost = ~np.isfinite(periods)
     if lost.any():
-        raise _period_overflow(float(omega1[lost][0]))
+        raise ValueError(f"omega1 = {float(omega1[lost][0])!r} is too small: the period 2*pi/|omega1| is not finite")
     return periods
 
 

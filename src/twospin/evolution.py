@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import Operator4, SpinParams, TwoSpinState, _check_stack, _columns, _state_from_trusted
-from .hamiltonian import _fields, _finite_static_matrix, _frame_matrix, h_total, rotating_frame_stack, transverse_parts
+from .hamiltonian import _fields, _frame_matrix, _static_matrix, h_total, rotating_frame_stack, transverse_parts
 from .spectral import eigensystem
 
 __all__ = [
@@ -132,7 +132,7 @@ def _stepped_propagators(columns: dict[str, np.ndarray], t: np.ndarray, steps: i
     casts to, so every step multiplies same-shape operands in the loop's float operations.
     """
     fields = _fields(columns)
-    static = _finite_static_matrix(fields)
+    static = _static_matrix(fields)
     cos_part, sin_part = transverse_parts(fields)
     h = t / steps
     shape = (len(t), 4, 4)
@@ -189,10 +189,8 @@ def adiabatic_cycle(params: SpinParams, n: int, steps: int | None = None) -> Adi
     adiabaticity diagnostic: it approaches 1 as omega1 -> 0 and is reported
     as-is in the nonadiabatic regime.
     """
-    if params.omega1 == 0.0:
-        raise ValueError("adiabatic cycle needs omega1 != 0")
-    start = eigensystem(params, 0.0).state(n)
     tau = params.period
+    start = eigensystem(params, 0.0).state(n)
     if steps is None:
         result = evolve_exact(params, start, tau)
     else:

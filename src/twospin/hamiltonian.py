@@ -20,12 +20,11 @@ and _total_stack run the same arithmetic on per-field columns and return
 and h_total at each point.
 
 Finite parameters leave the float range only by overflowing; the builders
-raise OverflowError then, without a NumPy warning.
+refuse a non-finite result with OverflowError, without a NumPy warning.
 """
 
 from __future__ import annotations
 
-import math
 from types import SimpleNamespace
 
 import numpy as np
@@ -46,16 +45,11 @@ _OVERFLOW = "a Hamiltonian entry overflows the float range"
 
 
 def _static_matrix(params) -> np.ndarray:
-    return 0.5 * (params.omega_a0 * _PAULI["a", "z"] + params.omega_b0 * _PAULI["b", "z"] + params.J * _SZZ)
-
-
-def _finite_static_matrix(params) -> np.ndarray:
-    # One diagonal entry +-omega_a0 +- omega_b0 +- J has all three terms aligned,
-    # so the largest entry overflows exactly when this sum of magnitudes does.
-    with np.errstate(over="ignore"):  # per-field columns overflow like floats
-        if np.any(abs(params.omega_a0) + abs(params.omega_b0) + abs(params.J) == math.inf):
-            raise OverflowError(_OVERFLOW)
-    return _static_matrix(params)
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow is refused below
+        matrix = 0.5 * (params.omega_a0 * _PAULI["a", "z"] + params.omega_b0 * _PAULI["b", "z"] + params.J * _SZZ)
+    if not np.isfinite(matrix).all():
+        raise OverflowError(_OVERFLOW)
+    return matrix
 
 
 def transverse_parts(params: SpinParams) -> tuple[np.ndarray, np.ndarray]:
@@ -77,12 +71,12 @@ def _transverse_matrix(params: SpinParams, angle: float) -> np.ndarray:
 
 def h_static(params: SpinParams) -> Operator4:
     """Static part: z-couplings plus the Ising term. Diagonal."""
-    return Operator4.hermitian(_finite_static_matrix(params))
+    return Operator4.hermitian(_static_matrix(params))
 
 
 def h_total(params: SpinParams, t: float) -> Operator4:
     """Full Hamiltonian at time t, including the rotating transverse field."""
-    return Operator4.hermitian(_finite_static_matrix(params) + _transverse_matrix(params, params.omega1 * t))
+    return Operator4.hermitian(_static_matrix(params) + _transverse_matrix(params, params.omega1 * t))
 
 
 def h_rotating_frame(params: SpinParams) -> Operator4:
@@ -122,7 +116,7 @@ def rotating_frame_stack(columns: dict[str, np.ndarray]) -> np.ndarray:
 def _total_stack(columns: dict[str, np.ndarray], angle: np.ndarray) -> np.ndarray:
     """Unchecked H matrices at (N,) field angles omega1*t, as an (N, 4, 4) stack: point i is h_total's."""
     fields = _fields(columns)
-    return _finite_static_matrix(fields) + _transverse_matrix(fields, angle[:, None, None])
+    return _static_matrix(fields) + _transverse_matrix(fields, angle[:, None, None])
 
 
 def _frame_matrix(angle) -> np.ndarray:

@@ -21,9 +21,9 @@ rotating-frame generator is cyclic with total phase -E_tilde_n * tau; its
 geometric (Aharonov-Anandan) part is the same closed form evaluated at the
 shifted detuning omega0 - omega1, again times the sign of omega1.
 
-_cycle_phases evaluates both breakdowns at N points with one call of the
-closed-form kernel, spectral._closed_form; berry_phase, adiabatic_phases and
-aa_breakdown are its N = 1 case.
+_cycle_phases evaluates both breakdowns at N points with one call of
+spectral._closed_form; adiabatic_phases, aa_breakdown and aa_phase (its
+geometric part) are its N = 1 case. berry_phase is that of _berry_phases.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import SpinParams, _columns, _equal_coupling_fields, _periods
-from .spectral import _closed_form, _eigenbases, _point, _power, _python, singlet_energy
+from .spectral import _closed_form, _eigenbases, _finite_energies, _point, _power, _python, singlet_energy
 
 __all__ = [
     "PhaseBreakdown",
@@ -99,13 +99,13 @@ def berry_phase(omega0: float, gamma: float, J: float, n: int) -> float:
     Evaluates the closed form above; near eigenvector-formula degeneracies it
     falls back to 2*pi*(|x_n|^2 - |w_n|^2) with numerically diagonalized
     eigenvectors. This is the phase for the positive rotation sense; callers
-    with a negative omega1 negate it.
+    with a negative omega1 negate it. A non-finite energy raises ArithmeticError.
     """
     if n not in (1, 2, 3, 4):
         raise ValueError("label must be in 1..4")
-    if n == 4:
-        return 0.0
-    return float(_berry_phases(*_point(omega0, gamma, J))[1][0, n - 1])
+    energies, berry = _berry_phases(*_point(omega0, gamma, J))
+    _finite_energies(energies)
+    return float(berry[0, n - 1])
 
 
 def _rotation_sense(omega1):
@@ -150,12 +150,12 @@ def adiabatic_phases(params: SpinParams, n: int) -> PhaseBreakdown:
 
 
 def aa_phase(params: SpinParams, n: int) -> float:
-    """Geometric phase of the cycling state built on rotating-frame eigenstate n.
+    """Geometric phase of the cycling state built on rotating-frame eigenstate n: aa_breakdown's geometric part.
 
-    Equal to the slow-cycle geometric phase with the detuning shifted by
-    -omega1, with the sign of omega1; zero for the singlet.
+    Equal to the slow-cycle geometric phase at the detuning shifted by -omega1,
+    with the sign of omega1; zero for the singlet; refuses omega1 = 0.
     """
-    return float(_rotation_sense(params.omega1) * berry_phase(params.omega0 - params.omega1, params.gamma, params.J, n))
+    return _breakdown(params, n, shifted=True).geometric
 
 
 def aa_breakdown(params: SpinParams, n: int) -> PhaseBreakdown:

@@ -53,7 +53,7 @@ from itertools import permutations, repeat
 
 import numpy as np
 
-from .core import SpinParams, TwoSpinState, _check_stack, _columns
+from .core import SpinParams, TwoSpinState, _check_stack, _columns, _equal_coupling_fields
 from .hamiltonian import _total_stack, rotating_frame_stack
 
 __all__ = [
@@ -180,25 +180,31 @@ def _point(*values) -> list[np.ndarray]:
     return [np.array([value], dtype=float) for value in values]
 
 
+def _finite_energies(energies: np.ndarray) -> np.ndarray:
+    """energies; the first entry that is not finite (4 omega0^2 or 4 gamma^2 overflowed) raises ArithmeticError."""
+    lost = energies[~np.isfinite(energies)]
+    if len(lost):
+        raise ArithmeticError(f"closed-form energy {float(lost[0])!r} is not finite")
+    return energies
+
+
 def triplet_energies(omega0: float, gamma: float, J: float) -> tuple[float, float, float]:
-    """The three non-singlet energies, in the fixed label order (E1, E2, E3)."""
-    return tuple(_closed_form(*_point(omega0, gamma, J)).energies[0].tolist())
+    """The three non-singlet energies, in the fixed label order (E1, E2, E3); a non-finite one raises."""
+    return tuple(_finite_energies(_closed_form(*_point(omega0, gamma, J)).energies)[0].tolist())
 
 
 def _amplitudes(gamma, energies, d_plus, d_minus, theta):
     """The closed-form amplitudes (x, y, z, w) on broadcast arrays. The first entry whose normalization (d+-
-    overflowed) or else energy (4 omega0^2 or 4 gamma^2 did, above about 1e154) is not finite raises."""
+    overflowed) or else energy is not finite raises."""
     with np.errstate(all="ignore"):  # non-finite values are refused below
         x0 = -2.0 * gamma / d_plus
         w0 = -2.0 * gamma / d_minus
         norm = np.sqrt(2.0 + x0 * x0 + w0 * w0)
     lost = np.flatnonzero(~np.isfinite(norm) | ~np.isfinite(energies))
-    if len(lost):
-        first = lost[0]
-        if not np.isfinite(np.ravel(norm)[first]):
-            d_plus, d_minus = (float(np.ravel(d)[first]) for d in (d_plus, d_minus))
-            raise ArithmeticError(f"closed-form eigenvector is not finite (d+ = {d_plus!r}, d- = {d_minus!r})")
-        raise ArithmeticError(f"closed-form energy {float(np.ravel(energies)[first])!r} is not finite")
+    if len(lost) and not np.isfinite(np.ravel(norm)[lost[0]]):
+        d_plus, d_minus = (float(np.ravel(d)[lost[0]]) for d in (d_plus, d_minus))
+        raise ArithmeticError(f"closed-form eigenvector is not finite (d+ = {d_plus!r}, d- = {d_minus!r})")
+    _finite_energies(energies)  # the entries before lost[0] are finite, so this names lost[0]
     phase = np.exp(-1j * theta)
     one = np.ones_like(phase) / norm
     return (x0 * phase / norm, one, one, w0 * np.conj(phase) / norm)
@@ -290,12 +296,10 @@ def _eigenbases(columns: dict[str, np.ndarray], t: float = 0.0, rotating: bool =
     arithmetic or rotating_frame_stack (at exact resonance a degenerate eigenvector's sign depends on its
     last bits) and checked as Operator4.hermitian. At N > 1 the error may come from any failing point.
     """
-    if np.any(columns["omega_a0"] != columns["omega_b0"]) or np.any(columns["gamma_a"] != columns["gamma_b"]):
-        raise ValueError("closed-form spectral results require equal couplings")
-    omega0, gamma, omega1 = columns["omega_a0"], columns["gamma_a"], columns["omega1"]
+    (omega0, gamma, J), omega1 = _equal_coupling_fields(columns), columns["omega1"]
     with np.errstate(over="ignore"):  # as in float arithmetic
         theta = np.zeros(len(omega1)) if rotating else omega1 * t
-        closed = _closed_form(omega0 - omega1 if rotating else omega0, gamma, columns["J"])
+        closed = _closed_form(omega0 - omega1 if rotating else omega0, gamma, J)
     fallback = closed.fallback.any(axis=1)
     bases = np.empty((len(theta), 4, 4), dtype=complex)
     bases[:, :, 3] = _SINGLET

@@ -65,6 +65,21 @@ class TestSpectrumCommand:
         assert out == ""
         assert json.loads(err)["exit_code"] == 2
 
+    # Every closed-form eigenstate refuses unequal couplings with the message of SpinParams.omega0 or .gamma.
+    @pytest.mark.parametrize(
+        "command, pair, name",
+        [
+            (["twocycle", "--scheme", "aa"], ["--omega-a0", "1", "--omega-b0", "2", "--gamma", "0.5"], "omega0"),
+            (["twocycle", "--scheme", "aa"], ["--omega0", "1", "--gamma-a", "1", "--gamma-b", "2"], "gamma"),
+            (["evolve", "--initial", "eigen1"], ["--omega-a0", "1", "--omega-b0", "2", "--gamma", "0.5"], "omega0"),
+            (["evolve", "--initial", "tilde2"], ["--omega0", "1", "--gamma-a", "1", "--gamma-b", "2"], "gamma"),
+        ],
+    )
+    def test_unequal_couplings_refused_by_the_eigenbases(self, capsys, command, pair, name):
+        message = f"{name} is only defined for equal couplings"
+        argv = [*command, *pair, "--J", "0.3", "--omega1", "0.6"]
+        assert run_main(argv, capsys) == (2, "", json.dumps({"error": message, "exit_code": 2}) + "\n")
+
     def test_missing_subcommand_exits_2(self):
         with pytest.raises(SystemExit) as exc:
             cli.main([])
@@ -195,6 +210,18 @@ class TestEvolveCommand:
         assert code == 2
         assert "initial" in json.loads(err)["error"]
 
+    @pytest.mark.parametrize(
+        "spec, message",
+        [
+            ("1,0,0,0,0,0,0,x", "bad amplitude list '1,0,0,0,0,0,0,x'"),
+            ("1,0,0", "unknown initial state '1,0,0'; use uu/ud/du/dd/singlet, eigenN, tildeN "
+             "or 8 comma-separated re,im values"),
+        ],
+    )
+    def test_bad_initial_is_refused(self, capsys, spec, message):
+        argv = ["evolve", f"--initial={spec}", "--omega1", "0.1"]
+        assert run_main(argv, capsys) == (2, "", json.dumps({"error": message, "exit_code": 2}) + "\n")
+
     def test_missing_time_without_cycle(self, capsys):
         code, _, err = run_main(["evolve", "--omega0", "1"], capsys)
         assert code == 2
@@ -294,6 +321,10 @@ class TestTwocycleCommand:
             cli.main(["twocycle", "--scheme", "bogus", "--omega1", "0.1"])
         assert exc.value.code == 2
 
+    def test_library_call_refuses_an_unknown_scheme(self):
+        with pytest.raises(ValueError, match="^scheme must be adiabatic or aa, got 'x'$"):
+            cli.cmd_twocycle(SpinParams.symmetric(1.0, 0.5, 0.3, 0.6), scheme="x")
+
     @staticmethod
     def _count_calls(monkeypatch, module, name):
         calls = []
@@ -326,6 +357,7 @@ class TestTwocycleCommand:
             ("0.1,0,nan", 2, "cycle protocols need omega1 != 0"),
             ("0.2,5e-324,0", 2, "omega1 = 5e-324 is too small: the period 2*pi/|omega1| is not finite"),
             ("0.3,1e-14", 4, "propagator phase 3.204e+16 rad is too large to resolve (limit 2**52)"),
+            ("0.1,x,0", 2, "bad --omega1-sweep list '0.1,x,0'"),
         ],
     )
     def test_first_failing_omega1_in_list_order_raises(self, capsys, values, code, message):
@@ -546,6 +578,9 @@ class TestSweepCommand:
         [
             (["J=0:1:3", "J=2:0:3"], "axis start must be <= stop"),
             (["J=0:1:3", "J=0:1:1000000000"], "sweep axes 'J' and 'J' both set J"),
+            (["J=0:1:3", "J=0:x:3"], "bad axis numbers in 'J=0:x:3'"),
+            (["J=0:1:3", "J=0:1:2.5"], "bad axis numbers in 'J=0:1:2.5'"),
+            (["J=0:1:3", "J=0:1:0"], "axis count must be >= 1"),
         ],
     )
     def test_overlap_is_checked_after_each_axis_and_before_the_grid_cap(self, capsys, axes, message):
@@ -896,6 +931,23 @@ class TestConfigPrecedence:
         code, _, _ = run_main(["spectrum", "--config", "/no/such/file.cfg"], capsys)
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("J = 1\nvelocity = 3\n", "2: unknown parameter 'velocity'"),
+            ("# comment\nJ 1\n", "2: expected 'key = value'"),
+            ("J = 1\n\ngamma = one\n", "3: bad number 'one'"),
+            ("omega0: 1e400x\n", "1: bad number '1e400x'"),
+        ],
+    )
+    def test_bad_config_line_names_file_and_line(self, capsys, tmp_path, text, message):
+        cfg = tmp_path / "params.cfg"
+        cfg.write_text(text)
+        message = f"{cfg}:{message}"
+        assert run_main(["spectrum", "--config", str(cfg)], capsys) == (
+            2, "", json.dumps({"error": message, "exit_code": 2}) + "\n"
+        )
+
 
 class TestFormatsAndRouting:
     def test_evolve_csv_component_table(self, capsys):
@@ -1005,6 +1057,11 @@ class TestNumericGuard:
             ["evolve", "--omega0", "1.7e308", "--J", "1.7e308", "--omega1", "1"],
             ["evolve", "--omega0", "1.7e308", "--J", "1.7e308", "--omega1", "1", "--time", "1", "--steps", "100"],
             ["evolve", "--omega-a0", "1e308", "--omega1=-1.7e308"],  # H(0) - omega1 s_z overflows
+            # only the static part overflows, in the step-budget check before RK4
+            ["evolve", "--omega-a0", "1.7e308", "--omega-b0", "1.7e308", "--omega1", "1", "--steps", "10"],
+            # the static part is finite, and only the frame shift takes H_rot past the float range
+            ["evolve", "--omega-a0", "1.7e308", "--omega1=-1.7e308"],
+            ["sweep", "--quantity", "twocycle-defect", "--axis", "omega_a0=0:1.7e308:2", "--omega1=-1.7e308"],
             # the first overflowing point, 600, is in the second block
             ["sweep", "--quantity", "twocycle-defect", "--axis", "omega0=0:1e308:2", "--axis", "gamma=0:1:600",
              "--J", "1e308", "--omega1", "1e300"],

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -75,6 +76,11 @@ class TestOperator4:
             _check_stack(stack, "unitary")
         _check_stack(stack[:1], "unitary")
 
+    @pytest.mark.parametrize("shape", [(3, 3), (4,), (2, 4, 4)])
+    def test_wrong_shape_refused(self, shape):
+        with pytest.raises(ValueError, match=f"^{re.escape(f'expected shape (4, 4), got {shape}')}$"):
+            Operator4.general(np.zeros(shape))
+
     def test_matrix_immutable(self):
         op = Operator4.general(np.eye(4))
         with pytest.raises(ValueError):
@@ -132,6 +138,12 @@ class TestSpinParams:
         with pytest.raises(ValueError, match=message):
             _periods(np.array([0.5, omega1, 1e-320]))
 
+    def test_period_is_the_column_kernel_at_one_point(self):
+        rng = np.random.default_rng(47)
+        omega1 = rng.choice([-1.0, 1.0], 2000) * 10.0 ** rng.uniform(-300.0, 300.0, 2000)
+        periods = np.array([SpinParams.symmetric(1, 1, 1, w).period for w in omega1.tolist()])
+        assert np.array_equal(periods.view(np.uint64), _periods(omega1).view(np.uint64))
+
     def test_equal_coupling_accessors(self):
         p = SpinParams.symmetric(1.5, 0.5, 2.0)
         assert p.equal_couplings and p.omega0 == 1.5 and p.gamma == 0.5
@@ -139,6 +151,14 @@ class TestSpinParams:
         assert not q.equal_couplings
         with pytest.raises(ValueError):
             _ = q.omega0
+
+    @pytest.mark.parametrize(
+        "params, name",
+        [(SpinParams(1.0, 2.0, 0.5, 0.5, 0.0), "omega0"), (SpinParams(1.0, 1.0, 0.5, -0.5, 0.0), "gamma")],
+    )
+    def test_unequal_pair_is_refused(self, params, name):
+        with pytest.raises(ValueError, match=f"^{name} is only defined for equal couplings$"):
+            getattr(params, name)
 
     def test_replace(self):
         p = SpinParams.symmetric(1, 1, 1, 0.1)

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -55,6 +56,21 @@ class TestBerryPhase:
     def test_bad_label(self):
         with pytest.raises(ValueError):
             berry_phase(1.0, 1.0, 1.0, 0)
+
+    # The singlet passes the refusals of the triplet labels: there is no early exit for label 4.
+    @pytest.mark.parametrize(
+        "omega0, gamma, J, error, message",
+        [
+            (1.0, 1.0, 1e200, OverflowError, "closed-form J**3 overflows at J = 1e+200"),
+            (1e200, 1.0, 1.0, ArithmeticError, "closed-form energy inf is not finite"),
+            (1e154, 0.457, 0.296, ArithmeticError, "closed-form energy inf is not finite"),
+            (0.7, -1e300, 0.296, ArithmeticError, "closed-form energy inf is not finite"),
+        ],
+    )
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_every_label_refuses_a_failed_closed_form(self, omega0, gamma, J, error, message, n):
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            berry_phase(omega0, gamma, J, n)
 
     def test_closed_form_equals_amplitude_form(self):
         rng = np.random.default_rng(41)
@@ -134,12 +150,30 @@ class TestAdiabaticPhases:
 
 
 class TestAAPhase:
-    def test_matches_shifted_berry(self):
+    @pytest.mark.parametrize("sense", [1.0, -1.0])
+    def test_matches_shifted_berry(self, sense):
         rng = np.random.default_rng(46)
         for _ in range(60):
             p = random_symmetric(rng, 0.1, 2.0)
+            p = p.replace(omega1=sense * p.omega1)
             for n in (1, 2, 3, 4):
-                assert aa_phase(p, n) == berry_phase(p.omega0 - p.omega1, p.gamma, p.J, n)
+                phase = aa_phase(p, n)
+                assert phase == sense * berry_phase(p.omega0 - p.omega1, p.gamma, p.J, n)
+                assert np.float64(phase).view(np.uint64) == np.float64(aa_breakdown(p, n).geometric).view(np.uint64)
+
+    @pytest.mark.parametrize(
+        "omega1, message",
+        [
+            (0.0, "cycling phases need omega1 != 0 (no cycle defined)"),
+            (5e-324, "omega1 = 5e-324 is too small: the period 2*pi/|omega1| is not finite"),
+            (-5e-324, "omega1 = -5e-324 is too small: the period 2*pi/|omega1| is not finite"),
+        ],
+    )
+    def test_refuses_what_aa_breakdown_refuses(self, omega1, message):
+        p = SpinParams.symmetric(1.0, 1.0, 1.0, omega1)
+        for phase in (aa_phase, aa_breakdown):
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                phase(p, 1)
 
     def test_known_value(self):
         p = SpinParams.symmetric(1.1, 1.0, 1.0, 0.1)

@@ -128,6 +128,14 @@ class TestTripletEnergies:
                 )
                 assert abs(res) <= 1e-8 * scale**3
 
+    @pytest.mark.parametrize(
+        "omega0, gamma, J, energy",
+        [(math.nan, 1.0, 1.0, "nan"), (1e154, 0.457, 0.296, "inf"), (0.7, -1e300, 0.296, "inf")],
+    )
+    def test_non_finite_energy_raises(self, omega0, gamma, J, energy):
+        with pytest.raises(ArithmeticError, match=f"^closed-form energy {energy} is not finite$"):
+            triplet_energies(omega0, gamma, J)
+
     def test_even_in_omega0_and_gamma_bitwise(self):
         rng = np.random.default_rng(25)
         for _ in range(50):
@@ -240,7 +248,7 @@ class TestTripletAmplitudes:
     @pytest.mark.parametrize("omega0, gamma", [(1e154, 0.457), (1e200, 0.457), (0.7, -1e300)])
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_infinite_energy_raises(self, omega0, gamma, n):
-        energy = triplet_energies(omega0, gamma, 0.296)[n - 1]
+        energy = float(_closed_form(*(np.array([v]) for v in (omega0, gamma, 0.296))).energies[0, n - 1])
         assert not math.isfinite(energy)
         with pytest.raises(ArithmeticError, match=f"^closed-form energy {energy!r} is not finite$"):
             triplet_amplitudes(omega0, gamma, 0.296, n)
