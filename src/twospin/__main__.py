@@ -1,3 +1,22 @@
-from .cli import entrypoint
+"""The `twospin` command: `python -m twospin` and the installed script both run main().
 
-entrypoint()
+main() pins NumPy's BLAS to one thread, then runs the CLI (`twospin.cli`). Every
+operator here is a 4x4 matrix, which OpenBLAS never splits across threads, yet its
+idle worker pool spins for about 0.13 s of CPU in each process that loads NumPy.
+The setting must precede the first NumPy import, so it lives here: importing the
+package or `twospin.cli` as a library changes no process-wide setting. An
+OPENBLAS_NUM_THREADS the caller set wins.
+"""
+
+import os
+
+
+def main():
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+    from .cli import entrypoint
+
+    entrypoint()
+
+
+if __name__ == "__main__":
+    main()

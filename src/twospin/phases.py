@@ -49,12 +49,17 @@ __all__ = [
 _TWO_PI = 2.0 * math.pi
 
 
-def _principal_values(phases: np.ndarray) -> np.ndarray:
-    """principal_value of every entry; the first non-finite one in row-major order raises."""
+def _finite_phases(phases: np.ndarray) -> np.ndarray:
+    """phases itself; the first non-finite entry in row-major order raises ArithmeticError."""
     lost = ~np.isfinite(phases)
     if lost.any():
         raise ArithmeticError(f"phase {float(phases[lost][0])!r} rad is not finite")
-    r = _python(math.remainder, phases, _TWO_PI)
+    return phases
+
+
+def _principal_values(phases: np.ndarray) -> np.ndarray:
+    """principal_value of every entry; the first non-finite one in row-major order raises."""
+    r = _python(math.remainder, _finite_phases(phases), _TWO_PI)
     return np.where(r <= -math.pi, r + _TWO_PI, r)
 
 
@@ -140,12 +145,12 @@ def _cycle_phases(columns: dict[str, np.ndarray], shifted: bool):
 def _breakdown(params: SpinParams, n: int, shifted: bool) -> PhaseBreakdown:
     if n not in (1, 2, 3, 4):
         raise ValueError("label must be in 1..4")
-    total, dynamical, geometric = (float(part[0, n - 1]) for part in _cycle_phases(_columns(params, 1), shifted))
-    return PhaseBreakdown(label=n, total=total, dynamical=dynamical, geometric=geometric)
+    parts = _finite_phases(np.array([part[0, n - 1] for part in _cycle_phases(_columns(params, 1), shifted)]))
+    return PhaseBreakdown(n, *parts.tolist())
 
 
 def adiabatic_phases(params: SpinParams, n: int) -> PhaseBreakdown:
-    """Slow-cycle phase breakdown of eigenpath n."""
+    """Slow-cycle phase breakdown of eigenpath n; a non-finite part raises ArithmeticError."""
     return _breakdown(params, n, shifted=False)
 
 
@@ -153,13 +158,14 @@ def aa_phase(params: SpinParams, n: int) -> float:
     """Geometric phase of the cycling state built on rotating-frame eigenstate n: aa_breakdown's geometric part.
 
     Equal to the slow-cycle geometric phase at the detuning shifted by -omega1,
-    with the sign of omega1; zero for the singlet; refuses omega1 = 0.
+    with the sign of omega1; zero for the singlet; refuses omega1 = 0 and a
+    breakdown with a non-finite part, as aa_breakdown does.
     """
     return _breakdown(params, n, shifted=True).geometric
 
 
 def aa_breakdown(params: SpinParams, n: int) -> PhaseBreakdown:
-    """Exact-cycle phase breakdown for rotating-frame eigenpath n."""
+    """Exact-cycle phase breakdown for rotating-frame eigenpath n; a non-finite part raises ArithmeticError."""
     return _breakdown(params, n, shifted=True)
 
 

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from twospin import (
+    PhaseBreakdown,
     SpinParams,
     aa_breakdown,
     aa_phase,
@@ -17,6 +18,9 @@ from twospin import (
     tilde_eigensystem,
     triplet_energies,
 )
+
+from twospin.core import _columns
+from twospin.phases import _cycle_phases
 
 from support import berry_line_integral, circ_dist, numeric_dynamical_phase, random_symmetric
 
@@ -214,6 +218,42 @@ class TestAABreakdown:
     def test_requires_cycle(self):
         with pytest.raises(ValueError):
             aa_breakdown(SpinParams.symmetric(1.0, 1.0, 1.0), 1)
+
+
+class TestNonFiniteBreakdown:
+    """The scalar breakdowns refuse a non-finite part, naming the first of total, dynamical, geometric.
+
+    The column helper _cycle_phases passes non-finite phases on (the CLI refuses them when it renders);
+    its N = 1 wrappers raise the CLI's ArithmeticError text instead of returning them.
+    """
+
+    @pytest.mark.parametrize(
+        "phase, n, message",
+        [
+            (aa_breakdown, 1, "phase -inf rad is not finite"),
+            (adiabatic_phases, 2, "phase nan rad is not finite"),
+            (aa_phase, 1, "phase -inf rad is not finite"),
+        ],
+    )
+    def test_overflowing_energy_raises(self, phase, n, message):
+        with pytest.raises(ArithmeticError, match=f"^{re.escape(message)}$"):
+            phase(SpinParams.symmetric(1e200, 1.0, 1.0, 0.1), n)
+
+    # Overflowing energies in both senses, and finite energies whose period makes -E * tau overflow.
+    @pytest.mark.parametrize(
+        "point", [(1e200, 1.0, 1.0, 0.1), (1e200, 1.0, 1.0, -0.1), (1e154, 0.457, 0.296, 0.1), (100.0, 1.0, 1.0, 1e-307)]
+    )
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_first_non_finite_part_of_the_column_helper(self, point, n):
+        p = SpinParams.symmetric(*point)
+        for phase, shifted in ((adiabatic_phases, False), (aa_breakdown, True), (aa_phase, True)):
+            parts = [float(part[0, n - 1]) for part in _cycle_phases(_columns(p, 1), shifted)]
+            lost = [value for value in parts if not math.isfinite(value)]
+            if lost:
+                with pytest.raises(ArithmeticError, match=f"^{re.escape(f'phase {lost[0]!r} rad is not finite')}$"):
+                    phase(p, n)
+            else:
+                assert phase(p, n) == (parts[2] if phase is aa_phase else PhaseBreakdown(n, *parts))
 
 
 class TestRotationSense:
