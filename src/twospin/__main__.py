@@ -1,6 +1,6 @@
-"""The `twospin` command: `python -m twospin` and the installed script both run main().
+"""The `twospin` command: `python -m twospin` and the installed script both run main(), the only launchers.
 
-main() pins NumPy's BLAS to one thread, then runs the CLI (`twospin.cli`). Every
+main() pins NumPy's BLAS to one thread, then exits with the status of `twospin.cli.main`. Every
 operator here is a 4x4 matrix, which OpenBLAS never splits across threads, yet its
 idle worker pool spins for about 0.13 s of CPU in each process that loads NumPy.
 The setting must precede the first NumPy import, so it lives here: importing the
@@ -9,13 +9,14 @@ OPENBLAS_NUM_THREADS the caller set wins.
 """
 
 import os
+import sys
 
 
 def main():
     os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
-    from .cli import entrypoint
+    from . import cli
 
-    entrypoint()
+    sys.exit(cli.main())
 
 
 if __name__ == "__main__":

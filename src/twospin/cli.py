@@ -1,4 +1,4 @@
-"""Command-line front end.
+"""Command-line front end, run by `python -m twospin` or the installed `twospin` script (see __main__).
 
 Subcommands: spectrum, phases, evolve, twocycle, sweep. The model flags,
 config-file keys and sweep axes are the keys of core.PARAM_GROUPS (flags spell
@@ -51,7 +51,6 @@ __all__ = [
     "cmd_evolve",
     "cmd_sweep",
     "cmd_twocycle",
-    "entrypoint",
     "main",
 ]
 
@@ -267,7 +266,10 @@ def cmd_twocycle(params: SpinParams, scheme: str, steps: int = 0, omega1_values=
     columns = ["n", "phase", "target", "circular_deviation", "fidelity", "gate_deviation"]
     if omega1_values is None:
         return columns, _adiabatic_rows(_columns(params, 1), steps)[0], {}
-    table = lambda block: _adiabatic_rows(block, steps)[..., :4]
+    def table(block):
+        for value in block["omega1"].tolist():  # refused as SpinParams refuses: the kernels do not check
+            params.replace(omega1=value)
+        return _adiabatic_rows(block, steps)[..., :4]
     return ["omega1"] + columns[:4], _walk([("omega1", omega1_values)], table, params), {}
 
 
@@ -523,9 +525,6 @@ def main(argv=None) -> int:
     return EXIT_OK
 
 
-def entrypoint():
-    sys.exit(main())
-
-
-if __name__ == "__main__":
-    entrypoint()
+if __name__ == "__main__":  # a second launcher would skip the BLAS setting of twospin.__main__
+    _error_object(EXIT_USAGE, "twospin.cli is a library module; run the command as python -m twospin or twospin")
+    sys.exit(EXIT_USAGE)

@@ -130,11 +130,16 @@ class TwoSpinState:
 
     @classmethod
     def normalized(cls, values) -> "TwoSpinState":
-        arr = np.asarray(values, dtype=complex)
-        n = np.linalg.norm(arr)
-        if n == 0.0:
+        """The state along any finite nonzero vector; its parts are first scaled, exactly, by the power of
+        two of the largest one, so the norm neither overflows nor underflows."""
+        arr = np.array(values, dtype=complex)  # a fresh array: its float view interleaves re and im
+        _require_finite(arr)
+        parts = arr.view(float)
+        largest = np.abs(parts).max(initial=0.0)
+        if largest == 0.0:
             raise ValueError("cannot normalize the zero vector")
-        return cls(arr / n)
+        scaled = np.ldexp(parts, -np.frexp(largest)[1]).view(complex)
+        return cls(scaled / np.linalg.norm(scaled))
 
     @classmethod
     def basis_state(cls, which: int | str) -> "TwoSpinState":
@@ -267,11 +272,6 @@ def _periods(omega1: np.ndarray) -> np.ndarray:
 def _columns(params: SpinParams, n: int) -> dict[str, np.ndarray]:
     """Field columns: each SpinParams field name -> an (n,) array holding its value."""
     return {f.name: np.full(n, getattr(params, f.name)) for f in fields(SpinParams)}
-
-
-def _points(columns: dict[str, np.ndarray]) -> list[SpinParams]:
-    """The SpinParams of each point of field columns, built by field name; refuses as SpinParams does."""
-    return [SpinParams(**dict(zip(columns, values))) for values in zip(*(c.tolist() for c in columns.values()))]
 
 
 def _equal_coupling_fields(columns: dict[str, np.ndarray]):

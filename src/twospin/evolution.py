@@ -18,7 +18,9 @@ analytically at the substep times and converges at fourth order. Its kernel,
 _stepped_propagators, advances an (M, 4, 4) stack of problems together without
 _propagators; evolve_stepped is its M = 1 wrapper. The RK4 update's constants
 (h/2, h, h/6, -1j, 2) are (M, 4, 4) complex arrays built once per call, and the
-update keeps the float operations of the per-step loop.
+update keeps the float operations of the per-step loop. Its step budget,
+_check_steps, is one rule over the same (M,) columns and times: one stacked H(0)
+and eigvalsh, and the first problem that fails is named.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import Operator4, SpinParams, TwoSpinState, _check_stack, _columns, _state_from_trusted
-from .hamiltonian import _fields, _frame_matrix, _static_matrix, h_total, rotating_frame_stack, transverse_parts
+from .hamiltonian import _fields, _frame_matrix, _static_matrix, _total_stack, rotating_frame_stack, transverse_parts
 from .spectral import eigensystem
 
 __all__ = [
@@ -99,22 +101,24 @@ def evolve_exact(params: SpinParams, initial: TwoSpinState, t: float) -> Evoluti
     return EvolutionResult(final_state=final, propagator=propagator, elapsed=t, method="exact")
 
 
-def _check_steps(params: SpinParams, t: float, steps: int) -> None:
-    """Refuse fewer than one step, a non-finite time, or fewer than MIN_STEPS_PER_PERIOD steps per
-    shortest dynamical period: the period of the rotation or 2*pi over the largest |eigenvalue| of H(0).
-    """
+def _check_steps(columns: dict[str, np.ndarray], t: np.ndarray, steps: int) -> None:
+    """Refuse fewer than one step, a non-finite time, then the first problem of (M,) field columns and times t with
+    fewer than MIN_STEPS_PER_PERIOD steps per shortest period, 2*pi over the larger of |omega1| and max|eig H(0)|.
+    A zero rate or an infinite period sets no bound; a count beyond the float range reads inf."""
     if steps < 1:
         raise ValueError("steps must be at least 1")
-    if not math.isfinite(t):
-        raise ValueError(f"time must be finite, got {t!r}")
-    if t == 0.0:
-        return
-    h_norm = float(np.abs(np.linalg.eigvalsh(h_total(params, 0.0).matrix)).max())
-    # A zero rate sets no bound, nor does a rotation too slow for a finite period.
-    shortest = min((2.0 * math.pi / rate for rate in (abs(params.omega1), h_norm) if rate > 0.0), default=math.inf)
-    if math.isfinite(shortest) and abs(t) / steps > shortest / MIN_STEPS_PER_PERIOD:
-        needed = math.ceil(abs(t) * MIN_STEPS_PER_PERIOD / shortest)
-        raise ValueError(f"step budget too small: need at least {needed} steps for t={t!r}")
+    if not np.isfinite(t).all():
+        raise ValueError(f"time must be finite, got {float(t[~np.isfinite(t)][0])!r}")
+    matrices = _total_stack(columns, columns["omega1"] * 0.0)  # h_total's angle at t = 0
+    _check_stack(matrices, "hermitian")
+    rate = np.maximum(np.abs(columns["omega1"]), np.abs(np.linalg.eigvalsh(matrices)).max(axis=1))
+    with np.errstate(all="ignore"):  # 2*pi/0 is an infinite period and a count may overflow: both are handled
+        shortest = 2.0 * math.pi / rate
+        short = np.isfinite(shortest) & (np.abs(t) / steps > shortest / MIN_STEPS_PER_PERIOD)
+        needed = np.ceil(np.abs(t) * MIN_STEPS_PER_PERIOD / shortest)
+    first = np.argmax(short)  # the first short problem, if there is one
+    if short[first]:
+        raise ValueError(f"step budget too small: need at least {needed[first]:.0f} steps for t={float(t[first])!r}")
 
 
 # Steps times problems per block of Hamiltonian samples, so that a block holds
@@ -164,8 +168,9 @@ def evolve_stepped(params: SpinParams, initial: TwoSpinState, t: float, steps: i
     propagator carries the "general" tag; its unitarity defect shrinks at
     fourth order in the step size.
     """
-    _check_steps(params, t, steps)
-    propagator = _stepped_propagators(_columns(params, 1), np.array([t], dtype=float), steps)[0]
+    columns, times = _columns(params, 1), np.array([t], dtype=float)
+    _check_steps(columns, times, steps)
+    propagator = _stepped_propagators(columns, times, steps)[0]
     op = Operator4.general(propagator)
     # The final-state norm mirrors the integrator's unitarity defect, so skip
     # the unit-norm sanity check: final_state must equal propagator @ initial.

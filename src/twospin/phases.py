@@ -82,20 +82,24 @@ class PhaseBreakdown:
     geometric: float
 
 
+def _fallback_berry(closed, fallback_bases: np.ndarray) -> np.ndarray:
+    """closed.berry with each fallback label set, in place, to 2*pi*(|x|^2 - |w|^2) of its t = 0 state."""
+    rows = closed.fallback.any(axis=1)
+    x, w = (np.hypot(a.real, a.imag) for a in fallback_bases[:, [0, 3], :3].swapaxes(0, 1))
+    geometric = _TWO_PI * (_power(x, 2, "|x|") - _power(w, 2, "|w|"))  # the scalar abs and **
+    closed.berry[rows, :3] = np.where(closed.fallback[rows], geometric, closed.berry[rows, :3])
+    return closed.berry
+
+
 def _berry_phases(omega0: np.ndarray, gamma: np.ndarray, J: np.ndarray):
-    """Triplet energies (N, 3) and positive-sense Berry phases (N, 4); labels on the fallback mask take
-    2*pi*(|x_n|^2 - |w_n|^2), from one _eigenbases call at t = 0 with omega1 = 0 over their points.
-    """
+    """Triplet energies (N, 3) and positive-sense Berry phases (N, 4); fallback rows take one _eigenbases call."""
     closed = _closed_form(omega0, gamma, J)
-    berry = closed.berry
     rows = closed.fallback.any(axis=1)
     if rows.any():
         o, g, zero = omega0[rows], gamma[rows], np.zeros(np.count_nonzero(rows))
         columns = {"omega_a0": o, "omega_b0": o, "gamma_a": g, "gamma_b": g, "J": J[rows], "omega1": zero}
-        x, w = (np.hypot(a.real, a.imag) for a in _eigenbases(columns)[1][:, [0, 3], :3].swapaxes(0, 1))
-        geometric = _TWO_PI * (_power(x, 2, "|x|") - _power(w, 2, "|w|"))  # the scalar abs and **
-        berry[rows, :3] = np.where(closed.fallback[rows], geometric, berry[rows, :3])
-    return closed.energies, berry
+        _fallback_berry(closed, _eigenbases(columns)[1])
+    return closed.energies, closed.berry
 
 
 def berry_phase(omega0: float, gamma: float, J: float, n: int) -> float:

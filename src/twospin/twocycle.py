@@ -13,8 +13,9 @@ Both protocols are fixed unitaries, independent of the input state. The block
 functions _adiabatic_two_cycles and _aa_two_cycles take field columns of N
 points (see core._columns) and build the exact propagators of all N points
 with one stacked kernel call per cycle, or their RK4 propagators with one
-call over both cycles; run_*_two_cycle apply their N = 1 case to one state,
-so both give the same numbers bit for bit.
+_check_steps and one kernel call over both cycles; the ideal gates come from one
+_eigenbases pass. run_*_two_cycle apply their N = 1 case to one state, so both
+give the same numbers bit for bit.
 """
 
 from __future__ import annotations
@@ -23,11 +24,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import PARAM_GROUPS, Operator4, SpinParams, TwoSpinState, _check_stack, _columns, _equal_coupling_fields
-from .core import _periods, _points, _state_from_trusted
+from .core import PARAM_GROUPS, Operator4, SpinParams, TwoSpinState, _check_stack, _columns, _periods
+from .core import _state_from_trusted
 from .evolution import _check_steps, _propagators, _stepped_propagators
 from .hamiltonian import rotating_frame_stack
-from .phases import _berry_phases, _rotation_sense
+from .phases import _fallback_berry, _rotation_sense
 from .spectral import _eigenbases
 
 __all__ = [
@@ -55,13 +56,12 @@ class BerryGate:
 
 
 def _berry_gates(columns: dict[str, np.ndarray]):
-    """Positive-sense geometric phases (N, 4), then the t=0 eigenbases and the gates in the eigenbasis
-    and the computational basis, (N, 4, 4) each; refuses as SpinParams, berry_phase, eigensystem and
-    Operator4.unitary (on the gate) do, in that order.
+    """Positive-sense geometric phases (N, 4), then the t=0 eigenbases and the gates in the eigenbasis and the
+    computational basis, (N, 4, 4) each, from one _eigenbases call. Refuses as eigensystem does, then as
+    Operator4.unitary does on the gate; the fields are taken as finite, which SpinParams checks before.
     """
-    _points(columns)
-    phases = _berry_phases(*_equal_coupling_fields(columns))[1]
-    bases = _eigenbases(columns)[1]
+    closed, bases = _eigenbases(columns)
+    phases = _fallback_berry(closed, bases[closed.fallback.any(axis=1)])
     diagonal = np.zeros((len(bases), 4, 4), dtype=complex)
     diagonal[:, range(4), range(4)] = np.exp(2j * phases)
     computational = bases @ diagonal @ bases.conj().swapaxes(-1, -2)
@@ -87,21 +87,17 @@ def _require_rotation(omega1) -> None:
 
 def _cycle_propagators(columns: dict[str, np.ndarray], flips, steps_per_cycle: int | None = None):
     """(N, 4, 4) propagators of the first and the second, flipped, cycle, one period each: exact, one
-    _propagators call per cycle, or RK4 with steps_per_cycle steps, whose budget every point passes
-    (cycle 1 first) before one _stepped_propagators call advances both cycles of all N points.
+    _propagators call per cycle, or RK4 with steps_per_cycle steps, whose budget one _check_steps call
+    checks on both cycles (cycle 1 rows first) before one _stepped_propagators call advances them.
     """
-    omega1 = columns["omega1"]
-    _require_rotation(omega1)
-    periods = _periods(omega1)
+    _require_rotation(columns["omega1"])
+    periods = _periods(columns["omega1"])
     flipped = {**columns, **{field: -columns[field] for name in flips for field in PARAM_GROUPS[name]}}
-    cycles = (columns, flipped)
     if steps_per_cycle is None:
-        return [_propagators(rotating_frame_stack(cycle), cycle["omega1"], periods) for cycle in cycles]
-    for cycle in cycles:
-        for point, period in zip(_points(cycle), periods.tolist()):
-            _check_steps(point, period, steps_per_cycle)
-    stacked = {name: np.concatenate([columns[name], flipped[name]]) for name in columns}
-    return np.split(_stepped_propagators(stacked, np.concatenate([periods, periods]), steps_per_cycle), 2)
+        return [_propagators(rotating_frame_stack(cycle), cycle["omega1"], periods) for cycle in (columns, flipped)]
+    stacked, times = {name: np.concatenate([columns[name], flipped[name]]) for name in columns}, np.tile(periods, 2)
+    _check_steps(stacked, times, steps_per_cycle)
+    return np.split(_stepped_propagators(stacked, times, steps_per_cycle), 2)
 
 
 def _adiabatic_two_cycles(columns: dict[str, np.ndarray], steps_per_cycle: int | None = None):

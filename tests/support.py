@@ -18,7 +18,9 @@ from twospin import (
     transverse_parts,
     triplet_amplitudes,
 )
-from twospin.spectral import _closed_form
+from twospin.core import _check_stack, _equal_coupling_fields
+from twospin.phases import _berry_phases
+from twospin.spectral import _closed_form, _eigenbases
 
 TWO_PI = 2.0 * math.pi
 
@@ -141,6 +143,35 @@ def stepped_propagator_loop(params, t, steps):
         k4 = -1j * (h_1 @ (propagator + h * k3))
         propagator = propagator + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
     return propagator
+
+
+def check_steps_loop(params, t, steps):
+    """The RK4 step budget of one problem as a scalar rule: the oracle of evolution._check_steps.
+    Its count goes through math.ceil, so a count beyond the float range raises OverflowError."""
+    if steps < 1:
+        raise ValueError("steps must be at least 1")
+    if not math.isfinite(t):
+        raise ValueError(f"time must be finite, got {t!r}")
+    if t == 0.0:
+        return
+    h_norm = float(np.abs(np.linalg.eigvalsh(h_total(params, 0.0).matrix)).max())
+    # A zero rate sets no bound, nor does a rotation too slow for a finite period.
+    shortest = min((TWO_PI / rate for rate in (abs(params.omega1), h_norm) if rate > 0.0), default=math.inf)
+    if math.isfinite(shortest) and abs(t) / steps > shortest / 8:
+        needed = math.ceil(abs(t) * 8 / shortest)
+        raise ValueError(f"step budget too small: need at least {needed} steps for t={t!r}")
+
+
+def berry_gates_two_pass(columns):
+    """_berry_gates as two passes: the phases from _berry_phases, the bases from a second _eigenbases
+    call; the gates are built from them as _berry_gates builds its own."""
+    phases = _berry_phases(*_equal_coupling_fields(columns))[1]
+    bases = _eigenbases(columns)[1]
+    diagonal = np.zeros((len(bases), 4, 4), dtype=complex)
+    diagonal[:, range(4), range(4)] = np.exp(2j * phases)
+    computational = bases @ diagonal @ bases.conj().swapaxes(-1, -2)
+    _check_stack(computational, "unitary")
+    return phases, bases, diagonal, computational
 
 
 def cell(value) -> str:

@@ -222,6 +222,44 @@ class TestEvolveCommand:
         argv = ["evolve", f"--initial={spec}", "--omega1", "0.1"]
         assert run_main(argv, capsys) == (2, "", json.dumps({"error": message, "exit_code": 2}) + "\n")
 
+    # The amplitudes are scaled by a power of two before their norm, so no vector is lost to overflow or
+    # underflow; a non-finite entry is refused before any arithmetic, without a NumPy warning.
+    HALF_UU_UD = (
+        "component,re,im,probability\n"
+        "uu,7.071067811865e-01,0.000000000000e+00,5.000000000000e-01\n"
+        "ud,7.071067811865e-01,0.000000000000e+00,5.000000000000e-01\n"
+        "du,0.000000000000e+00,0.000000000000e+00,0.000000000000e+00\n"
+        "dd,0.000000000000e+00,0.000000000000e+00,0.000000000000e+00\n"
+    )
+
+    @pytest.mark.parametrize(
+        "spec, expected",
+        [
+            ("inf,0,0,0,0,0,0,0", (2, "", '{"error": "non-finite entries are not admitted", "exit_code": 2}\n')),
+            ("0,0,0,0,0,0,0,0", (2, "", '{"error": "cannot normalize the zero vector", "exit_code": 2}\n')),
+            ("1e300,0,1e300,0,0,0,0,0", (0, HALF_UU_UD, "")),
+            ("1e-160,0,1e-160,0,0,0,0,0", (0, HALF_UU_UD, "")),
+            ("1e-170,0,1e-170,0,0,0,0,0", (0, HALF_UU_UD, "")),
+            ("1.7e308,0,1.7e308,0,0,0,0,0", (0, HALF_UU_UD, "")),
+            ("5e-324,0,5e-324,-0,0,0,0,0", (0, HALF_UU_UD, "")),
+        ],
+    )
+    def test_amplitude_lists_of_any_finite_scale(self, capsys, spec, expected):
+        assert run_main(["evolve", f"--initial={spec}", "--omega1", "1"], capsys) == expected
+
+    # |t| * 8 / shortest period overflows; the count reads inf instead of failing in math.ceil (exit 4).
+    @pytest.mark.parametrize(
+        "argv, t",
+        [
+            (["evolve", "--omega1", "1", "--time", "1e308", "--steps", "10"], "1e+308"),
+            (["twocycle", "--scheme", "adiabatic", "--omega0", "1", "--gamma", "1", "--J", "1", "--omega1", "1e-307",
+              "--steps", "10"], "6.283185307179587e+307"),
+        ],
+    )
+    def test_an_overflowing_step_count_is_a_budget_refusal(self, capsys, argv, t):
+        message = f"step budget too small: need at least inf steps for t={t}"
+        assert run_main(argv, capsys) == (2, "", json.dumps({"error": message, "exit_code": 2}) + "\n")
+
     def test_missing_time_without_cycle(self, capsys):
         code, _, err = run_main(["evolve", "--omega0", "1"], capsys)
         assert code == 2
@@ -354,6 +392,7 @@ class TestTwocycleCommand:
         "values, code, message",
         [
             ("0.1,nan,0", 2, "omega1 must be finite, got nan"),
+            ("0.1,inf,0", 2, "omega1 must be finite, got inf"),
             ("0.1,0,nan", 2, "cycle protocols need omega1 != 0"),
             ("0.2,5e-324,0", 2, "omega1 = 5e-324 is too small: the period 2*pi/|omega1| is not finite"),
             ("0.3,1e-14", 4, "propagator phase 3.204e+16 rad is too large to resolve (limit 2**52)"),

@@ -104,6 +104,37 @@ class TestTwoSpinState:
         with pytest.raises(ValueError):
             TwoSpinState([np.inf, 0, 0, 0])
 
+    def test_normalized_equals_the_plain_division_on_ordinary_vectors(self):
+        # The power-of-two scaling is exact, so the state is that of values / norm(values) bit for bit.
+        rng = np.random.default_rng(132)
+        for scale in 10.0 ** rng.uniform(-140.0, 140.0, 400):
+            values = (rng.normal(size=4) + 1j * rng.normal(size=4)) * scale
+            values[rng.integers(4)] = rng.choice([0.0, -0.0, complex(-0.0, 1.0), complex(1.0, -0.0)]) * scale
+            expected = values / np.linalg.norm(values)
+            assert np.array_equal(TwoSpinState.normalized(values).amplitudes.view(np.uint64), expected.view(np.uint64))
+
+    @pytest.mark.parametrize(
+        "values",
+        [
+            [1.7976931348623157e308, 0.0, 1.7e308j, -1.7e308 - 1.7e308j],
+            [5e-324, 0.0, 0.0, 0.0],
+            [5e-324j, 5e-324, 0.0, -5e-324],
+            [1e-170, 1e-170j, 0.0, 0.0],
+            [1e300, 3e299, 0.0, 1e300j],
+        ],
+    )
+    def test_normalized_takes_any_finite_nonzero_scale(self, values):
+        state = TwoSpinState.normalized(values)
+        assert abs(float(np.linalg.norm(state.amplitudes)) - 1.0) <= 2.2e-16
+        nonzero = np.asarray(values) != 0.0
+        assert np.array_equal(state.amplitudes != 0.0, nonzero)
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan, complex(0.0, np.inf), complex(np.nan, 0.0)])
+    def test_normalized_refuses_a_non_finite_entry_before_any_arithmetic(self, bad):
+        # Under pytest a NumPy warning is an error, so a division by inf would fail here first.
+        with pytest.raises(ValueError, match="^non-finite entries are not admitted$"):
+            TwoSpinState.normalized([1.0, bad, 0.0, 0.0])
+
     def test_singlet(self):
         s = TwoSpinState.singlet()
         assert s[1] == pytest.approx(1 / math.sqrt(2))

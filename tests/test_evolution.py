@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -19,11 +20,12 @@ from twospin import (
     h_rotating_frame,
     tilde_eigensystem,
 )
-from twospin import core, evolution
+from twospin import core, evolution, hamiltonian
 from twospin.core import _columns
-from twospin.evolution import _SAMPLE_BLOCK, _stepped_propagators
+from twospin.evolution import _SAMPLE_BLOCK, _check_steps, _stepped_propagators
 
 from support import (
+    check_steps_loop,
     circ_dist,
     flip_params,
     numeric_dynamical_phase,
@@ -215,6 +217,70 @@ def _assert_bits(stack, expected):
 UNEQUAL = SpinParams(1.3, 0.4, 0.8, 1.1, -0.6, 0.7)
 
 
+def _message(check, *args):
+    """The text of the ValueError check(*args) raises, or None."""
+    try:
+        check(*args)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+def _first_scalar_failure(points, times, steps):
+    """The scalar rule applied problem by problem, in stack order: the text of its first refusal, or None."""
+    for point, t in zip(points, times):
+        text = _message(check_steps_loop, point, t, steps)
+        if text is not None:
+            return text
+    return None
+
+
+class TestStepBudget:
+    """evolution._check_steps, one rule over (M,) columns, names the scalar rule's first failing problem."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 6), st.integers(0, 60), st.randoms(use_true_random=False))
+    def test_random_stacks_name_the_scalar_rules_first_failure(self, m, steps, random):
+        points, times = [], []
+        for _ in range(m):
+            fields = [random.choice([random.uniform(-3.0, 3.0), 0.0, -0.0]) for _ in range(5)]
+            if random.random() < 0.2:
+                fields[0] = fields[1] = fields[2] = fields[3] = fields[4] = 0.0  # omega0 = gamma = J = 0
+            omega1 = random.choice([random.uniform(-2.0, 2.0), 5e-324, -5e-324, 0.0, -0.0])
+            points.append(SpinParams(*fields, omega1))
+            times.append(random.choice([random.uniform(-40.0, 40.0), 0.0, -0.0]))
+        expected = _first_scalar_failure(points, times, steps)
+        assert _message(_check_steps, _stack(points), np.array(times), steps) == expected
+
+    @pytest.mark.parametrize(
+        "points, times, expected",
+        [
+            ([P111.replace(omega1=5e-324)] * 2, [3.0, 30.0],
+             "step budget too small: need at least 67 steps for t=30.0"),
+            ([SpinParams.symmetric(0.0, 0.0, 0.0, 5e-324)], [1e300], None),  # no rate, no bound
+            ([SpinParams.symmetric(0.0, 0.0, 0.0, 0.0)], [-1e300], None),
+            ([P111, P111], [0.0, -200.0], "step budget too small: need at least 445 steps for t=-200.0"),
+            # Both cycles of one two-cycle stack, the second with a faster spectrum: only it fails.
+            ([P111, P111.replace(J=-9.0)], [10.0, 10.0], "step budget too small: need at least 71 steps for t=10.0"),
+        ],
+    )
+    def test_cases(self, points, times, expected):
+        assert _first_scalar_failure(points, times, 30) == expected
+        assert _message(_check_steps, _stack(points), np.array(times), 30) == expected
+
+    @pytest.mark.parametrize("t", [1e308, -1e308, 2.3e307])
+    def test_a_count_beyond_the_floats_reads_inf(self, t):
+        # The scalar rule's math.ceil raised OverflowError here.
+        with pytest.raises(OverflowError):
+            check_steps_loop(P111, t, 10)
+        with pytest.raises(ValueError, match=re.escape(f"step budget too small: need at least inf steps for t={t!r}")):
+            evolve_stepped(P111, TwoSpinState.basis_state("uu"), t, 10)
+
+    def test_non_finite_time_is_named_before_any_budget(self):
+        message = _message(_check_steps, _stack([P111, P111]), np.array([500.0, math.nan]), 3)
+        assert message == "time must be finite, got nan"
+
+
 class TestSteppedKernel:
     """The stacked RK4 kernel against the per-step h_total loop of tests/support.py."""
 
@@ -260,7 +326,7 @@ class TestSteppedKernel:
 
     def test_no_work_per_step_outside_the_kernel(self, monkeypatch):
         counts = {"h_total": 0, "Operator4": 0}
-        real_h_total, real_init = evolution.h_total, core.Operator4.__post_init__
+        real_h_total, real_init = hamiltonian.h_total, core.Operator4.__post_init__
 
         def h_total(*args):
             counts["h_total"] += 1
@@ -270,14 +336,15 @@ class TestSteppedKernel:
             counts["Operator4"] += 1
             real_init(self)
 
-        monkeypatch.setattr(evolution, "h_total", h_total)
+        for module in (hamiltonian, evolution):  # evolution binds no h_total; a later import would be counted
+            monkeypatch.setattr(module, "h_total", h_total, raising=False)
         monkeypatch.setattr(core.Operator4, "__post_init__", post_init)
         seen = []
         for steps in (100, 1000):
             evolve_stepped(P111, TwoSpinState.basis_state(0), 5.0, steps)
             seen.append(dict(counts))
             counts.update(dict.fromkeys(counts, 0))
-        assert seen == [{"h_total": 1, "Operator4": 2}] * 2  # the budget check's H(0) and the result
+        assert seen == [{"h_total": 0, "Operator4": 1}] * 2  # the result; the budget check builds an unchecked stack
 
     def test_two_cycle_stack_across_two_block_boundaries(self):
         firsts = [SpinParams.symmetric(1.0, 0.8, 0.6, w1) for w1 in (0.1, -0.25, 0.4, -0.7)]

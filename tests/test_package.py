@@ -8,6 +8,7 @@ here again through a child process.
 """
 
 import importlib
+import json
 import os
 import re
 import subprocess
@@ -99,8 +100,10 @@ class TestLauncher:
 
     def _run_main(self, monkeypatch) -> list:
         seen = []
-        monkeypatch.setattr(cli, "entrypoint", lambda: seen.append(os.environ.get("OPENBLAS_NUM_THREADS")))
-        launcher.main()
+        monkeypatch.setattr(cli, "main", lambda: seen.append(os.environ.get("OPENBLAS_NUM_THREADS")) or 0)
+        with pytest.raises(SystemExit) as exc:
+            launcher.main()
+        assert exc.value.code == 0  # main's return value is the exit status
         return seen
 
     def test_main_pins_one_blas_thread_when_unset(self, monkeypatch):
@@ -110,3 +113,10 @@ class TestLauncher:
     def test_main_keeps_the_callers_setting(self, monkeypatch):
         monkeypatch.setenv("OPENBLAS_NUM_THREADS", "3")
         assert self._run_main(monkeypatch) == ["3"]
+
+    def test_the_cli_module_is_not_a_launcher(self):
+        # It would run without the BLAS setting, so it refuses: one JSON error line, exit 2, no stdout.
+        run = _python("-m", "twospin.cli", "spectrum", "--J", "1")
+        message = "twospin.cli is a library module; run the command as python -m twospin or twospin"
+        assert (run.returncode, run.stdout) == (2, b"")
+        assert run.stderr == (json.dumps({"error": message, "exit_code": 2}) + "\n").encode()

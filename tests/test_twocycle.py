@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -19,11 +20,20 @@ from twospin import (
     triplet_energies,
 )
 from twospin import evolve_exact, evolve_stepped, exact_propagator, tilde_eigensystem
+from twospin import core, phases, spectral, twocycle
 from twospin.evolution import _propagators
 from twospin.hamiltonian import rotating_frame_stack
-from twospin.twocycle import _aa_two_cycles
+from twospin.twocycle import _aa_two_cycles, _berry_gates, _cycle_propagators
 
-from support import circ_dist, flip_params, numeric_dynamical_phase, random_state, random_symmetric
+from support import (
+    berry_gates_two_pass,
+    check_steps_loop,
+    circ_dist,
+    flip_params,
+    numeric_dynamical_phase,
+    random_state,
+    random_symmetric,
+)
 
 P111 = SpinParams.symmetric(1.0, 1.0, 1.0, 0.1)
 
@@ -293,3 +303,123 @@ class TestStackedKernel:
             )
             assert np.array_equal(u, chain)
             assert defect == float(np.abs(chain - np.eye(4)).max())
+
+
+def _fallback_heavy(rng, kind, sense, n=256):
+    """Equal-coupling field columns of n points, many of them on the fallback branch: gamma = 0, tiny gamma,
+    omega0 = J or -J with small gamma, omega0 = 0, or half omega0 = 0 and half gamma = 0; omega1 has the given
+    sign (zero at every 17th point)."""
+    omega0, gamma, J = (rng.uniform(-2.0, 2.0, n) for _ in range(3))
+    if kind == "gamma=0":
+        gamma[:] = 0.0
+    elif kind == "tiny gamma":
+        gamma = rng.choice([1e-300, 1e-12, -1e-9, 1e-7, 1e-5], n) * rng.uniform(0.5, 1.5, n)
+    elif kind in ("omega0=J", "omega0=-J"):  # crossings: fallback at small gamma, refusals near gamma ~ 1e-2
+        omega0 = J.copy() if kind == "omega0=J" else -J
+        gamma = rng.choice([1e-7, 1e-5, 1e-3, 1e-2], n) * rng.uniform(-1.0, 1.0, n)
+    elif kind == "omega0=0":
+        omega0[:] = 0.0
+    else:
+        omega0[::2], gamma[1::2] = 0.0, 0.0
+    omega1 = sense * rng.uniform(1e-3, 2.0, n)
+    omega1[::17] = sense * 0.0
+    return {"omega_a0": omega0, "omega_b0": omega0.copy(), "gamma_a": gamma, "gamma_b": gamma.copy(), "J": J,
+            "omega1": omega1}
+
+
+def _outcome(function, columns):
+    """The uint64 views of function(columns)'s arrays, or the type and text of what it raised."""
+    try:
+        return [np.ascontiguousarray(part).view(np.uint64).tolist() for part in function(columns)]
+    except (ArithmeticError, ValueError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+KINDS = ["gamma=0", "tiny gamma", "omega0=J", "omega0=-J", "omega0=0", "mixed"]
+
+
+class TestBerryGateBlock:
+    """_berry_gates makes one _eigenbases pass, whose fallback bases also give the fallback phases."""
+
+    @pytest.mark.parametrize("sense", [1.0, -1.0])
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_block_equals_the_two_pass_construction(self, kind, sense):
+        rng = np.random.default_rng(KINDS.index(kind) + 10 * (sense > 0))
+        columns = _fallback_heavy(rng, kind, sense)
+        fallback = spectral._closed_form(columns["omega_a0"], columns["gamma_a"], columns["J"]).fallback
+        assert fallback.any(axis=1).mean() > 0.4
+        assert _outcome(_berry_gates, columns) == _outcome(berry_gates_two_pass, columns)
+
+    @pytest.mark.parametrize("kind", ["omega0=J", "omega0=-J", "tiny gamma"])
+    def test_points_and_their_refusals_equal_the_two_pass_construction(self, kind):
+        columns = _fallback_heavy(np.random.default_rng(7), kind, -1.0, n=96)
+        outcomes = []
+        for i in range(96):
+            point = {name: column[i : i + 1] for name, column in columns.items()}
+            outcomes.append(_outcome(_berry_gates, point))
+            assert outcomes[-1] == _outcome(berry_gates_two_pass, point)
+        if kind != "tiny gamma":  # the unitary check on the gate refuses some points near omega0 = +-J
+            assert any(isinstance(outcome, tuple) for outcome in outcomes)
+
+    @staticmethod
+    def _count(monkeypatch, bindings):
+        calls = []
+        for module, name in bindings:
+            real = getattr(module, name)
+            monkeypatch.setattr(module, name, lambda *args, real=real, name=name: calls.append(name) or real(*args))
+        return calls
+
+    def test_one_closed_form_and_one_eigenbasis_pass_per_block(self, monkeypatch):
+        columns = _fallback_heavy(np.random.default_rng(3), "mixed", 1.0)
+        closed = self._count(monkeypatch, [(spectral, "_closed_form"), (phases, "_closed_form")])
+        bases = self._count(monkeypatch, [(twocycle, "_eigenbases"), (phases, "_eigenbases")])
+        _berry_gates(columns)
+        assert (closed, bases) == (["_closed_form"], ["_eigenbases"])
+
+    @pytest.mark.parametrize("steps", [None, 64])
+    def test_no_spin_params_per_point(self, monkeypatch, steps):
+        built = []
+        real = core.SpinParams.__post_init__
+        monkeypatch.setattr(core.SpinParams, "__post_init__", lambda self: built.append(self) or real(self))
+        columns = _fallback_heavy(np.random.default_rng(4), "gamma=0", 1.0, n=32)
+        columns["omega1"][:] = 0.7
+        _berry_gates(columns)
+        _cycle_propagators(columns, ADIABATIC_FLIP_SET, steps)
+        assert built == []
+
+    def test_one_budget_check_per_rk4_call(self, monkeypatch):
+        checks = self._count(monkeypatch, [(twocycle, "_check_steps")])
+        columns = _fallback_heavy(np.random.default_rng(5), "mixed", -1.0, n=8)
+        columns["omega1"][:] = -0.5
+        _cycle_propagators(columns, ADIABATIC_FLIP_SET, 64)
+        _cycle_propagators(columns, AA_FLIP_SET)
+        assert checks == ["_check_steps"]
+
+
+class TestStepBudgetOfTheCycles:
+    """_cycle_propagators checks the RK4 budget of both cycles in one call, cycle 1 rows first. A sign flip
+    keeps the spectrum of H(0) up to sign (conjugation by a Pauli matrix flips omega and J, or gamma, of one
+    spin), so the second cycle fails where the first does; the first failing omega1 is named."""
+
+    @pytest.mark.parametrize(
+        "omega1, expected",
+        [
+            ([0.5, 0.05, 0.02], "step budget too small: need at least 240 steps for t=125.66370614359172"),
+            ([-0.5, -0.3], None),
+            ([-0.3, 1e-307], "step budget too small: need at least inf steps for t=6.283185307179587e+307"),
+        ],
+    )
+    def test_names_the_scalar_rules_first_failure(self, omega1, expected):
+        points = [SpinParams.symmetric(1.0, 0.8, 0.6, value) for value in omega1]
+        columns = {name: np.array([getattr(p, name) for p in points]) for name in core._columns(P111, 1)}
+        for flips in (ADIABATIC_FLIP_SET, AA_FLIP_SET):
+            if expected is None:
+                _cycle_propagators(columns, flips, 40)
+                continue
+            with pytest.raises(ValueError) as exc:
+                _cycle_propagators(columns, flips, 40)
+            assert str(exc.value) == expected
+            if "inf" not in expected:  # the scalar rule cannot name an infinite count
+                with pytest.raises(ValueError, match=f"^{re.escape(expected)}$"):
+                    for point in [*points, *(flip_params(p, flips) for p in points)]:
+                        check_steps_loop(point, point.period, 40)
