@@ -14,11 +14,11 @@ so a stacked propagator equals the per-point one bit for bit.
 
 A fixed-step classical Runge-Kutta integrator of the time-ordered Schrodinger
 equation serves as the independent cross-check; it samples the Hamiltonian
-analytically at the substep times and converges at fourth order. Its kernel,
-_stepped_propagators, advances an (M, 4, 4) stack of problems together without
-_propagators; evolve_stepped is its M = 1 wrapper. The RK4 update's constants
-(h/2, h, h/6, -1j, 2) are (M, 4, 4) complex arrays built once per call, and the
-update keeps the float operations of the per-step loop. Its step budget,
+analytically at the substep times and converges at fourth order. On the linear
+equation an RK4 step is a linear map, U_{k+1} = R_k U_k, so its kernel,
+_stepped_propagators, builds the transfer matrices R_k of a block of steps for
+an (M, 4, 4) stack of problems with stacked operations, then applies them with
+one matmul per step; evolve_stepped is its M = 1 wrapper. Its step budget,
 _check_steps, is one rule over the same (M,) columns and times: one stacked H(0)
 and eigvalsh, and the first problem that fails is named.
 """
@@ -121,28 +121,28 @@ def _check_steps(columns: dict[str, np.ndarray], t: np.ndarray, steps: int) -> N
         raise ValueError(f"step budget too small: need at least {needed[first]:.0f} steps for t={float(t[first])!r}")
 
 
-# Steps times problems per block of Hamiltonian samples, so that a block holds
-# about 3 * _SAMPLE_BLOCK matrices whatever the number of problems.
+# Steps times problems per block: a block holds 3 * _SAMPLE_BLOCK samples of H and, with its
+# stages K2-K4 and transfer matrices R, about 10 * _SAMPLE_BLOCK 4x4 matrices whatever M is.
 _SAMPLE_BLOCK = 512
 
 
 def _stepped_propagators(columns: dict[str, np.ndarray], t: np.ndarray, steps: int) -> np.ndarray:
     """RK4 propagators of i dU/dt = H(t) U from 0 to t for (M,) field columns and times t.
 
-    Problem m takes steps steps of size h = t[m] / steps. H is sampled at k h, k h + h/2 and
-    k h + h of step k with h_total's arithmetic, so problem m equals a loop of h_total steps bit
-    for bit. Sample blocks get the checks of Operator4.hermitian, the result those of "general".
-    The update's constants are (M, 4, 4) arrays built once, each the complex value its scalar
-    casts to, so every step multiplies same-shape operands in the loop's float operations.
+    Problem m takes steps steps of size h = t[m] / steps. H is sampled at k h, k h + h/2 and k h + h
+    of step k with h_total's arithmetic. With A = -iH there, step k is the transfer matrix
+    R_k = I + h/6 (A0 + 2 K2 + 2 K3 + K4), K2 = Am (I + h/2 A0), K3 = Am (I + h/2 K2), K4 = A1 (I + h K3):
+    a block's R_k are built by stacked operations and applied as U = R_k U, one matmul per step, so
+    problem m equals a loop of h_total transfer steps bit for bit. Sample blocks get the checks of
+    Operator4.hermitian, the result those of "general".
     """
     fields = _fields(columns)
     static = _static_matrix(fields)
     cos_part, sin_part = transverse_parts(fields)
     h = t / steps
-    shape = (len(t), 4, 4)
-    half, full, sixth = (np.broadcast_to(f[:, None, None], shape).astype(complex) for f in (0.5 * h, h, h / 6.0))
-    minus_i, two = np.full(shape, -1j), np.full(shape, 2.0 + 0j)
-    propagators = np.tile(np.eye(4, dtype=complex), (len(t), 1, 1))
+    half, full, sixth = (f[:, None, None] for f in (0.5 * h, h, h / 6.0))
+    eye = np.eye(4, dtype=complex)
+    propagators = np.tile(eye, (len(t), 1, 1))
     block = max(1, _SAMPLE_BLOCK // len(t))
     for first in range(0, steps, block):
         t0 = np.arange(first, min(first + block, steps))[:, None] * h
@@ -150,12 +150,12 @@ def _stepped_propagators(columns: dict[str, np.ndarray], t: np.ndarray, steps: i
         cos, sin = np.cos(angle)[..., None, None], np.sin(angle)[..., None, None]
         samples = static + (cos * cos_part + sin * sin_part)
         _check_stack(samples, "hermitian")
-        for h_0, h_mid, h_1 in zip(*map(list, samples.swapaxes(0, 1))):
-            k1 = minus_i * (h_0 @ propagators)
-            k2 = minus_i * (h_mid @ (propagators + half * k1))
-            k3 = minus_i * (h_mid @ (propagators + half * k2))
-            k4 = minus_i * (h_1 @ (propagators + full * k3))
-            propagators = propagators + sixth * (k1 + two * k2 + two * k3 + k4)
+        a_0, a_mid, a_1 = (-1j * samples).swapaxes(0, 1)
+        k2 = a_mid @ (eye + half * a_0)
+        k3 = a_mid @ (eye + half * k2)
+        k4 = a_1 @ (eye + full * k3)
+        for step in eye + sixth * (a_0 + 2.0 * k2 + 2.0 * k3 + k4):
+            propagators = step @ propagators
     _check_stack(propagators, "general")
     return propagators
 

@@ -438,6 +438,17 @@ class TestTwocycleCommand:
         assert [(len(t), steps) for _, t, steps in calls] == [(4, 200)]  # both cycles of both omega1 values
         assert exact == []
 
+    # The RK4 singlet phase is rounding only: the singlet is an eigenstate of both cycles with
+    # opposite dynamical phases, so the stepped rows read about 4e-15 where the exact ones read 0.
+    @pytest.mark.parametrize("sweep, steps", [("-0.1,0.05", "300"), ("0.5,-0.5", "400")])
+    def test_stepped_singlet_phase_is_rounding_in_both_senses(self, capsys, sweep, steps):
+        argv = ["twocycle", "--scheme", "adiabatic", f"--omega1-sweep={sweep}", *self.P, "--steps", steps]
+        code, out, _ = run_main(argv, capsys)
+        assert code == 0
+        singlet = [row for row in parse_csv(out)[1] if row[1] == "4"]
+        assert sorted(float(row[0]) < 0.0 for row in singlet) == [False, True]
+        assert all(abs(float(row[2])) <= 1e-13 for row in singlet)
+
     def test_step_budget_of_the_first_failing_omega1_raises(self, capsys):
         argv = ["twocycle", "--scheme", "adiabatic", "--omega1-sweep=0.4,0.01,0.3", "--steps", "200", *self.P]
         message = "step budget too small: need at least 1196 steps for t=628.3185307179587"

@@ -33,6 +33,7 @@ from support import (
     random_state,
     random_symmetric,
     stepped_propagator_loop,
+    stepped_propagator_stage_loop,
 )
 
 P111 = SpinParams.symmetric(1.0, 1.0, 1.0, 0.1)
@@ -281,22 +282,32 @@ class TestStepBudget:
         assert message == "time must be finite, got nan"
 
 
-class TestSteppedKernel:
-    """The stacked RK4 kernel against the per-step h_total loop of tests/support.py."""
+SINGLE_PROBLEMS = [
+    (P111, P111.period, 700),  # crosses a sample block at M = 1
+    (P111.replace(omega1=-0.1), P111.period, 300),
+    (UNEQUAL, 4.0, 200),
+    (UNEQUAL.replace(omega1=-0.7), -4.0, 200),
+    (UNEQUAL, 0.05, 1),
+    (UNEQUAL, -0.05, 1),
+    (UNEQUAL, 0.0, 3),
+    (SpinParams(0.0, -0.0, 0.0, 0.0, 0.0, 0.0), 1.0, 2),
+]
+ZERO_HEAVY_PROBLEMS = [
+    (SpinParams.symmetric(1.0, 0.0, 0.5, 0.3), 2.0, 5),  # gamma = 0
+    (SpinParams(0.7, -0.4, 0.0, -0.0, 0.2, -0.6), -3.0, 20),
+    (SpinParams(-0.0, 0.0, -0.0, 0.0, -0.0, -0.0), 1.0, 3),
+    (SpinParams(-0.0, -0.0, -0.0, -0.0, -0.0, -0.0), -1.5, 4),
+    (SpinParams(0.0, -0.0, 0.0, -0.0, 0.0, 0.0), -0.0, 2),
+    (SpinParams.symmetric(1.0, 0.0, 0.5, 0.3), -0.0, 3),
+    (UNEQUAL, -0.0, 3),
+]
 
-    @pytest.mark.parametrize(
-        "params, t, steps",
-        [
-            (P111, P111.period, 700),  # crosses a sample block at M = 1
-            (P111.replace(omega1=-0.1), P111.period, 300),
-            (UNEQUAL, 4.0, 200),
-            (UNEQUAL.replace(omega1=-0.7), -4.0, 200),
-            (UNEQUAL, 0.05, 1),
-            (UNEQUAL, -0.05, 1),
-            (UNEQUAL, 0.0, 3),
-            (SpinParams(0.0, -0.0, 0.0, 0.0, 0.0, 0.0), 1.0, 2),
-        ],
-    )
+
+class TestSteppedKernel:
+    """The stacked RK4 kernel against the per-step transfer loop of tests/support.py, bit for bit,
+    and against the stage-form loop up to rounding."""
+
+    @pytest.mark.parametrize("params, t, steps", SINGLE_PROBLEMS)
     def test_single_problem_equals_the_loop(self, params, t, steps):
         stack = _stepped_propagators(_stack([params]), np.array([t]), steps)
         _assert_bits(stack[0], stepped_propagator_loop(params, t, steps))
@@ -361,21 +372,32 @@ class TestSteppedKernel:
         stack = _stepped_propagators(_stack([params]), np.array([params.period]), 1100)
         _assert_bits(stack[0], stepped_propagator_loop(params, params.period, 1100))
 
-    @pytest.mark.parametrize(
-        "params, t, steps",
-        [
-            (SpinParams.symmetric(1.0, 0.0, 0.5, 0.3), 2.0, 5),  # gamma = 0
-            (SpinParams(0.7, -0.4, 0.0, -0.0, 0.2, -0.6), -3.0, 20),
-            (SpinParams(-0.0, 0.0, -0.0, 0.0, -0.0, -0.0), 1.0, 3),
-            (SpinParams(-0.0, -0.0, -0.0, -0.0, -0.0, -0.0), -1.5, 4),
-            (SpinParams(0.0, -0.0, 0.0, -0.0, 0.0, 0.0), -0.0, 2),
-            (SpinParams.symmetric(1.0, 0.0, 0.5, 0.3), -0.0, 3),
-            (UNEQUAL, -0.0, 3),
-        ],
-    )
+    @pytest.mark.parametrize("params, t, steps", ZERO_HEAVY_PROBLEMS)
     def test_zero_heavy_problems_equal_the_loop(self, params, t, steps):
         stack = _stepped_propagators(_stack([params]), np.array([t]), steps)
         _assert_bits(stack[0], stepped_propagator_loop(params, t, steps))
+
+    # The transfer form multiplies the same terms in another order than the stage form, so
+    # the two agree to rounding: at most 1e-12 here, about 3e-13 after 20,000 steps.
+    @pytest.mark.parametrize(
+        "params, t, steps",
+        SINGLE_PROBLEMS + ZERO_HEAVY_PROBLEMS + [(UNEQUAL, 10.0 * UNEQUAL.period, 20000)],
+    )
+    def test_single_problem_within_rounding_of_the_stage_form(self, params, t, steps):
+        stack = _stepped_propagators(_stack([params]), np.array([t]), steps)
+        assert np.abs(stack[0] - stepped_propagator_stage_loop(params, t, steps)).max() <= 1e-12
+
+    def test_stacks_within_rounding_of_the_stage_form(self):
+        rng = np.random.default_rng(58)
+        firsts = [SpinParams.symmetric(1.0, 0.8, 0.6, w1) for w1 in (0.1, -0.25, 0.4, -0.7)]
+        points = firsts + [flip_params(p, ADIABATIC_FLIP_SET) for p in firsts]
+        points += [UNEQUAL, UNEQUAL.replace(omega1=-0.7), random_general(rng), random_general(rng, -2.0, -0.8), P111]
+        periods = core._periods(np.array([p.omega1 for p in firsts]))
+        t = np.concatenate([periods, periods, [4.0, -3.0, 2.5, 0.0, -0.0]])
+        steps = 2 * (_SAMPLE_BLOCK // len(points)) + 10
+        stack = _stepped_propagators(_stack(points), t, steps)
+        for matrix, point, time in zip(stack, points, t.tolist()):
+            assert np.abs(matrix - stepped_propagator_stage_loop(point, time, steps)).max() <= 1e-12
 
     def test_every_sample_is_checked_as_hermitian(self, monkeypatch):
         real = evolution.transverse_parts
