@@ -377,8 +377,8 @@ class TestSteppedKernel:
         stack = _stepped_propagators(_stack([params]), np.array([t]), steps)
         _assert_bits(stack[0], stepped_propagator_loop(params, t, steps))
 
-    # The transfer form multiplies the same terms in another order than the stage form, so
-    # the two agree to rounding: at most 1e-12 here, about 3e-13 after 20,000 steps.
+    # The stage form applies each slope to U; the transfer form builds R first and applies it once,
+    # so the two round differently: at most 1e-12 apart here, about 3e-13 after 20,000 steps.
     @pytest.mark.parametrize(
         "params, t, steps",
         SINGLE_PROBLEMS + ZERO_HEAVY_PROBLEMS + [(UNEQUAL, 10.0 * UNEQUAL.period, 20000)],
