@@ -11,18 +11,14 @@ from importlib import import_module
 # The public names of each submodule, as `from twospin import *` exports them.
 _EXPORTS = {
     "core": ("BASIS_LABELS", "PARAM_GROUPS", "Operator4", "SpinParams", "TwoSpinState"),
-    "evolution": (
-        "AdiabaticCycleResult", "EvolutionResult", "adiabatic_cycle", "evolve_exact", "evolve_stepped",
-        "exact_propagator",
-    ),
-    "hamiltonian": ("frame_rotation", "h_rotating_frame", "h_static", "h_total", "transverse_parts"),
+    "evolution": ("EvolutionResult", "evolve_exact", "evolve_stepped", "exact_propagator"),
+    "hamiltonian": ("frame_rotation", "h_rotating_frame", "h_total", "transverse_parts"),
     "phases": (
         "PhaseBreakdown", "aa_breakdown", "aa_phase", "adiabatic_phases", "berry_phase",
         "legacy_single_spin_phase", "principal_value",
     ),
     "spectral": (
-        "DegenerateParametersError", "EigenPair", "EigenSystem", "eigensystem", "singlet_energy",
-        "tilde_eigensystem", "triplet_amplitudes", "triplet_energies",
+        "EigenPair", "EigenSystem", "eigensystem", "singlet_energy", "tilde_eigensystem", "triplet_energies",
     ),
     "twocycle": (
         "AA_FLIP_SET", "ADIABATIC_FLIP_SET", "AATwoCycleResult", "AdiabaticTwoCycleResult", "BerryGate",

@@ -40,11 +40,11 @@ from itertools import combinations, islice, product
 
 import numpy as np
 
-from .core import BASIS_LABELS, PARAM_GROUPS, SpinParams, TwoSpinState, _columns, _equal_coupling_fields
+from .core import BASIS_LABELS, PARAM_GROUPS, SpinParams, TwoSpinState, _checked_float, _columns, _equal_coupling_fields
+from .core import _refuse
 from .evolution import evolve_exact, evolve_stepped
 from .phases import _cycle_phases, _principal_values
-from .spectral import InternalConsistencyError, _closed_form, _eigenbases, eigensystem, singlet_energy
-from .spectral import tilde_eigensystem
+from .spectral import _closed_form, _eigenbases, eigensystem, singlet_energy, tilde_eigensystem
 from .twocycle import _aa_two_cycles, _adiabatic_two_cycles, _require_rotation
 
 __all__ = [
@@ -266,9 +266,8 @@ def cmd_twocycle(params: SpinParams, scheme: str, steps: int = 0, omega1_values=
     columns = ["n", "phase", "target", "circular_deviation", "fidelity", "gate_deviation"]
     if omega1_values is None:
         return columns, _adiabatic_rows(_columns(params, 1), steps)[0], {}
-    def table(block):
-        for value in block["omega1"].tolist():  # refused as SpinParams refuses: the kernels do not check
-            params.replace(omega1=value)
+    def table(block):  # the kernels do not check finiteness, so refuse as SpinParams words it
+        _refuse(~np.isfinite(block["omega1"]), block["omega1"], ValueError, "omega1 must be finite, got {!r}")
         return _adiabatic_rows(block, steps)[..., :4]
     return ["omega1"] + columns[:4], _walk([("omega1", omega1_values)], table, params), {}
 
@@ -294,7 +293,7 @@ def _walk(axes, block_rows, base: SpinParams) -> np.ndarray:
             block_columns.update(dict.fromkeys(PARAM_GROUPS[name], values))
         try:
             table = block_rows(block_columns)
-        except (ArithmeticError, ValueError, InternalConsistencyError):
+        except (ArithmeticError, ValueError):
             singles = ({field: column[i : i + 1] for field, column in block_columns.items()} for i in range(len(block)))
             table = np.concatenate(list(map(block_rows, singles)))
         tables.append(np.hstack([np.repeat(axis_values, table.shape[1], axis=0), table.reshape(-1, table.shape[2])]))
@@ -316,15 +315,6 @@ def cmd_sweep(axes, quantity: str, base: SpinParams):
 # whose text _float_texts makes.
 _FIELDS = {"csv": {"n": "%d", "component": "%s"}, "json": {"n": "%d", "component": '"%s"'}}
 _CELLS = {"n": int, "component": lambda index: BASIS_LABELS[int(index)]}
-
-
-def _finite(values) -> np.ndarray:
-    """values as a float array (a float array is not copied); the first non-finite entry in row-major order raises."""
-    values = np.asarray(values, dtype=float)
-    lost = ~np.isfinite(values)
-    if lost.any():
-        raise ArithmeticError(f"non-finite value {float(values[lost][0])!r} in output")
-    return values
 
 
 def _float_texts(fmt: str, values: np.ndarray) -> list[str]:
@@ -364,12 +354,14 @@ def _table_text(fmt: str, columns, rows: np.ndarray) -> str:
 
 def _render(fmt: str, command: str, params: SpinParams, columns, rows: np.ndarray, extras) -> str:
     floats = [key for key, value in extras.items() if isinstance(value, float)]
+    extra_values = np.array([extras[key] for key in floats], dtype=float)
+    for values in (extra_values, rows) if fmt == "csv" else (rows, extra_values):  # CSV checks unprinted extras
+        _refuse(~np.isfinite(values), values, ArithmeticError, "non-finite value {!r} in output")
     if fmt == "csv":
-        _finite([extras[key] for key in floats])  # not printed, but checked like the rows
-        return ",".join(columns) + "\n" + _table_text(fmt, columns, _finite(rows))
-    table = _table_text(fmt, columns, _finite(rows))
+        return ",".join(columns) + "\n" + _table_text(fmt, columns, rows)
+    table = _table_text(fmt, columns, rows)
     names = [f.name for f in fields(params)]
-    texts = _float_texts(fmt, _finite([*(getattr(params, name) for name in names), *(extras[key] for key in floats)]))
+    texts = _float_texts(fmt, np.array([*(getattr(params, name) for name in names), *extra_values]))
     values = list(map(float, texts))  # json.dumps writes each one as its text
     document = {"schema_version": SCHEMA_VERSION, "command": command, "params": dict(zip(names, values)),
                 "columns": list(columns), "rows": None, **extras, **dict(zip(floats, values[len(names) :]))}
@@ -488,8 +480,8 @@ def main(argv=None) -> int:
             columns, block_rows = _QUANTITIES[args.mode if args.command == "phases" else "spectrum"]
             rows, extras = block_rows(_columns(params, 1))[0], {}
         elif args.command == "evolve":
-            if args.time is not None and not math.isfinite(args.time):
-                raise ValueError(f"time must be finite, got {args.time!r}")
+            if args.time is not None:
+                _checked_float("time", args.time)
             initial = _parse_initial(args.initial, params)
             t = args.time if args.time is not None else params.period
             columns, rows, extras = cmd_evolve(params, initial, t, args.steps)
@@ -506,7 +498,7 @@ def main(argv=None) -> int:
 
         text = _render(args.format, args.command, params, columns, rows, extras)
     # LinAlgError is a ValueError, so the numeric clause must come first.
-    except (ArithmeticError, np.linalg.LinAlgError, InternalConsistencyError) as exc:
+    except (ArithmeticError, np.linalg.LinAlgError) as exc:
         _error_object(EXIT_NUMERIC, str(exc))
         return EXIT_NUMERIC
     except ValueError as exc:

@@ -47,6 +47,20 @@ STATE_NORM_TOL = 1e-6
 _EYE2 = np.eye(2, dtype=complex)
 
 
+def _refuse(bad: np.ndarray, values, error: type[Exception], message: str) -> None:
+    """Raise error(message.format(v)) for the first entry v of values, in row-major order, where bad holds."""
+    if bad.any():
+        raise error(message.format(float(np.asarray(values)[bad][0])))
+
+
+def _checked_float(name: str, value) -> float:
+    """float(value); a non-finite one raises ValueError naming the parameter."""
+    value = float(value)
+    if not math.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value!r}")
+    return value
+
+
 def _require_finite(arr: np.ndarray) -> None:
     if not np.all(np.isfinite(arr.real)) or not np.all(np.isfinite(arr.imag)):
         raise ValueError("non-finite entries are not admitted")
@@ -143,9 +157,13 @@ class TwoSpinState:
 
     @classmethod
     def basis_state(cls, which: int | str) -> "TwoSpinState":
-        idx = BASIS_LABELS.index(which) if isinstance(which, str) else int(which)
+        """The basis state named in BASIS_LABELS or of index 0-3; anything else raises ValueError."""
+        if isinstance(which, str) and which in BASIS_LABELS:
+            which = BASIS_LABELS.index(which)
+        if isinstance(which, bool) or not isinstance(which, (int, np.integer)) or not 0 <= which <= 3:
+            raise ValueError(f"basis state must be one of {BASIS_LABELS} or an index 0-3, got {which!r}")
         amp = np.zeros(4, dtype=complex)
-        amp[idx] = 1.0
+        amp[which] = 1.0
         return cls(amp)
 
     @classmethod
@@ -222,10 +240,7 @@ class SpinParams:
 
     def __post_init__(self):
         for f in fields(self):
-            v = float(getattr(self, f.name))
-            if not math.isfinite(v):
-                raise ValueError(f"{f.name} must be finite, got {v!r}")
-            object.__setattr__(self, f.name, v)
+            object.__setattr__(self, f.name, _checked_float(f.name, getattr(self, f.name)))
 
     @classmethod
     def symmetric(cls, omega0: float, gamma: float, J: float, omega1: float = 0.0) -> "SpinParams":
@@ -263,9 +278,8 @@ def _periods(omega1: np.ndarray) -> np.ndarray:
     """2*pi/|omega1| for each nonzero entry of an omega1 column; the first period that overflows is refused."""
     with np.errstate(over="ignore"):  # overflow is refused below
         periods = 2.0 * math.pi / np.abs(omega1)
-    lost = ~np.isfinite(periods)
-    if lost.any():
-        raise ValueError(f"omega1 = {float(omega1[lost][0])!r} is too small: the period 2*pi/|omega1| is not finite")
+    message = "omega1 = {!r} is too small: the period 2*pi/|omega1| is not finite"
+    _refuse(~np.isfinite(periods), omega1, ValueError, message)
     return periods
 
 

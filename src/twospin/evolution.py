@@ -13,14 +13,15 @@ Operator4 checks on the whole stack; exact_propagator is its N = 1 wrapper,
 so a stacked propagator equals the per-point one bit for bit.
 
 A fixed-step classical Runge-Kutta integrator of the time-ordered Schrodinger
-equation serves as the independent cross-check; it samples the Hamiltonian
-analytically at the substep times and converges at fourth order. On the linear
-equation an RK4 step is a linear map, U_{k+1} = R_k U_k, so its kernel,
-_stepped_propagators, builds the transfer matrices R_k of a block of steps for
-an (M, 4, 4) stack of problems with stacked operations, then applies them with
-one matmul per step; evolve_stepped is its M = 1 wrapper. Its step budget,
-_check_steps, is one rule over the same (M,) columns and times: one stacked H(0)
-and eigvalsh, and the first problem that fails is named.
+equation serves as the independent cross-check; it samples the lab-frame
+Hamiltonian at the substep times, with hamiltonian._total_stack, and converges
+at fourth order. On the linear equation an RK4 step is a linear map,
+U_{k+1} = R_k U_k, so its kernel, _stepped_propagators, builds the transfer
+matrices R_k of a block of steps for an (M, 4, 4) stack of problems with
+stacked operations, then applies them with one matmul per step; evolve_stepped
+is its M = 1 wrapper. Its step budget, _check_steps, is one rule over the same
+(M,) columns and times: one stacked H(0) and eigvalsh, and the first problem
+that fails is named.
 """
 
 from __future__ import annotations
@@ -30,15 +31,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Operator4, SpinParams, TwoSpinState, _check_stack, _columns, _state_from_trusted
-from .hamiltonian import _fields, _frame_matrix, _static_matrix, _total_stack, rotating_frame_stack, transverse_parts
-from .spectral import eigensystem
+from .core import Operator4, SpinParams, TwoSpinState, _check_stack, _columns, _refuse, _state_from_trusted
+from .hamiltonian import _frame_matrix, _total_stack, rotating_frame_stack
 
 __all__ = [
-    "AdiabaticCycleResult",
     "EvolutionResult",
     "MIN_STEPS_PER_PERIOD",
-    "adiabatic_cycle",
     "evolve_exact",
     "evolve_stepped",
     "exact_propagator",
@@ -73,11 +71,8 @@ def _propagators(h_rot: np.ndarray, omega1: np.ndarray, t: np.ndarray) -> np.nda
     largest = np.maximum(np.maximum(-vals[:, 0], vals[:, -1]), np.abs(omega1))  # eigh sorts vals
     with np.errstate(over="ignore"):  # an infinite phase is refused below
         phase = largest * np.abs(t)
-    lost = phase >= 2.0**52
-    if lost.any():
-        raise ArithmeticError(
-            f"propagator phase {phase[lost][0]:.3e} rad is too large to resolve (limit 2**52)"
-        )
+    message = "propagator phase {:.3e} rad is too large to resolve (limit 2**52)"
+    _refuse(phase >= 2.0**52, phase, ArithmeticError, message)
     expo = (vecs * np.exp(-1j * vals * t[:, None])[:, None, :]) @ vecs.conj().swapaxes(-1, -2)
     propagators = _frame_matrix(omega1 * t) @ expo
     _check_stack(propagators, "unitary")
@@ -107,8 +102,7 @@ def _check_steps(columns: dict[str, np.ndarray], t: np.ndarray, steps: int) -> N
     A zero rate or an infinite period sets no bound; a count beyond the float range reads inf."""
     if steps < 1:
         raise ValueError("steps must be at least 1")
-    if not np.isfinite(t).all():
-        raise ValueError(f"time must be finite, got {float(t[~np.isfinite(t)][0])!r}")
+    _refuse(~np.isfinite(t), t, ValueError, "time must be finite, got {!r}")
     matrices = _total_stack(columns, columns["omega1"] * 0.0)  # h_total's angle at t = 0
     _check_stack(matrices, "hermitian")
     rate = np.maximum(np.abs(columns["omega1"]), np.abs(np.linalg.eigvalsh(matrices)).max(axis=1))
@@ -130,15 +124,12 @@ def _stepped_propagators(columns: dict[str, np.ndarray], t: np.ndarray, steps: i
     """RK4 propagators of i dU/dt = H(t) U from 0 to t for (M,) field columns and times t.
 
     Problem m takes steps steps of size h = t[m] / steps. H is sampled at k h, k h + h/2 and k h + h
-    of step k with h_total's arithmetic. With A = -iH there, step k is the transfer matrix
+    of step k by _total_stack, h_total's arithmetic. With A = -iH there, step k is the transfer matrix
     R_k = I + h/6 (A0 + 2 K2 + 2 K3 + K4), K2 = Am (I + h/2 A0), K3 = Am (I + h/2 K2), K4 = A1 (I + h K3):
     a block's R_k are built by stacked operations and applied as U = R_k U, one matmul per step, so
     problem m equals a loop of h_total transfer steps bit for bit. Sample blocks get the checks of
     Operator4.hermitian, the result those of "general".
     """
-    fields = _fields(columns)
-    static = _static_matrix(fields)
-    cos_part, sin_part = transverse_parts(fields)
     h = t / steps
     half, full, sixth = (f[:, None, None] for f in (0.5 * h, h, h / 6.0))
     eye = np.eye(4, dtype=complex)
@@ -146,9 +137,8 @@ def _stepped_propagators(columns: dict[str, np.ndarray], t: np.ndarray, steps: i
     block = max(1, _SAMPLE_BLOCK // len(t))
     for first in range(0, steps, block):
         t0 = np.arange(first, min(first + block, steps))[:, None] * h
-        angle = columns["omega1"] * np.stack([t0, t0 + 0.5 * h, t0 + h], axis=1)
-        cos, sin = np.cos(angle)[..., None, None], np.sin(angle)[..., None, None]
-        samples = static + (cos * cos_part + sin * sin_part)
+        angles = columns["omega1"] * np.stack([t0, t0 + 0.5 * h, t0 + h], axis=1)
+        samples = _total_stack(columns, angles)
         _check_stack(samples, "hermitian")
         a_0, a_mid, a_1 = (-1j * samples).swapaxes(0, 1)
         k2 = a_mid @ (eye + half * a_0)
@@ -176,33 +166,3 @@ def evolve_stepped(params: SpinParams, initial: TwoSpinState, t: float, steps: i
     # the unit-norm sanity check: final_state must equal propagator @ initial.
     final = _state_from_trusted(propagator @ initial.amplitudes)
     return EvolutionResult(final_state=final, propagator=op, elapsed=t, method="stepped", step_count=steps)
-
-
-@dataclass(frozen=True)
-class AdiabaticCycleResult:
-    final_state: TwoSpinState
-    total_phase: float
-    fidelity: float
-
-
-def adiabatic_cycle(params: SpinParams, n: int, steps: int | None = None) -> AdiabaticCycleResult:
-    """Drive eigenpath n through one full field period and read off its phase.
-
-    Starts in the instantaneous eigenstate at t=0, evolves for one period
-    (exactly, or with the stepped integrator when steps is given) and returns
-    arg and modulus of the overlap with the starting state. The modulus is the
-    adiabaticity diagnostic: it approaches 1 as omega1 -> 0 and is reported
-    as-is in the nonadiabatic regime.
-    """
-    tau = params.period
-    start = eigensystem(params, 0.0).state(n)
-    if steps is None:
-        result = evolve_exact(params, start, tau)
-    else:
-        result = evolve_stepped(params, start, tau, steps)
-    overlap = start.overlap(result.final_state)
-    return AdiabaticCycleResult(
-        final_state=result.final_state,
-        total_phase=float(np.angle(overlap)),
-        fidelity=abs(overlap),
-    )

@@ -17,7 +17,8 @@ unequal couplings too) and is pinned by the frame-identity tests.
 The matrix builders read the six fields by attribute, so rotating_frame_stack
 and _total_stack run the same arithmetic on per-field columns and return
 (N, 4, 4) stacks whose entries equal, bit for bit, those of h_rotating_frame
-and h_total at each point.
+and h_total at each point; _total_stack takes angles of any leading shape, as
+the RK4 kernel samples H at many times per point.
 
 Finite parameters leave the float range only by overflowing; the builders
 refuse a non-finite result with OverflowError, without a NumPy warning.
@@ -34,7 +35,6 @@ from .core import _PAULI, Operator4, SpinParams
 __all__ = [
     "frame_rotation",
     "h_rotating_frame",
-    "h_static",
     "h_total",
     "rotating_frame_stack",
     "transverse_parts",
@@ -67,11 +67,6 @@ def transverse_parts(params: SpinParams) -> tuple[np.ndarray, np.ndarray]:
 def _transverse_matrix(params: SpinParams, angle: float) -> np.ndarray:
     cos_part, sin_part = transverse_parts(params)
     return np.cos(angle) * cos_part + np.sin(angle) * sin_part
-
-
-def h_static(params: SpinParams) -> Operator4:
-    """Static part: z-couplings plus the Ising term. Diagonal."""
-    return Operator4.hermitian(_static_matrix(params))
 
 
 def h_total(params: SpinParams, t: float) -> Operator4:
@@ -114,9 +109,10 @@ def rotating_frame_stack(columns: dict[str, np.ndarray]) -> np.ndarray:
 
 
 def _total_stack(columns: dict[str, np.ndarray], angle: np.ndarray) -> np.ndarray:
-    """Unchecked H matrices at (N,) field angles omega1*t, as an (N, 4, 4) stack: point i is h_total's."""
+    """Unchecked H matrices of (N,) field columns at field angles omega1*t of shape (..., N), as a (..., N, 4, 4)
+    stack: the entry at angle[..., i] is h_total's at point i and that angle."""
     fields = _fields(columns)
-    return _static_matrix(fields) + _transverse_matrix(fields, angle[:, None, None])
+    return _static_matrix(fields) + _transverse_matrix(fields, angle[..., None, None])
 
 
 def _frame_matrix(angle) -> np.ndarray:

@@ -33,8 +33,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import SpinParams, _columns, _equal_coupling_fields, _periods
-from .spectral import _closed_form, _eigenbases, _finite_energies, _point, _power, _python, singlet_energy
+from .core import SpinParams, _checked_float, _columns, _equal_coupling_fields, _periods, _refuse
+from .spectral import _LOST_ENERGY, _closed_form, _eigenbases, _point, _power, _python, singlet_energy
 
 __all__ = [
     "PhaseBreakdown",
@@ -49,17 +49,13 @@ __all__ = [
 _TWO_PI = 2.0 * math.pi
 
 
-def _finite_phases(phases: np.ndarray) -> np.ndarray:
-    """phases itself; the first non-finite entry in row-major order raises ArithmeticError."""
-    lost = ~np.isfinite(phases)
-    if lost.any():
-        raise ArithmeticError(f"phase {float(phases[lost][0])!r} rad is not finite")
-    return phases
+_LOST_PHASE = "phase {!r} rad is not finite"
 
 
 def _principal_values(phases: np.ndarray) -> np.ndarray:
     """principal_value of every entry; the first non-finite one in row-major order raises."""
-    r = _python(math.remainder, _finite_phases(phases), _TWO_PI)
+    _refuse(~np.isfinite(phases), phases, ArithmeticError, _LOST_PHASE)
+    r = _python(math.remainder, phases, _TWO_PI)
     return np.where(r <= -math.pi, r + _TWO_PI, r)
 
 
@@ -113,7 +109,7 @@ def berry_phase(omega0: float, gamma: float, J: float, n: int) -> float:
     if n not in (1, 2, 3, 4):
         raise ValueError("label must be in 1..4")
     energies, berry = _berry_phases(*_point(omega0, gamma, J))
-    _finite_energies(energies)
+    _refuse(~np.isfinite(energies), energies, ArithmeticError, _LOST_ENERGY)
     return float(berry[0, n - 1])
 
 
@@ -149,7 +145,8 @@ def _cycle_phases(columns: dict[str, np.ndarray], shifted: bool):
 def _breakdown(params: SpinParams, n: int, shifted: bool) -> PhaseBreakdown:
     if n not in (1, 2, 3, 4):
         raise ValueError("label must be in 1..4")
-    parts = _finite_phases(np.array([part[0, n - 1] for part in _cycle_phases(_columns(params, 1), shifted)]))
+    parts = np.array([part[0, n - 1] for part in _cycle_phases(_columns(params, 1), shifted)])
+    _refuse(~np.isfinite(parts), parts, ArithmeticError, _LOST_PHASE)
     return PhaseBreakdown(n, *parts.tolist())
 
 
@@ -179,12 +176,16 @@ def legacy_single_spin_phase(omega_b0: float, gamma_b: float, J: float, sigma_az
     Spin b is taken to precess about the axis (omega_b0 + J*sigma_az) z + gamma_b x
     conditioned on a frozen spin a; the cycle phase is -pi*(1 - cos(theta)) with
     theta the axis polar angle. This ignores the rotating-field coupling of
-    spin a and is not a faithful description of the two-spin problem.
+    spin a and is not a faithful description of the two-spin problem. A non-finite field raises
+    ValueError, as SpinParams does; an axis beyond the float range raises OverflowError.
     """
+    omega_b0, gamma_b, J = map(_checked_float, ("omega_b0", "gamma_b", "J"), (omega_b0, gamma_b, J))
     if sigma_az not in (1, -1):
         raise ValueError("sigma_az must be +1 or -1")
     axis_z = omega_b0 + J * sigma_az
     radius = math.hypot(axis_z, gamma_b)
+    if not math.isfinite(radius):
+        raise OverflowError("precession axis overflows the float range")
     if radius == 0.0:
         raise ValueError("precession axis is undefined (zero field)")
     return -math.pi * (1.0 - axis_z / radius)

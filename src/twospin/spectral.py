@@ -29,12 +29,11 @@ re-attached by energy matching and the last of the largest-magnitude
 amplitudes (ties within 1e-12 relative) made real and positive.
 
 One kernel, _closed_form, evaluates the energies, denominators and Berry
-phases on (N,) columns of omega0, gamma and J; triplet_energies and
-triplet_amplitudes are its N = 1 case. NumPy does the + - * / and sqrt, which
-IEEE 754 rounds exactly as float arithmetic does. acos, cos and the powers **2
-and **3 go through Python floats: NumPy's versions differ from libm in the
-last bit on some arguments (x**2 on about 1 double in 1,200), and an
-overflowing power must raise.
+phases on (N,) columns of omega0, gamma and J; triplet_energies is its N = 1
+case. NumPy does the + - * / and sqrt, which IEEE 754 rounds exactly as float
+arithmetic does. acos, cos and the powers **2 and **3 go through Python
+floats: NumPy's versions differ from libm in the last bit on some arguments
+(x**2 on about 1 double in 1,200), and an overflowing power must raise.
 
 A second kernel, _eigenbases, builds the (N, 4, 4) eigenbases, labels in
 columns: the closed-form amplitudes as arrays; on the fallback mask one
@@ -53,13 +52,12 @@ from itertools import permutations, repeat
 
 import numpy as np
 
-from .core import SpinParams, TwoSpinState, _check_stack, _columns, _equal_coupling_fields
+from .core import SpinParams, TwoSpinState, _check_stack, _columns, _equal_coupling_fields, _refuse
 from .hamiltonian import _total_stack, rotating_frame_stack
 
 __all__ = [
     "ARCCOS_EXCESS_TOL",
     "DEGENERACY_RTOL",
-    "DegenerateParametersError",
     "EigenPair",
     "EigenSystem",
     "InternalConsistencyError",
@@ -67,7 +65,6 @@ __all__ = [
     "singlet_energy",
     "spectral_scale",
     "tilde_eigensystem",
-    "triplet_amplitudes",
     "triplet_energies",
 ]
 
@@ -81,12 +78,8 @@ _ROOT_SHIFTS = np.array([0.0, 2.0 * math.pi / 3.0, -2.0 * math.pi / 3.0])
 _TWO_PI = 2.0 * math.pi
 
 
-class DegenerateParametersError(ValueError):
-    """Closed-form branch does not apply at these parameters."""
-
-
-class InternalConsistencyError(RuntimeError):
-    """A quantity drifted further from its mathematical range than rounding allows."""
+class InternalConsistencyError(ArithmeticError, RuntimeError):
+    """A quantity drifted further from its mathematical range than rounding allows: a numeric failure."""
 
 
 def spectral_scale(omega0, gamma, J):
@@ -148,11 +141,8 @@ def _closed_form(omega0: np.ndarray, gamma: np.ndarray, J: np.ndarray) -> _Close
         if np.any(root == 0.0):
             raise ZeroDivisionError("float division by zero")
         arg = -q / root
-        beyond = np.abs(arg) > 1.0 + ARCCOS_EXCESS_TOL
-        if beyond.any():
-            raise InternalConsistencyError(
-                f"arccos argument {float(arg[beyond][0])!r} outside [-1, 1] beyond tolerance"
-            )
+        message = "arccos argument {!r} outside [-1, 1] beyond tolerance"
+        _refuse(np.abs(arg) > 1.0 + ARCCOS_EXCESS_TOL, arg, InternalConsistencyError, message)
         phi = _python(lambda a: math.acos(min(1.0, max(-1.0, a))), arg) / 3.0
         amp = np.sqrt(-p / 3.0)[:, None]
         energies = amp * _python(math.cos, phi[:, None] + _ROOT_SHIFTS) + (J / 6.0)[:, None]
@@ -180,17 +170,14 @@ def _point(*values) -> list[np.ndarray]:
     return [np.array([value], dtype=float) for value in values]
 
 
-def _finite_energies(energies: np.ndarray) -> np.ndarray:
-    """energies; the first entry that is not finite (4 omega0^2 or 4 gamma^2 overflowed) raises ArithmeticError."""
-    lost = energies[~np.isfinite(energies)]
-    if len(lost):
-        raise ArithmeticError(f"closed-form energy {float(lost[0])!r} is not finite")
-    return energies
+_LOST_ENERGY = "closed-form energy {!r} is not finite"  # once 4 omega0^2 or 4 gamma^2 overflows
 
 
 def triplet_energies(omega0: float, gamma: float, J: float) -> tuple[float, float, float]:
     """The three non-singlet energies, in the fixed label order (E1, E2, E3); a non-finite one raises."""
-    return tuple(_finite_energies(_closed_form(*_point(omega0, gamma, J)).energies)[0].tolist())
+    energies = _closed_form(*_point(omega0, gamma, J)).energies
+    _refuse(~np.isfinite(energies), energies, ArithmeticError, _LOST_ENERGY)
+    return tuple(energies[0].tolist())
 
 
 def _amplitudes(gamma, energies, d_plus, d_minus, theta):
@@ -204,27 +191,10 @@ def _amplitudes(gamma, energies, d_plus, d_minus, theta):
     if len(lost) and not np.isfinite(np.ravel(norm)[lost[0]]):
         d_plus, d_minus = (float(np.ravel(d)[lost[0]]) for d in (d_plus, d_minus))
         raise ArithmeticError(f"closed-form eigenvector is not finite (d+ = {d_plus!r}, d- = {d_minus!r})")
-    _finite_energies(energies)  # the entries before lost[0] are finite, so this names lost[0]
+    _refuse(~np.isfinite(energies), energies, ArithmeticError, _LOST_ENERGY)  # names lost[0]: those before are finite
     phase = np.exp(-1j * theta)
     one = np.ones_like(phase) / norm
     return (x0 * phase / norm, one, one, w0 * np.conj(phase) / norm)
-
-
-def triplet_amplitudes(omega0: float, gamma: float, J: float, n: int, theta=0.0):
-    """Normalized closed-form amplitudes (x, y, z, w) of triplet state n.
-
-    theta is the instantaneous field angle (omega1*t); it may be a numpy array,
-    in which case each returned amplitude has the same shape. Raises
-    DegenerateParametersError near eigenvector-formula degeneracies.
-    """
-    if n not in (1, 2, 3):
-        raise ValueError("triplet label must be 1, 2 or 3")
-    closed = _closed_form(*_point(omega0, gamma, J))
-    if closed.fallback[0, n - 1]:
-        threshold = DEGENERACY_RTOL * spectral_scale(omega0, gamma, J)
-        raise DegenerateParametersError(f"eigenvector denominator below {threshold:.1e} for label {n}")
-    parts = (part[0, n - 1] for part in (closed.energies, closed.d_plus, closed.d_minus))
-    return _amplitudes(gamma, *parts, np.asarray(theta, dtype=float))
 
 
 @dataclass(frozen=True)

@@ -2,6 +2,7 @@
 
 import json
 import math
+from collections import namedtuple
 from dataclasses import fields
 from itertools import permutations
 
@@ -12,11 +13,12 @@ from twospin import (
     PARAM_GROUPS,
     SpinParams,
     TwoSpinState,
+    eigensystem,
+    evolve_exact,
+    evolve_stepped,
     h_rotating_frame,
-    h_static,
     h_total,
     transverse_parts,
-    triplet_amplitudes,
 )
 from twospin.core import _check_stack, _equal_coupling_fields
 from twospin.phases import _berry_phases
@@ -110,19 +112,44 @@ def sorted_spectrum_oracle(matrix):
 
 
 def berry_line_integral(omega0, gamma, J, n, intervals=20000):
-    """Numeric loop integral i * closed-integral <xi|d xi/d theta> d theta.
+    """Numeric loop integral i * closed-integral <xi|d xi/d theta> d theta of triplet label n.
 
-    Amplitudes come from the closed-form eigenstate gauge at field angle theta;
-    the derivative is a periodic central difference and the quadrature is the
+    The amplitudes are the closed-form gauge at field angle theta, built here
+    from _closed_form's d+- (twice the label energy subtracted from +-2 omega0 + J):
+    x = -2 gamma e^{-i theta}/d+, y = z = 1, w = -2 gamma e^{i theta}/d-, then
+    normalized. Off the fallback mask only: there a d+- is near 0. The
+    derivative is a periodic central difference and the quadrature is the
     trapezoid rule on the closed uniform grid.
     """
+    closed = _closed_form(*(np.array([value], dtype=float) for value in (omega0, gamma, J)))
+    d_plus, d_minus = closed.d_plus[0, n - 1], closed.d_minus[0, n - 1]
     theta = np.linspace(0.0, TWO_PI, intervals, endpoint=False)
-    x, y, z, w = triplet_amplitudes(omega0, gamma, J, n, theta)
-    xi = np.vstack([x, y, z, w])
+    one = np.ones(intervals)
+    x, w = -2.0 * gamma * np.exp(-1j * theta) / d_plus, -2.0 * gamma * np.exp(1j * theta) / d_minus
+    xi = np.vstack([x, one, one, w])
+    xi /= np.linalg.norm(xi, axis=0)
     dtheta = TWO_PI / intervals
     dxi = (np.roll(xi, -1, axis=1) - np.roll(xi, 1, axis=1)) / (2.0 * dtheta)
     integrand = (1j * np.sum(xi.conj() * dxi, axis=0)).real
     return float(dtheta * integrand.sum())
+
+
+CycleRun = namedtuple("CycleRun", "final_state total_phase fidelity")
+
+
+def adiabatic_cycle(params, n, steps=None):
+    """Drive eigenpath n through one field period, from public calls: a CycleRun.
+
+    Starts in the t = 0 eigenstate, evolves for one period (exactly, or by RK4
+    when steps is given) and returns the final state with the argument and the
+    modulus of its overlap with the start. The modulus is the adiabaticity
+    diagnostic: it approaches 1 as omega1 -> 0.
+    """
+    start = eigensystem(params, 0.0).state(n)
+    tau = params.period
+    final = (evolve_exact(params, start, tau) if steps is None else evolve_stepped(params, start, tau, steps)).final_state
+    overlap = start.overlap(final)
+    return CycleRun(final, float(np.angle(overlap)), abs(overlap))
 
 
 def stepped_propagator_loop(params, t, steps):
@@ -248,7 +275,7 @@ def numeric_dynamical_phase(params, initial, t, steps):
     traj[0, :] *= np.exp(-1j * params.omega1 * times)
     traj[3, :] *= np.exp(1j * params.omega1 * times)
 
-    static = h_static(params).matrix
+    static = h_total(params.replace(gamma_a=0.0, gamma_b=0.0), 0.0).matrix
     cos_part, sin_part = transverse_parts(params)
 
     def quad_form(op):

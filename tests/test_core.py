@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from twospin import Operator4, SpinParams, TwoSpinState
-from twospin.core import _PAULI, _check_stack, _periods
+from twospin.core import _PAULI, _check_stack, _periods, _refuse
 
 
 def test_pauli_z_diagonals():
@@ -40,6 +40,16 @@ def test_basis_order_pinning():
     ud = TwoSpinState.basis_state("ud").amplitudes
     assert np.vdot(ud, _PAULI["a", "z"] @ ud).real == pytest.approx(1.0)
     assert np.vdot(ud, _PAULI["b", "z"] @ ud).real == pytest.approx(-1.0)
+
+
+def test_refuse_names_the_first_offender_in_row_major_order():
+    values = np.array([[1.0, 5.0, 2.0], [7.0, 0.5, 9.0]])
+    _refuse(values > 10.0, values, KeyError, "unused {!r}")
+    # Column-major order would name 7.0 first.
+    with pytest.raises(LookupError, match=r"^too large: 5\.0$"):
+        _refuse(values > 4.0, values, LookupError, "too large: {!r}")
+    with pytest.raises(ValueError, match=r"^at 9\.000e\+00$"):
+        _refuse(values == 9.0, values, ValueError, "at {:.3e}")
 
 
 class TestOperator4:
@@ -140,6 +150,16 @@ class TestTwoSpinState:
         assert s[1] == pytest.approx(1 / math.sqrt(2))
         assert s[2] == pytest.approx(-1 / math.sqrt(2))
         assert s.norm == pytest.approx(1.0, abs=1e-15)
+
+    @pytest.mark.parametrize("which", [-1, 4, 1.7, 1.0, True, np.float64(2.0), "UU", "singlet", None])
+    def test_basis_state_refuses_anything_but_a_label_or_an_index(self, which):
+        with pytest.raises(ValueError, match=r"^basis state must be one of \('uu', 'ud', 'du', 'dd'\) or an index 0-3"):
+            TwoSpinState.basis_state(which)
+
+    def test_basis_state_by_label_or_index(self):
+        for index, label in enumerate(("uu", "ud", "du", "dd")):
+            for which in (label, index, np.int64(index)):
+                assert TwoSpinState.basis_state(which).amplitudes.tolist() == np.eye(4)[index].tolist()
 
     def test_overlap(self):
         uu = TwoSpinState.basis_state(0)

@@ -12,7 +12,6 @@ from twospin import (
     TwoSpinState,
     aa_breakdown,
     aa_phase,
-    adiabatic_cycle,
     adiabatic_phases,
     evolve_exact,
     evolve_stepped,
@@ -25,6 +24,7 @@ from twospin.core import _columns
 from twospin.evolution import _SAMPLE_BLOCK, _check_steps, _stepped_propagators
 
 from support import (
+    adiabatic_cycle,
     check_steps_loop,
     circ_dist,
     flip_params,
@@ -400,8 +400,8 @@ class TestSteppedKernel:
             assert np.abs(matrix - stepped_propagator_stage_loop(point, time, steps)).max() <= 1e-12
 
     def test_every_sample_is_checked_as_hermitian(self, monkeypatch):
-        real = evolution.transverse_parts
-        monkeypatch.setattr(evolution, "transverse_parts", lambda fields: (real(fields)[0], 1j * real(fields)[1]))
+        real = hamiltonian.transverse_parts
+        monkeypatch.setattr(hamiltonian, "transverse_parts", lambda fields: (real(fields)[0], 1j * real(fields)[1]))
         with pytest.raises(ValueError, match="hermitian tag violated"):
             _stepped_propagators(_stack([P111]), np.array([1.0]), 4)
 

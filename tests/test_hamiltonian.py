@@ -8,7 +8,6 @@ from twospin import (
     TwoSpinState,
     frame_rotation,
     h_rotating_frame,
-    h_static,
     h_total,
 )
 from twospin.core import _columns
@@ -17,19 +16,22 @@ from twospin.hamiltonian import rotating_frame_stack
 from support import random_general, random_symmetric
 
 
+# The static part of H is h_total without transverse coupling (gamma = 0), at any time.
+
+
 def test_static_diagonal_values():
     p = SpinParams.symmetric(1.0, 0.0, 1.0)
-    assert np.allclose(h_static(p).matrix, np.diag([1.5, -0.5, -0.5, -0.5]))
+    assert np.allclose(h_total(p, 0.0).matrix, np.diag([1.5, -0.5, -0.5, -0.5]))
 
 
 def test_static_pure_ising():
     p = SpinParams.symmetric(0.0, 0.0, 2.0)
-    assert np.allclose(h_static(p).matrix, np.diag([1.0, -1.0, -1.0, 1.0]))
+    assert np.allclose(h_total(p, 0.0).matrix, np.diag([1.0, -1.0, -1.0, 1.0]))
 
 
 def test_static_all_zero():
     p = SpinParams.symmetric(0.0, 0.0, 0.0)
-    assert np.abs(h_static(p).matrix).max() == 0.0
+    assert np.abs(h_total(p, 0.0).matrix).max() == 0.0
 
 
 def test_total_at_time_zero_real_offdiagonals():
@@ -45,7 +47,7 @@ def test_total_at_time_zero_real_offdiagonals():
 def test_total_reduces_to_static_without_coupling():
     p = SpinParams.symmetric(1.1, 0.0, -0.3, 0.5)
     for t in (0.0, 0.7, 3.1):
-        assert np.allclose(h_total(p, t).matrix, h_static(p).matrix)
+        assert np.allclose(h_total(p, t).matrix, h_total(p, 0.0).matrix)
 
 
 def test_total_quarter_period_matrix_element():

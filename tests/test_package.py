@@ -8,6 +8,7 @@ here again through a child process.
 """
 
 import importlib
+import importlib.util
 import json
 import os
 import re
@@ -79,6 +80,22 @@ class TestLazyNamespace:
         code = re.search(r"```python\n(.*?)```", quick_start, re.S).group(1)
         assert "from twospin import" in code
         exec(compile(code, "README.md", "exec"), {})
+
+
+class TestBenchmarkTracer:
+    """bench/run.py --trace 1 resolves bench/tracing.TRACED by name, so a retired name would break it."""
+
+    def test_every_traced_name_resolves(self):
+        spec = importlib.util.spec_from_file_location("bench_tracing", os.path.join(ROOT, "bench", "tracing.py"))
+        tracing = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(tracing)
+        for module, names in tracing.TRACED.items():
+            submodule = importlib.import_module(f"twospin.{module}")
+            for name in names:
+                assert hasattr(submodule, name), f"twospin.{module}.{name}"
+                target = getattr(submodule, name)
+                # The tracer wraps a class's validation step.
+                assert not isinstance(target, type) or "__post_init__" in vars(target), f"twospin.{module}.{name}"
 
 
 # One golden per subcommand, and one JSON error exit.

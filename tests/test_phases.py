@@ -9,7 +9,6 @@ from twospin import (
     SpinParams,
     aa_breakdown,
     aa_phase,
-    adiabatic_cycle,
     adiabatic_phases,
     berry_phase,
     eigensystem,
@@ -22,7 +21,7 @@ from twospin import (
 from twospin.core import _columns
 from twospin.phases import _cycle_phases
 
-from support import berry_line_integral, circ_dist, numeric_dynamical_phase, random_symmetric
+from support import adiabatic_cycle, berry_line_integral, circ_dist, numeric_dynamical_phase, random_symmetric
 
 TWO_PI = 2.0 * math.pi
 
@@ -319,6 +318,22 @@ class TestLegacySingleSpin:
     def test_sigma_validation(self):
         with pytest.raises(ValueError):
             legacy_single_spin_phase(1.0, 1.0, 1.0, 0)
+
+    @pytest.mark.parametrize(
+        "args, error, message",
+        [
+            ((math.inf, 1.0, 1.0, 1), ValueError, "omega_b0 must be finite, got inf"),
+            ((math.nan, 1.0, 1.0, 1), ValueError, "omega_b0 must be finite, got nan"),
+            ((1.0, math.inf, 1.0, 1), ValueError, "gamma_b must be finite, got inf"),
+            ((1.0, 1.0, -math.inf, -1), ValueError, "J must be finite, got -inf"),
+            ((1e308, 1e308, 1e308, 1), OverflowError, "precession axis overflows the float range"),
+            ((1.7e308, 1.7e308, 0.0, 1), OverflowError, "precession axis overflows the float range"),
+        ],
+    )
+    def test_non_finite_field_and_overflowing_axis_refused(self, args, error, message):
+        # Each of these returned nan or -pi silently.
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            legacy_single_spin_phase(*args)
 
 
 def test_triplet_energy_shift_consistency():

@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from twospin import (
-    DegenerateParametersError,
     SpinParams,
     TwoSpinState,
     eigensystem,
@@ -17,13 +16,13 @@ from twospin import (
     h_total,
     singlet_energy,
     tilde_eigensystem,
-    triplet_amplitudes,
     triplet_energies,
 )
 from twospin.phases import _berry_phases
 from twospin.spectral import (
     ARCCOS_EXCESS_TOL,
     InternalConsistencyError,
+    _amplitudes,
     _closed_form,
     _eigenbases,
     spectral_scale,
@@ -55,8 +54,7 @@ class TestCubic:
         assert closed.energies.tolist() == [[0.0, 0.0, 0.0]]
         assert closed.fallback.all()
         assert triplet_energies(0.0, 0.0, 0.0) == (0.0, 0.0, 0.0)
-        with pytest.raises(DegenerateParametersError):
-            triplet_amplitudes(0.0, 0.0, 0.0, 1)
+        assert eigensystem(SpinParams.symmetric(0.0, 0.0, 0.0)).used_fallback
 
     def test_clamp_at_exact_boundary(self):
         # gamma = 0 puts the arccos argument at +-1 up to rounding
@@ -68,6 +66,10 @@ class TestCubic:
         assert abs(cubic_trisection(0.0, 0.0, 6e-54)[0]) > 1.0 + ARCCOS_EXCESS_TOL
         with pytest.raises(InternalConsistencyError, match="arccos argument -1.0000239017328967 outside"):
             _closed_form(*_column_point(0.0, 0.0, 6e-54))
+
+    def test_internal_consistency_error_is_a_numeric_failure_and_a_runtime_error(self):
+        assert issubclass(InternalConsistencyError, ArithmeticError)
+        assert issubclass(InternalConsistencyError, RuntimeError)
 
     def test_excess_within_tolerance_clamps(self):
         # the argument is -sign(J) * (1 + 1.2e-10); clamped, Phi is pi/3 (J > 0) or 0 (J < 0)
@@ -222,36 +224,24 @@ class TestEigensystem:
             system.state(5)
 
 
-class TestTripletAmplitudes:
+class TestClosedFormGauge:
     def test_gauge_real_positive_middle(self):
-        x, y, z, w = triplet_amplitudes(1.0, 1.0, 1.0, 1, 0.37)
-        assert y.imag == 0.0 and z.imag == 0.0 and y.real > 0.0
-        assert y == z
-
-    def test_vectorized_theta(self):
-        theta = np.linspace(0.0, 2.0 * math.pi, 7)
-        x, y, z, w = triplet_amplitudes(1.0, 1.0, 1.0, 2, theta)
-        assert x.shape == theta.shape and w.shape == theta.shape
-        norms = abs(x) ** 2 + abs(y) ** 2 + abs(z) ** 2 + abs(w) ** 2
-        assert np.abs(norms - 1.0).max() <= 1e-12
-
-    def test_degenerate_raises(self):
-        with pytest.raises(DegenerateParametersError):
-            triplet_amplitudes(1.0, 0.0, 1.0, 1)
-
-    def test_bad_label(self):
-        with pytest.raises(ValueError):
-            triplet_amplitudes(1.0, 1.0, 1.0, 4)
+        p = SpinParams.symmetric(1.0, 1.0, 1.0, 0.37)  # field angle 0.37 at t = 1
+        for n in (1, 2, 3):
+            x, y, z, w = eigensystem(p, 1.0).state(n).amplitudes
+            assert y.imag == 0.0 and z.imag == 0.0 and y.real > 0.0
+            assert y == z
 
     # 4 omega0^2 or 4 gamma^2 overflows to inf; d+- are infinite and the formula
     # would give the finite but meaningless state (0, 1, 1, 0)/sqrt(2).
     @pytest.mark.parametrize("omega0, gamma", [(1e154, 0.457), (1e200, 0.457), (0.7, -1e300)])
-    @pytest.mark.parametrize("n", [1, 2, 3])
-    def test_infinite_energy_raises(self, omega0, gamma, n):
-        energy = float(_closed_form(*(np.array([v]) for v in (omega0, gamma, 0.296))).energies[0, n - 1])
-        assert not math.isfinite(energy)
-        with pytest.raises(ArithmeticError, match=f"^closed-form energy {energy!r} is not finite$"):
-            triplet_amplitudes(omega0, gamma, 0.296, n)
+    def test_infinite_energy_raises(self, omega0, gamma):
+        energies = _closed_form(*(np.array([v]) for v in (omega0, gamma, 0.296))).energies[0]
+        energy = float(energies[~np.isfinite(energies)][0])  # the first in label order
+        for refused in (lambda: triplet_energies(omega0, gamma, 0.296),
+                        lambda: eigensystem(SpinParams.symmetric(omega0, gamma, 0.296), 0.0)):
+            with pytest.raises(ArithmeticError, match=f"^closed-form energy {energy!r} is not finite$"):
+                refused()
 
 
 class TestTilde:
@@ -422,14 +412,14 @@ class TestEigenbasesKernel:
             failure = outcome(kernel)
             assert failure == outcome(loop) and failure[0] is ArithmeticError
 
-    def test_triplet_amplitudes_equal_the_scalar_formula(self):
+    def test_amplitudes_equal_the_scalar_formula(self):
         theta = np.linspace(-7.0, 7.0, 29)
         for point in GRID:
             closed = _closed_form(*_column_point(point.omega0, point.gamma, point.J))
             for n in np.flatnonzero(~closed.fallback[0]).tolist():
                 parts = [float(part[0, n]) for part in (closed.energies, closed.d_plus, closed.d_minus)]
                 for angle in (theta, 0.0, 2.5):
-                    got = triplet_amplitudes(point.omega0, point.gamma, point.J, n + 1, angle)
+                    got = _amplitudes(point.gamma, *parts, np.asarray(angle, dtype=float))
                     assert all(map(same_bits, got, scalar_amplitudes(point.gamma, *parts, angle)))
 
     def test_fallback_berry_phases_equal_the_loop(self):
