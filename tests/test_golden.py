@@ -10,7 +10,8 @@ The sweep_*_signs cases cover both rotation senses and the gamma = 0
 fallback column; sweep_aa_resonant_csv crosses omega0 = omega1 in both
 senses, where the shifted detuning vanishes and the AA phase takes the
 fallback. The twocycle cases add omega1 lists in both rotation senses,
-exact and stepped, the gamma = 0 fallback with a backwards rotation, the AA
+exact and stepped, a single backwards rotation, exact and stepped, the
+gamma = 0 fallback with a backwards rotation, the AA
 scheme at omega1 < 0 and its refusal of RK4 steps, and a list that reaches
 omega1 = 0. Regenerate the files, when an output change is intended, with
 
@@ -78,6 +79,10 @@ CASES = {
         "twocycle", "--scheme", "adiabatic", "--omega1-sweep=-0.1,0.05", *P, "--steps", "300",
     ],
     "twocycle_adiabatic_no_field_csv": ["twocycle", "--scheme", "adiabatic", *NO_FIELD, "--omega1=-0.05"],
+    "twocycle_adiabatic_negative_csv": ["twocycle", "--scheme", "adiabatic", *P, "--omega1=-0.05"],
+    "twocycle_adiabatic_negative_stepped_json": [
+        "twocycle", "--scheme", "adiabatic", *P, "--omega1=-0.05", "--steps", "400", *JSON,
+    ],
     "twocycle_aa_negative_csv": ["twocycle", "--scheme", "aa", *P, "--omega1=-0.3"],
     **_both_formats(
         "sweep_spectrum",
