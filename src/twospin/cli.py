@@ -173,21 +173,14 @@ def _phase_rows(columns, shifted: bool):
 
 
 def _adiabatic_rows(columns, steps: int):
-    """Per t=0 eigenstate n: the phase of <n|U2 U1|n>, its target, their circular deviation, the
-    fidelity |<n|U2 U1|n>| and the distance of U2 U1 |n> from the ideal gate's output.
+    """Per t=0 eigenstate n, from one _adiabatic_two_cycles call: the phase of <n|U2 U1|n>, its target, their
+    circular deviation, the fidelity |<n|U2 U1|n>| and the distance of U2 U1 |n> from the ideal gate's output.
     """
-    bases, u_first, u_second, gates, targets = _adiabatic_two_cycles(columns, steps or None)
-    table = np.empty((len(bases), 4, 5))
-    # Per point: the table has few points, and no stacked form is known to match these products bit for bit
-    # (for omega1 < 0 the gate is a transposed view).
-    for starts, u1, u2, gate, rows in zip(bases.swapaxes(1, 2).copy(), u_first, u_second, gates, table):
-        for start, row in zip(starts, rows):
-            final = u2 @ (u1 @ start)
-            overlap = complex(np.vdot(start, final))
-            row[[0, 3, 4]] = np.angle(overlap), abs(overlap), np.linalg.norm(final - gate @ start)
-    table[..., 1] = targets
-    table[..., 2] = np.abs(_principal_values(table[..., 0] - targets))
-    return _numbered(table)
+    starts, targets, finals, _, deviations = _adiabatic_two_cycles(columns, steps_per_cycle=steps or None)
+    overlaps = (starts.conj().swapaxes(-1, -2) @ finals)[..., 0, 0]  # each equal to np.vdot(start, final)
+    phases, fidelities = np.angle(overlaps), np.hypot(overlaps.real, overlaps.imag)  # hypot: a complex's abs
+    table = [phases, targets, np.abs(_principal_values(phases - targets)), fidelities, deviations]
+    return _numbered(np.stack(table, axis=-1))
 
 
 def _aa_rows(columns):

@@ -61,6 +61,13 @@ def _checked_float(name: str, value) -> float:
     return value
 
 
+def _label(n) -> int:
+    """An eigenstate label: an int or NumPy integer, not a bool, in 1..4; anything else raises ValueError."""
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or not 1 <= n <= 4:
+        raise ValueError("label must be in 1..4")
+    return int(n)
+
+
 def _require_finite(arr: np.ndarray) -> None:
     if not np.all(np.isfinite(arr.real)) or not np.all(np.isfinite(arr.imag)):
         raise ValueError("non-finite entries are not admitted")

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import SpinParams, _checked_float, _columns, _equal_coupling_fields, _periods, _refuse
+from .core import SpinParams, _checked_float, _columns, _equal_coupling_fields, _label, _periods, _refuse
 from .spectral import _LOST_ENERGY, _closed_form, _eigenbases, _point, _power, _python, singlet_energy
 
 __all__ = [
@@ -106,8 +106,7 @@ def berry_phase(omega0: float, gamma: float, J: float, n: int) -> float:
     eigenvectors. This is the phase for the positive rotation sense; callers
     with a negative omega1 negate it. A non-finite energy raises ArithmeticError.
     """
-    if n not in (1, 2, 3, 4):
-        raise ValueError("label must be in 1..4")
+    n = _label(n)
     energies, berry = _berry_phases(*_point(omega0, gamma, J))
     _refuse(~np.isfinite(energies), energies, ArithmeticError, _LOST_ENERGY)
     return float(berry[0, n - 1])
@@ -143,8 +142,7 @@ def _cycle_phases(columns: dict[str, np.ndarray], shifted: bool):
 
 
 def _breakdown(params: SpinParams, n: int, shifted: bool) -> PhaseBreakdown:
-    if n not in (1, 2, 3, 4):
-        raise ValueError("label must be in 1..4")
+    n = _label(n)
     parts = np.array([part[0, n - 1] for part in _cycle_phases(_columns(params, 1), shifted)])
     _refuse(~np.isfinite(parts), parts, ArithmeticError, _LOST_PHASE)
     return PhaseBreakdown(n, *parts.tolist())

@@ -52,7 +52,7 @@ from itertools import permutations, repeat
 
 import numpy as np
 
-from .core import SpinParams, TwoSpinState, _check_stack, _columns, _equal_coupling_fields, _refuse
+from .core import SpinParams, TwoSpinState, _check_stack, _columns, _equal_coupling_fields, _label, _refuse
 from .hamiltonian import _total_stack, rotating_frame_stack
 
 __all__ = [
@@ -213,9 +213,7 @@ class EigenSystem:
     used_fallback: bool = False
 
     def pair(self, n: int) -> EigenPair:
-        if n not in (1, 2, 3, 4):
-            raise ValueError("label must be in 1..4")
-        return self.pairs[n - 1]
+        return self.pairs[_label(n) - 1]
 
     def energy(self, n: int) -> float:
         return self.pair(n).energy

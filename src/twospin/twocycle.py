@@ -14,8 +14,9 @@ functions _adiabatic_two_cycles and _aa_two_cycles take field columns of N
 points (see core._columns) and build the exact propagators of all N points
 with one stacked kernel call per cycle, or their RK4 propagators with one
 _check_steps and one kernel call over both cycles; the ideal gates come from one
-_eigenbases pass. run_*_two_cycle apply their N = 1 case to one state, so both
-give the same numbers bit for bit.
+_eigenbases pass; _adiabatic_two_cycles also applies both cycles and the gate to
+K start vectors per point. The CLI tables and run_*_two_cycle (N = 1, one
+state) call these kernels, so both give the same numbers bit for bit.
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ import numpy as np
 from .core import PARAM_GROUPS, Operator4, SpinParams, TwoSpinState, _check_stack, _columns, _periods
 from .core import _state_from_trusted
 from .evolution import _check_steps, _propagators, _stepped_propagators
-from .hamiltonian import rotating_frame_stack
 from .phases import _fallback_berry, _rotation_sense
 from .spectral import _eigenbases
 
@@ -94,22 +94,28 @@ def _cycle_propagators(columns: dict[str, np.ndarray], flips, steps_per_cycle: i
     periods = _periods(columns["omega1"])
     flipped = {**columns, **{field: -columns[field] for name in flips for field in PARAM_GROUPS[name]}}
     if steps_per_cycle is None:
-        return [_propagators(rotating_frame_stack(cycle), cycle["omega1"], periods) for cycle in (columns, flipped)]
+        return [_propagators(cycle, periods) for cycle in (columns, flipped)]
     stacked, times = {name: np.concatenate([columns[name], flipped[name]]) for name in columns}, np.tile(periods, 2)
     _check_steps(stacked, times, steps_per_cycle)
     return np.split(_stepped_propagators(stacked, times, steps_per_cycle), 2)
 
 
-def _adiabatic_two_cycles(columns: dict[str, np.ndarray], steps_per_cycle: int | None = None):
-    """The (N, 4, 4) t=0 eigenbases, cycle propagators U1 and U2 and ideal gates, and the (N, 4)
-    targets, twice the geometric phases, of the adiabatic protocol. Where omega1 < 0 the loop runs
-    backwards and every geometric phase changes sign, so the target is negated and the gate inverted.
+def _adiabatic_two_cycles(columns: dict[str, np.ndarray], starts=None, steps_per_cycle: int | None = None):
+    """The adiabatic protocol on (N, K, 4, 1) start vectors s, by default the t=0 eigenbases by label: the starts,
+    the (N, 4) targets 2 g_n, the outputs U2 U1 s and gate @ s and their (N, K) distances, each equal to its
+    per-point product or np.linalg.norm bit for bit. Where omega1 < 0 every g_n changes sign, so the gate inverts.
     """
     phases, bases, _, gates = _berry_gates(columns)
     u_first, u_second = _cycle_propagators(columns, ADIABATIC_FLIP_SET, steps_per_cycle)
     sense = _rotation_sense(columns["omega1"])
-    gates = [gate.conj().T if s < 0.0 else gate for gate, s in zip(gates, sense.tolist())]
-    return bases, u_first, u_second, gates, 2.0 * sense[:, None] * phases
+    if starts is None:
+        starts = bases.swapaxes(1, 2).copy()[..., None]
+    finals = u_second[:, None] @ (u_first[:, None] @ starts)
+    backwards = (sense < 0.0)[:, None, None, None]
+    ideals = np.where(backwards, gates.conj().swapaxes(-1, -2)[:, None] @ starts, gates[:, None] @ starts)
+    gaps = finals - ideals
+    squares = gaps.real.swapaxes(-1, -2) @ gaps.real + gaps.imag.swapaxes(-1, -2) @ gaps.imag
+    return starts, 2.0 * sense[:, None] * phases, finals, ideals, np.sqrt(squares[..., 0, 0])
 
 
 def _aa_two_cycles(columns: dict[str, np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
@@ -141,13 +147,12 @@ def run_adiabatic_two_cycle(
     (its inverse for omega1 < 0, where every geometric phase changes sign); it
     vanishes in the slow-rotation limit.
     """
-    _, (u_first,), (u_second,), (gate,), _ = _adiabatic_two_cycles(_columns(params, 1), steps_per_cycle)
+    start = initial.amplitudes.reshape(1, 1, 4, 1)
+    _, _, final, ideal, deviation = _adiabatic_two_cycles(_columns(params, 1), start, steps_per_cycle)
     # RK4 propagators are not exactly unitary, so their output skips the norm check.
     final_state = TwoSpinState if steps_per_cycle is None else _state_from_trusted
-    final = final_state(u_second @ (u_first @ initial.amplitudes))
-    ideal = TwoSpinState(gate @ initial.amplitudes)
-    deviation = float(np.linalg.norm(final.amplitudes - ideal.amplitudes))
-    return AdiabaticTwoCycleResult(final_state=final, ideal_state=ideal, deviation=deviation)
+    final, ideal = final_state(final[0, 0, :, 0]), TwoSpinState(ideal[0, 0, :, 0])
+    return AdiabaticTwoCycleResult(final_state=final, ideal_state=ideal, deviation=float(deviation[0, 0]))
 
 
 @dataclass(frozen=True)

@@ -21,8 +21,9 @@ from twospin import (
     transverse_parts,
 )
 from twospin.core import _check_stack, _equal_coupling_fields
-from twospin.phases import _berry_phases
+from twospin.phases import _berry_phases, _rotation_sense
 from twospin.spectral import _closed_form, _eigenbases
+from twospin.twocycle import ADIABATIC_FLIP_SET, _berry_gates, _cycle_propagators
 
 TWO_PI = 2.0 * math.pi
 
@@ -215,6 +216,38 @@ def berry_gates_two_pass(columns):
     computational = bases @ diagonal @ bases.conj().swapaxes(-1, -2)
     _check_stack(computational, "unitary")
     return phases, bases, diagonal, computational
+
+
+def adiabatic_two_cycles_loop(columns, starts=None, steps=None):
+    """The adiabatic two-cycle point by point and start by start, as the twocycle table once looped: the
+    oracle of twocycle._adiabatic_two_cycles. starts is (N, K, 4), by default the t=0 eigenbases by label;
+    returns the (N, 4) targets, the (N, K, 4) outputs u2 @ (u1 @ s) and gate @ s (the conj-transposed
+    gate for omega1 < 0), and the (N, K) overlaps np.vdot(s, final) and distances np.linalg.norm."""
+    phases, bases, _, gates = _berry_gates(columns)
+    u_first, u_second = _cycle_propagators(columns, ADIABATIC_FLIP_SET, steps)
+    sense = _rotation_sense(columns["omega1"])
+    starts = bases.swapaxes(1, 2).copy() if starts is None else starts
+    finals, ideals = np.empty(starts.shape, dtype=complex), np.empty(starts.shape, dtype=complex)
+    overlaps, distances = np.empty(starts.shape[:2], dtype=complex), np.empty(starts.shape[:2])
+    for i, (u1, u2, gate, s) in enumerate(zip(u_first, u_second, gates, sense.tolist())):
+        gate = gate.conj().T if s < 0.0 else gate
+        for k, start in enumerate(starts[i]):
+            final, ideal = u2 @ (u1 @ start), gate @ start
+            finals[i, k], ideals[i, k] = final, ideal
+            overlaps[i, k] = complex(np.vdot(start, final))
+            distances[i, k] = np.linalg.norm(final - ideal)
+    return 2.0 * sense[:, None] * phases, finals, ideals, overlaps, distances
+
+
+def adiabatic_rows_loop(columns, steps=None):
+    """The twocycle table of cli._adiabatic_rows, without its label column, one scalar row at a time."""
+    targets, _, _, overlaps, distances = adiabatic_two_cycles_loop(columns, steps=steps)
+    rows = np.empty(targets.shape + (5,))
+    for row, target, overlap, distance in zip(rows.reshape(-1, 5), targets.ravel(), overlaps.ravel(),
+                                              distances.ravel()):
+        phase = float(np.angle(overlap))
+        row[:] = phase, target, abs(wrap(phase - target)), abs(overlap), distance
+    return rows
 
 
 def cell(value) -> str:

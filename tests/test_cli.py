@@ -377,7 +377,7 @@ class TestTwocycleCommand:
             capsys,
         )
         assert code == 0
-        assert [len(h_rot) for h_rot, _, _ in calls] == [1, 1]
+        assert [len(columns["J"]) for columns, _ in calls] == [1, 1]
 
     def test_exact_omega1_list_builds_one_stack_per_cycle(self, capsys, monkeypatch):
         calls = self._count_calls(monkeypatch, twocycle, "_propagators")
@@ -386,7 +386,7 @@ class TestTwocycleCommand:
         )
         assert code == 0
         assert len(parse_csv(out)[1]) == 12
-        assert [len(h_rot) for h_rot, _, _ in calls] == [3, 3]
+        assert [len(columns["J"]) for columns, _ in calls] == [3, 3]
 
     @pytest.mark.parametrize(
         "values, code, message",
@@ -453,6 +453,20 @@ class TestTwocycleCommand:
         argv = ["twocycle", "--scheme", "adiabatic", "--omega1-sweep=0.4,0.01,0.3", "--steps", "200", *self.P]
         message = "step budget too small: need at least 1196 steps for t=628.3185307179587"
         assert run_main(argv, capsys) == (2, "", json.dumps({"error": message, "exit_code": 2}) + "\n")
+
+    # The step budget is a stability floor, not an accuracy bound: the fewest steps it admits (100 here)
+    # give a label-1 fidelity of 0.7449, where the exact propagators give 0.9980.
+    def test_the_step_budget_admits_an_inaccurate_run(self, capsys):
+        argv = ["twocycle", "--scheme", "adiabatic", "--omega0", "1", "--gamma", "0.5", "--J", "0.3", "--omega1", "0.1"]
+        error = json.dumps({"error": "step budget too small: need at least 100 steps for t=62.83185307179586",
+                            "exit_code": 2})
+        assert run_main(argv + ["--steps", "99"], capsys) == (2, "", error + "\n")
+        fidelities = {}
+        for steps in ("100", "0"):
+            code, out, _ = run_main(argv + ["--steps", steps], capsys)
+            assert code == 0
+            fidelities[steps] = round(float(parse_csv(out)[1][0][4]), 4)
+        assert fidelities == {"100": 0.7449, "0": 0.998}
 
     def test_aa_refuses_steps(self, capsys):
         argv = ["twocycle", "--scheme", "aa", "--omega1", "0.3", "--steps", "200", *self.P]
@@ -671,7 +685,7 @@ class TestBlockedSweep:
         n = cli.SWEEP_BLOCK + 1
         axes = [("J", list(np.linspace(-1.0, 1.0, n)))]
         columns, rows, _ = cli.cmd_sweep(axes, "twocycle-defect", self.UNEQUAL)
-        assert [len(h_rot) for h_rot, _, _ in calls] == [cli.SWEEP_BLOCK, cli.SWEEP_BLOCK, 1, 1]
+        assert [len(columns["J"]) for columns, _ in calls] == [cli.SWEEP_BLOCK, cli.SWEEP_BLOCK, 1, 1]
         assert columns == ["J", "identity_defect"] and len(rows) == n
         uu = TwoSpinState.basis_state("uu")
         for (J, defect), expected_J in zip(rows, axes[0][1]):
@@ -683,7 +697,7 @@ class TestBlockedSweep:
         base = SpinParams.symmetric(1.0, 0.8, 0.6, 0.3)
         values = [w1 * (-1) ** i for i, w1 in enumerate(np.linspace(0.05, 0.5, cli.SWEEP_BLOCK + 1).tolist())]
         columns, rows, _ = cli.cmd_twocycle(base, "adiabatic", 0, values)
-        assert [len(h_rot) for h_rot, _, _ in calls] == [cli.SWEEP_BLOCK, cli.SWEEP_BLOCK, 1, 1]
+        assert [len(columns["J"]) for columns, _ in calls] == [cli.SWEEP_BLOCK, cli.SWEEP_BLOCK, 1, 1]
         assert columns == ["omega1", "n", "phase", "target", "circular_deviation"]
         expected = [
             [w1, *row[:4]] for w1 in values for row in cli.cmd_twocycle(base.replace(omega1=w1), "adiabatic")[1]

@@ -286,6 +286,34 @@ class TestRotationSense:
             assert aa_phase(p, n) == sense * berry_phase(1.0 - omega1, 0.8, 0.6, n)
 
 
+_P_LABELS = SpinParams.symmetric(1.0, 0.8, 0.6, 0.3)
+_LABEL_CALLS = {
+    "berry_phase": lambda n: berry_phase(1.0, 1.0, 1.0, n),
+    "adiabatic_phases": lambda n: adiabatic_phases(_P_LABELS, n),
+    "aa_breakdown": lambda n: aa_breakdown(_P_LABELS, n),
+    "aa_phase": lambda n: aa_phase(_P_LABELS, n),
+    "EigenSystem.pair": lambda n: eigensystem(_P_LABELS).pair(n),
+    "EigenSystem.state": lambda n: eigensystem(_P_LABELS).state(n),
+}
+
+
+class TestLabelRule:
+    """Every call that takes an eigenstate label applies one rule: an int or NumPy integer, not a bool, in 1..4."""
+
+    @pytest.mark.parametrize("n", [0, 5, -1, 2.0, np.float64(3.0), True, False, "1", None])
+    @pytest.mark.parametrize("call", sorted(_LABEL_CALLS))
+    def test_anything_but_a_label_is_refused(self, call, n):
+        with pytest.raises(ValueError, match=r"^label must be in 1\.\.4$"):
+            _LABEL_CALLS[call](n)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_a_numpy_integer_is_the_label(self, n):
+        assert berry_phase(1.0, 1.0, 1.0, np.int64(n)) == berry_phase(1.0, 1.0, 1.0, n)
+        for breakdown in (adiabatic_phases(_P_LABELS, np.int32(n)), aa_breakdown(_P_LABELS, np.uint8(n))):
+            assert type(breakdown.label) is int and breakdown.label == n
+        assert eigensystem(_P_LABELS).pair(np.int64(n)).label == n
+
+
 class TestPrincipal:
     def test_wrap_branch(self):
         assert principal_value(math.pi) == pytest.approx(math.pi)

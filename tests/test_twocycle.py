@@ -20,12 +20,13 @@ from twospin import (
     triplet_energies,
 )
 from twospin import evolve_exact, evolve_stepped, exact_propagator, tilde_eigensystem
-from twospin import core, phases, spectral, twocycle
+from twospin import cli, core, phases, spectral, twocycle
 from twospin.evolution import _propagators
-from twospin.hamiltonian import rotating_frame_stack
-from twospin.twocycle import _aa_two_cycles, _berry_gates, _cycle_propagators
+from twospin.twocycle import _aa_two_cycles, _adiabatic_two_cycles, _berry_gates, _cycle_propagators
 
 from support import (
+    adiabatic_rows_loop,
+    adiabatic_two_cycles_loop,
     berry_gates_two_pass,
     check_steps_loop,
     circ_dist,
@@ -289,7 +290,7 @@ class TestStackedKernel:
 
     def test_propagators_match_exact_propagator(self):
         columns, times = self._columns()
-        stack = _propagators(rotating_frame_stack(columns), columns["omega1"], times)
+        stack = _propagators(columns, times)
         for point, t, u in zip(self._points(columns), times.tolist(), stack):
             assert np.array_equal(u, exact_propagator(point, t).matrix)
 
@@ -303,6 +304,66 @@ class TestStackedKernel:
             )
             assert np.array_equal(u, chain)
             assert defect == float(np.abs(chain - np.eye(4)).max())
+
+
+def _bits(values):
+    return np.ascontiguousarray(values).view(np.uint64)
+
+
+class TestAdiabaticKernel:
+    """_adiabatic_two_cycles, the CLI table and run_adiabatic_two_cycle equal the per-point loop of
+    support.adiabatic_two_cycles_loop bit for bit, exact and RK4, in both rotation senses."""
+
+    STEPS = [None, 300]
+
+    @staticmethod
+    def _columns(rng, sense, n=40):
+        """Equal-coupling columns, gamma = 0 (the fallback branch) at every 5th point; sense 0 mixes both."""
+        omega0, gamma, J = (rng.uniform(-1.0, 1.0, n) for _ in range(3))
+        gamma[::5] = 0.0
+        signs = rng.choice([-1.0, 1.0], n) if sense == 0.0 else np.full(n, sense)
+        return {"omega_a0": omega0, "omega_b0": omega0.copy(), "gamma_a": gamma, "gamma_b": gamma.copy(), "J": J,
+                "omega1": signs * rng.uniform(0.3, 1.0, n)}
+
+    @pytest.mark.parametrize("steps", STEPS)
+    @pytest.mark.parametrize("sense", [1.0, -1.0, 0.0])
+    @pytest.mark.parametrize("k", [None, 1, 4])
+    def test_kernel_equals_the_loop(self, k, sense, steps):
+        rng = np.random.default_rng([int(sense) + 1, k or 0, steps or 0])
+        columns = self._columns(rng, sense)
+        starts = None
+        if k is not None:
+            starts = rng.normal(size=(40, k, 4)) + 1j * rng.normal(size=(40, k, 4))
+            starts /= np.linalg.norm(starts, axis=-1, keepdims=True)
+        got_starts, *got = _adiabatic_two_cycles(columns, None if k is None else starts[..., None], steps)
+        targets, finals, ideals, _, distances = adiabatic_two_cycles_loop(columns, starts, steps)
+        bases = _berry_gates(columns)[1]
+        assert np.array_equal(_bits(got_starts[..., 0]), _bits(bases.swapaxes(1, 2) if k is None else starts))
+        expected = [targets, finals, ideals, distances]
+        for part, reference in zip([got[0], got[1][..., 0], got[2][..., 0], got[3]], expected):
+            assert np.array_equal(_bits(part), _bits(reference))
+
+    @pytest.mark.parametrize("steps", STEPS)
+    @pytest.mark.parametrize("sense", [1.0, -1.0, 0.0])
+    def test_table_equals_the_loop(self, sense, steps):
+        columns = self._columns(np.random.default_rng([int(sense) + 5, steps or 0]), sense)
+        table = cli._adiabatic_rows(columns, steps or 0)
+        assert np.array_equal(table[..., 0], np.broadcast_to(np.arange(1.0, 5.0), (40, 4)))
+        assert np.array_equal(_bits(table[..., 1:]), _bits(adiabatic_rows_loop(columns, steps)))
+
+    @pytest.mark.parametrize("steps", STEPS)
+    def test_run_is_the_one_start_case(self, steps):
+        rng = np.random.default_rng(steps or 1)
+        columns = self._columns(rng, 0.0, n=12)
+        for i in range(12):
+            point = {name: column[i : i + 1] for name, column in columns.items()}
+            params = SpinParams(*(float(column[0]) for column in point.values()))
+            state = random_state(rng)
+            result = run_adiabatic_two_cycle(params, state, steps)
+            _, finals, ideals, _, distances = adiabatic_two_cycles_loop(point, state.amplitudes[None, None], steps)
+            assert np.array_equal(_bits(result.final_state.amplitudes), _bits(finals[0, 0]))
+            assert np.array_equal(_bits(result.ideal_state.amplitudes), _bits(ideals[0, 0]))
+            assert np.array_equal(_bits(result.deviation), _bits(distances[0, 0]))
 
 
 def _fallback_heavy(rng, kind, sense, n=256):
