@@ -8,10 +8,11 @@ flag, pair flag, per-spin config key, pair config key, then 0.
 
 Output is CSV or JSON, rendered by _render from an (R, C) float table: one
 finiteness check (a non-finite value, printed or not, is a numeric failure),
-then one % operation per RENDER_CHUNK rows, in which each distinct float is
-formatted once: %.12e in CSV; in JSON, that text read back and written with
-%r, which _float_texts makes with %.13g (the same 13 digits) and with repr
-itself only from 1e12 on and below 1e-300, where the two forms can differ.
+then one NumPy text kernel per RENDER_CHUNK rows, which lays every cell out as
+bytes: %.12e in CSV; in JSON, that text read back and written as repr writes
+it. _decimal gives each float its 13 digits and exponent with array
+arithmetic; the few values too close to a rounding tie for that take the text
+Python writes, once per distinct value.
 
 Sweeps walk the grid in lexicographic order in blocks of SWEEP_BLOCK points,
 one kernel call per block: the closed-form kernel for spectrum, berry and aa
@@ -36,7 +37,7 @@ import math
 import re
 import sys
 from dataclasses import fields
-from itertools import combinations, islice, product
+from itertools import combinations
 
 import numpy as np
 
@@ -74,8 +75,8 @@ MAX_RK4_STEPS = 10_000_000
 # about 20 MB.
 SWEEP_BLOCK = 512
 
-# Table rows per % operation of _render. Rendering the benchmark's 79,524-row
-# aa JSON sweep in one piece raised its peak memory from 63 to 131 MB.
+# Table rows per call of _render's text kernel. Rendering the benchmark's
+# 79,524-row aa JSON sweep in one piece raised its peak memory from 69 to 147 MB.
 RENDER_CHUNK = 1024
 
 _NAMED_STATES = ("uu", "ud", "du", "dd", "singlet")
@@ -277,19 +278,20 @@ def _walk(axes, block_rows, base: SpinParams) -> np.ndarray:
     the first failing point in grid order raises its own error.
     """
     names = [name for name, _ in axes]
-    points = product(*(values for _, values in axes))
+    grids = np.meshgrid(*(np.array(values, dtype=float) for _, values in axes), indexing="ij")
+    points = np.column_stack([grid.ravel() for grid in grids])
     tables = []
-    while block := list(islice(points, SWEEP_BLOCK)):
-        axis_values = np.array(block, dtype=float)
+    for start in range(0, len(points), SWEEP_BLOCK):
+        block = points[start : start + SWEEP_BLOCK]
         block_columns = _columns(base, len(block))
-        for name, values in zip(names, axis_values.T.copy()):
+        for name, values in zip(names, block.T.copy()):
             block_columns.update(dict.fromkeys(PARAM_GROUPS[name], values))
         try:
             table = block_rows(block_columns)
         except (ArithmeticError, ValueError):
             singles = ({field: column[i : i + 1] for field, column in block_columns.items()} for i in range(len(block)))
             table = np.concatenate(list(map(block_rows, singles)))
-        tables.append(np.hstack([np.repeat(axis_values, table.shape[1], axis=0), table.reshape(-1, table.shape[2])]))
+        tables.append(np.hstack([np.repeat(block, table.shape[1], axis=0), table.reshape(-1, table.shape[2])]))
     return np.concatenate(tables)
 
 
@@ -303,46 +305,184 @@ def cmd_sweep(axes, quantity: str, base: SpinParams):
 # rendering
 
 
-# Row-format field of each column per format: n is an integer, component an
-# index into BASIS_LABELS (_CELLS makes their cells), any other column a float,
-# whose text _float_texts makes.
-_FIELDS = {"csv": {"n": "%d", "component": "%s"}, "json": {"n": "%d", "component": '"%s"'}}
-_CELLS = {"n": int, "component": lambda index: BASIS_LABELS[int(index)]}
+# The text kernel. Each cell of a RENDER_CHUNK-row chunk is _CELL ASCII bytes
+# (little-endian uint32 words): 20 of text, the longest being
+# -1.234567890123e-308, then 4 of separator, with 0 for "no byte"; one
+# bytes.translate per chunk drops the 0 bytes. A float's text is laid out from
+# its 13 significant digits M and decimal exponent k (_decimal): CSV writes
+# %.12e, JSON repr(float(%.12e)), that is M without trailing zeros, positional
+# for -4 <= k < 16 and d.ddde+XX elsewhere.
+
+_CELL = 24
+
+# "0000".."9999" as uint32 words, then the same without trailing zeros ("1200" as "12"), then without
+# leading zeros ("0012" as "12"); "0000" has no byte in either
+_QUADS = np.indices((10,) * 4, np.uint8).reshape(4, -1).T.copy()  # the digits of 0..9999
+_QUADS = np.concatenate([
+    _QUADS + np.uint8(48),
+    (_QUADS + np.uint8(48)) * ~np.logical_and.accumulate(_QUADS[:, ::-1] == 0, axis=1)[:, ::-1],
+    (_QUADS + np.uint8(48)) * ~np.logical_and.accumulate(_QUADS == 0, axis=1),
+]).view("<u4").ravel()
+# exponent k in [-330, 330] after the e: a sign, the hundreds digit or no byte, two digits ("+05" as "+", "", "05")
+_EXPONENTS = np.arange(-330, 331)
+_EXPONENTS = (np.where(_EXPONENTS < 0, 45, 43) + np.where(abs(_EXPONENTS) >= 100, (48 + abs(_EXPONENTS) // 100) << 8, 0)
+              + (_QUADS[abs(_EXPONENTS) % 100] & 0xFFFF0000)).astype("<u4")
+# 10**j for j in [-308, 308], correctly rounded
+_POWERS_OF_TEN = np.array([float(f"1e{j}") for j in range(-308, 309)])
+
+
+def _decimal(values: np.ndarray):
+    """(M, k, exact) per value x: |x| is M * 10**(k - 12) rounded to the 13 digits of %.12e; M = k = 0 at 0.
+
+    s = |x| * 10**(12 - k) for k = floor(log10|x|), with a correctly rounded power: two roundings, so s is
+    within 1e13 * 2**-52 < 0.00223 of the exact product. M = round(s) is then %.12e's digits wherever that
+    error cannot change them: 1e12 - 0.04 <= s < 1e13 (a log10 one too high leaves s just below 1e12, where
+    %.12e rounds up to 1.000000000000 at k) and s more than 0.0025 from a half-integer. M = 1e13 carries
+    into k. Below about 1e-296 (subnormals included) the power is out of range and s below 1e12. Where
+    exact is False, M < 1e13 and -330 <= k <= 330 still hold, but their text must come from elsewhere.
+    """
+    magnitude = np.abs(values)
+    nonzero = magnitude > 0.0
+    k = np.floor(np.log10(magnitude, out=np.zeros_like(magnitude), where=nonzero))
+    scaled = magnitude * _POWERS_OF_TEN[np.clip(320.0 - k, 0.0, 616.0).astype(np.intp)]
+    digits = np.rint(scaled)
+    exact = (scaled >= 1e12 - 0.04) & (scaled < 1e13) & (np.abs(scaled - digits) < 0.4975) | ~nonzero
+    carry = digits == 1e13
+    return (digits - 9e12 * carry).astype(np.int64), (k + carry).astype(np.int64), exact
+
+
+def _csv_text(negative, digits, k, out: np.ndarray) -> None:
+    """%.12e into out, (N, 20) bytes: one word each for "-d.d", the next 4 digits, the next 4, the last 3
+    and "e", and the exponent."""
+    words = out.view("<u4")
+    first = digits // 10**12
+    rest = digits - first * 10**12
+    second = rest // 10**11
+    rest -= second * 10**11
+    middle = rest // 10**7
+    rest -= middle * 10**7
+    quad = rest // 10**3
+    words[:, 0] = 0x302E3000 + 45 * negative + (first << 8) + (second << 24)
+    words[:, 1] = _QUADS[middle]
+    words[:, 2] = _QUADS[quad]
+    words[:, 3] = _QUADS[10 * (rest - quad * 10**3)] + 0x35000000  # the last "0" becomes "e"
+    words[:, 4] = _EXPONENTS[k + 330]
+
+
+def _json_text(negative, digits, k, out: np.ndarray) -> None:
+    """repr(float(%.12e)): M without trailing zeros, positional for -4 <= k < 16, else d.ddde+XX.
+
+    The cells are sorted by layout, one group per positional k and one for the rest, and each group is
+    written with static slices of the bytes "0000" M "0000": bare with M's trailing zeros as no byte, full
+    with them as "0".
+    """
+    head = digits // 10
+    high = head // 10**8
+    low = head - high * 10**8
+    middle = low // 10**4
+    low -= middle * 10**4
+    bare = np.zeros((len(digits), 6), "<u4")
+    bare[:, 0] = _QUADS[0]
+    bare[:, 4] = _QUADS[10_000 + 1000 * (digits - 10 * head)]  # the last digit, no byte if 0
+    trailing = bare[:, 4] == 0
+    for word, limb in ((3, low), (2, middle), (1, high)):
+        bare[:, word] = _QUADS[limb + 10_000 * trailing]
+        trailing &= limb == 0
+    key = np.where((k >= -4) & (k < 16), k + 4, 20).astype(np.uint8)
+    order = np.argsort(key, kind="stable")
+    bounds = [0, *np.cumsum(np.bincount(key, minlength=21)).tolist()]
+    bare = np.take(bare, order, axis=0)
+    bare, full = bare.view(np.uint8), (bare | _QUADS[0]).view(np.uint8)  # "0" | 0x30 is "0", a digit stays
+    text = np.zeros((len(digits), 20), np.uint8)
+    for group, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:])):
+        if lo == hi:
+            continue
+        cell, b, f = text[lo:hi], bare[lo:hi], full[lo:hi]
+        if group == 20:  # d.dddddddddddde+XX, the "." only before a digit
+            cell[:, 1] = f[:, 4]
+            cell[:, 2] = np.where(b[:, 5] != 0, 46, 0)
+            _copy(cell[:, 3:15], b[:, 5:17])
+            cell[:, 15] = 101
+            cell.view("<u4")[:, 4] = _EXPONENTS[k[order[lo:hi]] + 330]
+        else:  # the integer digits (one "0" before M, or "0"s after it), ".", the fraction (at least one digit)
+            power = group - 4
+            whole = max(power, 0) + 1
+            _copy(cell[:, 1 : 1 + whole], f[:, 5 + power - whole : 5 + power])
+            cell[:, 1 + whole] = 46
+            cell[:, 2 + whole] = f[:, 5 + power]
+            _copy(cell[:, 3 + whole : 14 + whole - power], b[:, 6 + power : 17])
+    out.view("V20")[order, 0] = text.view("V20")[:, 0]  # one 20-byte item per cell
+    out[:, 0] = 45 * negative
+
+
+def _copy(target: np.ndarray, source: np.ndarray) -> None:
+    """target[...] = source for (n, w) byte arrays with contiguous rows, as n items of w bytes each (NumPy
+    copies a 2-D byte array row by row, byte by byte)."""
+    if target.shape[1]:
+        target.view(f"V{target.shape[1]}")[...] = source.view(f"V{source.shape[1]}")
+
+
+def _float_text(fmt: str, values: np.ndarray, out: np.ndarray) -> None:
+    """Write each value's text into out, (N, 20) bytes with contiguous rows: CSV %.12e of value + 0.0, JSON
+    repr(float(%.12e)). A value _decimal leaves inexact gets the text Python writes, once per distinct value."""
+    digits, k, exact = _decimal(values)
+    (_csv_text if fmt == "csv" else _json_text)(values < 0.0, digits, k, out)
+    inexact = np.flatnonzero(~exact)
+    if len(inexact):
+        unique, inverse = np.unique(values[inexact], return_inverse=True)
+        texts = ["%.12e" % x if fmt == "csv" else repr(float("%.12e" % x)) for x in unique.tolist()]
+        out[inexact] = np.array(texts, dtype="S20").view(np.uint8).reshape(-1, 20)[inverse.reshape(-1)]
+
+
+def _integer_text(values: np.ndarray, out: np.ndarray) -> None:
+    """Write %d of int(value), |value| < 1e16, into out, (N, 20) bytes: a sign, then four words of four
+    digits, leading zeros as no byte."""
+    integers = values.astype(np.int64)
+    magnitude = np.abs(integers)
+    high = magnitude // 10**8
+    low = magnitude - high * 10**8
+    words = out.view("<u4")
+    words[:, 0] = 45 * (integers < 0)
+    leading = np.ones(len(values), bool)  # every limb so far is 0
+    for word, limb in enumerate((high // 10**4, high % 10**4, low // 10**4, low % 10**4), start=1):
+        words[:, word] = _QUADS[limb + 20_000 * leading]
+        leading &= limb == 0
+    words[:, 4] = np.where(leading, _QUADS[0] & 0xFF000000, words[:, 4])  # the value 0 is "0"
 
 
 def _float_texts(fmt: str, values: np.ndarray) -> list[str]:
-    """Each entry's text, row-major, of entry + 0.0 (never -0.0): CSV %.12e, JSON repr(float(%.12e text)).
+    """Each value's text, as _float_text writes it."""
+    cells = np.zeros((len(values), _CELL), np.uint8)
+    cells[:, 20] = ord("\n")
+    _float_text(fmt, values, cells[:, :20])
+    return cells.tobytes().translate(None, b"\0").decode("ascii").splitlines()
 
-    JSON uses %.13g: the same 13 digits, which from 1e-300 up are repr's shortest digits. %g drops the .0
-    of an integral value (added back) and turns to an exponent at 1e13 (repr at 1e16), so values from
-    1e12 on, which may round up to 1e13, and below 1e-300 take repr itself.
+
+def _table_text(fmt: str, columns, rows: np.ndarray, head: str = "", tail: str = "") -> str:
+    """head, the CSV lines or the comma-separated JSON arrays of a finite table, then tail.
+
+    The table is rendered RENDER_CHUNK rows at a time: every cell as a float, then the n cells as
+    integers and the component cells as the BASIS_LABELS they index.
     """
-    flat = (values + 0.0).ravel()
-    texts = ("\n".join(["%.12e" if fmt == "csv" else "%.13g"] * flat.size) % tuple(flat.tolist())).split("\n")
-    if fmt == "csv":
-        return texts
-    texts = [text if "." in text or "e" in text else text + ".0" for text in texts]
-    magnitude = np.abs(flat)
-    for i in np.flatnonzero((magnitude >= 1e12) | ((magnitude < 1e-300) & (magnitude > 0.0))).tolist():
-        texts[i] = repr(float("%.12e" % flat[i]))
-    return texts
-
-
-def _table_text(fmt: str, columns, rows: np.ndarray) -> str:
-    """The CSV lines or the comma-separated JSON arrays of a finite table, one % per RENDER_CHUNK rows."""
-    row = ",".join(_FIELDS[fmt].get(name, "%s") for name in columns)
-    row, separator = (row + "\n", "") if fmt == "csv" else ("[" + row + "]", ",")
-    exact = [(j, _CELLS[name]) for j, name in enumerate(columns) if name in _CELLS]
-    texts = []
+    labels = np.array([label if fmt == "csv" else f'"{label}"' for label in BASIS_LABELS], dtype="S20")
+    last = "\n" if fmt == "csv" else "],["  # JSON: each row's "]", and the "[" of the next
+    separators = np.array([","] * (len(columns) - 1) + [last], dtype="S4").view("<u4")
+    pieces = [head + ("[" if fmt == "json" and len(rows) else "")]
     for start in range(0, len(rows), RENDER_CHUNK):
         chunk = rows[start : start + RENDER_CHUNK]
-        # Each distinct value once: equal doubles have equal bits and text (0.0 and -0.0 print alike; no nan).
-        values, inverse = np.unique(chunk, return_inverse=True)  # inverse: flat in NumPy 1.x, chunk-shaped in 2.x
-        cells = np.array(_float_texts(fmt, values), dtype=object)[inverse.reshape(-1)].tolist()
-        for j, cell in exact:
-            cells[j :: len(columns)] = map(cell, chunk[:, j].tolist())
-        texts.append(separator.join([row] * len(chunk)) % tuple(cells))
-    return separator.join(texts)
+        cells = np.empty((len(chunk), len(columns), _CELL), np.uint8)
+        cells.view("<u4")[:, :, 5] = separators
+        _float_text(fmt, chunk.ravel(), cells.reshape(-1, _CELL)[:, :20])
+        for j, name in enumerate(columns):
+            if name == "n":
+                _integer_text(chunk[:, j], cells[:, j, :20])
+            elif name == "component":
+                cells[:, j, :20] = labels[chunk[:, j].astype(np.intp)].view(np.uint8).reshape(-1, 20)
+        pieces.append(cells.tobytes().translate(None, b"\0").decode("ascii"))
+    if fmt == "json" and len(rows):
+        pieces[-1] = pieces[-1][:-2]  # the last row's ",["
+    pieces.append(tail)
+    return "".join(pieces)
 
 
 def _render(fmt: str, command: str, params: SpinParams, columns, rows: np.ndarray, extras) -> str:
@@ -351,15 +491,14 @@ def _render(fmt: str, command: str, params: SpinParams, columns, rows: np.ndarra
     for values in (extra_values, rows) if fmt == "csv" else (rows, extra_values):  # CSV checks unprinted extras
         _refuse(~np.isfinite(values), values, ArithmeticError, "non-finite value {!r} in output")
     if fmt == "csv":
-        return ",".join(columns) + "\n" + _table_text(fmt, columns, rows)
-    table = _table_text(fmt, columns, rows)
+        return _table_text(fmt, columns, rows, ",".join(columns) + "\n")
     names = [f.name for f in fields(params)]
     texts = _float_texts(fmt, np.array([*(getattr(params, name) for name in names), *extra_values]))
     values = list(map(float, texts))  # json.dumps writes each one as its text
     document = {"schema_version": SCHEMA_VERSION, "command": command, "params": dict(zip(names, values)),
                 "columns": list(columns), "rows": None, **extras, **dict(zip(floats, values[len(names) :]))}
     head, _, tail = json.dumps(document, sort_keys=True, separators=(",", ":")).partition('"rows":null')
-    return f'{head}"rows":[{table}]{tail}\n'
+    return _table_text(fmt, columns, rows, head + '"rows":[', "]" + tail + "\n")
 
 
 def _error_object(code: int, message: str):

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import SpinParams, _checked_float, _columns, _equal_coupling_fields, _label, _periods, _refuse
-from .spectral import _LOST_ENERGY, _closed_form, _eigenbases, _point, _power, _python, singlet_energy
+from .spectral import _LOST_ENERGY, _closed_form, _eigenbases, _point, _power, singlet_energy
 
 __all__ = [
     "PhaseBreakdown",
@@ -55,7 +55,8 @@ _LOST_PHASE = "phase {!r} rad is not finite"
 def _principal_values(phases: np.ndarray) -> np.ndarray:
     """principal_value of every entry; the first non-finite one in row-major order raises."""
     _refuse(~np.isfinite(phases), phases, ArithmeticError, _LOST_PHASE)
-    r = _python(math.remainder, phases, _TWO_PI)
+    r = np.fmod(phases, _TWO_PI)  # then math.remainder's value, and -pi as +pi: both steps are exact (Sterbenz)
+    r = np.where(r > math.pi, r - _TWO_PI, r)
     return np.where(r <= -math.pi, r + _TWO_PI, r)
 
 

@@ -143,7 +143,8 @@ def _closed_form(omega0: np.ndarray, gamma: np.ndarray, J: np.ndarray) -> _Close
         arg = -q / root
         message = "arccos argument {!r} outside [-1, 1] beyond tolerance"
         _refuse(np.abs(arg) > 1.0 + ARCCOS_EXCESS_TOL, arg, InternalConsistencyError, message)
-        phi = _python(lambda a: math.acos(min(1.0, max(-1.0, a))), arg) / 3.0
+        clamped = np.where(arg > -1.0, arg, -1.0)  # max(-1.0, arg), NaN to -1.0, then min(1.0, ...)
+        phi = _python(math.acos, np.where(clamped < 1.0, clamped, 1.0)) / 3.0
         amp = np.sqrt(-p / 3.0)[:, None]
         energies = amp * _python(math.cos, phi[:, None] + _ROOT_SHIFTS) + (J / 6.0)[:, None]
         energies[zero] = 0.0

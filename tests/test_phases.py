@@ -19,9 +19,9 @@ from twospin import (
 )
 
 from twospin.core import _columns
-from twospin.phases import _cycle_phases
+from twospin.phases import _cycle_phases, _principal_values
 
-from support import adiabatic_cycle, berry_line_integral, circ_dist, numeric_dynamical_phase, random_symmetric
+from support import adiabatic_cycle, berry_line_integral, circ_dist, numeric_dynamical_phase, random_symmetric, wrap
 
 TWO_PI = 2.0 * math.pi
 
@@ -321,6 +321,18 @@ class TestPrincipal:
         assert principal_value(3.0 * math.pi) == pytest.approx(math.pi)
         assert principal_value(TWO_PI) == pytest.approx(0.0, abs=1e-15)
         assert principal_value(0.1 - TWO_PI) == pytest.approx(0.1, abs=1e-12)
+
+    def test_principal_values_equal_the_remainder_form_bit_for_bit(self):
+        """The branch cut and the ties: +-pi, odd multiples of pi and their neighbours, signed zeros, the
+        ends of the float range; the kernel's fmod form against math.remainder, value by value."""
+        odd = [(2 * j + 1) * math.pi for j in range(-60, 60)] + [(2 * j + 1) * TWO_PI / 2.0 for j in (10**6, 10**12)]
+        centres = [math.pi, -math.pi, TWO_PI, -TWO_PI, *odd, *(-x for x in odd)]
+        near = [math.nextafter(x, direction) for x in centres for direction in (-math.inf, math.inf)]
+        ends = [0.0, -0.0, 1e300, -1e300, 5e-324, -5e-324, 1.7976931348623157e308, -1.7976931348623157e308]
+        rng = np.random.default_rng(7)
+        values = np.array(centres + near + ends + list(rng.normal(size=200) * 10.0 ** rng.integers(-5, 20, 200)))
+        expected = np.array([wrap(value) for value in values.tolist()])
+        assert np.array_equal(_principal_values(values).view(np.uint64), expected.view(np.uint64))
 
     @pytest.mark.parametrize("phase", [math.inf, -math.inf, math.nan])
     def test_non_finite_phase_is_a_numeric_failure(self, phase):

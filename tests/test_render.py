@@ -1,10 +1,11 @@
 """The table renderer cli._render against its cell-by-cell oracle.
 
-cli._render formats a whole (R, C) float table, cli.RENDER_CHUNK rows per %
-operation, each distinct value of a chunk once. support.render_oracle passes
-every value once through the per-cell text form instead. The two must give the
-same bytes in CSV and JSON for any finite table, and refuse a non-finite one with the same error: the first
-non-finite value in row-major order, the extras first in CSV.
+cli._render lays a whole (R, C) float table out as bytes, cli.RENDER_CHUNK
+rows per text kernel call, and falls back to Python's text once per distinct
+value near a rounding tie. support.render_oracle passes every value once
+through the per-cell text form instead. The two must give the same bytes in
+CSV and JSON for any finite table, and refuse a non-finite one with the same
+error: the first non-finite value in row-major order, the extras first in CSV.
 """
 
 import json
@@ -22,10 +23,9 @@ from twospin import SpinParams, cli
 from support import render_oracle
 
 # Signed zeros, subnormals, the ends of the float range and values whose
-# %.12e text rounds up into the next decade; then the points where the JSON
-# text's %.13g and repr forms differ in form (integral values, exponent from
-# 1e13 in %g, from 1e16 in repr, fixed below 1e-4 in neither) and where it
-# switches to repr (1e12 and 1e-300).
+# %.12e text rounds up into the next decade; then the points where repr's form
+# changes (integral values, exponent from 1e16 and below 1e-4) and values around
+# 1e12, 1e13 and 1e-300.
 SPECIAL = [
     0.0, -0.0, 5e-324, -5e-324, 2.225073858507201e-308, 1e-310, 1e308, -1e308, 1.7976931348623157e308,
     -1.7976931348623157e308, 9.9999999999995e-1, -9.9999999999995e-1, 9.99999999999995e-1, 9.9999999999999e99,
@@ -48,7 +48,7 @@ EXTRAS = st.fixed_dictionaries(
 )
 
 
-# Keys that one chunk's dictionary may map wrongly: 0.0 and -0.0 are equal with
+# Values that a per-value shortcut may map wrongly: 0.0 and -0.0 are equal with
 # different bits and both print as 0.0; each other pair is two distinct doubles
 # with one %.12e text.
 PAIRS = [(0.0, -0.0)] + [
@@ -111,7 +111,7 @@ def test_renderer_matches_the_cell_oracle(case):
 @settings(deadline=None, max_examples=300)
 @given(cases(pooled=True))
 def test_repeated_values_match_the_cell_oracle(case):
-    """Each chunk formats its distinct values once; every cell must still get its own value's text."""
+    """Values repeat within and across chunks; every cell must still get its own value's text."""
     chunk, columns, table, extras = case
     with mock.patch.object(cli, "RENDER_CHUNK", chunk):
         for rendered, expected in both_formats(columns, table, extras):
@@ -150,7 +150,7 @@ def test_tables_around_the_chunk_size_match_the_cell_oracle(offset):
 @pytest.mark.parametrize("quantity", ["aa", "spectrum"])
 def test_real_sweep_over_a_symmetric_grid_matches_the_cell_oracle(quantity):
     """A 19 x 15 grid, 1,140 rows: J repeats over 60 rows, gamma every 4, and gamma and -gamma give the same
-    energies and phases, the repetition that rendering each distinct value once relies on."""
+    energies and phases, so values repeat, as in the benchmark's sweeps."""
     axes = cli._parse_axes(["J=-1.5:1.5:19", "gamma=-1.2:1.2:15"])
     columns, table, extras = cli.cmd_sweep(axes, quantity, SpinParams.symmetric(1.0, 0.0, 0.0, 0.15))
     assert len(table) > cli.RENDER_CHUNK
@@ -171,6 +171,42 @@ def test_json_text_over_random_bit_patterns_is_repr_of_the_csv_text():
     values = values[np.isfinite(values)]
     values = np.concatenate([values, -values])
     assert cli._float_texts("json", values) == [repr(float("%.12e" % x)) for x in values.tolist()]
+
+
+def test_csv_text_over_random_bit_patterns_is_percent_e():
+    """The CSV twin: 100,000 random doubles of every exponent, finite ones in both signs."""
+    bits = np.random.default_rng(13).integers(0, 2**64 - 1, size=100_000, dtype=np.uint64, endpoint=True)
+    values = bits.view(float)
+    values = values[np.isfinite(values)]
+    values = np.concatenate([values, -values])
+    assert cli._float_texts("csv", values) == ["%.12e" % (x + 0.0) for x in values.tolist()]
+
+
+def edge_values():
+    """Where the digit kernel's shortcut ends: near-ties (M + 1/2) * 10**(k - 12) and 10**k for k in
+    [-30, 30], each with the 3 doubles on either side; integral values up to 2**53; subnormals."""
+    rng = np.random.default_rng(20)
+    digits, powers = rng.integers(10**12, 10**13, 3000).tolist(), rng.integers(-30, 31, 3000).tolist()
+    ties = [float(f"{m}5e{k - 13}") for m, k in zip(digits, powers)]
+    centres = np.array(ties + [float(f"1e{k}") for k in range(-30, 31)])
+    around = [centres]
+    for direction in (-np.inf, np.inf):
+        step = centres
+        for _ in range(3):
+            step = np.nextafter(step, direction)
+            around.append(step)
+    integral = np.concatenate([2.0 ** np.arange(54), rng.integers(0, 2**53, 3000, endpoint=True).astype(float),
+                               np.float64(10.0) ** np.arange(16), 12345678901235.0 + np.arange(-3.0, 4.0)])
+    subnormal = rng.integers(1, 2**52, 3000, dtype=np.uint64).view(float)
+    values = np.concatenate([*around, integral, subnormal, [5e-324, 2.2250738585072009e-308]])
+    return np.concatenate([values, -values])
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_texts_at_the_edges_of_the_digit_kernel_are_python_s(fmt):
+    values = edge_values()
+    texts = ["%.12e" % x if fmt == "csv" else repr(float("%.12e" % x)) for x in values.tolist()]
+    assert cli._float_texts(fmt, values) == texts
 
 
 def test_component_indices_render_as_labels():
