@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import SpinParams, _checked_float, _columns, _equal_coupling_fields, _label, _periods, _refuse
-from .spectral import _LOST_ENERGY, _closed_form, _eigenbases, _point, _power, singlet_energy
+from .spectral import _LOST_ENERGY, _closed_form, _fallback_states, _point, _python, singlet_energy
 
 __all__ = [
     "PhaseBreakdown",
@@ -80,22 +80,24 @@ class PhaseBreakdown:
 
 
 def _fallback_berry(closed, fallback_bases: np.ndarray) -> np.ndarray:
-    """closed.berry with each fallback label set, in place, to 2*pi*(|x|^2 - |w|^2) of its t = 0 state."""
+    """closed.berry with each fallback label set, in place, to 2*pi*(|x|^2 - |w|^2) of its t = 0 state;
+    fallback_bases holds the (K, 4, 3 or 4) t = 0 bases of the fallback rows."""
     rows = closed.fallback.any(axis=1)
     x, w = (np.hypot(a.real, a.imag) for a in fallback_bases[:, [0, 3], :3].swapaxes(0, 1))
-    geometric = _TWO_PI * (_power(x, 2, "|x|") - _power(w, 2, "|w|"))  # the scalar abs and **
+    geometric = _TWO_PI * (_python(pow, x, 2) - _python(pow, w, 2))  # the scalar abs and **
     closed.berry[rows, :3] = np.where(closed.fallback[rows], geometric, closed.berry[rows, :3])
     return closed.berry
 
 
 def _berry_phases(omega0: np.ndarray, gamma: np.ndarray, J: np.ndarray):
-    """Triplet energies (N, 3) and positive-sense Berry phases (N, 4); fallback rows take one _eigenbases call."""
+    """Triplet energies (N, 3) and positive-sense Berry phases (N, 4) from one _closed_form call; fallback rows
+    take one _fallback_states call at t = 0."""
     closed = _closed_form(omega0, gamma, J)
     rows = closed.fallback.any(axis=1)
     if rows.any():
         o, g, zero = omega0[rows], gamma[rows], np.zeros(np.count_nonzero(rows))
         columns = {"omega_a0": o, "omega_b0": o, "gamma_a": g, "gamma_b": g, "J": J[rows], "omega1": zero}
-        _fallback_berry(closed, _eigenbases(columns)[1])
+        _fallback_berry(closed, _fallback_states(columns, closed.energies[rows], zero, rotating=False))
     return closed.energies, closed.berry
 
 

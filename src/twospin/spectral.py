@@ -7,7 +7,10 @@ root formula,
 
     p = -(4 J^2/3 + 4 omega0^2 + 4 gamma^2)
     q = 16 J^3/27 + (8 gamma^2 - 16 omega0^2) J / 3
-    Phi = arccos(-q / (2 sqrt(-(p/3)^3))) / 3
+    D = 4 (-p/3)^3 - q^2
+      = (64/27) [4 omega0^2 ((J - omega0)(J + omega0))^2 + gamma^2 (20 J^2 omega0^2 + 12 omega0^4)
+                 + gamma^4 (J^2 + 12 omega0^2) + 4 gamma^6]
+    Phi = atan2(sqrt(D), -q) / 3
     E_n = sqrt(-p/3) * cos(Phi + shift_n) + J/6,   E = (v + J/3)/2
 
 with shift_1 = 0, shift_2 = +2*pi/3, shift_3 = -2*pi/3. These labels are the
@@ -28,12 +31,16 @@ numerical diagonalization of the symmetric (triplet) sector, with labels
 re-attached by energy matching and the last of the largest-magnitude
 amplitudes (ties within 1e-12 relative) made real and positive.
 
-One kernel, _closed_form, evaluates the energies, denominators and Berry
-phases on (N,) columns of omega0, gamma and J; triplet_energies is its N = 1
-case. NumPy does the + - * / and sqrt, which IEEE 754 rounds exactly as float
-arithmetic does. acos, cos and the powers **2 and **3 go through Python
-floats: NumPy's versions differ from libm in the last bit on some arguments
-(x**2 on about 1 double in 1,200), and an overflowing power must raise.
+One kernel, _closed_form, evaluates the energies, amplitudes and Berry phases
+on (N,) columns of omega0, gamma and J; triplet_energies is its N = 1 case. D is
+a sum of non-negative terms, so no digits cancel near a level crossing, and
+atan2 has no domain to leave. Each point is solved on its parameters divided
+by the power of two of the largest one, so no power overflows and tiny
+parameters keep their digits; the energies are multiplied back, exactly, and
+the Berry phases and amplitude ratios are scale-free. NumPy does the + - * /
+and sqrt, which IEEE 754 rounds exactly as float arithmetic does; atan2 and
+cos go through Python floats, as NumPy's versions may differ from libm in the
+last bit (arctan2 on about 1 argument pair in 13).
 
 A second kernel, _eigenbases, builds the (N, 4, 4) eigenbases, labels in
 columns: the closed-form amplitudes as arrays; on the fallback mask one
@@ -48,7 +55,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import permutations, repeat
+from itertools import permutations
 
 import numpy as np
 
@@ -56,11 +63,9 @@ from .core import SpinParams, TwoSpinState, _check_stack, _columns, _equal_coupl
 from .hamiltonian import _total_stack, rotating_frame_stack
 
 __all__ = [
-    "ARCCOS_EXCESS_TOL",
     "DEGENERACY_RTOL",
     "EigenPair",
     "EigenSystem",
-    "InternalConsistencyError",
     "eigensystem",
     "singlet_energy",
     "spectral_scale",
@@ -71,15 +76,9 @@ __all__ = [
 # Relative threshold below which eigenvector-formula denominators are treated
 # as degenerate and the numerical fallback is used instead.
 DEGENERACY_RTOL = 1e-8
-# Allowed floating-point excess of the arccos argument beyond [-1, 1].
-ARCCOS_EXCESS_TOL = 1e-9
 
 _ROOT_SHIFTS = np.array([0.0, 2.0 * math.pi / 3.0, -2.0 * math.pi / 3.0])
 _TWO_PI = 2.0 * math.pi
-
-
-class InternalConsistencyError(ArithmeticError, RuntimeError):
-    """A quantity drifted further from its mathematical range than rounding allows: a numeric failure."""
 
 
 def spectral_scale(omega0, gamma, J):
@@ -91,87 +90,70 @@ def singlet_energy(J):
     return -J / 2.0
 
 
-def _python(function, values: np.ndarray, *args) -> np.ndarray:
-    """function(value, *args) for every entry of values, called on Python floats."""
-    calls = map(function, values.ravel().tolist(), *map(repeat, args))
-    return np.fromiter(calls, float, values.size).reshape(values.shape)
-
-
-def _power(values: np.ndarray, exponent: int, name: str) -> np.ndarray:
-    """values**exponent in Python floats; an OverflowError names the power and its first overflowing value."""
-    try:
-        return _python(pow, values, exponent)
-    except OverflowError:
-        for value in values.ravel().tolist():
-            try:
-                pow(value, exponent)
-            except OverflowError:
-                raise OverflowError(f"closed-form {name}**{exponent} overflows at {name} = {value!r}") from None
-        raise
+def _python(function, *arrays) -> np.ndarray:
+    """function at every entry of the broadcast arrays, called on Python floats."""
+    arrays = np.broadcast_arrays(*arrays)
+    calls = map(function, *(array.ravel().tolist() for array in arrays))
+    return np.fromiter(calls, float, arrays[0].size).reshape(arrays[0].shape)
 
 
 @dataclass(frozen=True)
 class _ClosedForm:
-    """Row i is point i, column k label k + 1. energies, d_plus, d_minus and the
-    fallback mask (min|d+-| < DEGENERACY_RTOL * scale) are (N, 3); berry holds
-    the (N, 4) positive-sense Berry phases, NaN on the mask, 0 for the singlet.
+    """Row i is point i, column k label k + 1. energies, the scale-free t = 0 amplitudes x = -2 gamma/d+ and
+    w = -2 gamma/d- (uu and dd, with ud = du = 1; meaningless on the mask) and the fallback mask
+    (min|d+-| < DEGENERACY_RTOL * scale) are (N, 3); berry holds the (N, 4) positive-sense Berry phases,
+    NaN on the mask, 0 for the singlet.
     """
 
     energies: np.ndarray
-    d_plus: np.ndarray
-    d_minus: np.ndarray
+    x: np.ndarray
+    w: np.ndarray
     fallback: np.ndarray
     berry: np.ndarray
 
 
 def _closed_form(omega0: np.ndarray, gamma: np.ndarray, J: np.ndarray) -> _ClosedForm:
-    """Energies, d+-, fallback mask and Berry phases (see phases) at (N,) columns of omega0, gamma, J.
+    """Energies, amplitudes, fallback mask and Berry phases (see phases) at (N,) columns of omega0, gamma, J.
 
-    p = 0 only at omega0 = gamma = J = 0, where the energies are 0. The arccos
-    argument is clamped to [-1, 1]; an excess beyond ARCCOS_EXCESS_TOL raises
-    InternalConsistencyError. Division by zero raises as in floats; an overflowing power
-    raises an OverflowError that names the power and its first overflowing value.
+    Each point is solved on its parameters divided by 2**k, k the frexp exponent of the largest finite one
+    (as TwoSpinState.normalized scales), and its energies are multiplied back. The scaling is exact, so at
+    ordinary parameters every value equals the unscaled computation's, bit for bit. Only an energy beyond
+    the float range is lost (it reads inf); non-finite parameters give non-finite energies, as in float
+    arithmetic. Nothing raises.
     """
+    magnitudes = np.abs([omega0, gamma, J])
+    exponent = np.frexp(np.where(np.isfinite(magnitudes), magnitudes, 0.0).max(axis=0))[1]
+    o, g, j = np.ldexp([omega0, gamma, J], -exponent)
     with np.errstate(all="ignore"):  # non-finite values pass through, as in float arithmetic
-        p = -(4.0 * J * J / 3.0 + 4.0 * omega0 * omega0 + 4.0 * gamma * gamma)
-        q = 16.0 / 27.0 * _power(J, 3, "J") + (8.0 * gamma * gamma - 16.0 * omega0 * omega0) * J / 3.0
-        zero = p == 0.0
-        p = np.where(zero, -3.0, p)  # any p < 0; the energies of these points are set to 0 below
-        root = 2.0 * np.sqrt(-_power(p / 3.0, 3, "(p/3)"))
-        if np.any(root == 0.0):
-            raise ZeroDivisionError("float division by zero")
-        arg = -q / root
-        message = "arccos argument {!r} outside [-1, 1] beyond tolerance"
-        _refuse(np.abs(arg) > 1.0 + ARCCOS_EXCESS_TOL, arg, InternalConsistencyError, message)
-        clamped = np.where(arg > -1.0, arg, -1.0)  # max(-1.0, arg), NaN to -1.0, then min(1.0, ...)
-        phi = _python(math.acos, np.where(clamped < 1.0, clamped, 1.0)) / 3.0
+        o2, g2, j2, crossing = o * o, g * g, j * j, (j - o) * (j + o)
+        p = -(4.0 * j2 / 3.0 + 4.0 * o2 + 4.0 * g2)
+        q = 16.0 / 27.0 * (j2 * j) + (8.0 * g2 - 16.0 * o2) * j / 3.0
+        terms = 4.0 * o2 * crossing * crossing + g2 * (20.0 * j2 * o2 + 12.0 * o2 * o2) + g2 * g2 * (j2 + 12.0 * o2)
+        discriminant = 64.0 / 27.0 * (terms + 4.0 * g2 * g2 * g2)
+        phi = _python(math.atan2, np.sqrt(discriminant), -q) / 3.0
         amp = np.sqrt(-p / 3.0)[:, None]
-        energies = amp * _python(math.cos, phi[:, None] + _ROOT_SHIFTS) + (J / 6.0)[:, None]
-        energies[zero] = 0.0
+        energies = amp * _python(math.cos, phi[:, None] + _ROOT_SHIFTS) + (j / 6.0)[:, None]
 
-        d_plus = (2.0 * omega0 + J)[:, None] - 2.0 * energies
-        d_minus = (-2.0 * omega0 + J)[:, None] - 2.0 * energies
-        threshold = DEGENERACY_RTOL * spectral_scale(omega0, gamma, J)
+        d_plus = (2.0 * o + j)[:, None] - 2.0 * energies
+        d_minus = (-2.0 * o + j)[:, None] - 2.0 * energies
+        threshold = np.ldexp(DEGENERACY_RTOL * spectral_scale(omega0, gamma, J), -exponent)
         fallback = np.minimum(np.abs(d_plus), np.abs(d_minus)) < threshold[:, None]
 
-        # Off the mask |d+-| >= 1e-8, and d+- is below about 1e53 (a cube above
-        # overflows for larger inputs) or not finite: no power raises and no
-        # divisor is 0.
-        coupling = (4.0 * gamma * gamma)[:, None]
-        norm_sq = 2.0 + coupling / _power(d_plus, 2, "d_plus") + coupling / _power(d_minus, 2, "d_minus")
-        big_d = 2.0 * energies - J[:, None]
-        d_product = big_d * big_d - (4.0 * omega0 * omega0)[:, None]
-        denominator = norm_sq * _power(d_product, 2, "d_product")
-        berry = (_TWO_PI * 32.0 * gamma * gamma * omega0)[:, None] * big_d / denominator
+        coupling = (4.0 * g2)[:, None]
+        norm_sq = 2.0 + coupling / (d_plus * d_plus) + coupling / (d_minus * d_minus)
+        big_d, d_product = 2.0 * energies - j[:, None], d_plus * d_minus
+        berry = (_TWO_PI * 32.0 * g * g * o)[:, None] * big_d / (norm_sq * d_product * d_product)
+        x, w = -2.0 * g[:, None] / d_plus, -2.0 * g[:, None] / d_minus
+        energies = np.ldexp(energies, exponent[:, None])
     berry[fallback] = np.nan
-    return _ClosedForm(energies, d_plus, d_minus, fallback, np.column_stack([berry, np.zeros(len(J))]))
+    return _ClosedForm(energies, x, w, fallback, np.column_stack([berry, np.zeros(len(J))]))
 
 
 def _point(*values) -> list[np.ndarray]:
     return [np.array([value], dtype=float) for value in values]
 
 
-_LOST_ENERGY = "closed-form energy {!r} is not finite"  # once 4 omega0^2 or 4 gamma^2 overflows
+_LOST_ENERGY = "closed-form energy {!r} is not finite"  # beyond the float range
 
 
 def triplet_energies(omega0: float, gamma: float, J: float) -> tuple[float, float, float]:
@@ -181,21 +163,13 @@ def triplet_energies(omega0: float, gamma: float, J: float) -> tuple[float, floa
     return tuple(energies[0].tolist())
 
 
-def _amplitudes(gamma, energies, d_plus, d_minus, theta):
-    """The closed-form amplitudes (x, y, z, w) on broadcast arrays. The first entry whose normalization (d+-
-    overflowed) or else energy is not finite raises."""
-    with np.errstate(all="ignore"):  # non-finite values are refused below
-        x0 = -2.0 * gamma / d_plus
-        w0 = -2.0 * gamma / d_minus
-        norm = np.sqrt(2.0 + x0 * x0 + w0 * w0)
-    lost = np.flatnonzero(~np.isfinite(norm) | ~np.isfinite(energies))
-    if len(lost) and not np.isfinite(np.ravel(norm)[lost[0]]):
-        d_plus, d_minus = (float(np.ravel(d)[lost[0]]) for d in (d_plus, d_minus))
-        raise ArithmeticError(f"closed-form eigenvector is not finite (d+ = {d_plus!r}, d- = {d_minus!r})")
-    _refuse(~np.isfinite(energies), energies, ArithmeticError, _LOST_ENERGY)  # names lost[0]: those before are finite
+def _amplitudes(x, w, energies, theta):
+    """The closed-form amplitudes (x, y, z, w) on broadcast arrays; the first non-finite energy raises."""
+    _refuse(~np.isfinite(energies), energies, ArithmeticError, _LOST_ENERGY)
+    norm = np.sqrt(2.0 + x * x + w * w)
     phase = np.exp(-1j * theta)
     one = np.ones_like(phase) / norm
-    return (x0 * phase / norm, one, one, w0 * np.conj(phase) / norm)
+    return (x * phase / norm, one, one, w * np.conj(phase) / norm)
 
 
 @dataclass(frozen=True)
@@ -256,14 +230,24 @@ def _sector_states(hamiltonians: np.ndarray, energies: np.ndarray) -> np.ndarray
     return states * (np.conj(pivot) / np.hypot(pivot.real, pivot.imag))
 
 
+def _fallback_states(columns: dict[str, np.ndarray], energies: np.ndarray, theta: np.ndarray, rotating: bool):
+    """(K, 4, 3) triplet states, label k + 1 in column k, of the K points of columns with (K, 3) label
+    energies: _sector_states of H at field angles theta, built with h_total's arithmetic, or (rotating) of
+    rotating_frame_stack (at exact resonance a degenerate eigenvector's sign depends on its last bits),
+    checked as Operator4.hermitian.
+    """
+    matrices = rotating_frame_stack(columns) if rotating else _total_stack(columns, theta)
+    _check_stack(matrices, "hermitian")
+    return _sector_states(matrices, energies).swapaxes(1, 2)
+
+
 def _eigenbases(columns: dict[str, np.ndarray], t: float = 0.0, rotating: bool = False):
     """The closed forms and (N, 4, 4) eigenbases, column k the state of label k + 1, of H(t) at the points
     of equal-coupling field columns, or (rotating) of the rotating-frame generator: H(0) with the static
     frequencies shifted by -omega1, whose closed form is that of H(0) at the shifted detuning.
 
-    Points with a label on the fallback mask take _sector_states of the matrix itself, built with h_total's
-    arithmetic or rotating_frame_stack (at exact resonance a degenerate eigenvector's sign depends on its
-    last bits) and checked as Operator4.hermitian. At N > 1 the error may come from any failing point.
+    Points with a label on the fallback mask take _fallback_states. At N > 1 the error may come from any
+    failing point.
     """
     (omega0, gamma, J), omega1 = _equal_coupling_fields(columns), columns["omega1"]
     with np.errstate(over="ignore"):  # as in float arithmetic
@@ -272,14 +256,11 @@ def _eigenbases(columns: dict[str, np.ndarray], t: float = 0.0, rotating: bool =
     fallback = closed.fallback.any(axis=1)
     bases = np.empty((len(theta), 4, 4), dtype=complex)
     bases[:, :, 3] = _SINGLET
-    parts = (part[~fallback] for part in (closed.energies, closed.d_plus, closed.d_minus))
-    amplitudes = _amplitudes(gamma[~fallback, None], *parts, theta[~fallback, None])
-    bases[~fallback, :, :3] = np.stack(np.broadcast_arrays(*amplitudes), axis=1)
+    parts = (part[~fallback] for part in (closed.x, closed.w, closed.energies))
+    bases[~fallback, :, :3] = np.stack(np.broadcast_arrays(*_amplitudes(*parts, theta[~fallback, None])), axis=1)
     if fallback.any():
         subset = {name: column[fallback] for name, column in columns.items()}
-        matrices = rotating_frame_stack(subset) if rotating else _total_stack(subset, theta[fallback])
-        _check_stack(matrices, "hermitian")
-        bases[fallback, :, :3] = _sector_states(matrices, closed.energies[fallback]).swapaxes(1, 2)
+        bases[fallback, :, :3] = _fallback_states(subset, closed.energies[fallback], theta[fallback], rotating)
     return closed, bases
 
 

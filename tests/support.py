@@ -69,42 +69,73 @@ def random_state(rng):
     return TwoSpinState.normalized(rng.normal(size=4) + 1j * rng.normal(size=4))
 
 
-def cubic_trisection(omega0, gamma, J):
-    """The arccos argument -q / (2 sqrt(-(p/3)^3)) and amplitude sqrt(-p/3) of the
-    trigonometric root in the spectral module docstring, in float arithmetic;
-    (0, 0) where p = 0."""
-    p = -(4.0 * J * J / 3.0 + 4.0 * omega0 * omega0 + 4.0 * gamma * gamma)
-    if p == 0.0:
-        return 0.0, 0.0
-    q = 16.0 / 27.0 * J**3 + (8.0 * gamma * gamma - 16.0 * omega0 * omega0) * J / 3.0
-    return -q / (2.0 * math.sqrt(-((p / 3.0) ** 3))), math.sqrt(-p / 3.0)
-
-
 def closed_form_reference(omega0, gamma, J):
     """The triplet energies and Berry phases of one point by the scalar formulas
-    of the spectral and phases docstrings, in float arithmetic.
+    of the spectral and phases docstrings, in float arithmetic, on the
+    parameters divided by the power of two of the largest one; the energies
+    are multiplied back.
 
     A Berry phase is None where min|d+-| < 1e-8 * scale (the fallback branch).
     """
-    arg, amp = cubic_trisection(omega0, gamma, J)
-    if amp == 0.0:
-        return (0.0, 0.0, 0.0), (None, None, None)
-    phi = math.acos(min(1.0, max(-1.0, arg))) / 3.0
-    energies = tuple(amp * math.cos(phi + s) + J / 6.0 for s in (0.0, 2.0 * math.pi / 3.0, -2.0 * math.pi / 3.0))
-    scale = max(abs(omega0), abs(gamma), abs(J), 1.0)
+    k = math.frexp(max(abs(omega0), abs(gamma), abs(J)))[1]
+    o, g, j = (math.ldexp(value, -k) for value in (omega0, gamma, J))
+    o2, g2, j2, crossing = o * o, g * g, j * j, (j - o) * (j + o)
+    p = -(4.0 * j2 / 3.0 + 4.0 * o2 + 4.0 * g2)
+    q = 16.0 / 27.0 * (j2 * j) + (8.0 * g2 - 16.0 * o2) * j / 3.0
+    terms = 4.0 * o2 * crossing * crossing + g2 * (20.0 * j2 * o2 + 12.0 * o2 * o2) + g2 * g2 * (j2 + 12.0 * o2)
+    discriminant = 64.0 / 27.0 * (terms + 4.0 * g2 * g2 * g2)
+    phi = math.atan2(math.sqrt(discriminant), -q) / 3.0
+    amp = math.sqrt(-p / 3.0)
+    energies = [amp * math.cos(phi + s) + j / 6.0 for s in (0.0, 2.0 * math.pi / 3.0, -2.0 * math.pi / 3.0)]
+    threshold = math.ldexp(1e-8 * max(abs(omega0), abs(gamma), abs(J), 1.0), -k)
     phases = []
     for energy in energies:
-        d_plus = 2.0 * omega0 + J - 2.0 * energy
-        d_minus = -2.0 * omega0 + J - 2.0 * energy
-        if min(abs(d_plus), abs(d_minus)) < 1e-8 * scale:
+        d_plus = 2.0 * o + j - 2.0 * energy
+        d_minus = -2.0 * o + j - 2.0 * energy
+        if min(abs(d_plus), abs(d_minus)) < threshold:
             phases.append(None)
             continue
-        norm_sq = 2.0 + 4.0 * gamma * gamma / d_plus**2 + 4.0 * gamma * gamma / d_minus**2
-        big_d = 2.0 * energy - J
-        phases.append(
-            TWO_PI * 32.0 * gamma * gamma * omega0 * big_d / (norm_sq * (big_d * big_d - 4.0 * omega0 * omega0) ** 2)
-        )
-    return energies, tuple(phases)
+        norm_sq = 2.0 + 4.0 * g2 / (d_plus * d_plus) + 4.0 * g2 / (d_minus * d_minus)
+        product = d_plus * d_minus
+        phases.append(TWO_PI * 32.0 * g * g * o * (2.0 * energy - j) / (norm_sq * product * product))
+    return tuple(math.ldexp(energy, k) for energy in energies), tuple(phases)
+
+
+_X = np.array([[0.0, 1.0], [1.0, 0.0]])
+_Z = np.diag([1.0, -1.0])
+_I2 = np.eye(2)
+
+
+def kron_hamiltonian(omega0, gamma, J):
+    """H(0) = (1/2)[omega0 (s_az + s_bz) + J s_az s_bz + gamma (s_ax + s_bx)], from Kronecker products."""
+    return 0.5 * (
+        omega0 * (np.kron(_Z, _I2) + np.kron(_I2, _Z))
+        + J * np.kron(_Z, _Z)
+        + gamma * (np.kron(_X, _I2) + np.kron(_I2, _X))
+    )
+
+
+def scaled_spectrum_oracle(omega0, gamma, J):
+    """Ascending eigenvalues of the Kronecker H(0) at the parameters divided by the power of two of the
+    largest one, multiplied back: direct diagonalization at any finite scale."""
+    k = math.frexp(max(abs(omega0), abs(gamma), abs(J)))[1]
+    scaled = (math.ldexp(value, -k) for value in (omega0, gamma, J))
+    return np.ldexp(np.linalg.eigvalsh(kron_hamiltonian(*scaled)), k)
+
+
+def triplet_block_oracle(omega0, gamma, J):
+    """Energies and positive-sense Berry phases 2 pi (|x|^2 - |w|^2) of labels 1, 2, 3 by eigh of the triplet
+    block [[omega0 + J/2, g, 0], [g, -J/2, g], [0, g, -omega0 + J/2]], g = gamma/sqrt2, in the basis
+    {uu, (ud + du)/sqrt2, dd}, at the parameters divided by the power of two of the largest one: label 1 is
+    the top energy, label 3 the middle one and label 2 the bottom one."""
+    k = math.frexp(max(abs(omega0), abs(gamma), abs(J)))[1]
+    o, g, j = (math.ldexp(value, -k) for value in (omega0, gamma, J))
+    coupling = g / math.sqrt(2.0)
+    block = np.array([[o + j / 2.0, coupling, 0.0], [coupling, -j / 2.0, coupling], [0.0, coupling, -o + j / 2.0]])
+    values, vectors = np.linalg.eigh(block)
+    ranks = [2, 0, 1]
+    berry = TWO_PI * (vectors[0, ranks] ** 2 - vectors[2, ranks] ** 2)
+    return np.ldexp(values[ranks], k), berry
 
 
 def sorted_spectrum_oracle(matrix):
@@ -116,17 +147,16 @@ def berry_line_integral(omega0, gamma, J, n, intervals=20000):
     """Numeric loop integral i * closed-integral <xi|d xi/d theta> d theta of triplet label n.
 
     The amplitudes are the closed-form gauge at field angle theta, built here
-    from _closed_form's d+- (twice the label energy subtracted from +-2 omega0 + J):
-    x = -2 gamma e^{-i theta}/d+, y = z = 1, w = -2 gamma e^{i theta}/d-, then
+    from _closed_form's t = 0 ratios x0 = -2 gamma/d+ and w0 = -2 gamma/d-:
+    x = x0 e^{-i theta}, y = z = 1, w = w0 e^{i theta}, then
     normalized. Off the fallback mask only: there a d+- is near 0. The
     derivative is a periodic central difference and the quadrature is the
     trapezoid rule on the closed uniform grid.
     """
     closed = _closed_form(*(np.array([value], dtype=float) for value in (omega0, gamma, J)))
-    d_plus, d_minus = closed.d_plus[0, n - 1], closed.d_minus[0, n - 1]
     theta = np.linspace(0.0, TWO_PI, intervals, endpoint=False)
     one = np.ones(intervals)
-    x, w = -2.0 * gamma * np.exp(-1j * theta) / d_plus, -2.0 * gamma * np.exp(1j * theta) / d_minus
+    x, w = closed.x[0, n - 1] * np.exp(-1j * theta), closed.w[0, n - 1] * np.exp(1j * theta)
     xi = np.vstack([x, one, one, w])
     xi /= np.linalg.norm(xi, axis=0)
     dtheta = TWO_PI / intervals
@@ -350,15 +380,11 @@ def _fallback_triplet_states(hamiltonian, labels_energies):
     return [_fix_phase(_SYM_PROJECTOR.conj().T @ vecs[:, best[i]]) for i in range(3)]
 
 
-def scalar_amplitudes(gamma, energy, d_plus, d_minus, theta):
+def scalar_amplitudes(x0, w0, energy, theta):
     """The closed-form amplitudes (x, y, z, w) of one label in Python floats."""
-    x0 = -2.0 * gamma / d_plus
-    w0 = -2.0 * gamma / d_minus
-    norm = math.sqrt(2.0 + x0 * x0 + w0 * w0)
-    if not math.isfinite(norm):
-        raise ArithmeticError(f"closed-form eigenvector is not finite (d+ = {d_plus!r}, d- = {d_minus!r})")
     if not math.isfinite(energy):
         raise ArithmeticError(f"closed-form energy {energy!r} is not finite")
+    norm = math.sqrt(2.0 + x0 * x0 + w0 * w0)
     phase = np.exp(-1j * np.asarray(theta, dtype=float))
     one = np.ones_like(phase) / norm
     return (x0 * phase / norm, one, one, w0 * np.conj(phase) / norm)
@@ -374,8 +400,8 @@ def eigenbasis_loop(omega0, gamma, J, theta, hamiltonian):
     if used_fallback:
         states = _fallback_triplet_states(hamiltonian(), energies)
     else:
-        labels = zip(energies, closed.d_plus[0].tolist(), closed.d_minus[0].tolist())
-        states = [np.array(scalar_amplitudes(gamma, *label, theta), dtype=complex) for label in labels]
+        labels = zip(closed.x[0].tolist(), closed.w[0].tolist(), energies)
+        states = [np.array(scalar_amplitudes(*label, theta), dtype=complex) for label in labels]
     states = [TwoSpinState(state).amplitudes for state in states] + [TwoSpinState.singlet().amplitudes]
     return np.column_stack(states), used_fallback
 

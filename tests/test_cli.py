@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import subprocess
 import sys
 import time
@@ -23,9 +24,13 @@ from twospin import (
     triplet_energies,
     twocycle,
 )
-from twospin.spectral import InternalConsistencyError
+from support import (
+    kron_hamiltonian,
+    scaled_spectrum_oracle,
+    triplet_block_oracle,
+)
 
-from support import closed_form_reference
+EPS = float(np.finfo(float).eps)
 
 
 def run_main(args, capsys):
@@ -477,9 +482,11 @@ class TestTwocycleCommand:
         "command",
         [["twocycle", "--scheme", "adiabatic"], ["twocycle", "--scheme", "aa"], ["evolve", "--initial", "eigen1"]],
     )
-    def test_overflowing_eigenvector_is_a_numeric_failure(self, capsys, command):
+    def test_overflowing_fallback_hamiltonian_is_a_numeric_failure(self, capsys, command):
+        # label 1 takes the fallback (gamma^2/omega0 is below 1e-8 of the scale); its H(0) entry
+        # (omega0 + omega0)/2 overflows. Once refused as a non-finite closed-form eigenvector.
         argv = [*command, "--omega0=1e308", "--gamma=0.457", "--J=0.296", "--omega1=0.6"]
-        message = "closed-form eigenvector is not finite (d+ = nan, d- = -inf)"
+        message = "a Hamiltonian entry overflows the float range"
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert run_main(argv, capsys) == (4, "", json.dumps({"error": message, "exit_code": 4}) + "\n")
@@ -489,9 +496,10 @@ class TestTwocycleCommand:
         "command", [["twocycle", "--scheme", "aa"], ["evolve", "--initial", "tilde1", "--time", "0"]]
     )
     def test_overflowing_rotating_frame_detuning_is_a_numeric_failure(self, capsys, command):
-        # omega0 - omega1 overflows to inf without a warning, as in float arithmetic
+        # omega0 - omega1 overflows to inf without a warning, as in float arithmetic, and the energies at an
+        # infinite detuning are nan. Once refused as a non-finite closed-form eigenvector.
         argv = [*command, "--omega0=1e308", "--gamma=0.3", "--omega1=-1e308"]
-        message = "closed-form eigenvector is not finite (d+ = nan, d- = -inf)"
+        message = "closed-form energy nan is not finite"
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert run_main(argv, capsys) == (4, "", json.dumps({"error": message, "exit_code": 4}) + "\n")
@@ -777,11 +785,11 @@ class TestClosedFormBlocks:
         ]
         assert _bits(rows) == _bits(expected)
 
-    # Exit codes and stderr bytes of the parent code, which evaluated one point
-    # at a time. Each grid fails first in its second block, at point 600 or
-    # later; the arccos, zero-division and period cases raise, inside one
-    # block, an error that is not the first one in grid order. The last three
-    # single points pin the refusal order: omega1 = 0 before unequal couplings.
+    # Exit codes and stderr bytes of the code that evaluated one point at a
+    # time. Each grid fails first in its second block, at point 600 or later;
+    # the period case raises, inside one block, an error that is not the first
+    # one in grid order. The last three single points pin the refusal order:
+    # omega1 = 0 before unequal couplings.
     @pytest.mark.parametrize(
         "quantity, argv, code, message",
         [
@@ -795,19 +803,9 @@ class TestClosedFormBlocks:
              "adiabatic phases need omega1 != 0 (no cycle defined)"),
             ("aa", "--axis omega1=-1:0:600 --omega0 1 --gamma 1 --J 0.5", 2,
              "cycling phases need omega1 != 0 (no cycle defined)"),
-            ("spectrum", "--axis J=0:1e200:2 --axis gamma=0:1:600 --omega0 1 --omega1 0.5", 4,
-             "closed-form J**3 overflows at J = 1e+200"),
-            ("berry", "--axis J=0:1e200:2 --axis gamma=0:1:600 --omega0 1 --omega1 0.5", 4,
-             "closed-form J**3 overflows at J = 1e+200"),
-            ("aa", "--axis J=0:1e200:2 --axis gamma=0:1:600 --omega0 1 --omega1 0.5", 4,
-             "closed-form J**3 overflows at J = 1e+200"),
-            ("spectrum", "--axis omega0=-1:1e-110:2 --axis gamma=0:1e-110:600 --J 0", 4,
-             "float division by zero"),
-            ("berry", "--axis omega0=-1:1e-110:2 --axis gamma=0:1e-110:600 --J 0 --omega1 0.5", 4,
-             "float division by zero"),
-            ("spectrum", "--axis omega0=-1:0:2 --axis J=-1:6e-54:300", 4,
-             "arccos argument -1.0000239017328967 outside [-1, 1] beyond tolerance"),
-            # point 600 has a period that overflows; point 900 fails the arccos check
+            ("spectrum", "--axis omega0=0:1.5e308:2 --axis J=0:1e308:600 --gamma 0", 4,
+             "non-finite value inf in output"),
+            # point 600 has a period that overflows
             ("aa", "--axis omega1=-2:5e-324:2 --axis omega0=-1:5e-324:2 --axis J=6e-54:1:300", 2,
              "omega1 = 5e-324 is too small: the period 2*pi/|omega1| is not finite"),
             ("spectrum", "--axis omega1=0:0:1 --omega-a0 1 --omega-b0 2", 2,
@@ -825,6 +823,44 @@ class TestClosedFormBlocks:
                 code, "", json.dumps({"error": message, "exit_code": code}) + "\n"
             )
 
+
+    # Grids once refused as an overflowing J**3, a division by zero or an arccos argument beyond tolerance.
+    # Every point is now computed: its energies equal the scaled diagonalization's, and its geometric phases
+    # the triplet block's wherever the block's energies are distinct in floats (at J = 1e200 the levels
+    # J/2 +- omega0 are equal).
+    @pytest.mark.parametrize(
+        "quantity, argv",
+        [
+            ("spectrum", "--axis J=0:1e200:2 --axis gamma=0:1:600 --omega0 1 --omega1 0.5"),
+            ("berry", "--axis J=0:1e200:2 --axis gamma=0:1:600 --omega0 1 --omega1 0.5"),
+            ("aa", "--axis J=0:1e200:2 --axis gamma=0:1:600 --omega0 1 --omega1 0.5"),
+            ("spectrum", "--axis omega0=-1:1e-110:2 --axis gamma=0:1e-110:600 --J 0"),
+            ("berry", "--axis omega0=-1:1e-110:2 --axis gamma=0:1e-110:600 --J 0 --omega1 0.5"),
+            ("spectrum", "--axis omega0=-1:0:2 --axis J=-1:6e-54:300"),
+        ],
+    )
+    def test_once_refused_grids_match_the_oracles(self, capsys, quantity, argv):
+        argv = ["sweep", "--quantity", quantity, *argv.split()]
+        code, out, err = run_main(argv, capsys)
+        assert (code, err) == (0, "")
+        args = cli._build_parser().parse_args(argv)
+        base, axes = cli._resolve_params(args, {}), cli._parse_axes(args.axis)
+        columns, rows, _ = cli.cmd_sweep(axes, quantity, base)
+        assert len(out.splitlines()) == 1 + len(rows)
+        fields = [name for name, _ in axes]
+        for point in rows.reshape(-1, 4, len(columns)):
+            p = base.replace(**{f: v for name, v in zip(fields, point[0]) for f in PARAM_GROUPS[name]})
+            if quantity == "spectrum":
+                scale = max(abs(p.omega0), abs(p.gamma), abs(p.J))
+                error = np.abs(np.sort(point[:, -1]) - scaled_spectrum_oracle(p.omega0, p.gamma, p.J)).max()
+                assert error <= 16.0 * EPS * scale + math.ulp(0.0)
+                continue
+            detuning = p.omega0 - p.omega1 if quantity == "aa" else p.omega0
+            energies, berry = triplet_block_oracle(detuning, p.gamma, p.J)
+            geometric = point[:, columns.index("geometric_raw")]
+            assert geometric[3] == 0.0 and np.abs(geometric).max() <= 2.0 * math.pi
+            if len(set(energies.tolist())) == 3:
+                assert np.abs(geometric[:3] - np.sign(p.omega1) * berry).max() <= 1e-12
 
 class TestPeriodOverflow:
     """An omega1 whose period 2*pi/|omega1| overflows is a parameter error (exit 2)."""
@@ -1094,24 +1130,35 @@ class TestNumericGuard:
         assert json.loads(err)["exit_code"] == 4
 
     def test_overflow_exits_4(self, capsys):
-        code, out, err = run_main(["spectrum", "--J", "1e200"], capsys)
-        assert code == 4
-        assert out == ""
-        assert json.loads(err)["exit_code"] == 4
+        # E1 = omega0 + J/2 = 2e308; spectrum --J 1e200, once refused here, now prints +-J/2.
+        code, out, err = run_main(["spectrum", "--omega0", "1.5e308", "--gamma", "0", "--J", "1e308"], capsys)
+        assert (code, out) == (4, "")
+        assert json.loads(err) == {"error": "non-finite value inf in output", "exit_code": 4}
 
+    # Once refused as an overflowing J**3 or (p/3)**3: each row's energy now matches the scaled
+    # diagonalization, through the dynamical phase -E * tau where the command prints phases.
     @pytest.mark.parametrize(
-        "argv, message",
+        "argv, omega0, gamma, couplings, omega1",
         [
-            ("phases --omega0 0.8619 --gamma -1.2554 --J -1e200 --omega1 0.1",
-             "closed-form J**3 overflows at J = -1e+200"),
-            ("sweep --quantity berry --axis J=-1e200:1e200:5 --omega0 1 --gamma 1 --omega1 0.1",
-             "closed-form J**3 overflows at J = -1e+200"),
-            ("spectrum --omega0 1e60 --gamma 1 --J 1",
-             "closed-form (p/3)**3 overflows at (p/3) = -1.333333333333333e+120"),
+            ("phases --omega0 0.8619 --gamma -1.2554 --J -1e200 --omega1 0.1", 0.8619, -1.2554, [-1e200], 0.1),
+            ("sweep --quantity berry --axis J=-1e200:1e200:5 --omega0 1 --gamma 1 --omega1 0.1", 1.0, 1.0,
+             np.linspace(-1e200, 1e200, 5).tolist(), 0.1),
+            ("spectrum --omega0 1e60 --gamma 1 --J 1", 1e60, 1.0, [1.0], None),
         ],
     )
-    def test_overflowing_power_is_named(self, capsys, argv, message):
-        assert run_main(argv.split(), capsys) == (4, "", json.dumps({"error": message, "exit_code": 4}) + "\n")
+    def test_once_overflowing_powers_are_computed(self, capsys, argv, omega0, gamma, couplings, omega1):
+        code, out, err = run_main(argv.split(), capsys)
+        assert (code, err) == (0, "")
+        header, rows = parse_csv(out)
+        for k, J in enumerate(couplings):
+            block = np.array(rows[4 * k : 4 * k + 4], dtype=float)
+            if omega1 is None:
+                energies = block[:, -1]
+            else:
+                energies = -block[:, header.index("dynamical_raw")] * abs(omega1) / (2.0 * math.pi)
+            scale = max(abs(omega0), abs(gamma), abs(J))
+            error = np.abs(np.sort(energies) - scaled_spectrum_oracle(omega0, gamma, J)).max()
+            assert error <= 16.0 * EPS * scale + 1e-12 * np.abs(energies).max()
 
     # Entries beyond the float range are a numeric failure: exit 4, one JSON
     # line and no NumPy warning, as for the overflowing cube of spectrum --J 1e200.
@@ -1160,7 +1207,10 @@ class TestNumericGuard:
 
     @pytest.mark.parametrize(
         "failure",
-        [np.linalg.LinAlgError("Eigenvalues did not converge"), InternalConsistencyError("arccos argument")],
+        [
+            np.linalg.LinAlgError("Eigenvalues did not converge"),
+            ArithmeticError("closed-form energy inf is not finite"),
+        ],
     )
     def test_numeric_exceptions_exit_4(self, capsys, monkeypatch, failure):
         def fail(*args):
@@ -1174,39 +1224,104 @@ class TestNumericGuard:
 
 
 class TestInfiniteEnergies:
-    """Between about 1e154 and 1e308, 4 omega0^2 or 4 gamma^2 overflows to inf without raising; the
-    closed-form energies are then infinite and no eigenstate may be built from them."""
+    """Between about 1e154 and 1e308, 4 omega0^2 or 4 gamma^2 once overflowed to inf, and these commands
+    refused the infinite closed-form energies. The closed form now scales its parameters: the eigenstates
+    and energies are computed, the two-cycles refuse their propagator's phase, and only an energy beyond
+    the float range is refused."""
 
     OMEGA1, J = 0.6, 0.296
-    # (argv, whether the eigensystem is the rotating-frame one at omega0 - omega1)
-    COMMANDS = [
-        (["evolve", "--initial", "eigen1", "--time", "0"], False),
-        (["evolve", "--initial", "tilde2", "--time", "0"], True),
-        (["twocycle", "--scheme", "adiabatic"], False),
-        (["twocycle", "--scheme", "aa"], True),
-    ]
+    EVOLVE = [(["evolve", "--initial", "eigen1", "--time", "0"], False, 1),
+              (["evolve", "--initial", "tilde2", "--time", "0"], True, 2)]
+    TWOCYCLE = [["twocycle", "--scheme", "adiabatic"], ["twocycle", "--scheme", "aa"]]
+
+    def _argv(self, command, field, value):
+        point = {"omega0": 0.7, "gamma": 0.457, field: value}
+        return point, [*command, f"--omega0={point['omega0']}", f"--gamma={point['gamma']}", f"--J={self.J}",
+                       f"--omega1={self.OMEGA1}", "--format", "json"]
 
     @pytest.mark.parametrize("field", ["omega0", "gamma"])
     @pytest.mark.parametrize("value", [1e154, 1e200, 1e300])
-    @pytest.mark.parametrize("command, shifted", COMMANDS)
-    def test_refused_before_any_eigenstate(self, capsys, command, shifted, field, value):
-        point = {"omega0": 0.7, "gamma": 0.457, field: value}
-        detuning = point["omega0"] - self.OMEGA1 if shifted else point["omega0"]
-        energy = closed_form_reference(detuning, point["gamma"], self.J)[0][0]
-        assert not math.isfinite(energy)  # the scalar formulas overflow here too
-        argv = [*command, f"--omega0={point['omega0']}", f"--gamma={point['gamma']}", f"--J={self.J}",
-                f"--omega1={self.OMEGA1}"]
-        message = f"closed-form energy {energy!r} is not finite"
+    @pytest.mark.parametrize("command, shifted, n", EVOLVE)
+    def test_eigenstates_match_the_scaled_diagonalization(self, capsys, command, shifted, n, field, value):
+        point, argv = self._argv(command, field, value)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert run_main(argv, capsys) == (4, "", json.dumps({"error": message, "exit_code": 4}) + "\n")
+            code, out, err = run_main(argv, capsys)
+        assert (code, err) == (0, "")
+        state = np.array([complex(re, im) for _, re, im, _ in json.loads(out)["rows"]])
+        detuning = point["omega0"] - self.OMEGA1 if shifted else point["omega0"]
+        k = math.frexp(max(abs(detuning), abs(point["gamma"])))[1]
+        scaled = (math.ldexp(v, -k) for v in (detuning, point["gamma"], self.J))
+        vectors = np.linalg.eigh(kron_hamiltonian(*scaled))[1]
+        rank = 3 if n == 1 else 0  # label 1 is the top energy, label 2 the bottom one
+        assert abs(np.vdot(vectors[:, rank], state)) == pytest.approx(1.0, abs=1e-12)
 
     @pytest.mark.parametrize("field", ["omega0", "gamma"])
     @pytest.mark.parametrize("value", [1e154, 1e200, 1e300])
-    def test_spectrum_still_exits_4(self, capsys, field, value):
-        argv = ["spectrum", f"--{field}={value}", f"--J={self.J}"]
-        message = json.dumps({"error": "non-finite value inf in output", "exit_code": 4}) + "\n"
-        assert run_main(argv, capsys) == (4, "", message)
+    @pytest.mark.parametrize("command", TWOCYCLE)
+    def test_two_cycles_refuse_the_propagator_phase(self, capsys, command, field, value):
+        argv = self._argv(command, field, value)[1]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_main(argv, capsys)
+        assert (code, out) == (4, "")
+        assert re.fullmatch(r"propagator phase \S+ rad is too large to resolve \(limit 2\*\*52\)",
+                            json.loads(err)["error"])
+
+    @pytest.mark.parametrize("field", ["omega0", "gamma"])
+    @pytest.mark.parametrize("value", [1e154, 1e200, 1e300])
+    def test_spectrum_matches_the_scaled_diagonalization(self, capsys, field, value):
+        point = {"omega0": 0.0, "gamma": 0.0, field: value}
+        code, out, err = run_main(["spectrum", f"--{field}={value}", f"--J={self.J}"], capsys)
+        assert (code, err) == (0, "")
+        energies = np.sort([float(row[1]) for row in parse_csv(out)[1]])
+        direct = scaled_spectrum_oracle(point["omega0"], point["gamma"], self.J)
+        assert np.abs(energies - direct).max() <= 16.0 * EPS * value + 1e-12 * value
+
+    @pytest.mark.parametrize("command", [*(command for command, _, _ in EVOLVE), *TWOCYCLE])
+    def test_an_energy_beyond_the_float_range_is_refused(self, capsys, command):
+        argv = [*command, "--omega0=1e308", "--gamma=1.7e308", f"--J={self.J}", "--omega1=1"]
+        message = json.dumps({"error": "closed-form energy inf is not finite", "exit_code": 4}) + "\n"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run_main(argv, capsys) == (4, "", message)
+
+
+class TestCrossingsAndScales:
+    """Points the arccos root formula got wrong or refused, each against a direct diagonalization: near the
+    level crossings omega0 = +-J, and at couplings whose cube (p/3)^3 was subnormal or overflowed."""
+
+    def test_berry_phases_at_a_crossing(self, capsys):
+        # omega0 = -J with gamma = 1.8e-8: the arccos form printed 4.5037 for labels 1 and 3 (60-digit
+        # values: 3.14159264345 and 3.14159266372); the error left is the eps/gamma of the 3x3 problem.
+        omega0, gamma, J = 1.0, 1.8249109341204752e-08, -1.0
+        argv = ["phases", "--mode", "berry", "--omega0", "1", "--gamma", repr(gamma), "--J", "-1", "--omega1", "0.1"]
+        code, out, err = run_main(argv, capsys)
+        assert (code, err) == (0, "")
+        header, rows = parse_csv(out)
+        geometric = [float(row[header.index("geometric_raw")]) for row in rows]
+        assert abs(geometric[0] - math.pi) <= 1e-6 and abs(geometric[2] - math.pi) <= 1e-6
+        assert np.abs(np.array(geometric[:3]) - triplet_block_oracle(omega0, gamma, J)[1]).max() <= 1e-6
+
+    def test_adiabatic_two_cycle_at_a_crossing(self, capsys):
+        # omega0 = J: the arccos form's eigenvectors failed the gate's unitarity check (defect 1.2e-12).
+        point = ["--omega0", "1.365269118449533", "--gamma", "0.0165744106105139", "--J", "1.365269118449533"]
+        code, out, err = run_main(["twocycle", "--scheme", "adiabatic", *point, "--omega1", "0.1"], capsys)
+        assert (code, err) == (0, "")
+        header, rows = parse_csv(out)
+        targets = [float(row[header.index("target")]) for row in rows[:3]]
+        berry = triplet_block_oracle(1.365269118449533, 0.0165744106105139, 1.365269118449533)[1]
+        assert np.abs(np.array(targets) - 2.0 * berry).max() <= 1e-10
+
+    # 6e-54 was refused (arccos argument -1.0000239017328967 beyond tolerance), 5e-54 printed 2.534e-54,
+    # 1e200 was refused (J**3 overflows); 1e-60 is below every scale the arccos form resolved.
+    @pytest.mark.parametrize("J", ["6e-54", "5e-54", "1e200", "1e-60"])
+    def test_spectrum_prints_half_the_coupling(self, capsys, J):
+        code, out, err = run_main(["spectrum", "--J", J], capsys)
+        assert (code, err) == (0, "")
+        energies = [float(row[1]) for row in parse_csv(out)[1]]
+        assert energies == [float(J) / 2.0, -float(J) / 2.0, float(J) / 2.0, -float(J) / 2.0]
+        assert sorted(energies) == pytest.approx(scaled_spectrum_oracle(0.0, 0.0, float(J)).tolist(), rel=1e-12)
 
 
 class TestWriter:

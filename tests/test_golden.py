@@ -9,9 +9,12 @@ the JSON error exits.
 The sweep_*_signs cases cover both rotation senses and the gamma = 0
 fallback column; sweep_aa_resonant_csv crosses omega0 = omega1 in both
 senses, where the shifted detuning vanishes and the AA phase takes the
-fallback. The twocycle cases add omega1 lists in both rotation senses,
-exact and stepped, a single backwards rotation, exact and stepped, the
-gamma = 0 fallback with a backwards rotation, the AA
+fallback. phases_berry_crossing_csv sits next to the level crossing
+omega0 = -J at gamma = 1.8e-8, where labels 1 and 3 carry Berry phases
+within 1e-7 of pi (test_cli's TestCrossingsAndScales checks the same point
+against a direct diagonalization). The twocycle cases add omega1 lists in
+both rotation senses, exact and stepped, a single backwards rotation, exact
+and stepped, the gamma = 0 fallback with a backwards rotation, the AA
 scheme at omega1 < 0 and its refusal of RK4 steps, and a list that reaches
 omega1 = 0. Regenerate the files, when an output change is intended, with
 
@@ -48,6 +51,10 @@ CASES = {
     "phases_berry_no_field_csv": ["phases", "--mode", "berry", *NO_FIELD, "--omega1", "0.1"],
     "phases_aa_no_field_csv": ["phases", "--mode", "aa", *NO_FIELD, "--omega1", "0.3"],
     "phases_aa_resonant_csv": ["phases", "--mode", "aa", *RESONANT],
+    "phases_berry_crossing_csv": [
+        "phases", "--mode", "berry", "--omega0", "1", "--gamma", "1.8249109341204752e-08", "--J", "-1",
+        "--omega1", "0.1",
+    ],
     **_both_formats("evolve_exact", ["evolve", "--initial", "uu", *P, "--omega1", "0.3", "--steps", "0"]),
     **_both_formats(
         "evolve_stepped",

@@ -72,6 +72,8 @@ class TestLazyNamespace:
         with pytest.raises(AttributeError, match="module 'twospin' has no attribute 'no_such_name'"):
             twospin.no_such_name  # noqa: B018
         assert not hasattr(twospin, "cubic_coefficients")
+        # retired with the arccos root formula
+        assert not {"ARCCOS_EXCESS_TOL", "InternalConsistencyError", "_power"} & set(dir(twospin.spectral))
 
     def test_readme_quick_start_runs(self):
         with open(os.path.join(ROOT, "README.md"), encoding="utf-8") as fh:

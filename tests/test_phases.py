@@ -18,12 +18,22 @@ from twospin import (
     triplet_energies,
 )
 
+from twospin import phases, spectral
 from twospin.core import _columns
 from twospin.phases import _cycle_phases, _principal_values
 
-from support import adiabatic_cycle, berry_line_integral, circ_dist, numeric_dynamical_phase, random_symmetric, wrap
+from support import (
+    adiabatic_cycle,
+    berry_line_integral,
+    circ_dist,
+    numeric_dynamical_phase,
+    random_symmetric,
+    triplet_block_oracle,
+    wrap,
+)
 
 TWO_PI = 2.0 * math.pi
+EPS = float(np.finfo(float).eps)
 
 # Frozen from the amplitude-form oracle 2*pi*(|x|^2 - |w|^2) with eigenvectors
 # from direct diagonalization at (omega0, gamma, J) = (1, 1, 1).
@@ -60,20 +70,32 @@ class TestBerryPhase:
         with pytest.raises(ValueError):
             berry_phase(1.0, 1.0, 1.0, 0)
 
-    # The singlet passes the refusals of the triplet labels: there is no early exit for label 4.
+    # The singlet passes the refusals of the triplet labels: there is no early exit for label 4. An energy
+    # beyond the float range is refused, or before it the fallback's Hamiltonian entry omega0 + omega0.
     @pytest.mark.parametrize(
         "omega0, gamma, J, error, message",
         [
-            (1.0, 1.0, 1e200, OverflowError, "closed-form J**3 overflows at J = 1e+200"),
-            (1e200, 1.0, 1.0, ArithmeticError, "closed-form energy inf is not finite"),
-            (1e154, 0.457, 0.296, ArithmeticError, "closed-form energy inf is not finite"),
-            (0.7, -1e300, 0.296, ArithmeticError, "closed-form energy inf is not finite"),
+            (1e308, 1.7e308, 0.296, ArithmeticError, "closed-form energy inf is not finite"),
+            (1.5e308, 0.0, 1e308, OverflowError, "a Hamiltonian entry overflows the float range"),
         ],
     )
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_every_label_refuses_a_failed_closed_form(self, omega0, gamma, J, error, message, n):
         with pytest.raises(error, match=f"^{re.escape(message)}$"):
             berry_phase(omega0, gamma, J, n)
+
+    # Once refused as infinite energies.
+    @pytest.mark.parametrize("omega0, gamma, J", [(1e200, 1.0, 1.0), (1e154, 0.457, 0.296), (0.7, -1e300, 0.296)])
+    def test_every_label_at_huge_fields_matches_the_triplet_block(self, omega0, gamma, J):
+        expected = triplet_block_oracle(omega0, gamma, J)[1]
+        phases = [berry_phase(omega0, gamma, J, n) for n in (1, 2, 3, 4)]
+        assert phases == pytest.approx([*expected, 0.0], abs=1e-12) and phases[3] == 0.0
+
+    def test_huge_coupling_gives_the_product_state_phases(self):
+        # Once refused as an overflowing J**3. Labels 1 and 3 are uu and dd, whose energies J/2 +- omega0 are
+        # equal in floats, so the triplet block cannot tell them apart; label 2 is (ud + du)/sqrt2.
+        phases = [berry_phase(1.0, 1.0, 1e200, n) for n in (1, 2, 3, 4)]
+        assert phases == pytest.approx([TWO_PI, 0.0, -TWO_PI, 0.0], abs=1e-12)
 
     def test_closed_form_equals_amplitude_form(self):
         rng = np.random.default_rng(41)
@@ -117,6 +139,27 @@ class TestBerryPhase:
             assert berry_phase(-w0, g, -J, 2) == pytest.approx(berry_phase(w0, g, J, 1), abs=1e-12)
             assert berry_phase(-w0, g, -J, 3) == pytest.approx(berry_phase(w0, g, J, 3), abs=1e-12)
             assert berry_phase(-w0, g, -J, 4) == 0.0
+
+
+class TestBerryBlock:
+    def test_one_closed_form_pass_per_block_with_fallback_rows(self, monkeypatch):
+        # gamma = 0 puts every label of its point on the fallback, omega0 = J one label; the fallback rows
+        # reuse the block's closed form instead of running it again through an eigenbasis pass.
+        calls = []
+
+        def counting(name, real):
+            return lambda *args, **kwargs: calls.append(name) or real(*args, **kwargs)
+
+        for module, name in ((spectral, "_closed_form"), (phases, "_closed_form"), (phases, "_fallback_states")):
+            monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
+        omega0 = np.array([1.0, 1.0, 0.7, -0.4, 1.3])
+        gamma = np.array([0.0, 0.5, 0.0, 0.9, 0.2])
+        J = np.array([0.6, 1.0, -0.7, 0.3, -1.1])
+        energies, berry = phases._berry_phases(omega0, gamma, J)
+        assert calls == ["_closed_form", "_fallback_states"]
+        assert np.isfinite(berry).all() and energies.shape == (5, 3)
+        for i in range(5):
+            assert berry[i].tolist() == [berry_phase(omega0[i], gamma[i], J[i], n) for n in (1, 2, 3, 4)]
 
 
 class TestAdiabaticPhases:
@@ -226,19 +269,33 @@ class TestNonFiniteBreakdown:
     its N = 1 wrappers raise the CLI's ArithmeticError text instead of returning them.
     """
 
+    # -E * tau overflows: E is about 1e307 and tau = 20 pi.
     @pytest.mark.parametrize(
         "phase, n, message",
         [
             (aa_breakdown, 1, "phase -inf rad is not finite"),
-            (adiabatic_phases, 2, "phase nan rad is not finite"),
+            (adiabatic_phases, 2, "phase inf rad is not finite"),
             (aa_phase, 1, "phase -inf rad is not finite"),
         ],
     )
     def test_overflowing_energy_raises(self, phase, n, message):
         with pytest.raises(ArithmeticError, match=f"^{re.escape(message)}$"):
-            phase(SpinParams.symmetric(1e200, 1.0, 1.0, 0.1), n)
+            phase(SpinParams.symmetric(1e307, 1.0, 1.0, 0.1), n)
 
-    # Overflowing energies in both senses, and finite energies whose period makes -E * tau overflow.
+    # Once refused as infinite energies: the parts now match the triplet block's energies, to rounding of
+    # the largest parameter, and its phases.
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_huge_detuning_breakdowns_match_the_triplet_block(self, n):
+        p = SpinParams.symmetric(1e200, 1.0, 1.0, 0.1)
+        for breakdown, detuning in ((adiabatic_phases, p.omega0), (aa_breakdown, p.omega0 - p.omega1)):
+            energies, berry = triplet_block_oracle(detuning, p.gamma, p.J)
+            parts = breakdown(p, n)
+            cyclic = parts.dynamical if breakdown is adiabatic_phases else parts.total
+            assert cyclic == pytest.approx(-energies[n - 1] * p.period, abs=16.0 * EPS * p.omega0 * p.period)
+            assert parts.geometric == pytest.approx(berry[n - 1], abs=1e-12)
+
+    # Huge energies in both senses (computed since the closed form scales its parameters), and finite
+    # energies whose period makes -E * tau overflow.
     @pytest.mark.parametrize(
         "point", [(1e200, 1.0, 1.0, 0.1), (1e200, 1.0, 1.0, -0.1), (1e154, 0.457, 0.296, 0.1), (100.0, 1.0, 1.0, 1e-307)]
     )

@@ -433,7 +433,7 @@ class TestBerryGateBlock:
     def test_one_closed_form_and_one_eigenbasis_pass_per_block(self, monkeypatch):
         columns = _fallback_heavy(np.random.default_rng(3), "mixed", 1.0)
         closed = self._count(monkeypatch, [(spectral, "_closed_form"), (phases, "_closed_form")])
-        bases = self._count(monkeypatch, [(twocycle, "_eigenbases"), (phases, "_eigenbases")])
+        bases = self._count(monkeypatch, [(twocycle, "_eigenbases"), (phases, "_fallback_states")])
         _berry_gates(columns)
         assert (closed, bases) == (["_closed_form"], ["_eigenbases"])
 
