@@ -1314,7 +1314,7 @@ class TestCrossingsAndScales:
         assert np.abs(np.array(targets) - 2.0 * berry).max() <= 1e-10
 
     # 6e-54 was refused (arccos argument -1.0000239017328967 beyond tolerance), 5e-54 printed 2.534e-54,
-    # 1e200 was refused (J**3 overflows); 1e-60 is below every scale the arccos form resolved.
+    # 1e200 was refused (J**3 overflows) and 1e-60 too (float division by zero).
     @pytest.mark.parametrize("J", ["6e-54", "5e-54", "1e200", "1e-60"])
     def test_spectrum_prints_half_the_coupling(self, capsys, J):
         code, out, err = run_main(["spectrum", "--J", J], capsys)
