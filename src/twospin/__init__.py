@@ -12,7 +12,7 @@ from importlib import import_module
 _EXPORTS = {
     "core": ("BASIS_LABELS", "PARAM_GROUPS", "Operator4", "SpinParams", "TwoSpinState"),
     "evolution": ("EvolutionResult", "evolve_exact", "evolve_stepped", "exact_propagator"),
-    "hamiltonian": ("frame_rotation", "h_rotating_frame", "h_total", "transverse_parts"),
+    "hamiltonian": ("frame_rotation", "h_rotating_frame", "h_total"),
     "phases": (
         "PhaseBreakdown", "aa_breakdown", "aa_phase", "adiabatic_phases", "berry_phase",
         "legacy_single_spin_phase", "principal_value",

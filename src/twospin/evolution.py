@@ -14,7 +14,7 @@ wrapper, so a stacked propagator equals the per-point one bit for bit.
 
 A fixed-step classical Runge-Kutta integrator of the time-ordered Schrodinger
 equation serves as the independent cross-check; it samples the lab-frame
-Hamiltonian at the substep times, with hamiltonian._total_stack, and converges
+Hamiltonian at the substep times, with hamiltonian._hamiltonians, and converges
 at fourth order. On the linear equation an RK4 step is a linear map,
 U_{k+1} = R_k U_k, so its kernel, _stepped_propagators, builds the transfer
 matrices R_k of a block of steps for an (M, 4, 4) stack of problems with
@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import Operator4, SpinParams, TwoSpinState, _check_stack, _columns, _refuse, _state_from_trusted
-from .hamiltonian import _frame_matrix, _total_stack, rotating_frame_stack
+from .hamiltonian import _frame_matrix, _hamiltonians
 
 __all__ = [
     "EvolutionResult",
@@ -57,7 +57,7 @@ class EvolutionResult:
 
 
 def _propagators(columns: dict[str, np.ndarray], t: np.ndarray) -> np.ndarray:
-    """U(t) = V(t) exp(-i H_rot t) at (N,) field columns (see rotating_frame_stack) and times t.
+    """U(t) = V(t) exp(-i H_rot t) at (N,) field columns (see core._columns) and times t.
 
     Checks H_rot as Operator4.hermitian and U as Operator4.unitary would, and
     raises ArithmeticError once the largest phase |lambda t|, over the
@@ -66,7 +66,7 @@ def _propagators(columns: dict[str, np.ndarray], t: np.ndarray) -> np.ndarray:
     checks run in that order over the whole stack, so at N = 1 a point fails
     exactly as it would alone; at N > 1 the error may come from any point.
     """
-    h_rot, omega1 = rotating_frame_stack(columns), columns["omega1"]
+    h_rot, omega1 = _hamiltonians(columns, np.zeros(len(t)), rotating=True), columns["omega1"]
     _check_stack(h_rot, "hermitian")
     vals, vecs = np.linalg.eigh(h_rot)
     largest = np.maximum(np.maximum(-vals[:, 0], vals[:, -1]), np.abs(omega1))  # eigh sorts vals
@@ -102,7 +102,7 @@ def _check_steps(columns: dict[str, np.ndarray], t: np.ndarray, steps: int) -> N
     if steps < 1:
         raise ValueError("steps must be at least 1")
     _refuse(~np.isfinite(t), t, ValueError, "time must be finite, got {!r}")
-    matrices = _total_stack(columns, columns["omega1"] * 0.0)  # h_total's angle at t = 0
+    matrices = _hamiltonians(columns, columns["omega1"] * 0.0)  # h_total's angle at t = 0
     _check_stack(matrices, "hermitian")
     rate = np.maximum(np.abs(columns["omega1"]), np.abs(np.linalg.eigvalsh(matrices)).max(axis=1))
     with np.errstate(all="ignore"):  # 2*pi/0 is an infinite period and a count may overflow: both are handled
@@ -123,7 +123,7 @@ def _stepped_propagators(columns: dict[str, np.ndarray], t: np.ndarray, steps: i
     """RK4 propagators of i dU/dt = H(t) U from 0 to t for (M,) field columns and times t.
 
     Problem m takes steps steps of size h = t[m] / steps. H is sampled at k h, k h + h/2 and k h + h
-    of step k by _total_stack, h_total's arithmetic. With A = -iH there, step k is the transfer matrix
+    of step k by _hamiltonians, h_total's arithmetic. With A = -iH there, step k is the transfer matrix
     R_k = I + h/6 (A0 + 2 K2 + 2 K3 + K4), K2 = Am (I + h/2 A0), K3 = Am (I + h/2 K2), K4 = A1 (I + h K3):
     a block's R_k are built by stacked operations and applied as U = R_k U, one matmul per step, so
     problem m equals a loop of h_total transfer steps bit for bit. Sample blocks get the checks of
@@ -137,7 +137,7 @@ def _stepped_propagators(columns: dict[str, np.ndarray], t: np.ndarray, steps: i
     for first in range(0, steps, block):
         t0 = np.arange(first, min(first + block, steps))[:, None] * h
         angles = columns["omega1"] * np.stack([t0, t0 + 0.5 * h, t0 + h], axis=1)
-        samples = _total_stack(columns, angles)
+        samples = _hamiltonians(columns, angles)
         _check_stack(samples, "hermitian")
         a_0, a_mid, a_1 = (-1j * samples).swapaxes(0, 1)
         k2 = a_mid @ (eye + half * a_0)

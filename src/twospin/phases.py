@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import SpinParams, _checked_float, _columns, _equal_coupling_fields, _label, _periods, _refuse
-from .spectral import _LOST_ENERGY, _closed_form, _fallback_states, _point, _python, singlet_energy
+from .spectral import _LOST_ENERGY, _closed_form, _detuning, _fallback_states, _point, _python, singlet_energy
 
 __all__ = [
     "PhaseBreakdown",
@@ -124,8 +124,9 @@ def _cycle_phases(columns: dict[str, np.ndarray], shifted: bool):
     """Raw total, dynamical and geometric phases, each (N, 4), at the points of columns.
 
     shifted=False gives adiabatic_phases, shifted=True aa_breakdown. A point
-    refuses omega1 = 0, then unequal couplings, then the closed forms' own
-    failures, then a period that overflows.
+    refuses omega1 = 0, then unequal couplings, then (shifted) a detuning
+    omega0 - omega1 beyond the float range, as the Hamiltonian builder does,
+    then the closed forms' own failures, then a period that overflows.
     """
     omega1 = columns["omega1"]
     if np.any(omega1 == 0.0):
@@ -133,7 +134,7 @@ def _cycle_phases(columns: dict[str, np.ndarray], shifted: bool):
         raise ValueError(f"{kind} phases need omega1 != 0 (no cycle defined)")
     omega0, gamma, J = _equal_coupling_fields(columns)
     with np.errstate(all="ignore"):  # as in float arithmetic; a non-finite phase is refused when shown
-        triplets, berry = _berry_phases(omega0 - omega1 if shifted else omega0, gamma, J)
+        triplets, berry = _berry_phases(_detuning(omega0, omega1, shifted), gamma, J)
         periods = _periods(omega1)[:, None]
         energies = np.column_stack([triplets, singlet_energy(J)])
         geometric = _rotation_sense(omega1)[:, None] * berry

@@ -59,8 +59,9 @@ from itertools import permutations
 
 import numpy as np
 
-from .core import SpinParams, TwoSpinState, _check_stack, _columns, _equal_coupling_fields, _label, _refuse
-from .hamiltonian import _total_stack, rotating_frame_stack
+from .core import SpinParams, TwoSpinState, _check_stack, _checked_float, _columns, _equal_coupling_fields, _label
+from .core import _refuse
+from .hamiltonian import _OVERFLOW, _hamiltonians
 
 __all__ = [
     "DEGENERACY_RTOL",
@@ -149,8 +150,9 @@ def _closed_form(omega0: np.ndarray, gamma: np.ndarray, J: np.ndarray) -> _Close
     return _ClosedForm(energies, x, w, fallback, np.column_stack([berry, np.zeros(len(J))]))
 
 
-def _point(*values) -> list[np.ndarray]:
-    return [np.array([value], dtype=float) for value in values]
+def _point(omega0, gamma, J) -> list[np.ndarray]:
+    """One point's (1,) columns; a non-finite field raises ValueError naming it, as SpinParams does."""
+    return [np.array([_checked_float(name, v)]) for name, v in zip(("omega0", "gamma", "J"), (omega0, gamma, J))]
 
 
 _LOST_ENERGY = "closed-form energy {!r} is not finite"  # beyond the float range
@@ -213,32 +215,37 @@ _PERMUTATIONS = np.array(list(permutations(range(3))))
 _SINGLET = TwoSpinState.singlet().amplitudes
 
 
-def _sector_states(hamiltonians: np.ndarray, energies: np.ndarray) -> np.ndarray:
-    """(K, 3, 4) triplet states, by label, of (K, 4, 4) Hamiltonians with (K, 3) label energies: one stacked
-    eigh of the sectors, the eigenvalue permutation of least summed distance to the energies (the first in
-    itertools order on a tie), each state one matrix-vector product, and the last of its largest-magnitude
+def _fallback_states(columns: dict[str, np.ndarray], energies: np.ndarray, theta: np.ndarray, rotating: bool):
+    """(K, 4, 3) triplet states, label k + 1 in column k, of the K points of columns with (K, 3) label energies:
+    one stacked eigh of the sectors of _hamiltonians(columns, theta, rotating), checked as Operator4.hermitian
+    (H_rot itself, not H(0) at the shifted detuning: at exact resonance a degenerate eigenvector's sign depends
+    on its last bits); the eigenvalue permutation of least summed distance to the energies (the first in
+    itertools order on a tie); each state one matrix-vector product, and the last of its largest-magnitude
     amplitudes (ties within 1e-12 relative, against last-bit noise) made real and positive.
     """
+    hamiltonians = _hamiltonians(columns, theta, rotating)
+    _check_stack(hamiltonians, "hermitian")
     vals, vecs = np.linalg.eigh(_SYM_PROJECTOR @ hamiltonians @ _SYM_PROJECTOR.conj().T)
-    distance = np.abs(energies[:, None, :] - vals[:, _PERMUTATIONS])
-    best = _PERMUTATIONS[np.argmin(distance[..., 0] + distance[..., 1] + distance[..., 2], axis=1)]
+    with np.errstate(over="ignore"):  # near the float range a wrong permutation's distance may read inf
+        distance = np.abs(energies[:, None, :] - vals[:, _PERMUTATIONS]).sum(axis=-1)
+    # Not the rank order [2, 0, 1]: where E1 and E3 tie in float (gamma = 0 at zero detuning, or |J| that hides
+    # omega0) the first permutation keeps eigh's uu before dd, as label 1 before 3; the rank order swaps them.
+    best = _PERMUTATIONS[np.argmin(distance, axis=1)]
     chosen = np.take_along_axis(vecs, best[:, None, :], axis=2)
     states = (_SYM_PROJECTOR.conj().T @ chosen.swapaxes(1, 2)[..., None])[..., 0]
     magnitudes = np.abs(states)
     tied = magnitudes >= magnitudes.max(axis=-1, keepdims=True) * (1.0 - 1e-12)
     pivot = np.take_along_axis(states, 3 - np.argmax(tied[..., ::-1], axis=-1)[..., None], axis=-1)
-    return states * (np.conj(pivot) / np.hypot(pivot.real, pivot.imag))
+    return (states * (np.conj(pivot) / np.hypot(pivot.real, pivot.imag))).swapaxes(1, 2)
 
 
-def _fallback_states(columns: dict[str, np.ndarray], energies: np.ndarray, theta: np.ndarray, rotating: bool):
-    """(K, 4, 3) triplet states, label k + 1 in column k, of the K points of columns with (K, 3) label
-    energies: _sector_states of H at field angles theta, built with h_total's arithmetic, or (rotating) of
-    rotating_frame_stack (at exact resonance a degenerate eigenvector's sign depends on its last bits),
-    checked as Operator4.hermitian.
-    """
-    matrices = rotating_frame_stack(columns) if rotating else _total_stack(columns, theta)
-    _check_stack(matrices, "hermitian")
-    return _sector_states(matrices, energies).swapaxes(1, 2)
+def _detuning(omega0: np.ndarray, omega1: np.ndarray, rotating: bool) -> np.ndarray:
+    """omega0, or (rotating) omega0 - omega1; one beyond the float range raises the builder's OverflowError, as an
+    H_rot diagonal entry +-(omega0 - omega1) + J/2 then overflows."""
+    with np.errstate(over="ignore"):  # refused below
+        detuning = omega0 - omega1 if rotating else omega0
+    _refuse(~np.isfinite(detuning), detuning, OverflowError, _OVERFLOW)
+    return detuning
 
 
 def _eigenbases(columns: dict[str, np.ndarray], t: float = 0.0, rotating: bool = False):
@@ -252,7 +259,7 @@ def _eigenbases(columns: dict[str, np.ndarray], t: float = 0.0, rotating: bool =
     (omega0, gamma, J), omega1 = _equal_coupling_fields(columns), columns["omega1"]
     with np.errstate(over="ignore"):  # as in float arithmetic
         theta = np.zeros(len(omega1)) if rotating else omega1 * t
-        closed = _closed_form(omega0 - omega1 if rotating else omega0, gamma, J)
+    closed = _closed_form(_detuning(omega0, omega1, rotating), gamma, J)
     fallback = closed.fallback.any(axis=1)
     bases = np.empty((len(theta), 4, 4), dtype=complex)
     bases[:, :, 3] = _SINGLET

@@ -121,7 +121,7 @@ def _adiabatic_two_cycles(columns: dict[str, np.ndarray], starts=None, steps_per
 def _aa_two_cycles(columns: dict[str, np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
     """U2 U1 of the total-phase protocol and its identity defect max|U2 U1 - I|, per point.
 
-    columns holds N parameter points (see rotating_frame_stack); returns the
+    columns holds N parameter points (see core._columns); returns the
     (N, 4, 4) composed propagators and the (N,) defects.
     """
     u_first, u_second = _cycle_propagators(columns, AA_FLIP_SET)

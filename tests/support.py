@@ -18,7 +18,6 @@ from twospin import (
     evolve_stepped,
     h_rotating_frame,
     h_total,
-    transverse_parts,
 )
 from twospin.core import _check_stack, _equal_coupling_fields
 from twospin.phases import _berry_phases, _rotation_sense
@@ -102,6 +101,7 @@ def closed_form_reference(omega0, gamma, J):
 
 
 _X = np.array([[0.0, 1.0], [1.0, 0.0]])
+_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]])
 _Z = np.diag([1.0, -1.0])
 _I2 = np.eye(2)
 
@@ -113,6 +113,25 @@ def kron_hamiltonian(omega0, gamma, J):
         + J * np.kron(_Z, _Z)
         + gamma * (np.kron(_X, _I2) + np.kron(_I2, _X))
     )
+
+
+def kron_transverse_parts(params):
+    """The cos and sin parts (1/2) sum gamma s_x and (1/2) sum gamma s_y of H(t)'s transverse field, from
+    Kronecker products."""
+    cos_part = 0.5 * (params.gamma_a * np.kron(_X, _I2) + params.gamma_b * np.kron(_I2, _X))
+    sin_part = 0.5 * (params.gamma_a * np.kron(_Y, _I2) + params.gamma_b * np.kron(_I2, _Y))
+    return cos_part, sin_part
+
+
+def kron_h(params, angle, rotating=False):
+    """H at field angle omega1 t for any couplings, from Kronecker products and math.cos/sin, or (rotating)
+    H(0) - (omega1/2)(s_az + s_bz) at angle 0."""
+    z_a, z_b = np.kron(_Z, _I2), np.kron(_I2, _Z)
+    static = 0.5 * (params.omega_a0 * z_a + params.omega_b0 * z_b + params.J * np.kron(_Z, _Z))
+    cos_part, sin_part = kron_transverse_parts(params)
+    if rotating:
+        return static + cos_part - 0.5 * params.omega1 * (z_a + z_b)
+    return static + math.cos(angle) * cos_part + math.sin(angle) * sin_part
 
 
 def scaled_spectrum_oracle(omega0, gamma, J):
@@ -338,8 +357,8 @@ def numeric_dynamical_phase(params, initial, t, steps):
     traj[0, :] *= np.exp(-1j * params.omega1 * times)
     traj[3, :] *= np.exp(1j * params.omega1 * times)
 
-    static = h_total(params.replace(gamma_a=0.0, gamma_b=0.0), 0.0).matrix
-    cos_part, sin_part = transverse_parts(params)
+    static = kron_h(params.replace(gamma_a=0.0, gamma_b=0.0), 0.0)
+    cos_part, sin_part = kron_transverse_parts(params)
 
     def quad_form(op):
         return np.einsum("ik,ij,jk->k", traj.conj(), op, traj).real

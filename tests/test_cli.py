@@ -493,16 +493,36 @@ class TestTwocycleCommand:
 
 
     @pytest.mark.parametrize(
-        "command", [["twocycle", "--scheme", "aa"], ["evolve", "--initial", "tilde1", "--time", "0"]]
+        "command",
+        [
+            ["twocycle", "--scheme", "aa"],
+            ["evolve", "--initial", "tilde1", "--time", "0"],
+            ["phases", "--mode", "aa"],
+            ["sweep", "--quantity", "aa", "--axis", "J=0:1:2"],
+            ["sweep", "--quantity", "twocycle-defect", "--axis", "J=0:1:2"],
+        ],
     )
     def test_overflowing_rotating_frame_detuning_is_a_numeric_failure(self, capsys, command):
-        # omega0 - omega1 overflows to inf without a warning, as in float arithmetic, and the energies at an
-        # infinite detuning are nan. Once refused as a non-finite closed-form eigenvector.
+        # omega0 - omega1 overflows, so an H_rot diagonal entry +-(omega0 - omega1) + J/2 does: every path
+        # refuses it as the Hamiltonian builder does, without a warning. Once three messages, two of them
+        # about the nan energies and phases of an infinite detuning.
         argv = [*command, "--omega0=1e308", "--gamma=0.3", "--omega1=-1e308"]
-        message = "closed-form energy nan is not finite"
+        message = "a Hamiltonian entry overflows the float range"
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert run_main(argv, capsys) == (4, "", json.dumps({"error": message, "exit_code": 4}) + "\n")
+
+
+    def test_huge_finite_detuning_on_the_fallback_prints_no_warning(self, capsys):
+        # omega0 - omega1 = 1.35e308 is finite, and label 1 is uu to the last bit, so the fallback runs; a wrong
+        # label permutation's energy distance overflows there. Once two RuntimeWarnings on stderr.
+        argv = ["evolve", "--initial", "tilde1", "--time", "0", "--omega0=8.144283528486894e+307",
+                "--gamma=-0.3661071783200054", "--J=-1.8188992243902193", "--omega1=-5.331098918124436e+307"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_main(argv, capsys)
+        assert (code, err) == (0, "")
+        assert out.splitlines()[1] == "uu,1.000000000000e+00,0.000000000000e+00,1.000000000000e+00"
 
 
 class TestSweepCommand:

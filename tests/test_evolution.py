@@ -400,8 +400,10 @@ class TestSteppedKernel:
             assert np.abs(matrix - stepped_propagator_stage_loop(point, time, steps)).max() <= 1e-12
 
     def test_every_sample_is_checked_as_hermitian(self, monkeypatch):
-        real = hamiltonian.transverse_parts
-        monkeypatch.setattr(hamiltonian, "transverse_parts", lambda fields: (real(fields)[0], 1j * real(fields)[1]))
+        # patched where evolution looks the builder up; only the samples at a nonzero angle turn non-hermitian
+        real = evolution._hamiltonians
+        broken = lambda columns, angle: real(columns, angle) + 1j * np.sin(angle)[..., None, None]  # noqa: E731
+        monkeypatch.setattr(evolution, "_hamiltonians", broken)
         with pytest.raises(ValueError, match="hermitian tag violated"):
             _stepped_propagators(_stack([P111]), np.array([1.0]), 4)
 

@@ -11,9 +11,9 @@ from twospin import (
     h_total,
 )
 from twospin.core import _columns
-from twospin.hamiltonian import rotating_frame_stack
+from twospin.hamiltonian import _hamiltonians
 
-from support import random_general, random_symmetric
+from support import kron_h, random_general, random_symmetric
 
 
 # The static part of H is h_total without transverse coupling (gamma = 0), at any time.
@@ -138,7 +138,7 @@ def test_overflow_is_refused_exactly_where_float_arithmetic_overflows():
             warnings.simplefilter("error")
             for build, diagonal in ((lambda: h_total(p, 0.7).matrix, static),
                                     (lambda: h_rotating_frame(p).matrix, rotating),
-                                    (lambda: rotating_frame_stack(_columns(p, 3))[2], rotating)):
+                                    (lambda: _hamiltonians(_columns(p, 3), np.zeros(3), rotating=True)[2], rotating)):
                 if all(np.isfinite(diagonal)):
                     assert np.diag(build()).real.tolist() == diagonal
                 else:
@@ -146,3 +146,40 @@ def test_overflow_is_refused_exactly_where_float_arithmetic_overflows():
                     with pytest.raises(OverflowError, match="a Hamiltonian entry overflows the float range"):
                         build()
     assert refused > 100
+
+
+class TestBuilder:
+    """hamiltonian._hamiltonians, the one builder behind h_total, h_rotating_frame and the stacked kernels."""
+
+    @staticmethod
+    def _points(rng):
+        points = [random_general(rng, -2.0, 2.0) for _ in range(60)]
+        points += [SpinParams(0.0, -0.0, -0.0, 0.0, -0.0, w1) for w1 in (0.7, -0.7, -0.0)]
+        return points, {name: np.array([getattr(p, name) for p in points]) for name in _columns(points[0], 1)}
+
+    def test_stack_matches_the_kronecker_hamiltonian(self):
+        rng = np.random.default_rng(15)
+        points, columns = self._points(rng)
+        angles = rng.uniform(-20.0, 20.0, (3, len(points)))
+        stack = _hamiltonians(columns, angles)
+        rotating = _hamiltonians(columns, np.zeros(len(points)), rotating=True)
+        assert stack.shape == (3, len(points), 4, 4) and rotating.shape == (len(points), 4, 4)
+        for i, p in enumerate(points):
+            bound = 4.0 * np.finfo(float).eps * max(1.0, *(abs(getattr(p, name)) for name in columns))
+            for k in range(3):
+                assert np.abs(stack[k, i] - kron_h(p, float(angles[k, i]))).max() <= bound
+            assert np.abs(rotating[i] - kron_h(p, 0.0, rotating=True)).max() <= bound
+
+    def test_every_point_equals_its_one_point_call_bit_for_bit(self):
+        rng = np.random.default_rng(16)
+        points, columns = self._points(rng)
+        times = np.concatenate([rng.uniform(-20.0, 20.0, len(points) - 3), [0.0, 0.0, -0.0]])
+        angles = np.stack([columns["omega1"] * times, columns["omega1"] * 0.0, rng.uniform(-9.0, 9.0, len(points))])
+        stack = _hamiltonians(columns, angles)
+        rotating = _hamiltonians(columns, np.zeros(len(points)), rotating=True)
+        for i, p in enumerate(points):
+            one = _columns(p, 1)
+            assert stack[:, i].tobytes() == _hamiltonians(one, angles[:, i : i + 1])[:, 0].tobytes()
+            assert stack[0, i].tobytes() == h_total(p, float(times[i])).matrix.tobytes()
+            assert stack[1, i].tobytes() == h_total(p, 0.0).matrix.tobytes()
+            assert rotating[i].tobytes() == h_rotating_frame(p).matrix.tobytes()

@@ -433,6 +433,22 @@ class TestLegacySingleSpin:
             legacy_single_spin_phase(*args)
 
 
+@pytest.mark.parametrize("function", [triplet_energies, berry_phase])
+@pytest.mark.parametrize("position, name", list(enumerate(["omega0", "gamma", "J"])))
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+def test_non_finite_field_is_a_parameter_error(function, position, name, value):
+    # As SpinParams, berry_gate and legacy_single_spin_phase refuse one; once an ArithmeticError about a lost
+    # energy. None, once read as nan, is a TypeError, as in SpinParams.
+    fields = [0.7, 1.3, -0.4]
+    label = (1,) if function is berry_phase else ()
+    fields[position] = None
+    with pytest.raises(TypeError):
+        function(*fields, *label)
+    fields[position] = value
+    with pytest.raises(ValueError, match=f"^{re.escape(f'{name} must be finite, got {value!r}')}$"):
+        function(*fields, *label)
+
+
 def test_triplet_energy_shift_consistency():
     # aa energies really are the berry energies at shifted detuning
     p = SpinParams.symmetric(1.1, 1.0, 1.0, 0.1)

@@ -125,9 +125,9 @@ class TestTripletEnergies:
                 assert abs(res) <= 1e-8 * scale**3
 
     # An energy beyond the float range: omega0 + J/2 = 2e308, or sqrt(omega0^2 + gamma^2) above 1.8e308.
+    # A nan field, once read here as a nan energy, is a parameter error (test_phases.py).
     @pytest.mark.parametrize(
-        "omega0, gamma, J, energy",
-        [(math.nan, 1.0, 1.0, "nan"), (1.5e308, 0.0, 1e308, "inf"), (1e308, 1.7e308, 0.296, "inf")],
+        "omega0, gamma, J, energy", [(1.5e308, 0.0, 1e308, "inf"), (1e308, 1.7e308, 0.296, "inf")]
     )
     def test_non_finite_energy_raises(self, omega0, gamma, J, energy):
         with pytest.raises(ArithmeticError, match=f"^closed-form energy {energy} is not finite$"):
