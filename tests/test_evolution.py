@@ -400,12 +400,13 @@ class TestSteppedKernel:
             assert np.abs(matrix - stepped_propagator_stage_loop(point, time, steps)).max() <= 1e-12
 
     def test_every_sample_is_checked_as_hermitian(self, monkeypatch):
-        # patched where evolution looks the builder up; only the samples at a nonzero angle turn non-hermitian
+        # patched where evolution looks the builder up; only the samples at a nonzero angle turn non-hermitian,
+        # so in one step only the midpoint and end samples are
         real = evolution._hamiltonians
         broken = lambda columns, angle: real(columns, angle) + 1j * np.sin(angle)[..., None, None]  # noqa: E731
         monkeypatch.setattr(evolution, "_hamiltonians", broken)
         with pytest.raises(ValueError, match="hermitian tag violated"):
-            _stepped_propagators(_stack([P111]), np.array([1.0]), 4)
+            _stepped_propagators(_stack([P111]), np.array([1.0]), 1)
 
     def test_non_finite_result_refused(self):
         with np.errstate(all="ignore"), pytest.raises(ValueError, match="non-finite"):
