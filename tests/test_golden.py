@@ -20,7 +20,10 @@ omega1 = 0. Regenerate the files, when an output change is intended, with
 
     PYTHONPATH=src python tests/test_golden.py
 
-and review the diff of tests/golden/ before committing it.
+and review the diff of tests/golden/ before committing it. The command, like
+pytest, runs under conftest.BLAS_KERNEL, the OpenBLAS kernel the files were
+written under: a few outputs are rounding-level results of LAPACK's eigh,
+which differ in their last bits between kernels.
 """
 
 import contextlib
@@ -170,6 +173,8 @@ def test_every_golden_file_has_a_case():
 
 
 if __name__ == "__main__":
+    import conftest  # noqa: F401  (sets conftest.BLAS_KERNEL before NumPy loads)
+
     os.makedirs(GOLDEN_DIR, exist_ok=True)
     for stale in set(os.listdir(GOLDEN_DIR)) - {f"{name}.txt" for name in CASES}:
         os.remove(os.path.join(GOLDEN_DIR, stale))
