@@ -2,6 +2,7 @@
 
 import json
 import math
+import random
 from collections import namedtuple
 from dataclasses import fields
 from itertools import permutations
@@ -435,3 +436,129 @@ def tilde_eigensystem_loop(params):
     """eigenbasis_loop of the rotating-frame generator, the fallback diagonalizing h_rotating_frame."""
     omega0 = params.omega0 - params.omega1
     return eigenbasis_loop(omega0, params.gamma, params.J, 0.0, lambda: h_rotating_frame(params).matrix)
+
+
+# ---------------------------------------------------------------------------
+# the byte-identity corpus (tests/corpus.jsonl)
+
+CORPUS_SEED = 23
+# Parameter values far outside the physical range: huge, a crossing scale, the smallest subnormal, non-finite.
+HOSTILE = ("1e200", "-1e200", "6e-54", "5e-324", "inf", "-inf", "nan")
+_MODEL_FLAGS = ("omega0", "omega-a0", "omega-b0", "gamma", "gamma-a", "gamma-b", "J", "omega1")
+
+
+def corpus_argvs(seed=CORPUS_SEED):
+    """The seeded `twospin` argument lists of tests/corpus.jsonl, in order.
+
+    Every subcommand in both formats (each case is written once as CSV and once as JSON), both rotation
+    senses, fallback points (gamma = 0), resonance points (omega0 = omega1), level crossings (omega0 = +-J)
+    with gamma down to 2e-8, unequal couplings, sweeps of up
+    to 40 points, one per quantity across a SWEEP_BLOCK boundary, RK4 runs, hostile values (HOSTILE) and
+    error exits. Values are written as --flag=value, so a negative or non-finite one needs no quoting.
+    Cases that argparse itself refuses are left out: its messages differ between Python versions.
+    """
+    rng = random.Random(seed)
+
+    def number():
+        return f"{rng.uniform(-3.0, 3.0):.6g}"
+
+    def rate():  # a nonzero omega1 of either sense
+        return f"{rng.choice((-1, 1)) * rng.uniform(0.05, 2.0):.6g}"
+
+    def model(rotating=True, equal=True):
+        """Model flags: equal couplings (unless not equal) with some fallback, resonant and hostile points."""
+        values = {"omega0": number(), "gamma": number(), "J": number()}
+        if rotating:
+            values["omega1"] = rate()
+        kind = rng.random()
+        if kind < 0.15:
+            values["gamma"] = rng.choice(("0", "-0.0"))
+        elif kind < 0.25 and rotating:
+            values["omega0"] = values["omega1"]
+        elif kind < 0.32:  # a level crossing, some near enough to take the fallback
+            values["omega0"] = values["J"] if rng.random() < 0.5 else f"{-float(values['J']):.6g}"
+            values["gamma"] = rng.choice((values["gamma"], "2e-8", "-5e-7"))
+        elif kind < 0.42:
+            values[rng.choice(sorted(values))] = rng.choice(HOSTILE)
+        if not equal:
+            values.update({"omega-a0": number(), "gamma-b": number()})
+        return [f"--{flag}={value}" for flag, value in values.items()]
+
+    def axis(per_spin):  # per-spin axes make the couplings unequal, which only twocycle-defect admits
+        name = rng.choice(("omega0", "gamma", "J", "omega1") + per_spin * ("omega_a0", "omega_b0", "gamma_a"))
+        start = float(number())
+        stop = start + rng.choice((0.0, rng.uniform(0.0, 3.0)))
+        return name, start, stop
+
+    def sweep(quantity):
+        counts = [rng.randint(1, 40)] if rng.random() < 0.4 else [rng.randint(1, 6), rng.randint(1, 6)]
+        axes, fields_set = [], set()
+        for count in counts:
+            name, start, stop = axis(quantity == "twocycle-defect")
+            while fields_set & set(PARAM_GROUPS[name]):  # no two axes that set one field
+                name, start, stop = axis(quantity == "twocycle-defect")
+            fields_set.update(PARAM_GROUPS[name])
+            if rng.random() < 0.1:
+                start = float(rng.choice(HOSTILE[:4]))
+            axes.append(f"--axis={name}={start!r}:{max(start, stop)!r}:{count}")
+        return ["sweep", *axes, f"--quantity={quantity}"]
+
+    def initial():
+        kind = rng.random()
+        if kind < 0.4:
+            return rng.choice(("uu", "ud", "du", "dd", "singlet"))
+        if kind < 0.8:
+            return f"{rng.choice(('eigen', 'tilde'))}{rng.randint(1, 4)}"
+        return ",".join(f"{rng.uniform(-1.0, 1.0):.4g}" for _ in range(8))
+
+    cases = []
+    for _ in range(40):
+        cases.append(["spectrum", *model(rotating=rng.random() < 0.3, equal=rng.random() < 0.85)])
+        mode = rng.choice(("berry", "aa"))
+        cases.append(["phases", f"--mode={mode}", *model(equal=rng.random() < 0.85)])
+        steps = rng.choice((0, 0, rng.randint(1, 60), rng.randint(60, 400)))
+        time = [] if rng.random() < 0.3 else [f"--time={rng.uniform(-3.0, 6.0):.6g}"]
+        cases.append(["evolve", f"--initial={initial()}", *model(equal=rng.random() < 0.7), *time,
+                      f"--steps={steps}"])
+        cases.append(["twocycle", "--scheme=aa", *model(equal=rng.random() < 0.85)])
+        steps = rng.choice((0, 0, rng.randint(1, 30), rng.randint(30, 200)))
+        cases.append(["twocycle", "--scheme=adiabatic", *model(equal=rng.random() < 0.85), f"--steps={steps}"])
+        rates = ",".join(rate() for _ in range(rng.randint(1, 4)))
+        cases.append(["twocycle", "--scheme=adiabatic", f"--omega1-sweep={rates}", *model(rotating=False),
+                      f"--steps={rng.choice((0, 0, rng.randint(20, 80)))}"])
+        for quantity in ("spectrum", "berry", "aa", "twocycle-defect"):
+            cases.append([*sweep(quantity), *model(equal=rng.random() < 0.85 or quantity == "twocycle-defect")])
+    # One sweep per quantity across the first SWEEP_BLOCK boundary (512 points), with the fallback column
+    # gamma = 0 in both blocks; the aa sweep reaches omega1 = 0 in its second block only (rows 512-543), so
+    # its error comes from the point-by-point rerun of that block.
+    for quantity, omega1 in (("spectrum", "0.3"), ("berry", "-0.2"), ("aa", "0"), ("twocycle-defect", "0.4")):
+        cases.append(["sweep", f"--axis=omega1=-1.1:{omega1}:17", "--axis=gamma=0:1.1:32",
+                      f"--quantity={quantity}", "--omega0=0.7", "--J=-0.4"])
+    cases += [  # errors of the command layer, each its own exit line
+        ["spectrum", "--omega-a0=1", "--omega-b0=2", "--gamma=0.5", "--J=0.3"],
+        ["phases", "--mode=aa", "--omega0=1", "--gamma=0.5", "--J=0.3"],
+        ["evolve", "--omega0=1", "--gamma=0.5", "--J=0.3"],
+        ["evolve", "--omega0=1", "--gamma=0.5", "--J=0.3", "--omega1=0.2", "--time=inf"],
+        ["evolve", "--omega0=1", "--gamma=0.5", "--J=0.3", "--omega1=0.2", "--steps=-1"],
+        ["evolve", "--omega0=1", "--gamma=0.5", "--J=0.3", "--omega1=0.2", "--initial=eigen5"],
+        ["evolve", "--omega0=1", "--gamma=0.5", "--J=0.3", "--omega1=0.2", "--initial=1,0,0,0,0,0,0,x"],
+        ["evolve", "--omega0=1", "--gamma=0.5", "--J=0.3", "--omega1=0.2", "--initial=0,0,0,0,0,0,0,0"],
+        ["evolve", "--omega0=1", "--gamma=0.5", "--J=0.3", "--omega1=1e-320", "--steps=10"],
+        ["evolve", "--omega0=1", "--gamma=0.5", "--J=0.3", "--omega1=0.2", "--time=1", "--steps=20000000"],
+        ["twocycle", "--scheme=aa", "--omega0=1", "--gamma=0.5", "--J=0.3", "--omega1=0.2", "--steps=5"],
+        ["twocycle", "--scheme=aa", "--omega1-sweep=0.1", "--omega0=1", "--gamma=0.5", "--J=0.3"],
+        ["twocycle", "--scheme=adiabatic", "--omega1-sweep=,", "--omega0=1", "--gamma=0.5", "--J=0.3"],
+        ["twocycle", "--scheme=adiabatic", "--omega1-sweep=0.1,x", "--omega0=1", "--gamma=0.5", "--J=0.3"],
+        ["twocycle", "--scheme=adiabatic", "--omega1-sweep=0.1,inf", "--omega0=1", "--gamma=0.5", "--J=0.3"],
+        ["twocycle", "--scheme=adiabatic", "--omega0=1", "--gamma=0.5", "--J=0.3", "--omega1=0.2", "--steps=-2"],
+        ["sweep", "--axis=J=0:1", "--quantity=berry", "--omega1=0.1"],
+        ["sweep", "--axis=J=0:x:3", "--quantity=berry", "--omega1=0.1"],
+        ["sweep", "--axis=tau=0:1:3", "--quantity=berry", "--omega1=0.1"],
+        ["sweep", "--axis=J=0:1:0", "--quantity=berry", "--omega1=0.1"],
+        ["sweep", "--axis=J=1:0:3", "--quantity=berry", "--omega1=0.1"],
+        ["sweep", "--axis=J=-1e308:1e308:3", "--quantity=spectrum"],
+        ["sweep", "--axis=J=0:nan:3", "--quantity=spectrum"],
+        ["sweep", "--axis=omega0=0:1:3", "--axis=omega_a0=0:1:3", "--quantity=spectrum"],
+        ["sweep", "--axis=J=0:1:600", "--axis=gamma=0:1:600", "--quantity=spectrum"],
+    ]
+    return [argv + variant for argv in cases for variant in ([], ["--format=json"])]

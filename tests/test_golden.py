@@ -20,19 +20,36 @@ omega1 = 0. Regenerate the files, when an output change is intended, with
 
     PYTHONPATH=src python tests/test_golden.py
 
-and review the diff of tests/golden/ before committing it. The command, like
-pytest, runs under conftest.BLAS_KERNEL, the OpenBLAS kernel the files were
+and review the diff of tests/golden/ before committing it.
+
+tests/corpus.jsonl is the byte-identity corpus: one line per argument list of
+support.corpus_argvs (a seeded generator, about 860 cases), holding the argv,
+the exit code and the sha256 of stdout and of stderr. It checks many more
+invocations than the goldens, but shows only that an output moved, not how.
+Regenerate it with
+
+    PYTHONPATH=src python tests/test_golden.py --corpus
+
+in its own commit, and list each moved argv in CHANGES.md. Both commands, like
+pytest, run under conftest.BLAS_KERNEL, the OpenBLAS kernel the files were
 written under: a few outputs are rounding-level results of LAPACK's eigh,
-which differ in their last bits between kernels.
+whose last bits differ between kernels.
 """
 
 import contextlib
+import hashlib
 import io
+import json
 import os
+import sys
 
 import pytest
 
+import conftest  # noqa: F401  (BLAS_KERNEL, set before support loads NumPy; pytest has loaded it already)
+from support import corpus_argvs
+
 GOLDEN_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
+CORPUS = os.path.join(os.path.dirname(GOLDEN_DIR), "corpus.jsonl")
 
 P = ["--omega0", "1", "--gamma", "0.8", "--J", "0.6"]
 NO_FIELD = ["--omega0", "1", "--gamma", "0", "--J", "0.6"]
@@ -147,14 +164,27 @@ CASES = {
 }
 
 
-def run_case(argv) -> bytes:
+def _run(argv) -> tuple[int, str, str]:
+    """The exit code, stdout and stderr of `twospin.cli.main(argv)` run in-process."""
     from twospin import cli
 
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = cli.main(list(argv))
+    return code, out.getvalue(), err.getvalue()
+
+
+def run_case(argv) -> bytes:
+    code, out, err = _run(argv)
     header = f"$ twospin {' '.join(argv)}\nexit {code}\n"
-    return f"{header}--- stdout\n{out.getvalue()}--- stderr\n{err.getvalue()}".encode("utf-8")
+    return f"{header}--- stdout\n{out}--- stderr\n{err}".encode("utf-8")
+
+
+def corpus_line(argv) -> str:
+    """One line of tests/corpus.jsonl: argv, the exit code and the sha256 of stdout and of stderr."""
+    code, out, err = _run(argv)
+    digests = [hashlib.sha256(text.encode("utf-8")).hexdigest() for text in (out, err)]
+    return json.dumps({"argv": argv, "exit": code, "stdout": digests[0], "stderr": digests[1]})
 
 
 def _path(name: str) -> str:
@@ -172,13 +202,29 @@ def test_every_golden_file_has_a_case():
     assert sorted(os.listdir(GOLDEN_DIR)) == sorted(f"{name}.txt" for name in CASES)
 
 
-if __name__ == "__main__":
-    import conftest  # noqa: F401  (sets conftest.BLAS_KERNEL before NumPy loads)
+def test_corpus_holds_the_generated_cases():
+    with open(CORPUS, encoding="utf-8") as fh:
+        assert [json.loads(line)["argv"] for line in fh] == corpus_argvs()
 
-    os.makedirs(GOLDEN_DIR, exist_ok=True)
-    for stale in set(os.listdir(GOLDEN_DIR)) - {f"{name}.txt" for name in CASES}:
-        os.remove(os.path.join(GOLDEN_DIR, stale))
-    for name, argv in CASES.items():
-        with open(_path(name), "wb") as fh:
-            fh.write(run_case(argv))
-    print(f"wrote {len(CASES)} golden files to {GOLDEN_DIR}")
+
+def test_every_corpus_line_is_reproduced():
+    with open(CORPUS, encoding="utf-8") as fh:
+        expected = fh.read().splitlines()
+    moved = [line for line in expected if corpus_line(json.loads(line)["argv"]) != line]
+    assert moved == []
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] == ["--corpus"]:
+        lines = [corpus_line(argv) + "\n" for argv in corpus_argvs()]
+        with open(CORPUS, "w", encoding="utf-8", newline="") as fh:
+            fh.writelines(lines)
+        print(f"wrote {len(lines)} cases to {CORPUS}")
+    else:
+        os.makedirs(GOLDEN_DIR, exist_ok=True)
+        for stale in set(os.listdir(GOLDEN_DIR)) - {f"{name}.txt" for name in CASES}:
+            os.remove(os.path.join(GOLDEN_DIR, stale))
+        for name, argv in CASES.items():
+            with open(_path(name), "wb") as fh:
+                fh.write(run_case(argv))
+        print(f"wrote {len(CASES)} golden files to {GOLDEN_DIR}")
