@@ -17,9 +17,7 @@ _EXPORTS = {
         "PhaseBreakdown", "aa_breakdown", "aa_phase", "adiabatic_phases", "berry_phase",
         "legacy_single_spin_phase", "principal_value",
     ),
-    "spectral": (
-        "EigenPair", "EigenSystem", "eigensystem", "singlet_energy", "tilde_eigensystem", "triplet_energies",
-    ),
+    "spectral": ("EigenSystem", "eigensystem", "singlet_energy", "tilde_eigensystem", "triplet_energies"),
     "twocycle": (
         "AA_FLIP_SET", "ADIABATIC_FLIP_SET", "AATwoCycleResult", "AdiabaticTwoCycleResult", "BerryGate",
         "berry_gate", "run_aa_two_cycle", "run_adiabatic_two_cycle",

@@ -9,10 +9,10 @@ flag, pair flag, per-spin config key, pair config key, then 0.
 Output is CSV or JSON, rendered by _render from an (R, C) float table: one
 finiteness check (a non-finite value, printed or not, is a numeric failure),
 then one NumPy text kernel per RENDER_CHUNK rows, which lays every cell out as
-bytes: %.12e in CSV; in JSON, that text read back and written as repr writes
-it. _decimal gives each float its 13 digits and exponent with array
-arithmetic; the few values too close to a rounding tie for that take the text
-Python writes, once per distinct value.
+bytes: %.12e in CSV; in JSON, that text read back and written as repr writes it.
+_decimal gives each float its 13 digits and exponent with array arithmetic; the
+few values too close to a rounding tie for that take the text Python writes, as
+n cells take %d and component cells their basis label, once per distinct value.
 
 Sweeps walk the grid in lexicographic order in blocks of SWEEP_BLOCK points,
 one kernel call per block: the closed-form kernel for spectrum, berry and aa
@@ -198,18 +198,13 @@ def _aa_rows(columns):
     return _numbered(np.stack([total, principal, np.angle(overlaps), np.repeat(defects[:, None], 4, axis=1)], axis=-1))
 
 
-def _defect_rows(columns):
-    """One stacked evaluation of the AA two-cycle identity defect for all points."""
-    return _aa_two_cycles(columns)[1][:, None, None]
-
-
 # quantity -> (columns, block function). The block functions look the library
 # functions up at call time, so they can be traced or patched.
 _QUANTITIES = {
     "spectrum": (["n", "energy"], _spectrum_rows),
     "berry": (_PHASE_COLUMNS, lambda columns: _phase_rows(columns, shifted=False)),
     "aa": (_PHASE_COLUMNS, lambda columns: _phase_rows(columns, shifted=True)),
-    "twocycle-defect": (["identity_defect"], _defect_rows),
+    "twocycle-defect": (["identity_defect"], lambda columns: _aa_two_cycles(columns)[1][:, None, None]),
 }
 
 
@@ -315,13 +310,11 @@ def cmd_sweep(axes, quantity: str, base: SpinParams):
 
 _CELL = 24
 
-# "0000".."9999" as uint32 words, then the same without trailing zeros ("1200" as "12"), then without
-# leading zeros ("0012" as "12"); "0000" has no byte in either
+# "0000".."9999" as uint32 words, then the same without trailing zeros ("1200" as "12", "0000" as no byte)
 _QUADS = np.indices((10,) * 4, np.uint8).reshape(4, -1).T.copy()  # the digits of 0..9999
 _QUADS = np.concatenate([
     _QUADS + np.uint8(48),
     (_QUADS + np.uint8(48)) * ~np.logical_and.accumulate(_QUADS[:, ::-1] == 0, axis=1)[:, ::-1],
-    (_QUADS + np.uint8(48)) * ~np.logical_and.accumulate(_QUADS == 0, axis=1),
 ]).view("<u4").ravel()
 # exponent k in [-330, 330] after the e: a sign, the hundreds digit or no byte, two digits ("+05" as "+", "", "05")
 _EXPONENTS = np.arange(-330, 331)
@@ -429,25 +422,15 @@ def _float_text(fmt: str, values: np.ndarray, out: np.ndarray) -> None:
     (_csv_text if fmt == "csv" else _json_text)(values < 0.0, digits, k, out)
     inexact = np.flatnonzero(~exact)
     if len(inexact):
-        unique, inverse = np.unique(values[inexact], return_inverse=True)
-        texts = ["%.12e" % x if fmt == "csv" else repr(float("%.12e" % x)) for x in unique.tolist()]
-        out[inexact] = np.array(texts, dtype="S20").view(np.uint8).reshape(-1, 20)[inverse.reshape(-1)]
+        python_text = (lambda x: "%.12e" % x) if fmt == "csv" else (lambda x: repr(float("%.12e" % x)))
+        out[inexact] = _distinct_text(values[inexact], python_text)
 
 
-def _integer_text(values: np.ndarray, out: np.ndarray) -> None:
-    """Write %d of int(value), |value| < 1e16, into out, (N, 20) bytes: a sign, then four words of four
-    digits, leading zeros as no byte."""
-    integers = values.astype(np.int64)
-    magnitude = np.abs(integers)
-    high = magnitude // 10**8
-    low = magnitude - high * 10**8
-    words = out.view("<u4")
-    words[:, 0] = 45 * (integers < 0)
-    leading = np.ones(len(values), bool)  # every limb so far is 0
-    for word, limb in enumerate((high // 10**4, high % 10**4, low // 10**4, low % 10**4), start=1):
-        words[:, word] = _QUADS[limb + 20_000 * leading]
-        leading &= limb == 0
-    words[:, 4] = np.where(leading, _QUADS[0] & 0xFF000000, words[:, 4])  # the value 0 is "0"
+def _distinct_text(values: np.ndarray, text) -> np.ndarray:
+    """(N, 20) bytes, row i the text(v) of values[i], text called once per distinct value."""
+    unique, inverse = np.unique(values, return_inverse=True)
+    texts = np.array([text(v) for v in unique.tolist()], dtype="S20").view(np.uint8).reshape(-1, 20)
+    return texts[inverse.reshape(-1)]
 
 
 def _float_texts(fmt: str, values: np.ndarray) -> list[str]:
@@ -461,10 +444,11 @@ def _float_texts(fmt: str, values: np.ndarray) -> list[str]:
 def _table_text(fmt: str, columns, rows: np.ndarray, head: str = "", tail: str = "") -> str:
     """head, the CSV lines or the comma-separated JSON arrays of a finite table, then tail.
 
-    The table is rendered RENDER_CHUNK rows at a time: every cell as a float, then the n cells as
-    integers and the component cells as the BASIS_LABELS they index.
+    The table is rendered RENDER_CHUNK rows at a time: every cell as a float, then the n cells as %d
+    and the component cells as the BASIS_LABELS they index, once per distinct value in the chunk.
     """
-    labels = np.array([label if fmt == "csv" else f'"{label}"' for label in BASIS_LABELS], dtype="S20")
+    labels = [label if fmt == "csv" else f'"{label}"' for label in BASIS_LABELS]
+    text_of = {"n": lambda v: "%d" % v, "component": lambda v: labels[int(v)]}
     last = "\n" if fmt == "csv" else "],["  # JSON: each row's "]", and the "[" of the next
     separators = np.array([","] * (len(columns) - 1) + [last], dtype="S4").view("<u4")
     pieces = [head + ("[" if fmt == "json" and len(rows) else "")]
@@ -474,10 +458,8 @@ def _table_text(fmt: str, columns, rows: np.ndarray, head: str = "", tail: str =
         cells.view("<u4")[:, :, 5] = separators
         _float_text(fmt, chunk.ravel(), cells.reshape(-1, _CELL)[:, :20])
         for j, name in enumerate(columns):
-            if name == "n":
-                _integer_text(chunk[:, j], cells[:, j, :20])
-            elif name == "component":
-                cells[:, j, :20] = labels[chunk[:, j].astype(np.intp)].view(np.uint8).reshape(-1, 20)
+            if name in text_of:
+                cells[:, j, :20] = _distinct_text(chunk[:, j], text_of[name])
         pieces.append(cells.tobytes().translate(None, b"\0").decode("ascii"))
     if fmt == "json" and len(rows):
         pieces[-1] = pieces[-1][:-2]  # the last row's ",["

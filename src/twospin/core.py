@@ -82,12 +82,12 @@ def _frozen_array(values, shape) -> np.ndarray:
     return arr
 
 
-def _check_tag(mats: np.ndarray, kind: str) -> None:
-    """The tag check of Operator4 on one 4x4 matrix or on a (..., 4, 4) stack.
-
-    Raises ValueError with the defect of the first matrix that violates the
-    tag; "general" is not checked.
+def _check_stack(mats: np.ndarray, kind: str) -> None:
+    """The checks of Operator4(m, kind) on one 4x4 matrix m or on each m of a (..., 4, 4) stack: finite
+    entries, then the tag. Raises ValueError with the defect of the first matrix that violates the tag;
+    "general" is not checked.
     """
+    _require_finite(mats)
     if kind == "hermitian":
         deviation, tol = np.abs(mats - mats.conj().swapaxes(-1, -2)), HERMITIAN_TOL
     elif kind == "unitary":
@@ -102,12 +102,6 @@ def _check_tag(mats: np.ndarray, kind: str) -> None:
         failed = defects[defects > tol]
         if len(failed):
             raise ValueError(f"{kind} tag violated: defect {failed[0]:.3e}")
-
-
-def _check_stack(mats: np.ndarray, kind: str) -> None:
-    """Every check of building Operator4(m, kind), for each m of a (N, 4, 4) stack."""
-    _require_finite(mats)
-    _check_tag(mats, kind)
 
 
 # The package's one Pauli table: the matrices of spin a (first tensor slot)
@@ -206,7 +200,7 @@ class Operator4:
 
     def __post_init__(self):
         mat = _frozen_array(self.matrix, (4, 4))
-        _check_tag(mat, self.kind)
+        _check_stack(mat, self.kind)
         object.__setattr__(self, "matrix", mat)
 
     @classmethod

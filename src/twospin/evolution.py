@@ -31,7 +31,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Operator4, SpinParams, TwoSpinState, _check_stack, _columns, _refuse, _state_from_trusted
+from .core import Operator4, SpinParams, TwoSpinState, _check_stack, _checked_float, _columns, _refuse
+from .core import _state_from_trusted
 from .hamiltonian import _frame_matrix, _hamiltonians
 
 __all__ = [
@@ -86,7 +87,7 @@ def exact_propagator(params: SpinParams, t: float) -> Operator4:
     The N = 1 case of _propagators, with its checks; raises ArithmeticError
     when the phases are too large to resolve.
     """
-    return Operator4.unitary(_propagators(_columns(params, 1), np.array([t], dtype=float))[0])
+    return Operator4.unitary(_propagators(_columns(params, 1), np.array([_checked_float("time", t)]))[0])
 
 
 def evolve_exact(params: SpinParams, initial: TwoSpinState, t: float) -> EvolutionResult:

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import _PAULI, Operator4, SpinParams, _columns
+from .core import _PAULI, Operator4, SpinParams, _checked_float, _columns
 
 __all__ = ["frame_rotation", "h_rotating_frame", "h_total"]
 
@@ -57,7 +57,7 @@ def _hamiltonians(columns: dict[str, np.ndarray], angle: np.ndarray, rotating: b
 def h_total(params: SpinParams, t: float) -> Operator4:
     """Full Hamiltonian at time t, including the rotating transverse field: the N = 1 case of _hamiltonians."""
     columns = _columns(params, 1)
-    return Operator4.hermitian(_hamiltonians(columns, columns["omega1"] * t)[0])
+    return Operator4.hermitian(_hamiltonians(columns, columns["omega1"] * _checked_float("time", t))[0])
 
 
 def h_rotating_frame(params: SpinParams) -> Operator4:
@@ -84,4 +84,4 @@ def frame_rotation(params: SpinParams, t: float) -> Operator4:
 
     Diagonal: diag(exp(-i omega1 t), 1, 1, exp(+i omega1 t)).
     """
-    return Operator4.unitary(_frame_matrix(params.omega1 * t))
+    return Operator4.unitary(_frame_matrix(params.omega1 * _checked_float("time", t)))

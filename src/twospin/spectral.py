@@ -65,7 +65,6 @@ from .hamiltonian import _OVERFLOW, _hamiltonians
 
 __all__ = [
     "DEGENERACY_RTOL",
-    "EigenPair",
     "EigenSystem",
     "eigensystem",
     "singlet_energy",
@@ -175,36 +174,23 @@ def _amplitudes(x, w, energies, theta):
 
 
 @dataclass(frozen=True)
-class EigenPair:
-    label: int
-    energy: float
-    state: TwoSpinState
-
-
-@dataclass(frozen=True)
 class EigenSystem:
-    """Four labeled eigenpairs of H(t), ordered by label (1..4)."""
+    """The energies and states of the four eigenpairs of H(t), each in label order (1..4)."""
 
-    pairs: tuple[EigenPair, ...]
+    energies: tuple[float, float, float, float]
+    states: tuple[TwoSpinState, TwoSpinState, TwoSpinState, TwoSpinState]
     time: float
     used_fallback: bool = False
 
-    def pair(self, n: int) -> EigenPair:
-        return self.pairs[_label(n) - 1]
-
     def energy(self, n: int) -> float:
-        return self.pair(n).energy
+        return self.energies[_label(n) - 1]
 
     def state(self, n: int) -> TwoSpinState:
-        return self.pair(n).state
-
-    @property
-    def energies(self) -> tuple[float, float, float, float]:
-        return tuple(p.energy for p in self.pairs)
+        return self.states[_label(n) - 1]
 
     def basis_matrix(self) -> np.ndarray:
         """Columns are the eigenstates in label order."""
-        return np.column_stack([p.state.amplitudes for p in self.pairs])
+        return np.column_stack([state.amplitudes for state in self.states])
 
 
 # Rows map the 4-dim space onto the symmetric (triplet) sector basis
@@ -272,10 +258,9 @@ def _eigenbases(columns: dict[str, np.ndarray], t: float = 0.0, rotating: bool =
 
 
 def _system(params: SpinParams, t: float, rotating: bool) -> EigenSystem:
-    closed, (basis,) = _eigenbases(_columns(params, 1), t, rotating)
-    energies = [*closed.energies[0].tolist(), singlet_energy(params.J)]
-    pairs = tuple(EigenPair(n, energies[n - 1], TwoSpinState(basis[:, n - 1])) for n in (1, 2, 3, 4))
-    return EigenSystem(pairs=pairs, time=t, used_fallback=bool(closed.fallback.any()))
+    closed, (basis,) = _eigenbases(_columns(params, 1), _checked_float("time", t), rotating)
+    energies = (*closed.energies[0].tolist(), singlet_energy(params.J))
+    return EigenSystem(energies, tuple(map(TwoSpinState, basis.T)), t, bool(closed.fallback.any()))
 
 
 def eigensystem(params: SpinParams, t: float = 0.0) -> EigenSystem:

@@ -13,10 +13,13 @@ from twospin import (
     aa_breakdown,
     aa_phase,
     adiabatic_phases,
+    eigensystem,
     evolve_exact,
     evolve_stepped,
     exact_propagator,
+    frame_rotation,
     h_rotating_frame,
+    h_total,
     tilde_eigensystem,
 )
 from twospin import core, evolution, hamiltonian
@@ -202,6 +205,25 @@ class TestEvolveStepped:
         p = SpinParams.symmetric(1.0, 1.0, 1.0, 0.1)
         res = evolve_stepped(p, TwoSpinState.basis_state("uu"), p.period, 200)
         assert 0.9 < res.final_state.norm < 1.0
+
+
+# Every public function that takes a time refuses a non-finite one alike, before any arithmetic on it: a NumPy
+# warning first would fail the test under the tier-1 warning filter.
+_TIMED_CALLS = {
+    "h_total": lambda t: h_total(P111, t),
+    "frame_rotation": lambda t: frame_rotation(P111, t),
+    "eigensystem": lambda t: eigensystem(P111, t),
+    "exact_propagator": lambda t: exact_propagator(P111, t),
+    "evolve_exact": lambda t: evolve_exact(P111, TwoSpinState.basis_state("uu"), t),
+    "evolve_stepped": lambda t: evolve_stepped(P111, TwoSpinState.basis_state("uu"), t, 100),
+}
+
+
+@pytest.mark.parametrize("t", [math.inf, -math.inf, math.nan])
+@pytest.mark.parametrize("call", sorted(_TIMED_CALLS))
+def test_every_timed_call_refuses_a_non_finite_time(call, t):
+    with pytest.raises(ValueError, match=f"^time must be finite, got {t!r}$"):
+        _TIMED_CALLS[call](t)
 
 
 def _stack(points):

@@ -349,7 +349,6 @@ _LABEL_CALLS = {
     "adiabatic_phases": lambda n: adiabatic_phases(_P_LABELS, n),
     "aa_breakdown": lambda n: aa_breakdown(_P_LABELS, n),
     "aa_phase": lambda n: aa_phase(_P_LABELS, n),
-    "EigenSystem.pair": lambda n: eigensystem(_P_LABELS).pair(n),
     "EigenSystem.state": lambda n: eigensystem(_P_LABELS).state(n),
 }
 
@@ -368,7 +367,8 @@ class TestLabelRule:
         assert berry_phase(1.0, 1.0, 1.0, np.int64(n)) == berry_phase(1.0, 1.0, 1.0, n)
         for breakdown in (adiabatic_phases(_P_LABELS, np.int32(n)), aa_breakdown(_P_LABELS, np.uint8(n))):
             assert type(breakdown.label) is int and breakdown.label == n
-        assert eigensystem(_P_LABELS).pair(np.int64(n)).label == n
+        system = eigensystem(_P_LABELS)
+        assert system.state(np.int64(n)) is system.state(n) and system.energy(np.int64(n)) == system.energy(n)
 
 
 class TestPrincipal:

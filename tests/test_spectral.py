@@ -352,7 +352,7 @@ def outcome(build):
         result = build()
     except (ArithmeticError, ValueError) as exc:
         return type(exc), str(exc)
-    basis, used = (result.basis_matrix(), result.used_fallback) if hasattr(result, "pairs") else result
+    basis, used = (result.basis_matrix(), result.used_fallback) if hasattr(result, "states") else result
     return basis.view(np.uint64).tolist(), used
 
 
@@ -388,6 +388,19 @@ class TestEigenbasesKernel:
         for point, basis, fallback in zip(GRID, bases, used):
             expected, expected_fallback = tilde_eigensystem_loop(point)
             assert same_bits(basis, expected) and fallback == expected_fallback
+
+    @pytest.mark.parametrize("p, fallback", [
+        (SpinParams.symmetric(1.0, 0.8, 0.6, 0.3), False),
+        (SpinParams.symmetric(0.4, 0.0, 0.9, 0.4), True),  # gamma = 0, and omega0 = omega1 in the rotating frame
+    ])
+    def test_eigensystems_hold_the_one_point_kernel_bit_for_bit(self, p, fallback):
+        for system, (closed, bases) in (
+            (eigensystem(p, 1.7), _eigenbases(stacked([p]), 1.7)),
+            (tilde_eigensystem(p), _eigenbases(stacked([p]), rotating=True)),
+        ):
+            assert same_bits(np.array(system.energies), np.append(closed.energies[0], singlet_energy(p.J)))
+            assert same_bits(np.array([state.amplitudes for state in system.states]), bases[0].T)
+            assert system.used_fallback is bool(closed.fallback.any()) is fallback
 
     @settings(deadline=None, max_examples=300)
     @given(components, components, components, components, st.floats(-20.0, 20.0), scales)
