@@ -444,7 +444,6 @@ def tilde_eigensystem_loop(params):
 CORPUS_SEED = 23
 # Parameter values far outside the physical range: huge, a crossing scale, the smallest subnormal, non-finite.
 HOSTILE = ("1e200", "-1e200", "6e-54", "5e-324", "inf", "-inf", "nan")
-_MODEL_FLAGS = ("omega0", "omega-a0", "omega-b0", "gamma", "gamma-a", "gamma-b", "J", "omega1")
 
 
 def corpus_argvs(seed=CORPUS_SEED):
@@ -452,10 +451,10 @@ def corpus_argvs(seed=CORPUS_SEED):
 
     Every subcommand in both formats (each case is written once as CSV and once as JSON), both rotation
     senses, fallback points (gamma = 0), resonance points (omega0 = omega1), level crossings (omega0 = +-J)
-    with gamma down to 2e-8, unequal couplings, sweeps of up
-    to 40 points, one per quantity across a SWEEP_BLOCK boundary, RK4 runs, hostile values (HOSTILE) and
-    error exits. Values are written as --flag=value, so a negative or non-finite one needs no quoting.
-    Cases that argparse itself refuses are left out: its messages differ between Python versions.
+    with gamma down to 2e-8, unequal couplings, sweeps of up to 40 points, one per quantity across a
+    SWEEP_BLOCK boundary, RK4 runs, hostile values (HOSTILE) and error exits. Values are written as
+    --flag=value, so a negative or non-finite one needs no quoting. Cases that argparse itself refuses
+    are left out: its messages differ between Python versions.
     """
     rng = random.Random(seed)
 
