@@ -18,8 +18,8 @@ Sweeps walk the grid in lexicographic order in blocks of SWEEP_BLOCK points,
 one kernel call per block: the closed-form kernel for spectrum, berry and aa
 (the spectrum and phases commands are its N = 1 case), the stacked propagator
 kernel for twocycle-defect and the twocycle tables, whose --omega1-sweep list
-is walked as a one-axis grid. A failing block is run again point by point, so
-errors are those of the first failing grid point.
+is walked as a one-axis grid. A failing block is run again in halves, first
+half first, down to one point, so errors are those of the first failing point.
 
 Exit codes: 0 success, 2 usage or parameter error (including a sweep grid of
 more than MAX_GRID_POINTS points, an axis with a non-finite bound or span, two
@@ -42,7 +42,7 @@ from itertools import combinations
 import numpy as np
 
 from .core import BASIS_LABELS, PARAM_GROUPS, SpinParams, TwoSpinState, _checked_float, _columns, _equal_coupling_fields
-from .core import _refuse
+from .core import _periods, _refuse
 from .evolution import evolve_exact, evolve_stepped
 from .phases import _cycle_phases, _principal_values
 from .spectral import _closed_form, _eigenbases, eigensystem, singlet_energy, tilde_eigensystem
@@ -185,13 +185,16 @@ def _adiabatic_rows(columns, steps: int):
 
 
 def _aa_rows(columns):
-    """Per rotating-frame eigenstate n: the one-cycle total phase, raw and principal, the phase of
-    <n|U2 U1|n> and the identity defect max|U2 U1 - I|.
+    """Per rotating-frame eigenstate n: the one-cycle total phase -E_n tau (_cycle_phases' total, from the closed
+    form of the one _eigenbases call), raw and principal, the phase of <n|U2 U1|n> and the identity defect.
     """
     _require_rotation(columns["omega1"])  # the protocol's refusal comes before the spectrum's
-    starts = _eigenbases(columns, rotating=True)[1].swapaxes(1, 2).copy()[..., None]  # (N, 4, 4, 1), by label
+    closed, bases = _eigenbases(columns, rotating=True)
+    starts = bases.swapaxes(1, 2).copy()[..., None]  # (N, 4, 4, 1), by label
     composed, defects = _aa_two_cycles(columns)
-    total = _cycle_phases(columns, shifted=True)[0]
+    energies = np.column_stack([closed.energies, singlet_energy(columns["J"])])
+    with np.errstate(all="ignore"):  # as in _cycle_phases; a non-finite phase is refused next
+        total = -energies * _periods(columns["omega1"])[:, None]
     principal = _principal_values(total)
     # <n|U2 U1|n> as matrix-vector and vector-vector products, each equal to np.vdot(start, u @ start)
     overlaps = (starts.conj().swapaxes(-1, -2) @ (composed[:, None] @ starts))[..., 0, 0]
@@ -269,8 +272,8 @@ def _walk(axes, block_rows, base: SpinParams) -> np.ndarray:
     """The (R, C) table of block_rows over the grid of (name, values) axes, each row led by its axis values.
 
     The grid is walked in lexicographic order in blocks of SWEEP_BLOCK points,
-    the other fields from base. A failing block is run again point by point, so
-    the first failing point in grid order raises its own error.
+    the other fields from base. A failing block goes to _halving, so the first
+    failing point in grid order raises its own error after O(log n) calls.
     """
     names = [name for name, _ in axes]
     grids = np.meshgrid(*(np.array(values, dtype=float) for _, values in axes), indexing="ij")
@@ -281,13 +284,22 @@ def _walk(axes, block_rows, base: SpinParams) -> np.ndarray:
         block_columns = _columns(base, len(block))
         for name, values in zip(names, block.T.copy()):
             block_columns.update(dict.fromkeys(PARAM_GROUPS[name], values))
-        try:
-            table = block_rows(block_columns)
-        except (ArithmeticError, ValueError):
-            singles = ({field: column[i : i + 1] for field, column in block_columns.items()} for i in range(len(block)))
-            table = np.concatenate(list(map(block_rows, singles)))
+        table = _halving(block_rows, block_columns)
         tables.append(np.hstack([np.repeat(block, table.shape[1], axis=0), table.reshape(-1, table.shape[2])]))
     return np.concatenate(tables)
+
+
+def _halving(block_rows, columns) -> np.ndarray:
+    """block_rows(columns), or where that fails, the tables of the first and then the second half of the points,
+    each by _halving, so a single failing point raises its own error. Every kernel's point i equals its N = 1
+    call, so passing halves give the same bits."""
+    try:
+        return block_rows(columns)
+    except (ArithmeticError, ValueError):
+        if len(columns["J"]) == 1:
+            raise
+    halves = (slice(None, len(columns["J"]) // 2), slice(len(columns["J"]) // 2, None))
+    return np.concatenate([_halving(block_rows, {f: c[half] for f, c in columns.items()}) for half in halves])
 
 
 def cmd_sweep(axes, quantity: str, base: SpinParams):
@@ -433,14 +445,6 @@ def _distinct_text(values: np.ndarray, text) -> np.ndarray:
     return texts[inverse.reshape(-1)]
 
 
-def _float_texts(fmt: str, values: np.ndarray) -> list[str]:
-    """Each value's text, as _float_text writes it."""
-    cells = np.zeros((len(values), _CELL), np.uint8)
-    cells[:, 20] = ord("\n")
-    _float_text(fmt, values, cells[:, :20])
-    return cells.tobytes().translate(None, b"\0").decode("ascii").splitlines()
-
-
 def _table_text(fmt: str, columns, rows: np.ndarray, head: str = "", tail: str = "") -> str:
     """head, the CSV lines or the comma-separated JSON arrays of a finite table, then tail.
 
@@ -475,8 +479,8 @@ def _render(fmt: str, command: str, params: SpinParams, columns, rows: np.ndarra
     if fmt == "csv":
         return _table_text(fmt, columns, rows, ",".join(columns) + "\n")
     names = [f.name for f in fields(params)]
-    texts = _float_texts(fmt, np.array([*(getattr(params, name) for name in names), *extra_values]))
-    values = list(map(float, texts))  # json.dumps writes each one as its text
+    # %.12e read back, which json.dumps writes as repr: _float_text's JSON rule for a header float
+    values = [float("%.12e" % (v + 0.0)) for v in [*(getattr(params, name) for name in names), *extra_values]]
     document = {"schema_version": SCHEMA_VERSION, "command": command, "params": dict(zip(names, values)),
                 "columns": list(columns), "rows": None, **extras, **dict(zip(floats, values[len(names) :]))}
     head, _, tail = json.dumps(document, sort_keys=True, separators=(",", ":")).partition('"rows":null')

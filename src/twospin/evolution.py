@@ -60,15 +60,13 @@ class EvolutionResult:
 def _propagators(columns: dict[str, np.ndarray], t: np.ndarray) -> np.ndarray:
     """U(t) = V(t) exp(-i H_rot t) at (N,) field columns (see core._columns) and times t.
 
-    Checks H_rot as Operator4.hermitian and U as Operator4.unitary would, and
-    raises ArithmeticError once the largest phase |lambda t|, over the
-    eigenvalues lambda of H_rot and the frame rate omega1, reaches 2**52:
-    neighbouring doubles are 1 rad apart there, so the phases are noise. The
-    checks run in that order over the whole stack, so at N = 1 a point fails
-    exactly as it would alone; at N > 1 the error may come from any point.
+    The builder checks H_rot as Operator4.hermitian; then this raises ArithmeticError once the
+    largest phase |lambda t|, over the eigenvalues lambda of H_rot and the frame rate omega1, reaches
+    2**52 (neighbouring doubles are 1 rad apart there, so the phases are noise), and checks U as
+    Operator4.unitary would. The checks run in that order over the whole stack, so at N = 1 a point
+    fails exactly as it would alone; at N > 1 the error may come from any point.
     """
     h_rot, omega1 = _hamiltonians(columns, np.zeros(len(t)), rotating=True), columns["omega1"]
-    _check_stack(h_rot, "hermitian")
     vals, vecs = np.linalg.eigh(h_rot)
     largest = np.maximum(np.maximum(-vals[:, 0], vals[:, -1]), np.abs(omega1))  # eigh sorts vals
     with np.errstate(over="ignore"):  # an infinite phase is refused below
@@ -104,7 +102,6 @@ def _check_steps(columns: dict[str, np.ndarray], t: np.ndarray, steps: int) -> N
         raise ValueError("steps must be at least 1")
     _refuse(~np.isfinite(t), t, ValueError, "time must be finite, got {!r}")
     matrices = _hamiltonians(columns, columns["omega1"] * 0.0)  # h_total's angle at t = 0
-    _check_stack(matrices, "hermitian")
     rate = np.maximum(np.abs(columns["omega1"]), np.abs(np.linalg.eigvalsh(matrices)).max(axis=1))
     with np.errstate(all="ignore"):  # 2*pi/0 is an infinite period and a count may overflow: both are handled
         shortest = 2.0 * math.pi / rate
@@ -127,8 +124,8 @@ def _stepped_propagators(columns: dict[str, np.ndarray], t: np.ndarray, steps: i
     of step k by _hamiltonians, h_total's arithmetic. With A = -iH there, step k is the transfer matrix
     R_k = I + h/6 (A0 + 2 K2 + 2 K3 + K4), K2 = Am (I + h/2 A0), K3 = Am (I + h/2 K2), K4 = A1 (I + h K3):
     a block's R_k are built by stacked operations and applied as U = R_k U, one matmul per step, so
-    problem m equals a loop of h_total transfer steps bit for bit. Sample blocks get the checks of
-    Operator4.hermitian, the result those of "general".
+    problem m equals a loop of h_total transfer steps bit for bit. The builder gives sample blocks the checks
+    of Operator4.hermitian; the result gets those of "general".
     """
     h = t / steps
     half, full, sixth = (f[:, None, None] for f in (0.5 * h, h, h / 6.0))
@@ -139,7 +136,6 @@ def _stepped_propagators(columns: dict[str, np.ndarray], t: np.ndarray, steps: i
         t0 = np.arange(first, min(first + block, steps))[:, None] * h
         angles = columns["omega1"] * np.stack([t0, t0 + 0.5 * h, t0 + h], axis=1)
         samples = _hamiltonians(columns, angles)
-        _check_stack(samples, "hermitian")
         a_0, a_mid, a_1 = (-1j * samples).swapaxes(0, 1)
         k2 = a_mid @ (eye + half * a_0)
         k3 = a_mid @ (eye + half * k2)

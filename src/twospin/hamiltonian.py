@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import _PAULI, Operator4, SpinParams, _checked_float, _columns
+from .core import _PAULI, Operator4, SpinParams, _check_stack, _checked_float, _columns
 
 __all__ = ["frame_rotation", "h_rotating_frame", "h_total"]
 
@@ -32,9 +32,9 @@ _OVERFLOW = "a Hamiltonian entry overflows the float range"
 
 
 def _hamiltonians(columns: dict[str, np.ndarray], angle: np.ndarray, rotating: bool = False) -> np.ndarray:
-    """Unchecked H matrices of (N,) field columns at field angles omega1*t of shape (..., N), as a (..., N, 4, 4)
-    stack, or (rotating) minus (omega1/2)(s_az + s_bz): H_rot at angle +0.0. An overflowing static part is
-    refused first, then (rotating) an overflowing result. Point i equals the N = 1 call's bit for bit.
+    """H matrices of (N,) field columns at field angles omega1*t of shape (..., N), as a (..., N, 4, 4) stack, or
+    (rotating) minus (omega1/2)(s_az + s_bz): H_rot at angle +0.0. Refuses an overflowing static part, then
+    (rotating) an overflowing result, then as Operator4.hermitian does. Point i equals the N = 1 call's bit for bit.
     """
     names = ("omega_a0", "omega_b0", "gamma_a", "gamma_b", "J", "omega1")
     a0, b0, gamma_a, gamma_b, J, omega1 = (columns[name][:, None, None] for name in names)
@@ -51,6 +51,7 @@ def _hamiltonians(columns: dict[str, np.ndarray], angle: np.ndarray, rotating: b
             matrices = matrices - 0.5 * omega1 * (_PAULI["a", "z"] + _PAULI["b", "z"])
         if not np.isfinite(matrices).all():
             raise OverflowError(_OVERFLOW)
+    _check_stack(matrices, "hermitian")
     return matrices
 
 

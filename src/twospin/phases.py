@@ -21,8 +21,9 @@ rotating-frame generator is cyclic with total phase -E_tilde_n * tau; its
 geometric (Aharonov-Anandan) part is the same closed form evaluated at the
 shifted detuning omega0 - omega1, again times the sign of omega1.
 
-_cycle_phases evaluates both breakdowns at N points with one call of
-spectral._closed_form; adiabatic_phases, aa_breakdown and aa_phase (its
+_cycle_phases evaluates both breakdowns at N points with one call each of
+spectral._closed_form and spectral._fallback_rows (on H(0) at the detuning
+used, shifted or not); adiabatic_phases, aa_breakdown and aa_phase (its
 geometric part) are its N = 1 case. berry_phase is that of _berry_phases.
 """
 
@@ -34,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import SpinParams, _checked_float, _columns, _equal_coupling_fields, _label, _periods, _refuse
-from .spectral import _LOST_ENERGY, _closed_form, _detuning, _fallback_states, _point, _python, singlet_energy
+from .spectral import _LOST_ENERGY, _TWO_PI, _closed_form, _detuning, _fallback_rows, _point, singlet_energy
 
 __all__ = [
     "PhaseBreakdown",
@@ -45,9 +46,6 @@ __all__ = [
     "legacy_single_spin_phase",
     "principal_value",
 ]
-
-_TWO_PI = 2.0 * math.pi
-
 
 _LOST_PHASE = "phase {!r} rad is not finite"
 
@@ -79,25 +77,12 @@ class PhaseBreakdown:
     geometric: float
 
 
-def _fallback_berry(closed, fallback_bases: np.ndarray) -> np.ndarray:
-    """closed.berry with each fallback label set, in place, to 2*pi*(|x|^2 - |w|^2) of its t = 0 state;
-    fallback_bases holds the (K, 4, 3 or 4) t = 0 bases of the fallback rows."""
-    rows = closed.fallback.any(axis=1)
-    x, w = (np.hypot(a.real, a.imag) for a in fallback_bases[:, [0, 3], :3].swapaxes(0, 1))
-    geometric = _TWO_PI * (_python(pow, x, 2) - _python(pow, w, 2))  # the scalar abs and **
-    closed.berry[rows, :3] = np.where(closed.fallback[rows], geometric, closed.berry[rows, :3])
-    return closed.berry
-
-
 def _berry_phases(omega0: np.ndarray, gamma: np.ndarray, J: np.ndarray):
     """Triplet energies (N, 3) and positive-sense Berry phases (N, 4) from one _closed_form call; fallback rows
-    take one _fallback_states call at t = 0."""
-    closed = _closed_form(omega0, gamma, J)
-    rows = closed.fallback.any(axis=1)
-    if rows.any():
-        o, g, zero = omega0[rows], gamma[rows], np.zeros(np.count_nonzero(rows))
-        columns = {"omega_a0": o, "omega_b0": o, "gamma_a": g, "gamma_b": g, "J": J[rows], "omega1": zero}
-        _fallback_berry(closed, _fallback_states(columns, closed.energies[rows], zero, rotating=False))
+    take spectral._fallback_rows on H(0) at these fields."""
+    closed, zero = _closed_form(omega0, gamma, J), np.zeros(len(J))
+    columns = {"omega_a0": omega0, "omega_b0": omega0, "gamma_a": gamma, "gamma_b": gamma, "J": J, "omega1": zero}
+    _fallback_rows(columns, closed, zero, rotating=False)
     return closed.energies, closed.berry
 
 

@@ -59,7 +59,7 @@ from itertools import permutations
 
 import numpy as np
 
-from .core import SpinParams, TwoSpinState, _check_stack, _checked_float, _columns, _equal_coupling_fields, _label
+from .core import SpinParams, TwoSpinState, _checked_float, _columns, _equal_coupling_fields, _label
 from .core import _refuse
 from .hamiltonian import _OVERFLOW, _hamiltonians
 
@@ -102,7 +102,7 @@ class _ClosedForm:
     """Row i is point i, column k label k + 1. energies, the scale-free t = 0 amplitudes x = -2 gamma/d+ and
     w = -2 gamma/d- (uu and dd, with ud = du = 1; meaningless on the mask) and the fallback mask
     (min|d+-| < DEGENERACY_RTOL * scale) are (N, 3); berry holds the (N, 4) positive-sense Berry phases,
-    NaN on the mask, 0 for the singlet.
+    NaN on the mask until _fallback_rows sets it, 0 for the singlet.
     """
 
     energies: np.ndarray
@@ -203,14 +203,13 @@ _SINGLET = TwoSpinState.singlet().amplitudes
 
 def _fallback_states(columns: dict[str, np.ndarray], energies: np.ndarray, theta: np.ndarray, rotating: bool):
     """(K, 4, 3) triplet states, label k + 1 in column k, of the K points of columns with (K, 3) label energies:
-    one stacked eigh of the sectors of _hamiltonians(columns, theta, rotating), checked as Operator4.hermitian
-    (H_rot itself, not H(0) at the shifted detuning: at exact resonance a degenerate eigenvector's sign depends
-    on its last bits); the eigenvalue permutation of least summed distance to the energies (the first in
-    itertools order on a tie); each state one matrix-vector product, and the last of its largest-magnitude
-    amplitudes (ties within 1e-12 relative, against last-bit noise) made real and positive.
+    one stacked eigh of the sectors of _hamiltonians(columns, theta, rotating), which checks them as
+    Operator4.hermitian (H_rot itself, not H(0) at the shifted detuning: at exact resonance a degenerate
+    eigenvector's sign depends on its last bits); the eigenvalue permutation of least summed distance to the
+    energies (the first in itertools order on a tie); each state one matrix-vector product, and the last of its
+    largest-magnitude amplitudes (ties within 1e-12 relative, against last-bit noise) made real and positive.
     """
     hamiltonians = _hamiltonians(columns, theta, rotating)
-    _check_stack(hamiltonians, "hermitian")
     vals, vecs = np.linalg.eigh(_SYM_PROJECTOR @ hamiltonians @ _SYM_PROJECTOR.conj().T)
     with np.errstate(over="ignore"):  # near the float range a wrong permutation's distance may read inf
         distance = np.abs(energies[:, None, :] - vals[:, _PERMUTATIONS]).sum(axis=-1)
@@ -223,6 +222,20 @@ def _fallback_states(columns: dict[str, np.ndarray], energies: np.ndarray, theta
     tied = magnitudes >= magnitudes.max(axis=-1, keepdims=True) * (1.0 - 1e-12)
     pivot = np.take_along_axis(states, 3 - np.argmax(tied[..., ::-1], axis=-1)[..., None], axis=-1)
     return (states * (np.conj(pivot) / np.hypot(pivot.real, pivot.imag))).swapaxes(1, 2)
+
+
+def _fallback_rows(columns: dict[str, np.ndarray], closed: _ClosedForm, theta: np.ndarray, rotating: bool):
+    """The (N,) mask of the K rows with a label on closed.fallback and their (K, 4, 3) _fallback_states at angles
+    theta, from one call; there closed.berry is set, in place, to 2*pi*(|x|^2 - |w|^2) of each label's state."""
+    rows = closed.fallback.any(axis=1)
+    if not rows.any():
+        return rows, np.empty((0, 4, 3), dtype=complex)
+    subset = {name: column[rows] for name, column in columns.items()}
+    states = _fallback_states(subset, closed.energies[rows], theta[rows], rotating)
+    x, w = (np.hypot(a.real, a.imag) for a in states[:, [0, 3]].swapaxes(0, 1))
+    geometric = _TWO_PI * (_python(pow, x, 2) - _python(pow, w, 2))  # the scalar abs and **
+    closed.berry[rows, :3] = np.where(closed.fallback[rows], geometric, closed.berry[rows, :3])
+    return rows, states
 
 
 def _detuning(omega0: np.ndarray, omega1: np.ndarray, rotating: bool) -> np.ndarray:
@@ -239,21 +252,19 @@ def _eigenbases(columns: dict[str, np.ndarray], t: float = 0.0, rotating: bool =
     of equal-coupling field columns, or (rotating) of the rotating-frame generator: H(0) with the static
     frequencies shifted by -omega1, whose closed form is that of H(0) at the shifted detuning.
 
-    Points with a label on the fallback mask take _fallback_states. At N > 1 the error may come from any
-    failing point.
+    Points with a label on the fallback mask take _fallback_rows, which also sets their closed.berry. At N > 1
+    the error may come from any failing point.
     """
     (omega0, gamma, J), omega1 = _equal_coupling_fields(columns), columns["omega1"]
     with np.errstate(over="ignore"):  # as in float arithmetic
         theta = np.zeros(len(omega1)) if rotating else omega1 * t
     closed = _closed_form(_detuning(omega0, omega1, rotating), gamma, J)
-    fallback = closed.fallback.any(axis=1)
+    fallback, states = _fallback_rows(columns, closed, theta, rotating)
     bases = np.empty((len(theta), 4, 4), dtype=complex)
     bases[:, :, 3] = _SINGLET
     parts = (part[~fallback] for part in (closed.x, closed.w, closed.energies))
     bases[~fallback, :, :3] = np.stack(np.broadcast_arrays(*_amplitudes(*parts, theta[~fallback, None])), axis=1)
-    if fallback.any():
-        subset = {name: column[fallback] for name, column in columns.items()}
-        bases[fallback, :, :3] = _fallback_states(subset, closed.energies[fallback], theta[fallback], rotating)
+    bases[fallback, :, :3] = states
     return closed, bases
 
 

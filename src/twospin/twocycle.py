@@ -28,7 +28,7 @@ import numpy as np
 from .core import PARAM_GROUPS, Operator4, SpinParams, TwoSpinState, _check_stack, _columns, _periods
 from .core import _state_from_trusted
 from .evolution import _check_steps, _propagators, _stepped_propagators
-from .phases import _fallback_berry, _rotation_sense
+from .phases import _rotation_sense
 from .spectral import _eigenbases
 
 __all__ = [
@@ -61,12 +61,11 @@ def _berry_gates(columns: dict[str, np.ndarray]):
     Operator4.unitary does on the gate; the fields are taken as finite, which SpinParams checks before.
     """
     closed, bases = _eigenbases(columns)
-    phases = _fallback_berry(closed, bases[closed.fallback.any(axis=1)])
     diagonal = np.zeros((len(bases), 4, 4), dtype=complex)
-    diagonal[:, range(4), range(4)] = np.exp(2j * phases)
+    diagonal[:, range(4), range(4)] = np.exp(2j * closed.berry)
     computational = bases @ diagonal @ bases.conj().swapaxes(-1, -2)
     _check_stack(computational, "unitary")
-    return phases, bases, diagonal, computational
+    return closed.berry, bases, diagonal, computational
 
 
 def berry_gate(omega0: float, gamma: float, J: float) -> BerryGate:

@@ -20,6 +20,7 @@ from twospin import (
     h_rotating_frame,
     h_total,
 )
+from twospin import cli
 from twospin.core import _check_stack, _equal_coupling_fields
 from twospin.phases import _berry_phases, _rotation_sense
 from twospin.spectral import _closed_form, _eigenbases
@@ -338,6 +339,14 @@ def render_oracle(fmt, command, params, columns, table, extras):
     }
     document.update((key, as_json(v)) for key, v in extras.items())
     return json.dumps(document, sort_keys=True, separators=(",", ":")) + "\n"
+
+
+def float_texts(fmt, values):
+    """Each value's text, as cli._float_text writes it into the first 20 bytes of a table cell."""
+    cells = np.zeros((len(values), cli._CELL), np.uint8)
+    cells[:, 20] = ord("\n")
+    cli._float_text(fmt, values, cells[:, :20])
+    return cells.tobytes().translate(None, b"\0").decode("ascii").splitlines()
 
 
 def numeric_dynamical_phase(params, initial, t, steps):

@@ -21,6 +21,7 @@ from twospin import (
     principal_value,
     run_aa_two_cycle,
     singlet_energy,
+    tilde_eigensystem,
     triplet_energies,
     twocycle,
 )
@@ -284,6 +285,18 @@ class TestEvolveCommand:
 
 class TestTwocycleCommand:
     P = ["--omega0", "1", "--gamma", "0.8", "--J", "0.6"]
+
+    def test_aa_total_needs_no_berry_phase(self, capsys):
+        # gamma = 0 puts every label on the fallback; at omega0 - omega1 = 2**1023 the Berry phase's H(0) at that
+        # detuning overflows (2**1023 + 2**1023), so phases --mode aa refuses, while -E_n tau needs no Berry phase
+        point = ["--omega0", repr(2.0**1023 - 2.0**970), "--omega1", "-2e293", "--gamma", "0", "--J", "0"]
+        code, out, _ = run_main(["twocycle", "--scheme", "aa", *point], capsys)
+        system = tilde_eigensystem(SpinParams.symmetric(2.0**1023 - 2.0**970, 0.0, 0.0, -2e293))
+        assert code == 0
+        totals = [float("%.12e" % (-energy * (2.0 * math.pi / 2e293))) for energy in system.energies]
+        assert [float(row[1]) for row in parse_csv(out)[1]] == totals and abs(totals[0]) < 2.0**52
+        assert run_main(["phases", "--mode", "aa", *point], capsys) == (
+            4, "", '{"error": "a Hamiltonian entry overflows the float range", "exit_code": 4}\n')
 
     def test_aa_defect_column(self, capsys):
         code, out, _ = run_main(
@@ -755,6 +768,46 @@ class TestBlockedSweep:
             assert run_main(self.DEFECT + argv + fmt, capsys) == (
                 code, "", json.dumps({"error": message, "exit_code": code}) + "\n"
             )
+
+
+class TestHalving:
+    """cli._walk reruns a failing block by halves, the first half first, down to one point."""
+
+    @staticmethod
+    def _walk(n, refused, pool=lambda points: False):
+        """The walk of a fake block function over the points J = 0..n-1, or the text of what it raised, and the size
+        of each call. The function refuses a call holding a point of refused and names the last one held, so
+        only a one-point call names the first; it also refuses every call for which pool(points) holds."""
+        sizes = []
+
+        def block_rows(columns):
+            points = columns["J"]
+            sizes.append(len(points))
+            held = points[np.isin(points, refused)]
+            if len(held) or pool(points):
+                raise ValueError(f"point {held[-1] if len(held) else -1:.0f}")
+            return np.stack([points, -points], axis=-1)[:, None, :]
+
+        try:
+            return cli._walk([("J", np.arange(n, dtype=float).tolist())], block_rows, SpinParams.symmetric(1.0, 0.5, 0.3, 0.2)), sizes
+        except ValueError as exc:
+            return str(exc), sizes
+
+    @pytest.mark.parametrize("refused", [[3, 400], [400, 3], [255, 256], [510, 511], [0, 1], [600, 513], [700, 999]])
+    def test_the_earlier_of_two_failing_points_raises(self, refused):
+        assert cli.SWEEP_BLOCK == 512  # the last two pairs sit in the second block, one pair in each half
+        assert self._walk(1000, refused)[0] == f"point {min(refused)}"
+
+    def test_a_block_failing_at_row_506_takes_at_most_19_calls(self):
+        message, sizes = self._walk(cli.SWEEP_BLOCK, [506])
+        assert message == "point 506" and len(sizes) <= 19 and sizes[-1] == 1
+
+    def test_passing_halves_give_the_block_s_rows(self):
+        # every call of more than 100 points fails, although no point does: the walk is the halves' tables
+        table, sizes = self._walk(1000, [], pool=lambda points: len(points) > 100)
+        whole = np.arange(1000.0)
+        assert table.tolist() == np.column_stack([whole, whole, -whole]).tolist()
+        assert max(size for size in sizes if size <= 100) == 64 and sizes.count(1) == 0
 
 
 def _bits(table):

@@ -422,11 +422,9 @@ class TestSteppedKernel:
             assert np.abs(matrix - stepped_propagator_stage_loop(point, time, steps)).max() <= 1e-12
 
     def test_every_sample_is_checked_as_hermitian(self, monkeypatch):
-        # patched where evolution looks the builder up; only the samples at a nonzero angle turn non-hermitian,
-        # so in one step only the midpoint and end samples are
-        real = evolution._hamiltonians
-        broken = lambda columns, angle: real(columns, angle) + 1j * np.sin(angle)[..., None, None]  # noqa: E731
-        monkeypatch.setattr(evolution, "_hamiltonians", broken)
+        # the builder broken from inside: its sine part turns non-hermitian, so in one step the sample at
+        # angle 0 stays hermitian and only the midpoint and end samples are not
+        monkeypatch.setitem(core._PAULI, ("a", "y"), np.triu(np.ones((4, 4), dtype=complex)))
         with pytest.raises(ValueError, match="hermitian tag violated"):
             _stepped_propagators(_stack([P111]), np.array([1.0]), 1)
 

@@ -150,7 +150,7 @@ class TestBerryBlock:
         def counting(name, real):
             return lambda *args, **kwargs: calls.append(name) or real(*args, **kwargs)
 
-        for module, name in ((spectral, "_closed_form"), (phases, "_closed_form"), (phases, "_fallback_states")):
+        for module, name in ((spectral, "_closed_form"), (phases, "_closed_form"), (spectral, "_fallback_states")):
             monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
         omega0 = np.array([1.0, 1.0, 0.7, -0.4, 1.3])
         gamma = np.array([0.0, 0.5, 0.0, 0.9, 0.2])

@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 
 from twospin import SpinParams, cli
 
-from support import render_oracle
+from support import float_texts, render_oracle
 
 # Signed zeros, subnormals, the ends of the float range and values whose
 # %.12e text rounds up into the next decade; then the points where repr's form
@@ -161,7 +161,7 @@ def test_real_sweep_over_a_symmetric_grid_matches_the_cell_oracle(quantity):
 
 @pytest.mark.parametrize("values", [SPECIAL, [-x for x in SPECIAL]], ids=["special", "negated"])
 def test_json_text_of_special_values_is_repr_of_the_csv_text(values):
-    assert cli._float_texts("json", np.array(values)) == [repr(float("%.12e" % (x + 0.0))) for x in values]
+    assert float_texts("json", np.array(values)) == [repr(float("%.12e" % (x + 0.0))) for x in values]
 
 
 def test_json_text_over_random_bit_patterns_is_repr_of_the_csv_text():
@@ -170,7 +170,7 @@ def test_json_text_over_random_bit_patterns_is_repr_of_the_csv_text():
     values = bits.view(float)
     values = values[np.isfinite(values)]
     values = np.concatenate([values, -values])
-    assert cli._float_texts("json", values) == [repr(float("%.12e" % x)) for x in values.tolist()]
+    assert float_texts("json", values) == [repr(float("%.12e" % x)) for x in values.tolist()]
 
 
 def test_csv_text_over_random_bit_patterns_is_percent_e():
@@ -179,7 +179,7 @@ def test_csv_text_over_random_bit_patterns_is_percent_e():
     values = bits.view(float)
     values = values[np.isfinite(values)]
     values = np.concatenate([values, -values])
-    assert cli._float_texts("csv", values) == ["%.12e" % (x + 0.0) for x in values.tolist()]
+    assert float_texts("csv", values) == ["%.12e" % (x + 0.0) for x in values.tolist()]
 
 
 def edge_values():
@@ -206,7 +206,7 @@ def edge_values():
 def test_texts_at_the_edges_of_the_digit_kernel_are_python_s(fmt):
     values = edge_values()
     texts = ["%.12e" % x if fmt == "csv" else repr(float("%.12e" % x)) for x in values.tolist()]
-    assert cli._float_texts(fmt, values) == texts
+    assert float_texts(fmt, values) == texts
 
 
 def test_component_indices_render_as_labels():

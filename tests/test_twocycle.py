@@ -433,9 +433,9 @@ class TestBerryGateBlock:
     def test_one_closed_form_and_one_eigenbasis_pass_per_block(self, monkeypatch):
         columns = _fallback_heavy(np.random.default_rng(3), "mixed", 1.0)
         closed = self._count(monkeypatch, [(spectral, "_closed_form"), (phases, "_closed_form")])
-        bases = self._count(monkeypatch, [(twocycle, "_eigenbases"), (phases, "_fallback_states")])
-        _berry_gates(columns)
-        assert (closed, bases) == (["_closed_form"], ["_eigenbases"])
+        bases = self._count(monkeypatch, [(twocycle, "_eigenbases"), (spectral, "_fallback_states")])
+        _berry_gates(columns)  # the one fallback call runs inside the eigenbasis pass; the phases reuse it
+        assert (closed, bases) == (["_closed_form"], ["_eigenbases", "_fallback_states"])
 
     @pytest.mark.parametrize("steps", [None, 64])
     def test_no_spin_params_per_point(self, monkeypatch, steps):
@@ -455,6 +455,38 @@ class TestBerryGateBlock:
         _cycle_propagators(columns, ADIABATIC_FLIP_SET, 64)
         _cycle_propagators(columns, AA_FLIP_SET)
         assert checks == ["_check_steps"]
+
+
+class TestAaRows:
+    """cli._aa_rows reads the one-cycle total phase off the closed form of its own rotating-frame _eigenbases
+    pass, where it once ran _cycle_phases(shifted=True) again."""
+
+    @staticmethod
+    def _rotating(kind, sense):
+        """_fallback_heavy columns with omega1 != 0 (the protocol refuses 0), every third point at resonance
+        omega0 = omega1, where the rotating frame's closed form has a label on the fallback."""
+        columns = _fallback_heavy(np.random.default_rng(KINDS.index(kind) + 20 * (sense > 0)), kind, sense)
+        columns["omega1"][::17] = 0.5 * sense
+        columns["omega_a0"][::3] = columns["omega_b0"][::3] = columns["omega1"][::3]
+        return columns
+
+    @pytest.mark.parametrize("sense", [1.0, -1.0])
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_total_is_the_cycle_phases_total_bit_for_bit(self, kind, sense):
+        columns = self._rotating(kind, sense)
+        shifted = spectral._closed_form(columns["omega_a0"] - columns["omega1"], columns["gamma_a"], columns["J"])
+        assert shifted.fallback.any(axis=1).mean() > 0.3
+        rows = cli._aa_rows(columns)
+        total = phases._cycle_phases(columns, shifted=True)[0]
+        assert rows[..., 1].tobytes() == total.tobytes()
+        assert rows[..., 2].tobytes() == phases._principal_values(total).tobytes()
+
+    def test_one_closed_form_and_one_fallback_call_per_block(self, monkeypatch):
+        columns = self._rotating("mixed", 1.0)
+        closed = TestBerryGateBlock._count(monkeypatch, [(spectral, "_closed_form"), (phases, "_closed_form")])
+        fallback = TestBerryGateBlock._count(monkeypatch, [(spectral, "_fallback_states")])
+        cli._aa_rows(columns)
+        assert (closed, fallback) == (["_closed_form"], ["_fallback_states"])
 
 
 class TestStepBudgetOfTheCycles:
