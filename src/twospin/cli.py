@@ -42,7 +42,7 @@ from itertools import combinations
 import numpy as np
 
 from .core import BASIS_LABELS, PARAM_GROUPS, SpinParams, TwoSpinState, _checked_float, _columns, _equal_coupling_fields
-from .core import _periods, _refuse
+from .core import _refuse
 from .evolution import evolve_exact, evolve_stepped
 from .phases import _cycle_phases, _principal_values
 from .spectral import _closed_form, _eigenbases, eigensystem, singlet_energy, tilde_eigensystem
@@ -185,16 +185,13 @@ def _adiabatic_rows(columns, steps: int):
 
 
 def _aa_rows(columns):
-    """Per rotating-frame eigenstate n: the one-cycle total phase -E_n tau (_cycle_phases' total, from the closed
-    form of the one _eigenbases call), raw and principal, the phase of <n|U2 U1|n> and the identity defect.
+    """Per rotating-frame eigenstate n: the one-cycle total phase, raw and principal, the phase of
+    <n|U2 U1|n> and the identity defect max|U2 U1 - I|.
     """
     _require_rotation(columns["omega1"])  # the protocol's refusal comes before the spectrum's
-    closed, bases = _eigenbases(columns, rotating=True)
-    starts = bases.swapaxes(1, 2).copy()[..., None]  # (N, 4, 4, 1), by label
+    starts = _eigenbases(columns, rotating=True)[1].swapaxes(1, 2).copy()[..., None]  # (N, 4, 4, 1), by label
     composed, defects = _aa_two_cycles(columns)
-    energies = np.column_stack([closed.energies, singlet_energy(columns["J"])])
-    with np.errstate(all="ignore"):  # as in _cycle_phases; a non-finite phase is refused next
-        total = -energies * _periods(columns["omega1"])[:, None]
+    total = _cycle_phases(columns, shifted=True)[0]
     principal = _principal_values(total)
     # <n|U2 U1|n> as matrix-vector and vector-vector products, each equal to np.vdot(start, u @ start)
     overlaps = (starts.conj().swapaxes(-1, -2) @ (composed[:, None] @ starts))[..., 0, 0]
@@ -290,16 +287,16 @@ def _walk(axes, block_rows, base: SpinParams) -> np.ndarray:
 
 
 def _halving(block_rows, columns) -> np.ndarray:
-    """block_rows(columns), or where that fails, the tables of the first and then the second half of the points,
-    each by _halving, so a single failing point raises its own error. Every kernel's point i equals its N = 1
-    call, so passing halves give the same bits."""
+    """block_rows(columns), or where it fails, each half's table by _halving, first half first, so a lone failing
+    point raises its own error; passing halves give the same bits, as every kernel's point i equals its N = 1 call."""
     try:
         return block_rows(columns)
     except (ArithmeticError, ValueError):
         if len(columns["J"]) == 1:
             raise
-    halves = (slice(None, len(columns["J"]) // 2), slice(len(columns["J"]) // 2, None))
-    return np.concatenate([_halving(block_rows, {f: c[half] for f, c in columns.items()}) for half in halves])
+    half = len(columns["J"]) // 2
+    parts = (slice(half), slice(half, None))
+    return np.concatenate([_halving(block_rows, {f: c[part] for f, c in columns.items()}) for part in parts])
 
 
 def cmd_sweep(axes, quantity: str, base: SpinParams):

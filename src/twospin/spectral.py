@@ -102,7 +102,7 @@ class _ClosedForm:
     """Row i is point i, column k label k + 1. energies, the scale-free t = 0 amplitudes x = -2 gamma/d+ and
     w = -2 gamma/d- (uu and dd, with ud = du = 1; meaningless on the mask) and the fallback mask
     (min|d+-| < DEGENERACY_RTOL * scale) are (N, 3); berry holds the (N, 4) positive-sense Berry phases,
-    NaN on the mask until _fallback_rows sets it, 0 for the singlet.
+    NaN on the mask until _fallback_rows sets it from H(0)'s states, 0 for the singlet.
     """
 
     energies: np.ndarray
@@ -226,15 +226,17 @@ def _fallback_states(columns: dict[str, np.ndarray], energies: np.ndarray, theta
 
 def _fallback_rows(columns: dict[str, np.ndarray], closed: _ClosedForm, theta: np.ndarray, rotating: bool):
     """The (N,) mask of the K rows with a label on closed.fallback and their (K, 4, 3) _fallback_states at angles
-    theta, from one call; there closed.berry is set, in place, to 2*pi*(|x|^2 - |w|^2) of each label's state."""
+    theta, from one call. Where these are H(0)'s states (not rotating, every angle 0), closed.berry there is set,
+    in place, to 2*pi*(|x|^2 - |w|^2) of each label's state; elsewhere it keeps its NaN."""
     rows = closed.fallback.any(axis=1)
     if not rows.any():
         return rows, np.empty((0, 4, 3), dtype=complex)
     subset = {name: column[rows] for name, column in columns.items()}
     states = _fallback_states(subset, closed.energies[rows], theta[rows], rotating)
-    x, w = (np.hypot(a.real, a.imag) for a in states[:, [0, 3]].swapaxes(0, 1))
-    geometric = _TWO_PI * (_python(pow, x, 2) - _python(pow, w, 2))  # the scalar abs and **
-    closed.berry[rows, :3] = np.where(closed.fallback[rows], geometric, closed.berry[rows, :3])
+    if not rotating and not theta.any():
+        x, w = (np.hypot(a.real, a.imag) for a in states[:, [0, 3]].swapaxes(0, 1))
+        geometric = _TWO_PI * (_python(pow, x, 2) - _python(pow, w, 2))  # the scalar abs and **
+        closed.berry[rows, :3] = np.where(closed.fallback[rows], geometric, closed.berry[rows, :3])
     return rows, states
 
 
@@ -252,8 +254,8 @@ def _eigenbases(columns: dict[str, np.ndarray], t: float = 0.0, rotating: bool =
     of equal-coupling field columns, or (rotating) of the rotating-frame generator: H(0) with the static
     frequencies shifted by -omega1, whose closed form is that of H(0) at the shifted detuning.
 
-    Points with a label on the fallback mask take _fallback_rows, which also sets their closed.berry. At N > 1
-    the error may come from any failing point.
+    Points with a label on the fallback mask take _fallback_rows, which at t = 0 (not rotating) also sets their
+    closed.berry. At N > 1 the error may come from any failing point.
     """
     (omega0, gamma, J), omega1 = _equal_coupling_fields(columns), columns["omega1"]
     with np.errstate(over="ignore"):  # as in float arithmetic

@@ -389,6 +389,15 @@ class TestEigenbasesKernel:
             expected, expected_fallback = tilde_eigensystem_loop(point)
             assert same_bits(basis, expected) and fallback == expected_fallback
 
+    def test_fallback_berry_phases_come_from_h0_states_alone(self):
+        # at t = 0 the fallback labels take the Berry phases _berry_phases gives; at t != 0 and in the rotating
+        # frame the states are not H(0)'s, so those labels keep their NaN
+        columns = stacked(GRID)
+        closed, _ = _eigenbases(columns)
+        assert same_bits(closed.berry, _berry_phases(columns["omega_a0"], columns["gamma_a"], columns["J"])[1])
+        for closed, _ in (_eigenbases(columns, 1.7), _eigenbases(columns, rotating=True)):
+            assert closed.fallback.any() and np.isnan(closed.berry[:, :3]).tolist() == closed.fallback.tolist()
+
     @pytest.mark.parametrize("p, fallback", [
         (SpinParams.symmetric(1.0, 0.8, 0.6, 0.3), False),
         (SpinParams.symmetric(0.4, 0.0, 0.9, 0.4), True),  # gamma = 0, and omega0 = omega1 in the rotating frame

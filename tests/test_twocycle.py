@@ -457,38 +457,6 @@ class TestBerryGateBlock:
         assert checks == ["_check_steps"]
 
 
-class TestAaRows:
-    """cli._aa_rows reads the one-cycle total phase off the closed form of its own rotating-frame _eigenbases
-    pass, where it once ran _cycle_phases(shifted=True) again."""
-
-    @staticmethod
-    def _rotating(kind, sense):
-        """_fallback_heavy columns with omega1 != 0 (the protocol refuses 0), every third point at resonance
-        omega0 = omega1, where the rotating frame's closed form has a label on the fallback."""
-        columns = _fallback_heavy(np.random.default_rng(KINDS.index(kind) + 20 * (sense > 0)), kind, sense)
-        columns["omega1"][::17] = 0.5 * sense
-        columns["omega_a0"][::3] = columns["omega_b0"][::3] = columns["omega1"][::3]
-        return columns
-
-    @pytest.mark.parametrize("sense", [1.0, -1.0])
-    @pytest.mark.parametrize("kind", KINDS)
-    def test_total_is_the_cycle_phases_total_bit_for_bit(self, kind, sense):
-        columns = self._rotating(kind, sense)
-        shifted = spectral._closed_form(columns["omega_a0"] - columns["omega1"], columns["gamma_a"], columns["J"])
-        assert shifted.fallback.any(axis=1).mean() > 0.3
-        rows = cli._aa_rows(columns)
-        total = phases._cycle_phases(columns, shifted=True)[0]
-        assert rows[..., 1].tobytes() == total.tobytes()
-        assert rows[..., 2].tobytes() == phases._principal_values(total).tobytes()
-
-    def test_one_closed_form_and_one_fallback_call_per_block(self, monkeypatch):
-        columns = self._rotating("mixed", 1.0)
-        closed = TestBerryGateBlock._count(monkeypatch, [(spectral, "_closed_form"), (phases, "_closed_form")])
-        fallback = TestBerryGateBlock._count(monkeypatch, [(spectral, "_fallback_states")])
-        cli._aa_rows(columns)
-        assert (closed, fallback) == (["_closed_form"], ["_fallback_states"])
-
-
 class TestStepBudgetOfTheCycles:
     """_cycle_propagators checks the RK4 budget of both cycles in one call, cycle 1 rows first. A sign flip
     keeps the spectrum of H(0) up to sign (conjugation by a Pauli matrix flips omega and J, or gamma, of one
