@@ -12,7 +12,13 @@ senses, where the shifted detuning vanishes and the AA phase takes the
 fallback. phases_berry_crossing_csv sits next to the level crossing
 omega0 = -J at gamma = 1.8e-8, where labels 1 and 3 carry Berry phases
 within 1e-7 of pi (test_cli's TestCrossingsAndScales checks the same point
-against a direct diagonalization). The twocycle cases add omega1 lists in
+against a direct diagonalization). phases_aa_resonant_no_field_csv sits on the
+exact degeneracy omega0 = omega1 at gamma = 0, where the AA phases are those of
+the rotating-frame eigenstates tilde_eigensystem returns;
+phases_berry_huge_static_csv has a static part whose unhalved sum
+omega_a0 + omega_b0 overflows; twocycle_adiabatic_small_gamma_csv has a small
+gamma, where the closed-form eigenbases are orthonormal only to about eps/gap.
+The twocycle cases add omega1 lists in
 both rotation senses, exact and stepped, a single backwards rotation, exact
 and stepped, the gamma = 0 fallback with a backwards rotation, the AA
 scheme at omega1 < 0 and its refusal of RK4 steps, and a list that reaches
@@ -71,6 +77,10 @@ CASES = {
     "phases_berry_no_field_csv": ["phases", "--mode", "berry", *NO_FIELD, "--omega1", "0.1"],
     "phases_aa_no_field_csv": ["phases", "--mode", "aa", *NO_FIELD, "--omega1", "0.3"],
     "phases_aa_resonant_csv": ["phases", "--mode", "aa", *RESONANT],
+    "phases_aa_resonant_no_field_csv": [
+        "phases", "--mode", "aa", "--omega0", "0.4", "--gamma", "0", "--J", "0.9", "--omega1", "0.4",
+    ],
+    "phases_berry_huge_static_csv": ["phases", "--omega0", "1e308", "--gamma", "0", "--J", "0", "--omega1", "1e10"],
     "phases_berry_crossing_csv": [
         "phases", "--mode", "berry", "--omega0", "1", "--gamma", "1.8249109341204752e-08", "--J", "-1",
         "--omega1", "0.1",
@@ -104,6 +114,10 @@ CASES = {
     "twocycle_adiabatic_sweep_signs_csv": ["twocycle", "--scheme", "adiabatic", "--omega1-sweep=-0.1,0.05", *P],
     "twocycle_adiabatic_sweep_signs_stepped_csv": [
         "twocycle", "--scheme", "adiabatic", "--omega1-sweep=-0.1,0.05", *P, "--steps", "300",
+    ],
+    "twocycle_adiabatic_small_gamma_csv": [
+        "twocycle", "--scheme", "adiabatic", "--omega0", "1", "--gamma", "-0.0004167452494119317",
+        "--J", "0.4750591006580165", "--omega1", "0.1",
     ],
     "twocycle_adiabatic_no_field_csv": ["twocycle", "--scheme", "adiabatic", *NO_FIELD, "--omega1=-0.05"],
     "twocycle_adiabatic_negative_csv": ["twocycle", "--scheme", "adiabatic", *P, "--omega1=-0.05"],
