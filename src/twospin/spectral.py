@@ -249,19 +249,25 @@ def _detuning(omega0: np.ndarray, omega1: np.ndarray, rotating: bool) -> np.ndar
     return detuning
 
 
-def _eigenbases(columns: dict[str, np.ndarray], t: float = 0.0, rotating: bool = False):
-    """The closed forms and (N, 4, 4) eigenbases, column k the state of label k + 1, of H(t) at the points
-    of equal-coupling field columns, or (rotating) of the rotating-frame generator: H(0) with the static
-    frequencies shifted by -omega1, whose closed form is that of H(0) at the shifted detuning.
-
-    Points with a label on the fallback mask take _fallback_rows, which at t = 0 (not rotating) also sets their
-    closed.berry. At N > 1 the error may come from any failing point.
+def _solve(columns: dict[str, np.ndarray], t: float = 0.0, rotating: bool = False):
+    """The one eigen-solve of a frame: the closed forms, the (N,) field angles, and the fallback rows and their
+    states (see _fallback_rows) of H(t) at the points of equal-coupling field columns, or (rotating) of the
+    rotating-frame generator: H(0) with the static frequencies shifted by -omega1, whose closed form is that of
+    H(0) at the shifted detuning omega0 - omega1.
     """
     (omega0, gamma, J), omega1 = _equal_coupling_fields(columns), columns["omega1"]
     with np.errstate(over="ignore"):  # as in float arithmetic
         theta = np.zeros(len(omega1)) if rotating else omega1 * t
     closed = _closed_form(_detuning(omega0, omega1, rotating), gamma, J)
-    fallback, states = _fallback_rows(columns, closed, theta, rotating)
+    return (closed, theta, *_fallback_rows(columns, closed, theta, rotating))
+
+
+def _eigenbases(columns: dict[str, np.ndarray], t: float = 0.0, rotating: bool = False):
+    """The closed forms and (N, 4, 4) eigenbases, column k the state of label k + 1, of _solve's frame:
+    closed-form amplitudes off the fallback rows, _fallback_rows' states on them. At N > 1 the error may come
+    from any failing point.
+    """
+    closed, theta, fallback, states = _solve(columns, t, rotating)
     bases = np.empty((len(theta), 4, 4), dtype=complex)
     bases[:, :, 3] = _SINGLET
     parts = (part[~fallback] for part in (closed.x, closed.w, closed.energies))
