@@ -21,10 +21,11 @@ rotating-frame generator is cyclic with total phase -E_tilde_n * tau; its
 geometric (Aharonov-Anandan) part is the same closed form evaluated at the
 shifted detuning omega0 - omega1, again times the sign of omega1.
 
-_cycle_phases evaluates both breakdowns at N points with one call each of
-spectral._closed_form and spectral._fallback_rows (on H(0) at the detuning
-used, shifted or not); adiabatic_phases, aa_breakdown and aa_phase (its
-geometric part) are its N = 1 case. berry_phase is that of _berry_phases.
+_cycle_phases evaluates both breakdowns at N points from one spectral._solve
+of the frame whose states they cycle, so on the fallback mask too each
+geometric part is 2*pi(|x|^2 - |w|^2) of eigensystem's (t = 0) or
+tilde_eigensystem's state. adiabatic_phases, aa_breakdown and aa_phase are its
+N = 1 case; berry_phase reads the same solve at one point.
 """
 
 from __future__ import annotations
@@ -34,8 +35,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import SpinParams, _checked_float, _columns, _equal_coupling_fields, _label, _periods, _refuse
-from .spectral import _LOST_ENERGY, _TWO_PI, _closed_form, _detuning, _fallback_rows, _point, singlet_energy
+from .core import SpinParams, _checked_float, _columns, _label, _periods, _refuse
+from .spectral import _LOST_ENERGY, _TWO_PI, _point, _solve, singlet_energy
 
 __all__ = [
     "PhaseBreakdown",
@@ -77,15 +78,6 @@ class PhaseBreakdown:
     geometric: float
 
 
-def _berry_phases(omega0: np.ndarray, gamma: np.ndarray, J: np.ndarray):
-    """Triplet energies (N, 3) and positive-sense Berry phases (N, 4) from one _closed_form call; fallback rows
-    take spectral._fallback_rows on H(0) at these fields."""
-    closed, zero = _closed_form(omega0, gamma, J), np.zeros(len(J))
-    columns = {"omega_a0": omega0, "omega_b0": omega0, "gamma_a": gamma, "gamma_b": gamma, "J": J, "omega1": zero}
-    _fallback_rows(columns, closed, zero, rotating=False)
-    return closed.energies, closed.berry
-
-
 def berry_phase(omega0: float, gamma: float, J: float, n: int) -> float:
     """Geometric phase of eigenpath n over one slow field cycle.
 
@@ -95,9 +87,9 @@ def berry_phase(omega0: float, gamma: float, J: float, n: int) -> float:
     with a negative omega1 negate it. A non-finite energy raises ArithmeticError.
     """
     n = _label(n)
-    energies, berry = _berry_phases(*_point(omega0, gamma, J))
-    _refuse(~np.isfinite(energies), energies, ArithmeticError, _LOST_ENERGY)
-    return float(berry[0, n - 1])
+    closed = _solve(_point(omega0, gamma, J))[0]
+    _refuse(~np.isfinite(closed.energies), closed.energies, ArithmeticError, _LOST_ENERGY)
+    return float(closed.berry[0, n - 1])
 
 
 def _rotation_sense(omega1):
@@ -111,18 +103,17 @@ def _cycle_phases(columns: dict[str, np.ndarray], shifted: bool):
     shifted=False gives adiabatic_phases, shifted=True aa_breakdown. A point
     refuses omega1 = 0, then unequal couplings, then (shifted) a detuning
     omega0 - omega1 beyond the float range, as the Hamiltonian builder does,
-    then the closed forms' own failures, then a period that overflows.
+    then spectral._solve's own failures, then a period that overflows.
     """
     omega1 = columns["omega1"]
     if np.any(omega1 == 0.0):
         kind = "cycling" if shifted else "adiabatic"
         raise ValueError(f"{kind} phases need omega1 != 0 (no cycle defined)")
-    omega0, gamma, J = _equal_coupling_fields(columns)
     with np.errstate(all="ignore"):  # as in float arithmetic; a non-finite phase is refused when shown
-        triplets, berry = _berry_phases(_detuning(omega0, omega1, shifted), gamma, J)
+        closed = _solve(columns, rotating=shifted)[0]
         periods = _periods(omega1)[:, None]
-        energies = np.column_stack([triplets, singlet_energy(J)])
-        geometric = _rotation_sense(omega1)[:, None] * berry
+        energies = np.column_stack([closed.energies, singlet_energy(columns["J"])])
+        geometric = _rotation_sense(omega1)[:, None] * closed.berry
         if shifted:
             total = -energies * periods
             return total, total - geometric, geometric

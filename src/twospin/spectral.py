@@ -42,11 +42,11 @@ and sqrt, which IEEE 754 rounds exactly as float arithmetic does; atan2 and
 cos go through Python floats, as NumPy's versions may differ from libm in the
 last bit (arctan2 on about 1 argument pair in 13).
 
-A second kernel, _eigenbases, builds the (N, 4, 4) eigenbases, labels in
-columns: the closed-form amplitudes as arrays; on the fallback mask one
+_solve is a frame's one eigen-solve: _closed_form, and on the fallback mask one
 stacked Hamiltonian build, one eigh of the (K, 3, 3) sectors, an argmin over
-the 6 label permutations and a stacked gauge fix. eigensystem and
-tilde_eigensystem are its N = 1 case. Each basis equals the one-point,
+the 6 label permutations and a stacked gauge fix. _eigenbases builds the
+(N, 4, 4) eigenbases from it; eigensystem and tilde_eigensystem are its N = 1
+case, and phases reads the same solve. Each basis equals the one-point,
 one-label construction bit for bit: the same float operations, one
 matrix-vector product per state, and np.hypot for a scalar abs.
 """
@@ -101,8 +101,9 @@ def _python(function, *arrays) -> np.ndarray:
 class _ClosedForm:
     """Row i is point i, column k label k + 1. energies, the scale-free t = 0 amplitudes x = -2 gamma/d+ and
     w = -2 gamma/d- (uu and dd, with ud = du = 1; meaningless on the mask) and the fallback mask
-    (min|d+-| < DEGENERACY_RTOL * scale) are (N, 3); berry holds the (N, 4) positive-sense Berry phases,
-    NaN on the mask until _fallback_rows sets it from H(0)'s states, 0 for the singlet.
+    (min|d+-| < DEGENERACY_RTOL * scale) are (N, 3); berry holds the (N, 4) positive-sense Berry phases
+    2*pi(|x|^2 - |w|^2), 0 for the singlet: the closed form off the mask, NaN on it until _fallback_rows sets
+    them from the states it returns.
     """
 
     energies: np.ndarray
@@ -149,9 +150,10 @@ def _closed_form(omega0: np.ndarray, gamma: np.ndarray, J: np.ndarray) -> _Close
     return _ClosedForm(energies, x, w, fallback, np.column_stack([berry, np.zeros(len(J))]))
 
 
-def _point(omega0, gamma, J) -> list[np.ndarray]:
-    """One point's (1,) columns; a non-finite field raises ValueError naming it, as SpinParams does."""
-    return [np.array([_checked_float(name, v)]) for name, v in zip(("omega0", "gamma", "J"), (omega0, gamma, J))]
+def _point(omega0, gamma, J) -> dict[str, np.ndarray]:
+    """One point's field columns, omega1 = 0; a non-finite field raises ValueError naming it, as SpinParams does."""
+    o, g, j = (np.array([_checked_float(name, v)]) for name, v in zip(("omega0", "gamma", "J"), (omega0, gamma, J)))
+    return {"omega_a0": o, "omega_b0": o, "gamma_a": g, "gamma_b": g, "J": j, "omega1": np.zeros(1)}
 
 
 _LOST_ENERGY = "closed-form energy {!r} is not finite"  # beyond the float range
@@ -159,7 +161,7 @@ _LOST_ENERGY = "closed-form energy {!r} is not finite"  # beyond the float range
 
 def triplet_energies(omega0: float, gamma: float, J: float) -> tuple[float, float, float]:
     """The three non-singlet energies, in the fixed label order (E1, E2, E3); a non-finite one raises."""
-    energies = _closed_form(*_point(omega0, gamma, J)).energies
+    energies = _closed_form(*_equal_coupling_fields(_point(omega0, gamma, J))).energies
     _refuse(~np.isfinite(energies), energies, ArithmeticError, _LOST_ENERGY)
     return tuple(energies[0].tolist())
 
@@ -226,47 +228,35 @@ def _fallback_states(columns: dict[str, np.ndarray], energies: np.ndarray, theta
 
 def _fallback_rows(columns: dict[str, np.ndarray], closed: _ClosedForm, theta: np.ndarray, rotating: bool):
     """The (N,) mask of the K rows with a label on closed.fallback and their (K, 4, 3) _fallback_states at angles
-    theta, from one call. Where these are H(0)'s states (not rotating, every angle 0), closed.berry there is set,
-    in place, to 2*pi*(|x|^2 - |w|^2) of each label's state; elsewhere it keeps its NaN."""
+    theta, from one call; closed.berry on the mask is set, in place, to 2*pi*(|x|^2 - |w|^2) of each label's
+    returned state, in either frame and at any angle."""
     rows = closed.fallback.any(axis=1)
     if not rows.any():
         return rows, np.empty((0, 4, 3), dtype=complex)
     subset = {name: column[rows] for name, column in columns.items()}
     states = _fallback_states(subset, closed.energies[rows], theta[rows], rotating)
-    if not rotating and not theta.any():
-        x, w = (np.hypot(a.real, a.imag) for a in states[:, [0, 3]].swapaxes(0, 1))
-        geometric = _TWO_PI * (_python(pow, x, 2) - _python(pow, w, 2))  # the scalar abs and **
-        closed.berry[rows, :3] = np.where(closed.fallback[rows], geometric, closed.berry[rows, :3])
+    x, w = (np.hypot(a.real, a.imag) for a in states[:, [0, 3]].swapaxes(0, 1))
+    geometric = _TWO_PI * (_python(pow, x, 2) - _python(pow, w, 2))  # the scalar abs and **
+    closed.berry[rows, :3] = np.where(closed.fallback[rows], geometric, closed.berry[rows, :3])
     return rows, states
 
 
-def _detuning(omega0: np.ndarray, omega1: np.ndarray, rotating: bool) -> np.ndarray:
-    """omega0, or (rotating) omega0 - omega1; one beyond the float range raises the builder's OverflowError, as an
-    H_rot diagonal entry +-(omega0 - omega1) + J/2 then overflows."""
-    with np.errstate(over="ignore"):  # refused below
+def _solve(columns: dict[str, np.ndarray], t: float = 0.0, rotating: bool = False):
+    """The closed forms, (N,) field angles and _fallback_rows of H(t) at equal-coupling field columns, or (rotating)
+    of H_rot, whose closed form is H(0)'s at the detuning omega0 - omega1; one beyond the float range raises the
+    builder's OverflowError, as an H_rot diagonal entry then overflows."""
+    (omega0, gamma, J), omega1 = _equal_coupling_fields(columns), columns["omega1"]
+    with np.errstate(over="ignore"):  # as in float arithmetic; an overflowing detuning is refused below
+        theta = np.zeros(len(omega1)) if rotating else omega1 * t
         detuning = omega0 - omega1 if rotating else omega0
     _refuse(~np.isfinite(detuning), detuning, OverflowError, _OVERFLOW)
-    return detuning
-
-
-def _solve(columns: dict[str, np.ndarray], t: float = 0.0, rotating: bool = False):
-    """The one eigen-solve of a frame: the closed forms, the (N,) field angles, and the fallback rows and their
-    states (see _fallback_rows) of H(t) at the points of equal-coupling field columns, or (rotating) of the
-    rotating-frame generator: H(0) with the static frequencies shifted by -omega1, whose closed form is that of
-    H(0) at the shifted detuning omega0 - omega1.
-    """
-    (omega0, gamma, J), omega1 = _equal_coupling_fields(columns), columns["omega1"]
-    with np.errstate(over="ignore"):  # as in float arithmetic
-        theta = np.zeros(len(omega1)) if rotating else omega1 * t
-    closed = _closed_form(_detuning(omega0, omega1, rotating), gamma, J)
+    closed = _closed_form(detuning, gamma, J)
     return (closed, theta, *_fallback_rows(columns, closed, theta, rotating))
 
 
 def _eigenbases(columns: dict[str, np.ndarray], t: float = 0.0, rotating: bool = False):
-    """The closed forms and (N, 4, 4) eigenbases, column k the state of label k + 1, of _solve's frame:
-    closed-form amplitudes off the fallback rows, _fallback_rows' states on them. At N > 1 the error may come
-    from any failing point.
-    """
+    """The closed forms and (N, 4, 4) eigenbases, column k the state of label k + 1, of _solve's frame. At N > 1
+    the error may come from any failing point."""
     closed, theta, fallback, states = _solve(columns, t, rotating)
     bases = np.empty((len(theta), 4, 4), dtype=complex)
     bases[:, :, 3] = _SINGLET

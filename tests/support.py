@@ -21,9 +21,9 @@ from twospin import (
     h_total,
 )
 from twospin import cli
-from twospin.core import _check_stack, _equal_coupling_fields
-from twospin.phases import _berry_phases, _rotation_sense
-from twospin.spectral import _closed_form, _eigenbases
+from twospin.core import _check_stack
+from twospin.phases import _rotation_sense
+from twospin.spectral import _closed_form, _eigenbases, _solve
 from twospin.twocycle import ADIABATIC_FLIP_SET, _berry_gates, _cycle_propagators
 
 TWO_PI = 2.0 * math.pi
@@ -258,9 +258,9 @@ def check_steps_loop(params, t, steps):
 
 
 def berry_gates_two_pass(columns):
-    """_berry_gates as two passes: the phases from _berry_phases, the bases from a second _eigenbases
+    """_berry_gates as two passes: the phases from a _solve pass, the bases from a separate _eigenbases
     call; the gates are built from them as _berry_gates builds its own."""
-    phases = _berry_phases(*_equal_coupling_fields(columns))[1]
+    phases = _solve(columns)[0].berry
     bases = _eigenbases(columns)[1]
     diagonal = np.zeros((len(bases), 4, 4), dtype=complex)
     diagonal[:, range(4), range(4)] = np.exp(2j * phases)

@@ -17,10 +17,10 @@ from twospin import (
     adiabatic_phases,
     cli,
     evolution,
-    phases,
     principal_value,
     run_aa_two_cycle,
     singlet_energy,
+    spectral,
     triplet_energies,
     twocycle,
 )
@@ -285,13 +285,18 @@ class TestEvolveCommand:
 class TestTwocycleCommand:
     P = ["--omega0", "1", "--gamma", "0.8", "--J", "0.6"]
 
-    def test_aa_total_refused_as_phases_refuses_it(self, capsys):
-        # gamma = 0 puts every label on the fallback; at omega0 - omega1 = 2**1023 the Berry phase's H(0) at that
-        # detuning overflows (2**1023 + 2**1023): the table's total is _cycle_phases', so both commands refuse
+    def test_aa_total_equals_the_phases_total_at_the_float_range_edge(self, capsys):
+        # gamma = 0 puts every label on the fallback; at omega0 - omega1 = 2**1023, H(0) at that detuning would
+        # overflow (2**1023 + 2**1023), but both tables read H_rot, which does not: the table's total is
+        # _cycle_phases', so both commands print the same one-cycle totals
         point = ["--omega0", repr(2.0**1023 - 2.0**970), "--omega1", "-2e293", "--gamma", "0", "--J", "0"]
-        refusal = (4, "", '{"error": "a Hamiltonian entry overflows the float range", "exit_code": 4}\n')
-        assert run_main(["twocycle", "--scheme", "aa", *point], capsys) == refusal
-        assert run_main(["phases", "--mode", "aa", *point], capsys) == refusal
+        (code, out, err), (phases_code, phases_out, phases_err) = (
+            run_main(argv, capsys) for argv in (["twocycle", "--scheme", "aa", *point], ["phases", "--mode", "aa", *point])
+        )
+        assert (code, err, phases_code, phases_err) == (0, "", 0, "")
+        rows, phases_rows = parse_csv(out)[1], parse_csv(phases_out)[1]
+        assert [row[1:3] for row in rows] == [[row[1], row[4]] for row in phases_rows]
+        assert float(rows[0][1]) < -1e15
 
     def test_aa_defect_column(self, capsys):
         code, out, _ = run_main(
@@ -839,7 +844,7 @@ class TestClosedFormBlocks:
 
     @pytest.mark.parametrize("quantity", ["spectrum", "berry", "aa"])
     def test_rows_across_a_block_boundary_match_the_n1_functions(self, quantity, monkeypatch):
-        module = cli if quantity == "spectrum" else phases
+        module = cli if quantity == "spectrum" else spectral  # phases reads spectral._solve
         calls = TestTwocycleCommand._count_calls(monkeypatch, module, "_closed_form")
         base = self.BASE[quantity]
         gammas = list(np.linspace(-1.0, 1.0, cli.SWEEP_BLOCK + 1))

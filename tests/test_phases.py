@@ -150,14 +150,17 @@ class TestBerryBlock:
         def counting(name, real):
             return lambda *args, **kwargs: calls.append(name) or real(*args, **kwargs)
 
-        for module, name in ((spectral, "_closed_form"), (phases, "_closed_form"), (spectral, "_fallback_states")):
-            monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
+        for name in ("_closed_form", "_fallback_states"):  # phases binds neither: it reads spectral._solve
+            monkeypatch.setattr(spectral, name, counting(name, getattr(spectral, name)))
         omega0 = np.array([1.0, 1.0, 0.7, -0.4, 1.3])
         gamma = np.array([0.0, 0.5, 0.0, 0.9, 0.2])
         J = np.array([0.6, 1.0, -0.7, 0.3, -1.1])
-        energies, berry = phases._berry_phases(omega0, gamma, J)
+        columns = {"omega_a0": omega0, "omega_b0": omega0, "gamma_a": gamma, "gamma_b": gamma, "J": J,
+                   "omega1": np.full(5, 0.1)}
+        total, dynamical, berry = _cycle_phases(columns, shifted=False)
         assert calls == ["_closed_form", "_fallback_states"]
-        assert np.isfinite(berry).all() and energies.shape == (5, 3)
+        assert np.isfinite(berry).all() and dynamical.shape == (5, 4)
+        calls.clear()
         for i in range(5):
             assert berry[i].tolist() == [berry_phase(omega0[i], gamma[i], J[i], n) for n in (1, 2, 3, 4)]
 
@@ -260,6 +263,40 @@ class TestAABreakdown:
     def test_requires_cycle(self):
         with pytest.raises(ValueError):
             aa_breakdown(SpinParams.symmetric(1.0, 1.0, 1.0), 1)
+
+
+class TestPhasesReadTheirStates:
+    """The geometric phase of each label is sign(omega1) 2*pi(|x|^2 - |w|^2) of the state it belongs to: the AA
+    phase of tilde_eigensystem's state, the Berry phase of eigensystem's at t = 0, degeneracies included."""
+
+    @staticmethod
+    def _points():
+        rng = np.random.default_rng(73)
+        points = [SpinParams.symmetric(0.4, 0.0, 0.9, 0.4)]  # tilde1 is dd there, whose AA phase is -2*pi
+        for _ in range(40):
+            omega0, gamma, J = rng.uniform(-3.0, 3.0, 3).tolist()
+            omega1 = float(rng.choice([-1.0, 1.0]) * rng.uniform(0.05, 2.0))
+            points += [SpinParams.symmetric(omega0, 0.0, J, omega1), SpinParams.symmetric(omega1, gamma, J, omega1)]
+            points += [SpinParams.symmetric(omega1 + sign * J, gamma, J, omega1) for sign in (-1.0, 1.0)]
+        return points
+
+    @pytest.mark.parametrize("rotating, breakdown, system", [
+        (True, aa_breakdown, tilde_eigensystem),
+        (False, adiabatic_phases, lambda p: eigensystem(p, 0.0)),
+    ])
+    def test_geometric_phase_is_the_spin_imbalance_of_the_state(self, rotating, breakdown, system):
+        # exact on the fallback labels; elsewhere the closed form, within eigh's error where a point's other
+        # labels took the fallback states
+        fallback = 0
+        for p in self._points():
+            eigen, mask = system(p), spectral._solve(_columns(p, 1), rotating=rotating)[0].fallback[0]
+            fallback += int(mask.sum())
+            for n in (1, 2, 3, 4):
+                amps = eigen.state(n).amplitudes
+                expected = math.copysign(1.0, p.omega1) * TWO_PI * (abs(amps[0]) ** 2 - abs(amps[3]) ** 2)
+                got = breakdown(p, n).geometric
+                assert got == expected if n < 4 and mask[n - 1] else abs(got - expected) <= 1e-12
+        assert fallback >= 80
 
 
 class TestNonFiniteBreakdown:

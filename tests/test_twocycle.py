@@ -20,7 +20,7 @@ from twospin import (
     triplet_energies,
 )
 from twospin import evolve_exact, evolve_stepped, exact_propagator, tilde_eigensystem
-from twospin import cli, core, phases, spectral, twocycle
+from twospin import cli, core, spectral, twocycle
 from twospin.evolution import _propagators
 from twospin.twocycle import _aa_two_cycles, _adiabatic_two_cycles, _berry_gates, _cycle_propagators
 
@@ -432,7 +432,7 @@ class TestBerryGateBlock:
 
     def test_one_closed_form_and_one_eigenbasis_pass_per_block(self, monkeypatch):
         columns = _fallback_heavy(np.random.default_rng(3), "mixed", 1.0)
-        closed = self._count(monkeypatch, [(spectral, "_closed_form"), (phases, "_closed_form")])
+        closed = self._count(monkeypatch, [(spectral, "_closed_form")])
         bases = self._count(monkeypatch, [(twocycle, "_eigenbases"), (spectral, "_fallback_states")])
         _berry_gates(columns)  # the one fallback call runs inside the eigenbasis pass; the phases reuse it
         assert (closed, bases) == (["_closed_form"], ["_eigenbases", "_fallback_states"])
