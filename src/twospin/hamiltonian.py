@@ -33,13 +33,14 @@ _OVERFLOW = "a Hamiltonian entry overflows the float range"
 
 def _hamiltonians(columns: dict[str, np.ndarray], angle: np.ndarray, rotating: bool = False) -> np.ndarray:
     """H matrices of (N,) field columns at field angles omega1*t of shape (..., N), as a (..., N, 4, 4) stack, or
-    (rotating) minus (omega1/2)(s_az + s_bz): H_rot at angle +0.0. Refuses an overflowing static part, then
+    (rotating) minus (omega1/2)(s_az + s_bz): H_rot at angle +0.0. Each static term is halved (exactly) before the
+    sum, so the static part overflows only where +-omega_a0/2 +- omega_b0/2 +- J/2 does; that is refused, then
     (rotating) an overflowing result, then as Operator4.hermitian does. Point i equals the N = 1 call's bit for bit.
     """
     names = ("omega_a0", "omega_b0", "gamma_a", "gamma_b", "J", "omega1")
     a0, b0, gamma_a, gamma_b, J, omega1 = (columns[name][:, None, None] for name in names)
     with np.errstate(over="ignore", invalid="ignore"):  # overflow is refused below
-        matrices = 0.5 * (a0 * _PAULI["a", "z"] + b0 * _PAULI["b", "z"] + J * _SZZ)
+        matrices = 0.5 * a0 * _PAULI["a", "z"] + 0.5 * b0 * _PAULI["b", "z"] + 0.5 * J * _SZZ
     if not np.isfinite(matrices).all():
         raise OverflowError(_OVERFLOW)
     half_a, half_b, angle = 0.5 * gamma_a, 0.5 * gamma_b, angle[..., None, None]

@@ -402,10 +402,11 @@ def _fallback_triplet_states(hamiltonian, labels_energies):
     """Diagonalize the symmetric sector and order states by label energies."""
     block = _SYM_PROJECTOR @ hamiltonian @ _SYM_PROJECTOR.conj().T
     vals, vecs = np.linalg.eigh(block)
-    best = min(
-        permutations(range(3)),
-        key=lambda perm: sum(abs(labels_energies[i] - vals[perm[i]]) for i in range(3)),
-    )
+    with np.errstate(over="ignore"):  # near the float range a wrong permutation's distance may read inf
+        best = min(
+            permutations(range(3)),
+            key=lambda perm: sum(abs(labels_energies[i] - vals[perm[i]]) for i in range(3)),
+        )
     return [_fix_phase(_SYM_PROJECTOR.conj().T @ vecs[:, best[i]]) for i in range(3)]
 
 

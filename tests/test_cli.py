@@ -496,9 +496,9 @@ class TestTwocycleCommand:
         [["twocycle", "--scheme", "adiabatic"], ["twocycle", "--scheme", "aa"], ["evolve", "--initial", "eigen1"]],
     )
     def test_overflowing_fallback_hamiltonian_is_a_numeric_failure(self, capsys, command):
-        # label 1 takes the fallback (gamma^2/omega0 is below 1e-8 of the scale); its H(0) entry
-        # (omega0 + omega0)/2 overflows. Once refused as a non-finite closed-form eigenvector.
-        argv = [*command, "--omega0=1e308", "--gamma=0.457", "--J=0.296", "--omega1=0.6"]
+        # every label takes the fallback (omega0 = J is a crossing, E1 is beyond the float range); its H(0) entry
+        # omega0/2 + omega0/2 + J/2 overflows. Once refused as a non-finite closed-form eigenvector.
+        argv = [*command, "--omega0=1.7e308", "--gamma=0.457", "--J=1.7e308", "--omega1=0.6"]
         message = "a Hamiltonian entry overflows the float range"
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -1242,13 +1242,14 @@ class TestNumericGuard:
             ["evolve", "--omega0", "1.7e308", "--J", "1.7e308", "--omega1", "1", "--time", "1", "--steps", "100"],
             ["evolve", "--omega-a0", "1e308", "--omega1=-1.7e308"],  # H(0) - omega1 s_z overflows
             # only the static part overflows, in the step-budget check before RK4
-            ["evolve", "--omega-a0", "1.7e308", "--omega-b0", "1.7e308", "--omega1", "1", "--steps", "10"],
+            ["evolve", "--omega-a0", "1.7e308", "--omega-b0", "1.7e308", "--J", "1.7e308", "--omega1", "1",
+             "--steps", "10"],
             # the static part is finite, and only the frame shift takes H_rot past the float range
             ["evolve", "--omega-a0", "1.7e308", "--omega1=-1.7e308"],
             ["sweep", "--quantity", "twocycle-defect", "--axis", "omega_a0=0:1.7e308:2", "--omega1=-1.7e308"],
             # the first overflowing point, 600, is in the second block
-            ["sweep", "--quantity", "twocycle-defect", "--axis", "omega0=0:1e308:2", "--axis", "gamma=0:1:600",
-             "--J", "1e308", "--omega1", "1e300"],
+            ["sweep", "--quantity", "twocycle-defect", "--axis", "omega0=0:1.7e308:2", "--axis", "gamma=0:1:600",
+             "--J", "1.7e308", "--omega1", "1e300"],
         ],
     )
     def test_hamiltonian_overflow_exits_4_without_warnings(self, capsys, argv):

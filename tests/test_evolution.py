@@ -433,7 +433,7 @@ class TestSteppedKernel:
             _stepped_propagators(_stack([P111]), np.array([1e308]), 1)  # far past the step budget
 
     def test_overflowing_static_part_refused(self):
-        columns = _stack([SpinParams(1e308, 1e308, 0.0, 0.0, 0.0, 0.1)])
+        columns = _stack([SpinParams(1.7e308, 1.7e308, 0.0, 0.0, 1.7e308, 0.1)])  # halved, 2.55e308
         with pytest.raises(OverflowError):
             _stepped_propagators(columns, np.array([1.0]), 4)
 

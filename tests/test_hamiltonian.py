@@ -125,14 +125,15 @@ def _near_max(rng):
 
 
 def test_overflow_is_refused_exactly_where_float_arithmetic_overflows():
-    # Oracle: the four diagonal entries 0.5 * ((+-a +- b) +- J) in Python float
-    # arithmetic, which overflows to inf silently, and the frame shift -+omega1.
+    # Oracle: the four diagonal entries +-0.5 a +- 0.5 b +- 0.5 J, each term halved before the sum, in Python
+    # float arithmetic, which overflows to inf silently, and the frame shift -+omega1.
     rng = np.random.default_rng(14)
     refused = 0
-    for _ in range(400):
+    for _ in range(2000):  # the halved sum overflows on fewer draws than the unhalved one did at 400
         a, b, J, w1 = (_near_max(rng) if rng.random() < 0.6 else float(rng.uniform(-2.0, 2.0)) for _ in range(4))
         p = SpinParams(a, b, 0.3, 0.3, J, w1)
-        static = [0.5 * ((a + b) + J), 0.5 * ((a - b) - J), 0.5 * ((-a + b) - J), 0.5 * ((-a - b) + J)]
+        ha, hb, hJ = 0.5 * a, 0.5 * b, 0.5 * J
+        static = [ha + hb + hJ, ha - hb - hJ, -ha + hb - hJ, -ha - hb + hJ]
         rotating = [static[0] - w1, static[1], static[2], static[3] + w1]
         with warnings.catch_warnings():
             warnings.simplefilter("error")

@@ -435,8 +435,9 @@ class TestEigenbasesKernel:
             used = closed.fallback.any(axis=1).tolist()
             assert [(basis.view(np.uint64).tolist(), flag) for basis, flag in zip(bases, used)] == expected
 
-    # Once refused as a non-finite eigenvector or energy; now computed, and still equal to the loop.
-    @pytest.mark.parametrize("omega0, gamma", [(1e154, 0.457), (0.7, 1e300)])
+    # Once refused as a non-finite eigenvector or energy, or (+-1e308) as a fallback H(0) entry whose unhalved sum
+    # omega0 + omega0 overflowed; now computed, and still equal to the loop.
+    @pytest.mark.parametrize("omega0, gamma", [(1e154, 0.457), (0.7, 1e300), (1e308, 0.457), (-1e308, 0.457)])
     def test_huge_points_equal_the_loop(self, omega0, gamma):
         p = SpinParams.symmetric(omega0, gamma, 0.296, 0.6)
         for kernel, loop in ((lambda: eigensystem(p), lambda: eigensystem_loop(p)),
@@ -444,18 +445,18 @@ class TestEigenbasesKernel:
             result = outcome(kernel)
             assert result == outcome(loop) and isinstance(result[0], list)
 
-    # What is still refused: a fallback Hamiltonian entry (omega0 + omega0 = 2e308) or an energy beyond the
-    # float range.
+    # What is still refused: a fallback Hamiltonian entry (omega0/2 + omega0/2 + J/2 = 2.55e308) or an energy
+    # beyond the float range.
     @pytest.mark.parametrize(
-        "omega0, gamma, failure",
+        "omega0, gamma, J, failure",
         [
-            (1e308, 0.457, (OverflowError, "a Hamiltonian entry overflows the float range")),
-            (-1e308, 0.457, (OverflowError, "a Hamiltonian entry overflows the float range")),
-            (1e308, 1.7e308, (ArithmeticError, "closed-form energy inf is not finite")),
+            (1.7e308, 0.457, 1.7e308, (OverflowError, "a Hamiltonian entry overflows the float range")),
+            (-1.7e308, 0.457, -1.7e308, (OverflowError, "a Hamiltonian entry overflows the float range")),
+            (1e308, 1.7e308, 0.296, (ArithmeticError, "closed-form energy inf is not finite")),
         ],
     )
-    def test_refusals_equal_the_loop(self, omega0, gamma, failure):
-        p = SpinParams.symmetric(omega0, gamma, 0.296, 0.6)
+    def test_refusals_equal_the_loop(self, omega0, gamma, J, failure):
+        p = SpinParams.symmetric(omega0, gamma, J, 0.6)
         for kernel, loop in ((lambda: eigensystem(p), lambda: eigensystem_loop(p)),
                              (lambda: tilde_eigensystem(p), lambda: tilde_eigensystem_loop(p))):
             assert outcome(kernel) == outcome(loop) == failure
