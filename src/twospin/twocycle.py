@@ -57,10 +57,13 @@ class BerryGate:
 
 def _berry_gates(columns: dict[str, np.ndarray]):
     """Positive-sense geometric phases (N, 4), then the t=0 eigenbases and the gates in the eigenbasis and the
-    computational basis, (N, 4, 4) each, from one _eigenbases call. Refuses as eigensystem does, then as
-    Operator4.unitary does on the gate; the fields are taken as finite, which SpinParams checks before.
+    computational basis, (N, 4, 4) each, from one _eigenbases call. The closed-form bases are orthonormal only to
+    about eps/gap, so one Newton-Schulz step B(3I - B^dag B)/2 takes them to the nearest unitary, to rounding,
+    before the gate is built. Refuses as eigensystem does, then as Operator4.unitary does on the gate; the fields
+    are taken as finite, which SpinParams checks before.
     """
     closed, bases = _eigenbases(columns)
+    bases = bases @ (3.0 * np.eye(4) - bases.conj().swapaxes(-1, -2) @ bases) / 2.0
     diagonal = np.zeros((len(bases), 4, 4), dtype=complex)
     diagonal[:, range(4), range(4)] = np.exp(2j * closed.berry)
     computational = bases @ diagonal @ bases.conj().swapaxes(-1, -2)

@@ -259,9 +259,10 @@ def check_steps_loop(params, t, steps):
 
 def berry_gates_two_pass(columns):
     """_berry_gates as two passes: the phases from a _solve pass, the bases from a separate _eigenbases
-    call; the gates are built from them as _berry_gates builds its own."""
+    call and the same Newton-Schulz step; the gates are built from them as _berry_gates builds its own."""
     phases = _solve(columns)[0].berry
     bases = _eigenbases(columns)[1]
+    bases = bases @ (3.0 * np.eye(4) - bases.conj().swapaxes(-1, -2) @ bases) / 2.0
     diagonal = np.zeros((len(bases), 4, 4), dtype=complex)
     diagonal[:, range(4), range(4)] = np.exp(2j * phases)
     computational = bases @ diagonal @ bases.conj().swapaxes(-1, -2)
