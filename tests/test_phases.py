@@ -18,7 +18,7 @@ from twospin import (
     triplet_energies,
 )
 
-from twospin import phases, spectral
+from twospin import spectral
 from twospin.core import _columns
 from twospin.phases import _cycle_phases, _principal_values
 

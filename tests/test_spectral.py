@@ -490,7 +490,6 @@ class TestEigenbasesKernel:
     def test_fallback_berry_phases_equal_the_loop(self):
         omega0, gamma, J = (np.array([getattr(p, name) for p in GRID]) for name in ("omega0", "gamma", "J"))
         closed = _solve(stacked(GRID))[0]
-        berry = closed.berry
         for i, k in np.argwhere(closed.fallback).tolist():
             amps = eigensystem_loop(SpinParams.symmetric(omega0[i], gamma[i], J[i]), 0.0)[0][:, k]
-            assert same_bits(berry[i, k], 2.0 * math.pi * float(abs(amps[0]) ** 2 - abs(amps[3]) ** 2))
+            assert same_bits(closed.berry[i, k], 2.0 * math.pi * float(abs(amps[0]) ** 2 - abs(amps[3]) ** 2))
