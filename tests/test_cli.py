@@ -290,9 +290,8 @@ class TestTwocycleCommand:
         # overflow (2**1023 + 2**1023), but both tables read H_rot, which does not: the table's total is
         # _cycle_phases', so both commands print the same one-cycle totals
         point = ["--omega0", repr(2.0**1023 - 2.0**970), "--omega1", "-2e293", "--gamma", "0", "--J", "0"]
-        (code, out, err), (phases_code, phases_out, phases_err) = (
-            run_main(argv, capsys) for argv in (["twocycle", "--scheme", "aa", *point], ["phases", "--mode", "aa", *point])
-        )
+        commands = (["twocycle", "--scheme", "aa", *point], ["phases", "--mode", "aa", *point])
+        (code, out, err), (phases_code, phases_out, phases_err) = (run_main(argv, capsys) for argv in commands)
         assert (code, err, phases_code, phases_err) == (0, "", 0, "")
         rows, phases_rows = parse_csv(out)[1], parse_csv(phases_out)[1]
         assert [row[1:3] for row in rows] == [[row[1], row[4]] for row in phases_rows]

@@ -157,10 +157,9 @@ class TestBerryBlock:
         J = np.array([0.6, 1.0, -0.7, 0.3, -1.1])
         columns = {"omega_a0": omega0, "omega_b0": omega0, "gamma_a": gamma, "gamma_b": gamma, "J": J,
                    "omega1": np.full(5, 0.1)}
-        total, dynamical, berry = _cycle_phases(columns, shifted=False)
+        _, dynamical, berry = _cycle_phases(columns, shifted=False)
         assert calls == ["_closed_form", "_fallback_states"]
         assert np.isfinite(berry).all() and dynamical.shape == (5, 4)
-        calls.clear()
         for i in range(5):
             assert berry[i].tolist() == [berry_phase(omega0[i], gamma[i], J[i], n) for n in (1, 2, 3, 4)]
 

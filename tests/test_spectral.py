@@ -392,7 +392,8 @@ class TestEigenbasesKernel:
     @pytest.mark.parametrize("t, rotating", [(0.0, False), (1.7, False), (0.0, True)])
     def test_berry_phases_are_the_spin_imbalance_of_the_bases(self, t, rotating):
         # closed.berry is 2*pi<n|S_z|n> = 2*pi(|x|^2 - |w|^2) of the basis the frame returns: the closed form
-        # off the fallback mask (worst 1.1e-14 measured on the random points), the returned states' own on it
+        # off the fallback mask, the returned states' own on it (worst measured: 6.2e-15 on the random points,
+        # 1.8e-14 on GRID's fallback rows, whose labels off the mask take eigh's states)
         rng = np.random.default_rng(71)
         random_points = [SpinParams.symmetric(*point) for point in rng.uniform(-3.0, 3.0, (2000, 4)).tolist()]
         for points in (random_points, GRID):
@@ -400,6 +401,7 @@ class TestEigenbasesKernel:
             spin_z = 2.0 * math.pi * (np.abs(bases[:, 0]) ** 2 - np.abs(bases[:, 3]) ** 2)
             assert np.abs(spin_z - closed.berry).max() <= 2.2e-14
         assert closed.fallback.any()
+
     @pytest.mark.parametrize("p, fallback", [
         (SpinParams.symmetric(1.0, 0.8, 0.6, 0.3), False),
         (SpinParams.symmetric(0.4, 0.0, 0.9, 0.4), True),  # gamma = 0, and omega0 = omega1 in the rotating frame
