@@ -16,7 +16,8 @@ against a direct diagonalization). phases_aa_resonant_no_field_csv sits on the
 exact degeneracy omega0 = omega1 at gamma = 0, where the AA phases are those of
 the rotating-frame eigenstates tilde_eigensystem returns;
 phases_berry_huge_static_csv has a static part whose unhalved sum
-omega_a0 + omega_b0 overflows; twocycle_adiabatic_small_gamma_csv has a small
+omega_a0 + omega_b0 overflows; evolve_million_steps_csv takes a million RK4 steps
+over one period at unequal couplings; twocycle_adiabatic_small_gamma_csv has a small
 gamma, where the closed-form eigenbases are orthonormal only to about eps/gap.
 The twocycle cases add omega1 lists in
 both rotation senses, exact and stepped, a single backwards rotation, exact
@@ -93,6 +94,9 @@ CASES = {
     **_both_formats("evolve_unequal", ["evolve", "--initial", "du", *UNEQUAL, "--steps", "0"]),
     "evolve_unequal_stepped_json": [
         "evolve", "--initial", "ud", *UNEQUAL, "--time", "1.5", "--steps", "300", *JSON,
+    ],
+    "evolve_million_steps_csv": [
+        "evolve", *UNEQUAL, "--initial", "uu", "--steps", "1000000",
     ],
     "evolve_tilde1_no_field_csv": ["evolve", "--initial", "tilde1", *NO_FIELD, "--omega1", "0.3"],
     "evolve_eigen1_no_field_csv": ["evolve", "--initial", "eigen1", *NO_FIELD, "--omega1", "0.3"],
