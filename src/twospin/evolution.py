@@ -16,12 +16,14 @@ A fixed-step classical Runge-Kutta integrator of the time-ordered Schrodinger
 equation serves as the independent cross-check; it samples the lab-frame
 Hamiltonian at the substep times, with hamiltonian._hamiltonians, and converges
 at fourth order. On the linear equation an RK4 step is a linear map,
-U_{k+1} = R_k U_k, so its kernel, _stepped_propagators, builds the transfer
-matrices R_k of a block of steps for an (M, 4, 4) stack of problems with
-stacked operations, then applies them with one matmul per step; evolve_stepped
-is its M = 1 wrapper. Its step budget, _check_steps, is one rule over the same
-(M,) columns and times: one stacked H(0) and eigvalsh, and the first problem
-that fails is named.
+U_{k+1} = R_k U_k, and by the frame identity H(t) = V(t) H(0) V(t)^dag each
+step is the first one in a rotated frame, R_k = V(k h) R_0 V(k h)^dag. So its
+kernel, _stepped_propagators, builds R_0 for an (M, 4, 4) stack of problems and
+powers V(-h) R_0 in about 2 log2(n) matmuls: over 20,000 steps it lies within
+3e-14 of the per-step product, and over 10**6 steps of a period within 4e-14 of
+exact_propagator. evolve_stepped is its M = 1 wrapper. Its step budget,
+_check_steps, is one rule over the same (M,) columns and times: one stacked
+H(0) and eigvalsh, and the first problem that fails is named.
 """
 
 from __future__ import annotations
@@ -112,36 +114,36 @@ def _check_steps(columns: dict[str, np.ndarray], t: np.ndarray, steps: int) -> N
         raise ValueError(f"step budget too small: need at least {needed[first]:.0f} steps for t={float(t[first])!r}")
 
 
-# Steps times problems per block: a block holds 3 * _SAMPLE_BLOCK samples of H and, with its
-# stages K2-K4 and transfer matrices R, about 10 * _SAMPLE_BLOCK 4x4 matrices whatever M is.
-_SAMPLE_BLOCK = 512
-
-
 def _stepped_propagators(columns: dict[str, np.ndarray], t: np.ndarray, steps: int) -> np.ndarray:
     """RK4 propagators of i dU/dt = H(t) U from 0 to t for (M,) field columns and times t.
 
-    Problem m takes steps steps of size h = t[m] / steps. H is sampled at k h, k h + h/2 and k h + h
-    of step k by _hamiltonians, h_total's arithmetic. With A = -iH there, step k is the transfer matrix
-    R_k = I + h/6 (A0 + 2 K2 + 2 K3 + K4), K2 = Am (I + h/2 A0), K3 = Am (I + h/2 K2), K4 = A1 (I + h K3):
-    a block's R_k are built by stacked operations and applied as U = R_k U, one matmul per step, so
-    problem m equals a loop of h_total transfer steps bit for bit. The builder gives sample blocks the checks
-    of Operator4.hermitian; the result gets those of "general".
+    Problem m takes steps steps of size h = t[m] / steps. With A = -iH at 0, h/2 and h (_hamiltonians, h_total's
+    arithmetic), its first step is R_0 = I + D_R, D_R = h/6 (A0 + 2 K2 + 2 K3 + K4), K2 = Am (I + h/2 A0),
+    K3 = Am (I + h/2 K2), K4 = A1 (I + h K3). Step k is V(k h) R_0 V(k h)^dag, so the product is V(t) (I + D)^steps
+    with D = D_F + D_R + D_F D_R and the diagonal D_F = V(-h) - I. Binary powering keeps I off the small matrices:
+    P <- P + D + D P where a bit of steps is set, D <- 2 D + D D between bits. Squaring the rounded V(-h) R_0
+    instead would drop D's low bits once and multiply that error steps times (1.4e-12 against 2.1e-14 over
+    20,000 steps). Problem m equals its own M = 1 call bit for bit. The builder checks the samples as
+    Operator4.hermitian; the result gets the checks of "general".
     """
     h = t / steps
     half, full, sixth = (f[:, None, None] for f in (0.5 * h, h, h / 6.0))
     eye = np.eye(4, dtype=complex)
-    propagators = np.tile(eye, (len(t), 1, 1))
-    block = max(1, _SAMPLE_BLOCK // len(t))
-    for first in range(0, steps, block):
-        t0 = np.arange(first, min(first + block, steps))[:, None] * h
-        angles = columns["omega1"] * np.stack([t0, t0 + 0.5 * h, t0 + h], axis=1)
-        samples = _hamiltonians(columns, angles)
-        a_0, a_mid, a_1 = (-1j * samples).swapaxes(0, 1)
-        k2 = a_mid @ (eye + half * a_0)
-        k3 = a_mid @ (eye + half * k2)
-        k4 = a_1 @ (eye + full * k3)
-        for step in eye + sixth * (a_0 + 2.0 * k2 + 2.0 * k3 + k4):
-            propagators = step @ propagators
+    a_0, a_mid, a_1 = -1j * _hamiltonians(columns, columns["omega1"] * np.stack([0.0 * h, 0.5 * h, h]))
+    k2 = a_mid @ (eye + half * a_0)
+    k3 = a_mid @ (eye + half * k2)
+    k4 = a_1 @ (eye + full * k3)
+    d_step = sixth * (a_0 + 2.0 * k2 + 2.0 * k3 + k4)
+    phi, d_frame = columns["omega1"] * h, np.zeros_like(d_step)  # e^{+-i phi} - 1 = -2 sin^2(phi/2) +- i sin(phi)
+    sine, versine = np.sin(phi), -2.0 * np.sin(0.5 * phi) ** 2
+    d_frame[:, 0, 0], d_frame[:, 3, 3] = versine + 1j * sine, versine - 1j * sine
+    d, power = d_frame + d_step + d_frame @ d_step, np.zeros_like(d_step)
+    for place, bit in enumerate(reversed(bin(steps)[2:])):  # the bits of steps, least significant first
+        if place:
+            d = 2.0 * d + d @ d
+        if bit == "1":
+            power = power + d + d @ power
+    propagators = _frame_matrix(columns["omega1"] * t) @ (eye + power)
     _check_stack(propagators, "general")
     return propagators
 

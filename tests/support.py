@@ -204,27 +204,9 @@ def adiabatic_cycle(params, n, steps=None):
     return CycleRun(final, float(np.angle(overlap)), abs(overlap))
 
 
-def stepped_propagator_loop(params, t, steps):
-    """The RK4 propagator of i dU/dt = H(t) U one transfer step at a time: the oracle of
-    evolution._stepped_propagators. Each of the three samples of a step is a validated h_total;
-    with A = -iH at those times, the step is U = R U with R = I + h/6 (A0 + 2 K2 + 2 K3 + K4),
-    K2 = Am (I + h/2 A0), K3 = Am (I + h/2 K2) and K4 = A1 (I + h K3)."""
-    h = t / steps
-    eye = np.eye(4, dtype=complex)
-    propagator = eye
-    for k in range(steps):
-        t0 = k * h
-        a_0, a_mid, a_1 = (-1j * h_total(params, s).matrix for s in (t0, t0 + 0.5 * h, t0 + h))
-        k2 = a_mid @ (eye + 0.5 * h * a_0)
-        k3 = a_mid @ (eye + 0.5 * h * k2)
-        k4 = a_1 @ (eye + h * k3)
-        propagator = (eye + (h / 6.0) * (a_0 + 2.0 * k2 + 2.0 * k3 + k4)) @ propagator
-    return propagator
-
-
 def stepped_propagator_stage_loop(params, t, steps):
     """The RK4 propagator of i dU/dt = H(t) U in stage form, the four slopes of each step applied to U
-    itself: a numeric oracle of evolution._stepped_propagators, equal to it up to rounding."""
+    itself, one step at a time: the numeric oracle of evolution._stepped_propagators, equal to it up to rounding."""
     h = t / steps
     propagator = np.eye(4, dtype=complex)
     for k in range(steps):

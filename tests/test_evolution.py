@@ -24,7 +24,7 @@ from twospin import (
 )
 from twospin import core, evolution, hamiltonian
 from twospin.core import _columns
-from twospin.evolution import _SAMPLE_BLOCK, _check_steps, _stepped_propagators
+from twospin.evolution import _check_steps, _stepped_propagators
 
 from support import (
     adiabatic_cycle,
@@ -35,7 +35,6 @@ from support import (
     random_general,
     random_state,
     random_symmetric,
-    stepped_propagator_loop,
     stepped_propagator_stage_loop,
 )
 
@@ -305,7 +304,7 @@ class TestStepBudget:
 
 
 SINGLE_PROBLEMS = [
-    (P111, P111.period, 700),  # crosses a sample block at M = 1
+    (P111, P111.period, 700),
     (P111.replace(omega1=-0.1), P111.period, 300),
     (UNEQUAL, 4.0, 200),
     (UNEQUAL.replace(omega1=-0.7), -4.0, 200),
@@ -323,26 +322,44 @@ ZERO_HEAVY_PROBLEMS = [
     (SpinParams.symmetric(1.0, 0.0, 0.5, 0.3), -0.0, 3),
     (UNEQUAL, -0.0, 3),
 ]
+# Both rotation senses, t = +-0.0, gamma = 0 and unequal couplings, with an adiabatic two-cycle pair.
+_TWO_CYCLE = SpinParams.symmetric(1.0, 0.8, 0.6, -0.25)
+MIXED_STACK = [
+    (UNEQUAL, 4.0),
+    (UNEQUAL.replace(omega1=-0.7), -3.0),
+    (SpinParams.symmetric(1.0, 0.0, 0.5, 0.3), 2.0),
+    (SpinParams(0.7, -0.4, 0.0, -0.0, 0.2, -0.6), -3.0),
+    (P111, 0.0),
+    (P111.replace(omega1=-0.1), -0.0),
+    (_TWO_CYCLE, _TWO_CYCLE.period),
+    (flip_params(_TWO_CYCLE, ADIABATIC_FLIP_SET), _TWO_CYCLE.period),
+]
+# The stage form applies each slope to U; the kernel builds the first step's transfer matrix once and
+# powers it, so the two round differently: at most 3e-14 apart on these cases, 20,000 steps included.
+STAGE_BOUND = 1e-13
+
+
+def _assert_rows_are_their_own(points, t, steps, stage=True):
+    """Each problem of a stack equals its own M = 1 kernel call bit for bit. Where the step budget admits it, it
+    also equals evolve_stepped bit for bit and (stage) lies within STAGE_BOUND of the stage-form loop; past the
+    budget the propagators grow without bound, and so does their rounding."""
+    stack = _stepped_propagators(_stack(points), np.array(t), steps)
+    for matrix, point, time in zip(stack, points, t):
+        _assert_bits(matrix, _stepped_propagators(_stack([point]), np.array([time]), steps)[0])
+        if _message(_check_steps, _stack([point]), np.array([time]), steps) is None:
+            _assert_bits(matrix, evolve_stepped(point, TwoSpinState.basis_state(0), time, steps).propagator.matrix)
+            if stage:
+                assert np.abs(matrix - stepped_propagator_stage_loop(point, time, steps)).max() <= STAGE_BOUND
 
 
 class TestSteppedKernel:
-    """The stacked RK4 kernel against the per-step transfer loop of tests/support.py, bit for bit,
-    and against the stage-form loop up to rounding."""
+    """The stacked RK4 kernel: each problem equals its own one-problem call and evolve_stepped bit for bit,
+    and lies within rounding of the per-step stage-form loop of tests/support.py."""
 
-    @pytest.mark.parametrize("params, t, steps", SINGLE_PROBLEMS)
-    def test_single_problem_equals_the_loop(self, params, t, steps):
+    @pytest.mark.parametrize("params, t, steps", SINGLE_PROBLEMS + ZERO_HEAVY_PROBLEMS)
+    def test_single_problem_equals_evolve_stepped(self, params, t, steps):
         stack = _stepped_propagators(_stack([params]), np.array([t]), steps)
-        _assert_bits(stack[0], stepped_propagator_loop(params, t, steps))
         _assert_bits(evolve_stepped(params, TwoSpinState.basis_state(0), t, steps).propagator.matrix, stack[0])
-
-    def test_stack_of_step_sizes_across_a_block_boundary(self):
-        rng = np.random.default_rng(58)
-        points = [UNEQUAL, UNEQUAL.replace(omega1=-0.7), random_general(rng), random_general(rng, -2.0, -0.8)]
-        t = np.array([4.0, -3.0, 2.5, 0.0])
-        steps = _SAMPLE_BLOCK // len(points) + 30
-        stack = _stepped_propagators(_stack(points), t, steps)
-        for matrix, point, time in zip(stack, points, t.tolist()):
-            _assert_bits(matrix, stepped_propagator_loop(point, time, steps))
 
     @settings(max_examples=25, deadline=None)
     @given(
@@ -350,12 +367,15 @@ class TestSteppedKernel:
         st.integers(1, 120),
         st.randoms(use_true_random=False),
     )
-    def test_random_stacks_equal_the_loop(self, m, steps, random):
+    def test_random_stacks_equal_their_single_problems(self, m, steps, random):
         points = [SpinParams(*(random.uniform(-3.0, 3.0) for _ in range(6))) for _ in range(m)]
-        t = np.array([random.uniform(-6.0, 6.0) for _ in range(m)])
-        stack = _stepped_propagators(_stack(points), t, steps)
-        for matrix, point, time in zip(stack, points, t.tolist()):
-            _assert_bits(matrix, stepped_propagator_loop(point, time, steps))
+        _assert_rows_are_their_own(points, [random.uniform(-6.0, 6.0) for _ in range(m)], steps)
+
+    @pytest.mark.parametrize("steps", [1, 2, 3, 37, 1000, 20000])
+    def test_mixed_stack_equals_its_single_problems(self, steps):
+        points, t = zip(*MIXED_STACK)
+        # the stage-form loop takes about 0.3 ms a step; the 20,000-step stage bound is pinned on UNEQUAL below
+        _assert_rows_are_their_own(list(points), list(t), steps, stage=steps <= 1000)
 
     def test_no_work_per_step_outside_the_kernel(self, monkeypatch):
         counts = {"h_total": 0, "Operator4": 0}
@@ -379,35 +399,13 @@ class TestSteppedKernel:
             counts.update(dict.fromkeys(counts, 0))
         assert seen == [{"h_total": 0, "Operator4": 1}] * 2  # the result; the budget check builds an unchecked stack
 
-    def test_two_cycle_stack_across_two_block_boundaries(self):
-        firsts = [SpinParams.symmetric(1.0, 0.8, 0.6, w1) for w1 in (0.1, -0.25, 0.4, -0.7)]
-        points = firsts + [flip_params(p, ADIABATIC_FLIP_SET) for p in firsts]
-        periods = core._periods(np.array([p.omega1 for p in firsts]))
-        t = np.concatenate([periods, periods])
-        steps = 2 * (_SAMPLE_BLOCK // len(points)) + 10
-        stack = _stepped_propagators(_stack(points), t, steps)
-        for matrix, point, time in zip(stack, points, t.tolist()):
-            _assert_bits(matrix, stepped_propagator_loop(point, time, steps))
-
-    def test_single_problem_across_three_blocks(self):
-        params = UNEQUAL.replace(omega1=-0.3)
-        stack = _stepped_propagators(_stack([params]), np.array([params.period]), 1100)
-        _assert_bits(stack[0], stepped_propagator_loop(params, params.period, 1100))
-
-    @pytest.mark.parametrize("params, t, steps", ZERO_HEAVY_PROBLEMS)
-    def test_zero_heavy_problems_equal_the_loop(self, params, t, steps):
-        stack = _stepped_propagators(_stack([params]), np.array([t]), steps)
-        _assert_bits(stack[0], stepped_propagator_loop(params, t, steps))
-
-    # The stage form applies each slope to U; the transfer form builds R first and applies it once,
-    # so the two round differently: at most 1e-12 apart here, about 3e-13 after 20,000 steps.
     @pytest.mark.parametrize(
         "params, t, steps",
         SINGLE_PROBLEMS + ZERO_HEAVY_PROBLEMS + [(UNEQUAL, 10.0 * UNEQUAL.period, 20000)],
     )
     def test_single_problem_within_rounding_of_the_stage_form(self, params, t, steps):
         stack = _stepped_propagators(_stack([params]), np.array([t]), steps)
-        assert np.abs(stack[0] - stepped_propagator_stage_loop(params, t, steps)).max() <= 1e-12
+        assert np.abs(stack[0] - stepped_propagator_stage_loop(params, t, steps)).max() <= STAGE_BOUND
 
     def test_stacks_within_rounding_of_the_stage_form(self):
         rng = np.random.default_rng(58)
@@ -416,10 +414,15 @@ class TestSteppedKernel:
         points += [UNEQUAL, UNEQUAL.replace(omega1=-0.7), random_general(rng), random_general(rng, -2.0, -0.8), P111]
         periods = core._periods(np.array([p.omega1 for p in firsts]))
         t = np.concatenate([periods, periods, [4.0, -3.0, 2.5, 0.0, -0.0]])
-        steps = 2 * (_SAMPLE_BLOCK // len(points)) + 10
-        stack = _stepped_propagators(_stack(points), t, steps)
+        stack = _stepped_propagators(_stack(points), t, 88)
         for matrix, point, time in zip(stack, points, t.tolist()):
-            assert np.abs(matrix - stepped_propagator_stage_loop(point, time, steps)).max() <= 1e-12
+            assert np.abs(matrix - stepped_propagator_stage_loop(point, time, 88)).max() <= STAGE_BOUND
+
+    @pytest.mark.parametrize("params", [UNEQUAL, SpinParams.symmetric(1.0, 0.5, 0.3, 0.1)])
+    def test_a_million_steps_are_within_rounding_of_exact(self, params):
+        # RK4's truncation error is far below rounding here; a per-step product would gather about 2e-11
+        result = evolve_stepped(params, TwoSpinState.basis_state(0), params.period, 10**6)
+        assert np.abs(result.propagator.matrix - exact_propagator(params, params.period).matrix).max() <= 1e-13
 
     def test_every_sample_is_checked_as_hermitian(self, monkeypatch):
         # the builder broken from inside: its sine part turns non-hermitian, so in one step the sample at
