@@ -189,9 +189,10 @@ def _aa_rows(columns):
     <n|U2 U1|n> and the identity defect max|U2 U1 - I|.
     """
     _require_rotation(columns["omega1"])  # the protocol's refusal comes before the spectrum's
-    starts = _eigenbases(columns, rotating=True)[1].swapaxes(1, 2).copy()[..., None]  # (N, 4, 4, 1), by label
+    closed, bases = _eigenbases(columns, rotating=True)
+    starts = bases.swapaxes(1, 2).copy()[..., None]  # (N, 4, 4, 1), by label
     composed, defects = _aa_two_cycles(columns)
-    total = _cycle_phases(columns, shifted=True)[0]
+    total = _cycle_phases(columns, shifted=True, closed=closed)[0]  # each of its refusals came above
     principal = _principal_values(total)
     # <n|U2 U1|n> as matrix-vector and vector-vector products, each equal to np.vdot(start, u @ start)
     overlaps = (starts.conj().swapaxes(-1, -2) @ (composed[:, None] @ starts))[..., 0, 0]

@@ -36,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import SpinParams, _checked_float, _columns, _label, _periods, _refuse
-from .spectral import _LOST_ENERGY, _TWO_PI, _point, _solve, singlet_energy
+from .spectral import _LOST_ENERGY, _TWO_PI, _ClosedForm, _point, _solve, singlet_energy
 
 __all__ = [
     "PhaseBreakdown",
@@ -97,20 +97,22 @@ def _rotation_sense(omega1):
     return np.where(omega1 < 0.0, -1.0, 1.0)
 
 
-def _cycle_phases(columns: dict[str, np.ndarray], shifted: bool):
+def _cycle_phases(columns: dict[str, np.ndarray], shifted: bool, closed: _ClosedForm | None = None):
     """Raw total, dynamical and geometric phases, each (N, 4), at the points of columns.
 
     shifted=False gives adiabatic_phases, shifted=True aa_breakdown. A point
     refuses omega1 = 0, then unequal couplings, then (shifted) a detuning
     omega0 - omega1 beyond the float range, as the Hamiltonian builder does,
-    then spectral._solve's own failures, then a period that overflows.
+    then spectral._solve's own failures, then a period that overflows. A caller
+    that holds the frame's closed forms from _solve passes them as closed, and
+    the solve and its refusals are skipped.
     """
     omega1 = columns["omega1"]
     if np.any(omega1 == 0.0):
         kind = "cycling" if shifted else "adiabatic"
         raise ValueError(f"{kind} phases need omega1 != 0 (no cycle defined)")
     with np.errstate(all="ignore"):  # as in float arithmetic; a non-finite phase is refused when shown
-        closed = _solve(columns, rotating=shifted)[0]
+        closed = _solve(columns, rotating=shifted)[0] if closed is None else closed
         periods = _periods(omega1)[:, None]
         energies = np.column_stack([closed.energies, singlet_energy(columns["J"])])
         geometric = _rotation_sense(omega1)[:, None] * closed.berry

@@ -17,6 +17,7 @@ from twospin import (
     adiabatic_phases,
     cli,
     evolution,
+    phases,
     principal_value,
     run_aa_two_cycle,
     singlet_energy,
@@ -384,8 +385,15 @@ class TestTwocycleCommand:
     def _count_calls(monkeypatch, module, name):
         calls = []
         real = getattr(module, name)
-        monkeypatch.setattr(module, name, lambda *args: calls.append(args) or real(*args))
+        monkeypatch.setattr(module, name, lambda *args, **kwargs: calls.append(args) or real(*args, **kwargs))
         return calls
+
+    def test_aa_solves_its_rotating_frame_once(self, capsys, monkeypatch):
+        # the starts and the one-cycle total read one spectral._solve, as the eigenbases and the phase table
+        calls = [self._count_calls(monkeypatch, module, "_solve") for module in (spectral, phases)]
+        argv = ["twocycle", "--scheme", "aa", "--omega0", "0.4", "--gamma", "0", "--J", "0.9", "--omega1", "0.4"]
+        assert run_main(argv, capsys)[0] == 0
+        assert [len(module_calls) for module_calls in calls] == [1, 0]
 
     def test_aa_builds_one_propagator_pair(self, capsys, monkeypatch):
         calls = self._count_calls(monkeypatch, twocycle, "_propagators")
