@@ -7,10 +7,13 @@ The exact propagator uses the frame factorization
 with V the frame rotation and H_rot the time-independent rotating-frame
 generator; the matrix exponential is evaluated through the spectral
 decomposition of the 4x4 hermitian H_rot, so it is exact to rounding and
-valid for unequal couplings. One kernel, _propagators, computes it at (N,)
-field columns: it builds their H_rot stack and runs stacked eigh and matmul
-and the Operator4 checks on the whole stack; exact_propagator is its N = 1
-wrapper, so a stacked propagator equals the per-point one bit for bit.
+valid for unequal couplings. H_rot is built at field angle zero, where its
+imaginary parts are all signed zeros for any couplings, so the decomposition
+is a real symmetric eigh. One kernel, _propagators, computes it at (N,) field
+columns: it builds their H_rot stack, runs stacked eigh and matmul, scales
+the rows by the diagonal of V and runs the Operator4 checks on the whole
+stack; exact_propagator is its N = 1 wrapper, so a stacked propagator equals
+the per-point one bit for bit.
 
 A fixed-step classical Runge-Kutta integrator of the time-ordered Schrodinger
 equation serves as the independent cross-check; it samples the lab-frame
@@ -35,7 +38,7 @@ import numpy as np
 
 from .core import Operator4, SpinParams, TwoSpinState, _check_stack, _checked_float, _columns, _refuse
 from .core import _state_from_trusted
-from .hamiltonian import _frame_matrix, _hamiltonians
+from .hamiltonian import _frame_diagonal, _hamiltonians
 
 __all__ = [
     "EvolutionResult",
@@ -69,14 +72,14 @@ def _propagators(columns: dict[str, np.ndarray], t: np.ndarray) -> np.ndarray:
     fails exactly as it would alone; at N > 1 the error may come from any point.
     """
     h_rot, omega1 = _hamiltonians(columns, np.zeros(len(t)), rotating=True), columns["omega1"]
-    vals, vecs = np.linalg.eigh(h_rot)
+    vals, vecs = np.linalg.eigh(h_rot.real)  # at angle +0.0 every imaginary part is a signed zero
     largest = np.maximum(np.maximum(-vals[:, 0], vals[:, -1]), np.abs(omega1))  # eigh sorts vals
     with np.errstate(over="ignore"):  # an infinite phase is refused below
         phase = largest * np.abs(t)
     message = "propagator phase {:.3e} rad is too large to resolve (limit 2**52)"
     _refuse(phase >= 2.0**52, phase, ArithmeticError, message)
-    expo = (vecs * np.exp(-1j * vals * t[:, None])[:, None, :]) @ vecs.conj().swapaxes(-1, -2)
-    propagators = _frame_matrix(omega1 * t) @ expo
+    expo = (vecs * np.exp(-1j * vals * t[:, None])[:, None, :]) @ vecs.swapaxes(-1, -2)
+    propagators = _frame_diagonal(omega1 * t)[:, :, None] * expo
     _check_stack(propagators, "unitary")
     return propagators
 
@@ -143,7 +146,7 @@ def _stepped_propagators(columns: dict[str, np.ndarray], t: np.ndarray, steps: i
             d = 2.0 * d + d @ d
         if bit == "1":
             power = power + d + d @ power
-    propagators = _frame_matrix(columns["omega1"] * t) @ (eye + power)
+    propagators = _frame_diagonal(columns["omega1"] * t)[:, :, None] * (eye + power)
     _check_stack(propagators, "general")
     return propagators
 

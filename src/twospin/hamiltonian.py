@@ -72,13 +72,12 @@ def h_rotating_frame(params: SpinParams) -> Operator4:
     return Operator4.hermitian(_hamiltonians(_columns(params, 1), np.zeros(1), rotating=True)[0])
 
 
-def _frame_matrix(angle) -> np.ndarray:
-    """diag(exp(-i angle), 1, 1, exp(+i angle)) for a float, or a stack of them for an (N,) array."""
-    frame = np.zeros(np.shape(angle) + (4, 4), dtype=complex)
-    frame[..., 0, 0] = np.exp(-1j * angle)
-    frame[..., 1, 1] = frame[..., 2, 2] = 1.0
-    frame[..., 3, 3] = np.exp(1j * angle)
-    return frame
+def _frame_diagonal(angle) -> np.ndarray:
+    """The diagonal (exp(-i angle), 1, 1, exp(+i angle)) of V at field angle omega1*t: shape (4,) for a float,
+    (N, 4) for an (N,) array. Multiplying a matrix stack by its [..., :, None] scales rows as V @ M does."""
+    angle = np.asarray(angle, dtype=float)
+    one = np.ones_like(angle, dtype=complex)
+    return np.stack([np.exp(-1j * angle), one, one, np.exp(1j * angle)], axis=-1)
 
 
 def frame_rotation(params: SpinParams, t: float) -> Operator4:
@@ -86,4 +85,4 @@ def frame_rotation(params: SpinParams, t: float) -> Operator4:
 
     Diagonal: diag(exp(-i omega1 t), 1, 1, exp(+i omega1 t)).
     """
-    return Operator4.unitary(_frame_matrix(params.omega1 * _checked_float("time", t)))
+    return Operator4.unitary(np.diag(_frame_diagonal(params.omega1 * _checked_float("time", t))))

@@ -11,11 +11,13 @@ the total phase: the composed propagator is the identity for any input state.
 
 Both protocols are fixed unitaries, independent of the input state. The block
 functions _adiabatic_two_cycles and _aa_two_cycles take field columns of N
-points (see core._columns) and build the exact propagators of all N points
-with one stacked kernel call per cycle, or their RK4 propagators with one
-_check_steps and one kernel call over both cycles; the ideal gates come from one
-_eigenbases pass; _adiabatic_two_cycles also applies both cycles and the gate to
-K start vectors per point. The CLI tables and run_*_two_cycle (N = 1, one
+points (see core._columns). The adiabatic one builds the exact propagators of
+all N points with one stacked kernel call per cycle, or their RK4 propagators
+with one _check_steps and one kernel call over both cycles; its ideal gates come
+from one _eigenbases pass, and it applies both cycles and the gate to K start
+vectors per point. The AA one makes one exact kernel call: its second cycle is
+the first one's inverse in the rotating frame, U2 = F* U1^dag F with F = V(T),
+so it needs no second solve. The CLI tables and run_*_two_cycle (N = 1, one
 state) call these kernels, so both give the same numbers bit for bit.
 """
 
@@ -28,6 +30,7 @@ import numpy as np
 from .core import PARAM_GROUPS, Operator4, SpinParams, TwoSpinState, _check_stack, _columns, _periods
 from .core import _state_from_trusted
 from .evolution import _check_steps, _propagators, _stepped_propagators
+from .hamiltonian import _frame_diagonal
 from .phases import _rotation_sense
 from .spectral import _eigenbases
 
@@ -87,14 +90,14 @@ def _require_rotation(omega1) -> None:
         raise ValueError("cycle protocols need omega1 != 0")
 
 
-def _cycle_propagators(columns: dict[str, np.ndarray], flips, steps_per_cycle: int | None = None):
-    """(N, 4, 4) propagators of the first and the second, flipped, cycle, one period each: exact, one
-    _propagators call per cycle, or RK4 with steps_per_cycle steps, whose budget one _check_steps call
-    checks on both cycles (cycle 1 rows first) before one _stepped_propagators call advances them.
+def _cycle_propagators(columns: dict[str, np.ndarray], steps_per_cycle: int | None = None):
+    """(N, 4, 4) propagators of the adiabatic protocol's first and second, flipped, cycle, one period each:
+    exact, one _propagators call per cycle, or RK4 with steps_per_cycle steps, whose budget one _check_steps
+    call checks on both cycles (cycle 1 rows first) before one _stepped_propagators call advances them.
     """
     _require_rotation(columns["omega1"])
     periods = _periods(columns["omega1"])
-    flipped = {**columns, **{field: -columns[field] for name in flips for field in PARAM_GROUPS[name]}}
+    flipped = {**columns, **{field: -columns[field] for name in ADIABATIC_FLIP_SET for field in PARAM_GROUPS[name]}}
     if steps_per_cycle is None:
         return [_propagators(cycle, periods) for cycle in (columns, flipped)]
     stacked, times = {name: np.concatenate([columns[name], flipped[name]]) for name in columns}, np.tile(periods, 2)
@@ -108,7 +111,7 @@ def _adiabatic_two_cycles(columns: dict[str, np.ndarray], starts=None, steps_per
     per-point product or np.linalg.norm bit for bit. Where omega1 < 0 every g_n changes sign, so the gate inverts.
     """
     phases, bases, _, gates = _berry_gates(columns)
-    u_first, u_second = _cycle_propagators(columns, ADIABATIC_FLIP_SET, steps_per_cycle)
+    u_first, u_second = _cycle_propagators(columns, steps_per_cycle)
     sense = _rotation_sense(columns["omega1"])
     if starts is None:
         starts = bases.swapaxes(1, 2).copy()[..., None]
@@ -123,10 +126,18 @@ def _adiabatic_two_cycles(columns: dict[str, np.ndarray], starts=None, steps_per
 def _aa_two_cycles(columns: dict[str, np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
     """U2 U1 of the total-phase protocol and its identity defect max|U2 U1 - I|, per point.
 
-    columns holds N parameter points (see core._columns); returns the
-    (N, 4, 4) composed propagators and the (N,) defects.
+    columns holds N parameter points (see core._columns); returns the (N, 4, 4) composed propagators and
+    the (N,) defects. One _propagators call gives U1 = F exp(-i H_rot T), F = V(T). The flip negates every
+    field, so the second cycle's generator is exactly -H_rot and its frame F* (conjugate), which makes
+    U2 = F* exp(+i H_rot T) = F* U1^dag F: a row and a column scaling of U1^dag. The flipped stack would get
+    the same builder and phase checks (its entries and |eigenvalues| are exact negatives), so only U2's
+    unitarity is checked again, and the inputs the two-solve kernel refused are refused in the same order.
     """
-    u_first, u_second = _cycle_propagators(columns, AA_FLIP_SET)
+    _require_rotation(columns["omega1"])
+    periods = _periods(columns["omega1"])
+    u_first, frame = _propagators(columns, periods), _frame_diagonal(columns["omega1"] * periods)
+    u_second = frame.conj()[:, :, None] * u_first.conj().swapaxes(-1, -2) * frame[:, None, :]
+    _check_stack(u_second, "unitary")
     composed = u_second @ u_first
     return composed, np.abs(composed - np.eye(4)).max(axis=(1, 2))
 

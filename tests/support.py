@@ -24,7 +24,7 @@ from twospin import cli
 from twospin.core import _check_stack
 from twospin.phases import _rotation_sense
 from twospin.spectral import _closed_form, _eigenbases, _solve
-from twospin.twocycle import ADIABATIC_FLIP_SET, _berry_gates, _cycle_propagators
+from twospin.twocycle import _berry_gates, _cycle_propagators
 
 TWO_PI = 2.0 * math.pi
 
@@ -258,7 +258,7 @@ def adiabatic_two_cycles_loop(columns, starts=None, steps=None):
     returns the (N, 4) targets, the (N, K, 4) outputs u2 @ (u1 @ s) and gate @ s (the conj-transposed
     gate for omega1 < 0), and the (N, K) overlaps np.vdot(s, final) and distances np.linalg.norm."""
     phases, bases, _, gates = _berry_gates(columns)
-    u_first, u_second = _cycle_propagators(columns, ADIABATIC_FLIP_SET, steps)
+    u_first, u_second = _cycle_propagators(columns, steps)
     sense = _rotation_sense(columns["omega1"])
     starts = bases.swapaxes(1, 2).copy() if starts is None else starts
     finals, ideals = np.empty(starts.shape, dtype=complex), np.empty(starts.shape, dtype=complex)

@@ -395,14 +395,15 @@ class TestTwocycleCommand:
         assert run_main(argv, capsys)[0] == 0
         assert [len(module_calls) for module_calls in calls] == [1, 0]
 
-    def test_aa_builds_one_propagator_pair(self, capsys, monkeypatch):
+    def test_aa_builds_one_propagator(self, capsys, monkeypatch):
+        # the second cycle is derived from the first (twocycle._aa_two_cycles), so one rotating-frame solve runs
         calls = self._count_calls(monkeypatch, twocycle, "_propagators")
         code, _, _ = run_main(
             ["twocycle", "--scheme", "aa", "--omega0", "1", "--gamma", "0.8", "--J", "0.6", "--omega1", "0.3"],
             capsys,
         )
         assert code == 0
-        assert [len(columns["J"]) for columns, _ in calls] == [1, 1]
+        assert [len(columns["J"]) for columns, _ in calls] == [1]
 
     def test_exact_omega1_list_builds_one_stack_per_cycle(self, capsys, monkeypatch):
         calls = self._count_calls(monkeypatch, twocycle, "_propagators")
@@ -733,7 +734,7 @@ class TestBlockedSweep:
         n = cli.SWEEP_BLOCK + 1
         axes = [("J", list(np.linspace(-1.0, 1.0, n)))]
         columns, rows, _ = cli.cmd_sweep(axes, "twocycle-defect", self.UNEQUAL)
-        assert [len(columns["J"]) for columns, _ in calls] == [cli.SWEEP_BLOCK, cli.SWEEP_BLOCK, 1, 1]
+        assert [len(columns["J"]) for columns, _ in calls] == [cli.SWEEP_BLOCK, 1]
         assert columns == ["J", "identity_defect"] and len(rows) == n
         uu = TwoSpinState.basis_state("uu")
         for (J, defect), expected_J in zip(rows, axes[0][1]):

@@ -4,13 +4,14 @@ import numpy as np
 import pytest
 
 from twospin import (
+    AA_FLIP_SET,
     SpinParams,
     TwoSpinState,
     frame_rotation,
     h_rotating_frame,
     h_total,
 )
-from twospin.core import _columns
+from twospin.core import PARAM_GROUPS, _columns
 from twospin.hamiltonian import _hamiltonians
 
 from support import kron_h, random_general, random_symmetric
@@ -184,3 +185,22 @@ class TestBuilder:
             assert stack[0, i].tobytes() == h_total(p, float(times[i])).matrix.tobytes()
             assert stack[1, i].tobytes() == h_total(p, 0.0).matrix.tobytes()
             assert rotating[i].tobytes() == h_rotating_frame(p).matrix.tobytes()
+
+    def test_rotating_frame_is_real_and_the_aa_flip_negates_it(self):
+        # The premises of the AA kernel: evolution._propagators solves H_rot.real, and twocycle._aa_two_cycles
+        # takes the second cycle's generator, every field negated, as exactly -H_rot. Checked at unequal
+        # couplings and at entries near overflow (the draws whose build is refused are skipped).
+        rng = np.random.default_rng(17)
+        _, columns = self._points(rng)
+        huge = np.array([[_near_max(rng) * rng.uniform(0.05, 0.5) for _ in range(6)] for _ in range(400)])
+        built = 0
+        for stack in (columns, *({name: row[k : k + 1] for k, name in enumerate(columns)} for row in huge)):
+            try:
+                h_rot = _hamiltonians(stack, np.zeros(len(stack["J"])), rotating=True)
+            except OverflowError:
+                continue
+            built += 1
+            flipped = {**stack, **{field: -stack[field] for name in AA_FLIP_SET for field in PARAM_GROUPS[name]}}
+            assert np.all(h_rot.imag == 0.0)
+            assert np.array_equal(_hamiltonians(flipped, np.zeros(len(stack["J"])), rotating=True), -h_rot)
+        assert built > 100
