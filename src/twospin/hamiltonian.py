@@ -75,7 +75,6 @@ def h_rotating_frame(params: SpinParams) -> Operator4:
 def _frame_diagonal(angle) -> np.ndarray:
     """The diagonal (exp(-i angle), 1, 1, exp(+i angle)) of V at field angle omega1*t: shape (4,) for a float,
     (N, 4) for an (N,) array. Multiplying a matrix stack by its [..., :, None] scales rows as V @ M does."""
-    angle = np.asarray(angle, dtype=float)
     one = np.ones_like(angle, dtype=complex)
     return np.stack([np.exp(-1j * angle), one, one, np.exp(1j * angle)], axis=-1)
 

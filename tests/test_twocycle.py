@@ -185,10 +185,10 @@ class TestAATwoCycle:
         rng = np.random.default_rng(2800 + ["equal", "unequal", "crossing"].index(kind))
         omega1 = rng.choice([-1.0, 1.0], n) * rng.uniform(0.1, 2.0, n)
         a0, b0, gamma_a, gamma_b, J = rng.uniform(-2.0, 2.0, (5, n))
+        if kind == "crossing":
+            a0 = omega1 + rng.choice([-1.0, 1.0], n) * J
+            gamma_a = rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(-7.0, -2.0, n)
         if kind != "unequal":
-            if kind == "crossing":
-                a0 = omega1 + rng.choice([-1.0, 1.0], n) * J
-                gamma_a = rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(-7.0, -2.0, n)
             b0, gamma_b = a0, gamma_a
         return {"omega_a0": a0, "omega_b0": b0, "gamma_a": gamma_a, "gamma_b": gamma_b, "J": J, "omega1": omega1}
 
