@@ -34,32 +34,27 @@ _OVERFLOW = "a Hamiltonian entry overflows the float range"
 def _hamiltonians(columns: dict[str, np.ndarray], angle: np.ndarray, rotating: bool = False) -> np.ndarray:
     """H matrices of (N,) field columns at field angles omega1*t of shape (..., N), as a (..., N, 4, 4) stack, or
     (rotating) minus (omega1/2)(s_az + s_bz): H_rot at angle +0.0. Each static term is halved (exactly) before the
-    sum, so the static part overflows only where +-omega_a0/2 +- omega_b0/2 +- J/2 does; that is refused, then
-    (rotating) an overflowing result, then as Operator4.hermitian does. Point i equals the N = 1 call's bit for bit.
-    """
+    sum, so the static part overflows only where +-omega_a0/2 +- omega_b0/2 +- J/2 does; a non-finite entry of the
+    finished stack is refused as that overflow, then each matrix as Operator4.hermitian. Point i equals the N = 1
+    call's bit for bit."""
     names = ("omega_a0", "omega_b0", "gamma_a", "gamma_b", "J", "omega1")
     a0, b0, gamma_a, gamma_b, J, omega1 = (columns[name][:, None, None] for name in names)
+    half_a, half_b, angle = 0.5 * gamma_a, 0.5 * gamma_b, angle[..., None, None]
+    transverse = (np.cos(angle) * (half_a * _PAULI["a", "x"] + half_b * _PAULI["b", "x"])
+                  + np.sin(angle) * (half_a * _PAULI["a", "y"] + half_b * _PAULI["b", "y"]))
     with np.errstate(over="ignore", invalid="ignore"):  # overflow is refused below
-        matrices = 0.5 * a0 * _PAULI["a", "z"] + 0.5 * b0 * _PAULI["b", "z"] + 0.5 * J * _SZZ
+        matrices = 0.5 * a0 * _PAULI["a", "z"] + 0.5 * b0 * _PAULI["b", "z"] + 0.5 * J * _SZZ + transverse
+        if rotating:
+            matrices = matrices - 0.5 * omega1 * (_PAULI["a", "z"] + _PAULI["b", "z"])
     if not np.isfinite(matrices).all():
         raise OverflowError(_OVERFLOW)
-    half_a, half_b, angle = 0.5 * gamma_a, 0.5 * gamma_b, angle[..., None, None]
-    cos_part = half_a * _PAULI["a", "x"] + half_b * _PAULI["b", "x"]
-    sin_part = half_a * _PAULI["a", "y"] + half_b * _PAULI["b", "y"]
-    matrices = matrices + (np.cos(angle) * cos_part + np.sin(angle) * sin_part)
-    if rotating:
-        with np.errstate(over="ignore", invalid="ignore"):  # overflow is refused below
-            matrices = matrices - 0.5 * omega1 * (_PAULI["a", "z"] + _PAULI["b", "z"])
-        if not np.isfinite(matrices).all():
-            raise OverflowError(_OVERFLOW)
     _check_stack(matrices, "hermitian")
     return matrices
 
 
 def h_total(params: SpinParams, t: float) -> Operator4:
     """Full Hamiltonian at time t, including the rotating transverse field: the N = 1 case of _hamiltonians."""
-    columns = _columns(params, 1)
-    return Operator4.hermitian(_hamiltonians(columns, columns["omega1"] * _checked_float("time", t))[0])
+    return Operator4.hermitian(_hamiltonians(_columns(params, 1), np.full(1, _field_angle(params, t)))[0])
 
 
 def h_rotating_frame(params: SpinParams) -> Operator4:
@@ -70,6 +65,14 @@ def h_rotating_frame(params: SpinParams) -> Operator4:
     transverse couplings enter at angle zero. The N = 1 case of _hamiltonians.
     """
     return Operator4.hermitian(_hamiltonians(_columns(params, 1), np.zeros(1), rotating=True)[0])
+
+
+def _field_angle(params: SpinParams, t) -> float:
+    """omega1*t at a time checked as _checked_float("time", t) does; an angle beyond the float range raises."""
+    angle = params.omega1 * _checked_float("time", t)
+    if not np.isfinite(angle):
+        raise OverflowError("the field angle omega1*t overflows the float range")
+    return angle
 
 
 def _frame_diagonal(angle) -> np.ndarray:
@@ -84,4 +87,4 @@ def frame_rotation(params: SpinParams, t: float) -> Operator4:
 
     Diagonal: diag(exp(-i omega1 t), 1, 1, exp(+i omega1 t)).
     """
-    return Operator4.unitary(np.diag(_frame_diagonal(params.omega1 * _checked_float("time", t))))
+    return Operator4.unitary(np.diag(_frame_diagonal(_field_angle(params, t))))

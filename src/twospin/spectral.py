@@ -16,20 +16,17 @@ root formula,
 with shift_1 = 0, shift_2 = +2*pi/3, shift_3 = -2*pi/3. These labels are the
 stable bookkeeping used by the sign-reversal protocols.
 
-Triplet eigenvectors, in the fixed basis order and with the field at angle
-theta = omega1*t, are proportional to
+Triplet eigenvectors of H(0), in the fixed basis order, are
 
-    ( -2 gamma e^{-i theta} / (2 omega0 + J - 2 E_n),
-      1,
-      1,
-      -2 gamma e^{+i theta} / (-2 omega0 + J - 2 E_n) )
+    (x, 1, 1, w) / sqrt(2 + x^2 + w^2),   x = -2 gamma/d+,  w = -2 gamma/d-,  d+- = J - 2 E_n +- 2 omega0,
 
-normalized by N_n = 2 + 4 gamma^2/d+^2 + 4 gamma^2/d-^2. This fixes the gauge:
-the ud and du amplitudes are real and positive. When either denominator falls
-below 1e-8 times the spectral scale the formula is abandoned for a direct
-numerical diagonalization of the symmetric (triplet) sector, with labels
-re-attached by energy matching and the last of the largest-magnitude
-amplitudes (ties within 1e-12 relative) made real and positive.
+which fixes the gauge: every amplitude is real, ud and du positive. When either
+denominator falls below 1e-8 times the spectral scale the formula is abandoned
+for a direct numerical diagonalization of the symmetric (triplet) sector, with
+labels re-attached by energy matching and the last of the largest-magnitude
+amplitudes (ties within 1e-12 relative) made real and positive. The field
+rotates about z, so H(t) = V(t) H(0) V(t)^dag: the states of H(t) are V(t)
+times these, their uu and dd amplitudes times e^{-+i omega1 t}.
 
 One kernel, _closed_form, evaluates the energies, amplitudes and Berry phases
 on (N,) columns of omega0, gamma and J; triplet_energies is its N = 1 case. D is
@@ -42,13 +39,13 @@ and sqrt, which IEEE 754 rounds exactly as float arithmetic does; atan2 and
 cos go through Python floats, as NumPy's versions may differ from libm in the
 last bit (arctan2 on about 1 argument pair in 13).
 
-_solve is a frame's one eigen-solve: _closed_form, and on the fallback mask one
-stacked Hamiltonian build, one eigh of the (K, 3, 3) sectors, an argmin over
-the 6 label permutations and a stacked gauge fix. _eigenbases builds the
-(N, 4, 4) eigenbases from it; eigensystem and tilde_eigensystem are its N = 1
-case, and phases reads the same solve. Each basis equals the one-point,
-one-label construction bit for bit: the same float operations, one
-matrix-vector product per state, and np.hypot for a scalar abs.
+_solve is a frame's one eigen-solve, at field angle zero: _closed_form, and on
+the fallback mask one stacked Hamiltonian build, one eigh of the (K, 3, 3)
+sectors, an argmin over the 6 label permutations and a stacked gauge fix.
+_eigenbases builds the (N, 4, 4) eigenbases from it; eigensystem and
+tilde_eigensystem are its N = 1 case, and phases reads the same solve. Each
+basis equals the one-point, one-label construction bit for bit: the same float
+operations, one matrix-vector product per state, and np.hypot for a scalar abs.
 """
 
 from __future__ import annotations
@@ -61,7 +58,7 @@ import numpy as np
 
 from .core import SpinParams, TwoSpinState, _checked_float, _columns, _equal_coupling_fields, _label
 from .core import _refuse
-from .hamiltonian import _OVERFLOW, _hamiltonians
+from .hamiltonian import _OVERFLOW, _field_angle, _frame_diagonal, _hamiltonians
 
 __all__ = [
     "DEGENERACY_RTOL",
@@ -166,13 +163,11 @@ def triplet_energies(omega0: float, gamma: float, J: float) -> tuple[float, floa
     return tuple(energies[0].tolist())
 
 
-def _amplitudes(x, w, energies, theta):
-    """The closed-form amplitudes (x, y, z, w) on broadcast arrays; the first non-finite energy raises."""
+def _amplitudes(x, w, energies):
+    """The closed-form amplitudes (x s, s, s, w s), s = 1/sqrt(2 + x^2 + w^2); the first non-finite energy raises."""
     _refuse(~np.isfinite(energies), energies, ArithmeticError, _LOST_ENERGY)
-    norm = np.sqrt(2.0 + x * x + w * w)
-    phase = np.exp(-1j * theta)
-    one = np.ones_like(phase) / norm
-    return (x * phase / norm, one, one, w * np.conj(phase) / norm)
+    s = 1.0 / np.sqrt(2.0 + x * x + w * w)
+    return (x * s, s, s, w * s)
 
 
 @dataclass(frozen=True)
@@ -203,15 +198,15 @@ _PERMUTATIONS = np.array(list(permutations(range(3))))
 _SINGLET = TwoSpinState.singlet().amplitudes
 
 
-def _fallback_states(columns: dict[str, np.ndarray], energies: np.ndarray, theta: np.ndarray, rotating: bool):
+def _fallback_states(columns: dict[str, np.ndarray], energies: np.ndarray, rotating: bool):
     """(K, 4, 3) triplet states, label k + 1 in column k, of the K points of columns with (K, 3) label energies:
-    one stacked eigh of the sectors of _hamiltonians(columns, theta, rotating), which checks them as
+    one stacked eigh of the sectors of H(0) or (rotating) H_rot from _hamiltonians, which checks them as
     Operator4.hermitian (H_rot itself, not H(0) at the shifted detuning: at exact resonance a degenerate
     eigenvector's sign depends on its last bits); the eigenvalue permutation of least summed distance to the
     energies (the first in itertools order on a tie); each state one matrix-vector product, and the last of its
     largest-magnitude amplitudes (ties within 1e-12 relative, against last-bit noise) made real and positive.
     """
-    hamiltonians = _hamiltonians(columns, theta, rotating)
+    hamiltonians = _hamiltonians(columns, np.zeros(len(energies)), rotating)
     vals, vecs = np.linalg.eigh(_SYM_PROJECTOR @ hamiltonians @ _SYM_PROJECTOR.conj().T)
     with np.errstate(over="ignore"):  # near the float range a wrong permutation's distance may read inf
         distance = np.abs(energies[:, None, :] - vals[:, _PERMUTATIONS]).sum(axis=-1)
@@ -226,60 +221,61 @@ def _fallback_states(columns: dict[str, np.ndarray], energies: np.ndarray, theta
     return (states * (np.conj(pivot) / np.hypot(pivot.real, pivot.imag))).swapaxes(1, 2)
 
 
-def _fallback_rows(columns: dict[str, np.ndarray], closed: _ClosedForm, theta: np.ndarray, rotating: bool):
-    """The (N,) mask of the K rows with a label on closed.fallback and their (K, 4, 3) _fallback_states at angles
-    theta, from one call; closed.berry on the mask is set, in place, to 2*pi*(|x|^2 - |w|^2) of each label's
-    returned state, in either frame and at any angle."""
+def _fallback_rows(columns: dict[str, np.ndarray], closed: _ClosedForm, rotating: bool):
+    """The (N,) mask of the K rows with a label on closed.fallback and their (K, 4, 3) _fallback_states, from one
+    call. closed.berry of each label on the mask is set, in place, to 2*pi*(|x|^2 - |w|^2) of its state; the
+    row's other labels keep the closed-form phase, off their eigh state's by the closed form's error."""
     rows = closed.fallback.any(axis=1)
     if not rows.any():
         return rows, np.empty((0, 4, 3), dtype=complex)
     subset = {name: column[rows] for name, column in columns.items()}
-    states = _fallback_states(subset, closed.energies[rows], theta[rows], rotating)
+    states = _fallback_states(subset, closed.energies[rows], rotating)
     x, w = (np.hypot(a.real, a.imag) for a in states[:, [0, 3]].swapaxes(0, 1))
     geometric = _TWO_PI * (_python(pow, x, 2) - _python(pow, w, 2))  # the scalar abs and **
     closed.berry[rows, :3] = np.where(closed.fallback[rows], geometric, closed.berry[rows, :3])
     return rows, states
 
 
-def _solve(columns: dict[str, np.ndarray], t: float = 0.0, rotating: bool = False):
-    """The closed forms, (N,) field angles and _fallback_rows of H(t) at equal-coupling field columns, or (rotating)
-    of H_rot, whose closed form is H(0)'s at the detuning omega0 - omega1; one beyond the float range raises the
-    builder's OverflowError, as an H_rot diagonal entry then overflows."""
-    (omega0, gamma, J), omega1 = _equal_coupling_fields(columns), columns["omega1"]
+def _solve(columns: dict[str, np.ndarray], rotating: bool = False):
+    """The closed forms and _fallback_rows of H(0) at equal-coupling field columns, or (rotating) of H_rot, whose
+    closed form is H(0)'s at the detuning omega0 - omega1; one beyond the float range raises the builder's
+    OverflowError, as an H_rot diagonal entry then overflows."""
+    omega0, gamma, J = _equal_coupling_fields(columns)
     with np.errstate(over="ignore"):  # as in float arithmetic; an overflowing detuning is refused below
-        theta = np.zeros(len(omega1)) if rotating else omega1 * t
-        detuning = omega0 - omega1 if rotating else omega0
+        detuning = omega0 - columns["omega1"] if rotating else omega0
     _refuse(~np.isfinite(detuning), detuning, OverflowError, _OVERFLOW)
     closed = _closed_form(detuning, gamma, J)
-    return (closed, theta, *_fallback_rows(columns, closed, theta, rotating))
+    return (closed, *_fallback_rows(columns, closed, rotating))
 
 
-def _eigenbases(columns: dict[str, np.ndarray], t: float = 0.0, rotating: bool = False):
+def _eigenbases(columns: dict[str, np.ndarray], rotating: bool = False):
     """The closed forms and (N, 4, 4) eigenbases, column k the state of label k + 1, of _solve's frame. At N > 1
     the error may come from any failing point."""
-    closed, theta, fallback, states = _solve(columns, t, rotating)
-    bases = np.empty((len(theta), 4, 4), dtype=complex)
+    closed, fallback, states = _solve(columns, rotating)
+    bases = np.empty((len(fallback), 4, 4), dtype=complex)
     bases[:, :, 3] = _SINGLET
     parts = (part[~fallback] for part in (closed.x, closed.w, closed.energies))
-    bases[~fallback, :, :3] = np.stack(np.broadcast_arrays(*_amplitudes(*parts, theta[~fallback, None])), axis=1)
+    bases[~fallback, :, :3] = np.stack(_amplitudes(*parts), axis=1)
     bases[fallback, :, :3] = states
     return closed, bases
 
 
-def _system(params: SpinParams, t: float, rotating: bool) -> EigenSystem:
-    closed, (basis,) = _eigenbases(_columns(params, 1), _checked_float("time", t), rotating)
+def _system(params: SpinParams, t: float, rotating: bool, angle: float = 0.0) -> EigenSystem:
+    closed, (basis,) = _eigenbases(_columns(params, 1), rotating)
     energies = (*closed.energies[0].tolist(), singlet_energy(params.J))
+    if angle:  # V = I at angle 0, where the complex scaling would only flip the signs of some zero parts
+        basis = _frame_diagonal(angle)[:, None] * basis
     return EigenSystem(energies, tuple(map(TwoSpinState, basis.T)), t, bool(closed.fallback.any()))
 
 
 def eigensystem(params: SpinParams, t: float = 0.0) -> EigenSystem:
-    """Instantaneous eigensystem of H(t) for equal couplings: the N = 1 case of _eigenbases.
+    """Instantaneous eigensystem of H(t) for equal couplings: V(t) times the t = 0 basis of _eigenbases (N = 1),
+    its rows scaled by V's diagonal where the field angle is nonzero.
 
-    Labels follow the trigonometric-root convention; label 4 is the singlet.
-    used_fallback reports whether the numerical sector diagonalization was
-    taken instead of the closed-form eigenvectors.
+    Labels follow the trigonometric-root convention; label 4 is the singlet. used_fallback reports whether the
+    numerical sector diagonalization was taken instead of the closed-form eigenvectors.
     """
-    return _system(params, t, rotating=False)
+    return _system(params, t, False, _field_angle(params, t))
 
 
 def tilde_eigensystem(params: SpinParams) -> EigenSystem:

@@ -32,7 +32,7 @@ from .core import _state_from_trusted
 from .evolution import _check_steps, _propagators, _stepped_propagators
 from .hamiltonian import _frame_diagonal
 from .phases import _rotation_sense
-from .spectral import _eigenbases
+from .spectral import _eigenbases, _point
 
 __all__ = [
     "AA_FLIP_SET",
@@ -63,7 +63,7 @@ def _berry_gates(columns: dict[str, np.ndarray]):
     computational basis, (N, 4, 4) each, from one _eigenbases call. The closed-form bases are orthonormal only to
     about eps/gap, so one Newton-Schulz step B(3I - B^dag B)/2 takes them to the nearest unitary, to rounding,
     before the gate is built. Refuses as eigensystem does, then as Operator4.unitary does on the gate; the fields
-    are taken as finite, which SpinParams checks before.
+    are taken as finite, which SpinParams and spectral._point check before.
     """
     closed, bases = _eigenbases(columns)
     bases = bases @ (3.0 * np.eye(4) - bases.conj().swapaxes(-1, -2) @ bases) / 2.0
@@ -81,7 +81,7 @@ def berry_gate(omega0: float, gamma: float, J: float) -> BerryGate:
     exactly 1. The computational-basis matrix conjugates the diagonal with the
     eigenvector matrix at t=0.
     """
-    phases, _, diagonal, computational = _berry_gates(_columns(SpinParams.symmetric(omega0, gamma, J), 1))
+    phases, _, diagonal, computational = _berry_gates(_point(omega0, gamma, J))
     return BerryGate(tuple(phases[0].tolist()), Operator4.unitary(diagonal[0]), Operator4.unitary(computational[0]))
 
 

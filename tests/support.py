@@ -17,6 +17,7 @@ from twospin import (
     eigensystem,
     evolve_exact,
     evolve_stepped,
+    frame_rotation,
     h_rotating_frame,
     h_total,
 )
@@ -393,17 +394,15 @@ def _fallback_triplet_states(hamiltonian, labels_energies):
     return [_fix_phase(_SYM_PROJECTOR.conj().T @ vecs[:, best[i]]) for i in range(3)]
 
 
-def scalar_amplitudes(x0, w0, energy, theta):
-    """The closed-form amplitudes (x, y, z, w) of one label in Python floats."""
+def scalar_amplitudes(x0, w0, energy):
+    """The t = 0 closed-form amplitudes (x, y, z, w) of one label in Python floats."""
     if not math.isfinite(energy):
         raise ArithmeticError(f"closed-form energy {energy!r} is not finite")
-    norm = math.sqrt(2.0 + x0 * x0 + w0 * w0)
-    phase = np.exp(-1j * np.asarray(theta, dtype=float))
-    one = np.ones_like(phase) / norm
-    return (x0 * phase / norm, one, one, w0 * np.conj(phase) / norm)
+    s = 1.0 / math.sqrt(2.0 + x0 * x0 + w0 * w0)
+    return (x0 * s, s, s, w0 * s)
 
 
-def eigenbasis_loop(omega0, gamma, J, theta, hamiltonian):
+def eigenbasis_loop(omega0, gamma, J, hamiltonian):
     """(basis, used_fallback) of one point: label columns built one at a time, the fallback from
     hamiltonian(), a validated 4x4 matrix built only on that branch."""
     point = [np.array([value], dtype=float) for value in (omega0, gamma, J)]
@@ -414,21 +413,23 @@ def eigenbasis_loop(omega0, gamma, J, theta, hamiltonian):
         states = _fallback_triplet_states(hamiltonian(), energies)
     else:
         labels = zip(closed.x[0].tolist(), closed.w[0].tolist(), energies)
-        states = [np.array(scalar_amplitudes(*label, theta), dtype=complex) for label in labels]
+        states = [np.array(scalar_amplitudes(*label), dtype=complex) for label in labels]
     states = [TwoSpinState(state).amplitudes for state in states] + [TwoSpinState.singlet().amplitudes]
     return np.column_stack(states), used_fallback
 
 
 def eigensystem_loop(params, t=0.0):
-    """eigenbasis_loop of H(t), the fallback diagonalizing h_total."""
-    theta = params.omega1 * t
-    return eigenbasis_loop(params.omega0, params.gamma, params.J, theta, lambda: h_total(params, t).matrix)
+    """eigenbasis_loop of H(0), the fallback diagonalizing h_total at t = 0, with its rows scaled by those of
+    frame_rotation(params, t), whose refusals come first, where the field angle omega1*t is nonzero."""
+    rows = np.diag(frame_rotation(params, t).matrix)[:, None]
+    basis, used_fallback = eigenbasis_loop(params.omega0, params.gamma, params.J, lambda: h_total(params, 0.0).matrix)
+    return (rows * basis if params.omega1 * t else basis), used_fallback
 
 
 def tilde_eigensystem_loop(params):
     """eigenbasis_loop of the rotating-frame generator, the fallback diagonalizing h_rotating_frame."""
     omega0 = params.omega0 - params.omega1
-    return eigenbasis_loop(omega0, params.gamma, params.J, 0.0, lambda: h_rotating_frame(params).matrix)
+    return eigenbasis_loop(omega0, params.gamma, params.J, lambda: h_rotating_frame(params).matrix)
 
 
 # ---------------------------------------------------------------------------

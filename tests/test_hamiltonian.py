@@ -7,6 +7,7 @@ from twospin import (
     AA_FLIP_SET,
     SpinParams,
     TwoSpinState,
+    eigensystem,
     frame_rotation,
     h_rotating_frame,
     h_total,
@@ -148,6 +149,18 @@ def test_overflow_is_refused_exactly_where_float_arithmetic_overflows():
                     with pytest.raises(OverflowError, match="a Hamiltonian entry overflows the float range"):
                         build()
     assert refused > 100
+
+
+# A finite time whose angle omega1*t overflows is refused before any array arithmetic, where NumPy would warn
+# (overflow in multiply, invalid value in cos and exp). exact_propagator refuses such a time by its phase limit.
+@pytest.mark.parametrize("build", [h_total, frame_rotation, eigensystem])
+@pytest.mark.parametrize("omega1, t", [(1e300, 1e300), (1e300, -1e300), (-1.7e308, 2.0)])
+def test_overflowing_field_angle_is_refused(build, omega1, t):
+    p = SpinParams.symmetric(1.0, 1.0, 1.0, omega1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(OverflowError, match=r"^the field angle omega1\*t overflows the float range$"):
+            build(p, t)
 
 
 class TestBuilder:

@@ -11,13 +11,13 @@ from twospin import (
     SpinParams,
     TwoSpinState,
     eigensystem,
-    frame_rotation,
     h_rotating_frame,
     h_total,
     singlet_energy,
     tilde_eigensystem,
     triplet_energies,
 )
+from twospin.hamiltonian import _frame_diagonal
 from twospin.spectral import (
     _amplitudes,
     _closed_form,
@@ -191,17 +191,16 @@ class TestEigensystem:
             assert sum(system.energies[:3]) == pytest.approx(p.J / 2.0, abs=8.0 * EPS * scale)
 
     def test_time_covariance(self):
+        # eigensystem(p, t) = V(t) eigensystem(p, 0), row by row and bit for bit, fallback points included
         rng = np.random.default_rng(29)
-        for _ in range(20):
-            p = random_symmetric(rng, 0.1, 1.5)
-            t = float(rng.uniform(0.0, p.period))
-            at_zero = eigensystem(p, 0.0)
-            at_t = eigensystem(p, t)
-            v = frame_rotation(p, t).matrix
-            for n in (1, 2, 3, 4):
-                rotated = v @ at_zero.state(n).amplitudes
-                overlap = abs(np.vdot(rotated, at_t.state(n).amplitudes))
-                assert 1.0 - overlap <= 1e-10
+        points = [random_symmetric(rng, 0.1, 1.5) for _ in range(20)]
+        points += [SpinParams.symmetric(omega0, 0.0, J, omega1)
+                   for omega0, J, omega1 in ((1.0, 1.0, 0.3), (-0.7, 0.7, -1.2), (0.4, -0.4, 0.9))]
+        for p in points:
+            t = float(rng.uniform(-p.period, p.period))
+            at_zero = eigensystem(p, 0.0).basis_matrix()
+            assert same_bits(eigensystem(p, t).basis_matrix(), _frame_diagonal(p.omega1 * t)[:, None] * at_zero)
+        assert all(eigensystem(p).used_fallback for p in points[20:])
 
     def test_diagonal_fallback(self):
         system = eigensystem(SpinParams.symmetric(1.0, 0.0, 1.0), 0.0)
@@ -369,17 +368,20 @@ scales = st.sampled_from([1e-30, 1e-5, 1.0, 1e5, 1e40])
 
 
 class TestEigenbasesKernel:
-    """spectral._eigenbases, for H(t) and for the rotating frame, and its N = 1 wrappers, against the
-    per-point oracle support.eigenbasis_loop: equal as uint64 views, fallback flags included."""
+    """spectral._eigenbases, for H(0) and for the rotating frame, and its N = 1 wrappers, against the
+    per-point oracle support.eigenbasis_loop: equal as uint64 views, fallback flags included. H(t)'s basis is
+    H(0)'s with its rows scaled by V(t)'s diagonal."""
 
     @pytest.mark.parametrize("t", [0.0, 1.7, -3.1])
     def test_stacked_lab_bases_equal_the_loop(self, t):
-        closed, bases = _eigenbases(stacked(GRID), t)
+        closed, bases = _eigenbases(stacked(GRID))
         used = closed.fallback.any(axis=1)
         assert 0 < used.sum() < len(GRID)
         for point, basis, fallback in zip(GRID, bases, used):
             expected, expected_fallback = eigensystem_loop(point, t)
-            assert same_bits(basis, expected) and fallback == expected_fallback
+            angle = point.omega1 * t
+            got = _frame_diagonal(angle)[:, None] * basis if angle else basis
+            assert same_bits(got, expected) and fallback == expected_fallback
 
     def test_stacked_tilde_bases_equal_the_loop(self):
         closed, bases = _eigenbases(stacked(GRID), rotating=True)
@@ -397,7 +399,8 @@ class TestEigenbasesKernel:
         rng = np.random.default_rng(71)
         random_points = [SpinParams.symmetric(*point) for point in rng.uniform(-3.0, 3.0, (2000, 4)).tolist()]
         for points in (random_points, GRID):
-            closed, bases = _eigenbases(stacked(points), t, rotating)
+            closed, bases = _eigenbases(stacked(points), rotating)
+            bases = _frame_diagonal(np.array([p.omega1 for p in points]) * t)[:, :, None] * bases
             spin_z = 2.0 * math.pi * (np.abs(bases[:, 0]) ** 2 - np.abs(bases[:, 3]) ** 2)
             assert np.abs(spin_z - closed.berry).max() <= 2.2e-14
         assert closed.fallback.any()
@@ -407,12 +410,13 @@ class TestEigenbasesKernel:
         (SpinParams.symmetric(0.4, 0.0, 0.9, 0.4), True),  # gamma = 0, and omega0 = omega1 in the rotating frame
     ])
     def test_eigensystems_hold_the_one_point_kernel_bit_for_bit(self, p, fallback):
-        for system, (closed, bases) in (
-            (eigensystem(p, 1.7), _eigenbases(stacked([p]), 1.7)),
-            (tilde_eigensystem(p), _eigenbases(stacked([p]), rotating=True)),
+        for system, (closed, bases), rows in (
+            (eigensystem(p, 1.7), _eigenbases(stacked([p])), _frame_diagonal(p.omega1 * 1.7)),
+            (tilde_eigensystem(p), _eigenbases(stacked([p]), rotating=True), None),
         ):
+            basis = bases[0] if rows is None else rows[:, None] * bases[0]
             assert same_bits(np.array(system.energies), np.append(closed.energies[0], singlet_energy(p.J)))
-            assert same_bits(np.array([state.amplitudes for state in system.states]), bases[0].T)
+            assert same_bits(np.array([state.amplitudes for state in system.states]), basis.T)
             assert system.used_fallback is bool(closed.fallback.any()) is fallback
 
     @settings(deadline=None, max_examples=300)
@@ -480,14 +484,12 @@ class TestEigenbasesKernel:
         assert np.abs(rayleigh - closed.energies).max() <= 8.0 * EPS
 
     def test_amplitudes_equal_the_scalar_formula(self):
-        theta = np.linspace(-7.0, 7.0, 29)
         for point in GRID:
             closed = _closed_form(*_column_point(point.omega0, point.gamma, point.J))
-            for n in np.flatnonzero(~closed.fallback[0]).tolist():
-                parts = [float(part[0, n]) for part in (closed.x, closed.w, closed.energies)]
-                for angle in (theta, 0.0, 2.5):
-                    got = _amplitudes(*parts, np.asarray(angle, dtype=float))
-                    assert all(map(same_bits, got, scalar_amplitudes(*parts, angle)))
+            parts = [part[~closed.fallback] for part in (closed.x, closed.w, closed.energies)]
+            got = _amplitudes(*parts)
+            for k, label in enumerate(zip(*(part.tolist() for part in parts))):
+                assert all(same_bits(part[k], value) for part, value in zip(got, scalar_amplitudes(*label)))
 
     def test_fallback_berry_phases_equal_the_loop(self):
         omega0, gamma, J = (np.array([getattr(p, name) for p in GRID]) for name in ("omega0", "gamma", "J"))
