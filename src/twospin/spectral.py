@@ -222,9 +222,9 @@ def _fallback_states(columns: dict[str, np.ndarray], energies: np.ndarray, rotat
 
 
 def _fallback_rows(columns: dict[str, np.ndarray], closed: _ClosedForm, rotating: bool):
-    """The (N,) mask of the K rows with a label on closed.fallback and their (K, 4, 3) _fallback_states, from one
-    call. closed.berry of each label on the mask is set, in place, to 2*pi*(|x|^2 - |w|^2) of its state; the
-    row's other labels keep the closed-form phase, off their eigh state's by the closed form's error."""
+    """The (N,) mask of the K rows with a label on closed.fallback and their (K, 4, 3) _fallback_states, from one call;
+    closed.berry of each label on the mask is set, in place, to 2*pi*(|x|^2 - |w|^2) of its state, while the row's
+    other labels keep the closed-form phase, off their eigh state's by the closed form's error."""
     rows = closed.fallback.any(axis=1)
     if not rows.any():
         return rows, np.empty((0, 4, 3), dtype=complex)
@@ -260,7 +260,8 @@ def _eigenbases(columns: dict[str, np.ndarray], rotating: bool = False):
     return closed, bases
 
 
-def _system(params: SpinParams, t: float, rotating: bool, angle: float = 0.0) -> EigenSystem:
+def _system(params: SpinParams, t: float, rotating: bool) -> EigenSystem:
+    angle = 0.0 if rotating else _field_angle(params, t)
     closed, (basis,) = _eigenbases(_columns(params, 1), rotating)
     energies = (*closed.energies[0].tolist(), singlet_energy(params.J))
     if angle:  # V = I at angle 0, where the complex scaling would only flip the signs of some zero parts
@@ -269,13 +270,12 @@ def _system(params: SpinParams, t: float, rotating: bool, angle: float = 0.0) ->
 
 
 def eigensystem(params: SpinParams, t: float = 0.0) -> EigenSystem:
-    """Instantaneous eigensystem of H(t) for equal couplings: V(t) times the t = 0 basis of _eigenbases (N = 1),
-    its rows scaled by V's diagonal where the field angle is nonzero.
+    """Instantaneous eigensystem of H(t) for equal couplings: V(t) times the t = 0 basis of _eigenbases (N = 1).
 
     Labels follow the trigonometric-root convention; label 4 is the singlet. used_fallback reports whether the
     numerical sector diagonalization was taken instead of the closed-form eigenvectors.
     """
-    return _system(params, t, False, _field_angle(params, t))
+    return _system(params, t, rotating=False)
 
 
 def tilde_eigensystem(params: SpinParams) -> EigenSystem:
